@@ -11,14 +11,14 @@ runner for the CI perf-smoke job::
     PYTHONPATH=src python benchmarks/bench_simulator_throughput.py \
         --output BENCH_simcore.json --check benchmarks/BENCH_simcore.json
 
-It measures events/sec for the pure event loop (heap and calendar
-schedulers, sparse chain and dense many-timer shapes), a serial ExpressPass
-dumbbell, a small sweep on two workers, fig15-style cell throughput on
-the packet vs fluid backends, and a fat-tree persistent cell serial vs
-sharded (``repro.sim.parallel``), then writes them to a JSON report
-alongside the committed pre-PR baseline.  ``--check`` exits non-zero if
-any metric falls below its absolute floor or regresses more than 20 %
-against the committed report's numbers.
+It measures events/sec for the pure event loop (sparse chain and dense
+many-timer shapes), a serial ExpressPass dumbbell, a small sweep on two
+workers, fig15-style cell throughput on the packet vs fluid backends, and
+a fat-tree persistent cell serial vs sharded (``repro.sim.parallel``),
+then writes them to a JSON report alongside the committed pre-PR baseline.
+``--check`` exits non-zero if any metric falls below its absolute floor,
+regresses more than 20 % against the committed report's numbers, or is in
+the committed report but missing from the run.
 """
 
 from __future__ import annotations
@@ -89,9 +89,7 @@ PRE_PR_BASELINE = {
 #: regression — not a slow CI machine — trips them.
 FLOORS = {
     "event_loop": 250_000,
-    "event_loop_calendar": 80_000,
     "event_loop_dense_heap": 90_000,
-    "event_loop_dense_calendar": 120_000,
     "expresspass_dumbbell": 60_000,
     "sweep_parallel2": 60_000,
     "fig15_cells_packet": 0.2,
@@ -105,13 +103,12 @@ FLOORS = {
 REGRESSION_TOLERANCE = 0.8
 
 
-def _bench_event_loop(sched: str = "heap") -> tuple:
+def _bench_event_loop() -> tuple:
     """(events, seconds) for the 100k self-rescheduling timer chain.
 
-    A single pending event at all times: the heap's best case, kept as the
-    calendar backend's worst-case honesty row.
+    A single pending event at all times: the heap's best case.
     """
-    sim = Simulator(seed=0, sched=sched)
+    sim = Simulator(seed=0)
     state = {"n": 0}
 
     def tick():
@@ -126,25 +123,24 @@ def _bench_event_loop(sched: str = "heap") -> tuple:
 
 
 #: Dense event-loop population: enough concurrent timers that the heap's
-#: O(log n) sift (and its cache behaviour) dominates, which is the regime
-#: the calendar queue exists for — ExpressPass at fabric scale keeps a
-#: pending credit event per flow.
+#: O(log n) sift (and its cache behaviour) dominates — ExpressPass at
+#: fabric scale keeps a pending credit event per flow.
 _DENSE_TIMERS = 524_288
 _DENSE_EVENTS = 400_000
 
 
-def _dense_run(sched: str) -> tuple:
+def _bench_dense_event_loop() -> tuple:
     """(events, seconds) with ``_DENSE_TIMERS`` concurrent periodic timers.
 
     The ticks do nothing but reschedule — the queue operations are the
     thing under test — and only the run loop is timed; the initial
     scheduling burst is setup.  The half-million live closures and entry
     tuples are frozen out of the collector for the timed region: cyclic-GC
-    traversals otherwise dwarf the queue-op difference being measured.
+    traversals otherwise dwarf the queue operations being measured.
     """
     import gc
 
-    sim = Simulator(seed=0, sched=sched)
+    sim = Simulator(seed=0)
 
     def mk(period):
         def tick():
@@ -160,28 +156,6 @@ def _dense_run(sched: str) -> tuple:
     elapsed = perf_counter() - t0
     gc.unfreeze()
     return processed, elapsed
-
-
-#: Partner results queued by the interleaved dense measurement below.
-_dense_pending = {"heap": [], "calendar": []}
-
-
-def _bench_dense_event_loop(sched: str) -> tuple:
-    """One dense round per scheduler, measured back-to-back.
-
-    The heap-vs-calendar ratio is the point of these two rows, and on a
-    shared CI machine throughput drifts by tens of percent between
-    measurement moments — so each call times *both* schedulers adjacently
-    and queues the partner's result for the partner's next call, keeping
-    every compared pair temporally local.
-    """
-    pending = _dense_pending[sched]
-    if pending:
-        return pending.pop(0)
-    other = "calendar" if sched == "heap" else "heap"
-    mine = _dense_run(sched)
-    _dense_pending[other].append(_dense_run(other))
-    return mine
 
 
 def _dumbbell_events(seed: int = 1, n_pairs: int = 2, run_ms: int = 5) -> int:
@@ -281,8 +255,14 @@ def _sharded_cell_run(shards: int) -> tuple:
 
 
 def _bench_sharded_cell(shards: int) -> tuple:
-    """One cell per execution mode, measured back-to-back (see the dense
-    event-loop pairing above — the serial/sharded ratio is the point)."""
+    """One cell per execution mode, measured back-to-back.
+
+    The serial/sharded ratio is the point of these two rows, and on a
+    shared CI machine throughput drifts by tens of percent between
+    measurement moments — so each call times *both* modes adjacently and
+    queues the partner's result for the partner's next call, keeping every
+    compared pair temporally local.
+    """
     pending = _sharded_pending[shards]
     if pending:
         return pending.pop(0)
@@ -294,9 +274,7 @@ def _bench_sharded_cell(shards: int) -> tuple:
 
 SCENARIOS = {
     "event_loop": _bench_event_loop,
-    "event_loop_calendar": lambda: _bench_event_loop("calendar"),
-    "event_loop_dense_heap": lambda: _bench_dense_event_loop("heap"),
-    "event_loop_dense_calendar": lambda: _bench_dense_event_loop("calendar"),
+    "event_loop_dense_heap": _bench_dense_event_loop,
     "expresspass_dumbbell": _bench_dumbbell,
     "sweep_parallel2": _bench_sweep_parallel2,
     "fig15_cells_packet": lambda: _bench_fig15_cells("packet"),
@@ -334,6 +312,10 @@ def check(current: dict, committed: dict) -> list:
                 f"{name}: {eps:,} events/s is a "
                 f"{100 * (1 - eps / ref):.0f}% regression vs committed "
                 f"{ref:,} (tolerance {100 * (1 - REGRESSION_TOLERANCE):.0f}%)")
+    for name in committed.get("current", {}):
+        if name not in current:
+            failures.append(
+                f"{name}: in the committed report but missing from this run")
     return failures
 
 
@@ -361,14 +343,9 @@ def main(argv=None) -> int:
             name: round(current[name] / base, 2)
             for name, base in PRE_PR_BASELINE.items() if name in current
         },
-        # The two structural claims the scheduler/fluid work makes: the
-        # calendar queue out-runs the heap once the pending set is dense,
-        # and the fluid backend scans fig15-style grids orders of
-        # magnitude faster than packet level.
         "speedups": {
-            "calendar_vs_heap_dense_event_loop": round(
-                current["event_loop_dense_calendar"]
-                / current["event_loop_dense_heap"], 2),
+            # The fluid backend's structural claim: it scans fig15-style
+            # grids orders of magnitude faster than packet level.
             "fluid_vs_packet_fig15_cells": round(
                 current["fig15_cells_fluid"]
                 / current["fig15_cells_packet"], 1),

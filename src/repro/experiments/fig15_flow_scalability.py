@@ -9,8 +9,6 @@ capacity; RCP under-utilizes and overflows beyond a few hundred flows.
 This figure is compiled from a declarative scenario spec
 (:func:`scenario_dict`, mirrored by ``scenarios/fig15_flow_scalability.yaml``)
 through :mod:`repro.scenarios` — the same pipeline ``repro matrix`` drives.
-:func:`run_legacy` keeps the original hand-written sweep; the test suite
-pins the two paths bit-identical.
 """
 
 from __future__ import annotations
@@ -18,11 +16,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core import ExpressPassParams
-from repro.experiments.runner import ExperimentResult, get_harness, run_sweep
-from repro.metrics import jain_index
-from repro.sim.engine import Simulator
-from repro.sim.units import GBPS, MS, US
-from repro.topology import LinkSpec, dumbbell
+from repro.experiments.runner import ExperimentResult, run_sweep
+from repro.sim.units import GBPS, MS
 
 COLUMNS = ["protocol", "flows", "utilization", "fairness",
            "max_queue_kb", "data_drops"]
@@ -51,39 +46,6 @@ def run_point(
                          warmup_ps=warmup_ps, measure_ps=measure_ps,
                          seed=seed, ep_params=ep_params)
     return {key: row[key] for key in COLUMNS}
-
-
-def run_point_legacy(
-    protocol: str,
-    n_flows: int,
-    rate_bps: int = 10 * GBPS,
-    warmup_ps: int = 50 * MS,
-    measure_ps: int = 50 * MS,
-    seed: int = 1,
-    ep_params: Optional[ExpressPassParams] = None,
-) -> dict:
-    """The original hand-written cell (the spec path's bit-identity oracle)."""
-    sim = Simulator(seed=seed)
-    base_rtt = 30 * US
-    harness = get_harness(protocol, rate_bps, base_rtt, ep_params)
-    spec = harness.adapt_link(LinkSpec(rate_bps=rate_bps, prop_delay_ps=4 * US))
-    topo = dumbbell(sim, n_pairs=n_flows, bottleneck=spec)
-    harness.install(sim, topo.net)
-    flows = [harness.flow(s, r, None) for s, r in zip(topo.senders, topo.receivers)]
-
-    sim.run(until=warmup_ps)
-    base = {f: f.bytes_delivered for f in flows}
-    sim.run(until=warmup_ps + measure_ps)
-    seconds = measure_ps / 1e12
-    rates = [(f.bytes_delivered - base[f]) * 8 / seconds for f in flows]
-    return {
-        "protocol": protocol,
-        "flows": n_flows,
-        "utilization": sum(rates) / rate_bps,
-        "fairness": jain_index(rates),
-        "max_queue_kb": topo.net.max_data_queue_bytes() / 1e3,
-        "data_drops": topo.net.total_data_drops(),
-    }
 
 
 def scenario_dict(
@@ -126,14 +88,23 @@ def run(
     """Spec-compiled path: build the scenario, compile, run, shape rows.
 
     An explicit ``ep_params`` object cannot be expressed as spec data (specs
-    name profiles, not parameter objects), so that case falls back to the
-    hand-written sweep.  ``backend="fluid"`` runs the same grid on the
-    rate-evolution engine (trend mode).
+    name profiles, not parameter objects), so that case sweeps
+    :func:`run_point` — the same cell runner — directly.
+    ``backend="fluid"`` runs the same grid on the rate-evolution engine
+    (trend mode).
     """
     if kwargs.get("ep_params") is not None:
         if backend != "packet":
             raise ValueError("explicit ep_params require the packet backend")
-        return run_legacy(protocols, flow_counts, **kwargs)
+        rows = run_sweep(
+            run_point,
+            [{"protocol": protocol, "n_flows": n}
+             for protocol in protocols for n in flow_counts],
+            common=kwargs,
+            name="fig15",
+            label=lambda pt: f"{pt['protocol']}/N={pt['n_flows']}",
+        )
+        return ExperimentResult(name=_NAME, columns=COLUMNS, rows=rows)
     kwargs.pop("ep_params", None)
     kwargs["backend"] = backend
     from repro.runtime import SweepError, run_tasks
@@ -148,21 +119,4 @@ def run(
         raise SweepError(failures)
     rows = [{key: r.value[key] for key in COLUMNS}
             for r in results if r.error is None]
-    return ExperimentResult(name=_NAME, columns=COLUMNS, rows=rows)
-
-
-def run_legacy(
-    protocols: Sequence[str] = ("expresspass", "dctcp", "rcp"),
-    flow_counts: Sequence[int] = (4, 16, 64, 256),
-    **kwargs,
-) -> ExperimentResult:
-    """The pre-scenario sweep, kept as the bit-identity reference."""
-    rows = run_sweep(
-        run_point_legacy,
-        [{"protocol": protocol, "n_flows": n}
-         for protocol in protocols for n in flow_counts],
-        common=kwargs,
-        name="fig15",
-        label=lambda pt: f"{pt['protocol']}/N={pt['n_flows']}",
-    )
     return ExperimentResult(name=_NAME, columns=COLUMNS, rows=rows)

@@ -7,8 +7,7 @@ reservation and wasted credits); DX and HULL sit between.
 
 Like Fig 15, this figure compiles from a declarative scenario spec
 (:func:`scenario_dict`, mirrored by ``scenarios/fig19_realistic_fct.yaml``)
-through :mod:`repro.scenarios`; :func:`run_legacy` keeps the original
-serial loop as the bit-identity reference.
+through :mod:`repro.scenarios`.
 """
 
 from __future__ import annotations
@@ -86,13 +85,19 @@ def run(
     """Spec-compiled path; sweeps protocols through the runtime.
 
     Only the named parameter profiles are expressible as spec data; a
-    custom ``ep_params`` object falls back to the hand-written loop.
-    (Non-ExpressPass harnesses ignore ``ep_params`` entirely, so applying
-    the profile uniformly matches the legacy per-protocol conditional.)
+    custom ``ep_params`` object runs :func:`run_realistic` — the cell the
+    spec path wraps — directly.  (Non-ExpressPass harnesses ignore
+    ``ep_params`` entirely, so it is applied uniformly.)
     """
+    name = f"Fig 19 FCT per size bucket ({workload}, load {load})"
     if ep_params not in (None, REALISTIC_WORKLOAD_PARAMS):
-        return run_legacy(protocols, workload, load, n_flows,
-                          ep_params=ep_params, **kwargs)
+        rows = []
+        for protocol in protocols:
+            result = run_realistic(protocol, workload, load, n_flows,
+                                   ep_params=ep_params, **kwargs)
+            rows.extend(_bucket_rows(protocol, result.bucket_stats(),
+                                     result.completed))
+        return ExperimentResult(name=name, columns=COLUMNS, rows=rows)
     from repro.runtime import SweepError, run_tasks
     from repro.scenarios.compiler import compile_scenario
     from repro.scenarios.schema import Scenario
@@ -111,44 +116,4 @@ def run(
             continue
         rows.extend(_bucket_rows(res.value["protocol"], res.value["buckets"],
                                  res.value["completed"]))
-    return ExperimentResult(
-        name=f"Fig 19 FCT per size bucket ({workload}, load {load})",
-        columns=COLUMNS,
-        rows=rows,
-    )
-
-
-def run_legacy(
-    protocols: Sequence[str] = ("expresspass", "rcp", "dctcp", "dx", "hull"),
-    workload: str = "web_search",
-    load: float = 0.6,
-    n_flows: int = 1200,
-    ep_params: Optional[ExpressPassParams] = REALISTIC_WORKLOAD_PARAMS,
-    **kwargs,
-) -> ExperimentResult:
-    """The pre-scenario serial loop, kept as the bit-identity reference."""
-    rows = []
-    for protocol in protocols:
-        params = ep_params if protocol.startswith("expresspass") else None
-        result = run_realistic(protocol, workload, load, n_flows,
-                               ep_params=params, **kwargs)
-        for bucket, stats in sorted(result.fct_by_bucket.items()):
-            rows.append({
-                "protocol": protocol,
-                "bucket": bucket,
-                "flows": stats.count,
-                "avg_fct_ms": stats.mean_s * 1e3,
-                "p99_fct_ms": stats.p99_s * 1e3,
-            })
-        rows.append({
-            "protocol": protocol,
-            "bucket": "(all)",
-            "flows": result.completed,
-            "avg_fct_ms": None,
-            "p99_fct_ms": None,
-        })
-    return ExperimentResult(
-        name=f"Fig 19 FCT per size bucket ({workload}, load {load})",
-        columns=COLUMNS,
-        rows=rows,
-    )
+    return ExperimentResult(name=name, columns=COLUMNS, rows=rows)

@@ -41,6 +41,17 @@ class RealisticRun:
     credit_waste_ratio: float
     meta: dict = field(default_factory=dict)
 
+    def bucket_stats(self) -> Dict[str, dict]:
+        """Per-size-bucket FCT statistics as plain data, bucket-sorted."""
+        return {
+            bucket: {
+                "flows": stats.count,
+                "avg_fct_ms": stats.mean_s * 1e3,
+                "p99_fct_ms": stats.p99_s * 1e3,
+            }
+            for bucket, stats in sorted(self.fct_by_bucket.items())
+        }
+
 
 def run_realistic(
     protocol: str,

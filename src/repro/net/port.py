@@ -17,14 +17,13 @@ the same port without burdening the common path: attachments are exposed as
 properties that maintain a precomputed flags word, and while the word is
 zero the transmitter takes a fast path that skips every attachment check
 (:mod:`repro.perf`).  The fast and checked paths are behaviour-identical —
-golden traces do not move when the fast path is disabled.
+golden traces do not move when a no-op hook forces the checked path.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro import perf
 from repro.net.packet import (
     CREDIT_RATE_FRACTION_DEN,
     CREDIT_RATE_FRACTION_NUM,
@@ -46,7 +45,6 @@ _F_PAUSED = 1 << 5
 _F_ON_TRANSMIT = 1 << 6
 _F_ON_ENQUEUE = 1 << 7
 _F_LOWPRIO = 1 << 8
-_F_NO_FASTPATH = 1 << 9
 
 
 class PortStats:
@@ -128,7 +126,7 @@ class Port:
     # word in sync.  The hot path reads the underscore slots directly.
 
     def _refresh_flags(self) -> None:
-        flags = 0 if perf.FASTPATH_ENABLED else _F_NO_FASTPATH
+        flags = 0
         if not self._up:
             flags |= _F_DOWN
         if self._drop_filter is not None:

@@ -481,14 +481,6 @@ def run_poisson(
     fcts_ps = [f.fct_ps for f in result.flows
                if f.fct_ps is not None and f.size_bytes is not None]
     overall = FctStats.from_fcts_ps(fcts_ps) if fcts_ps else None
-    buckets = {
-        bucket: {
-            "flows": stats.count,
-            "avg_fct_ms": stats.mean_s * 1e3,
-            "p99_fct_ms": stats.p99_s * 1e3,
-        }
-        for bucket, stats in sorted(result.fct_by_bucket.items())
-    }
     return {
         "protocol": protocol,
         "workload": distribution,
@@ -502,5 +494,5 @@ def run_poisson(
         "max_queue_kb": result.max_queue_kb,
         "data_drops": result.data_drops,
         "credit_waste_ratio": result.credit_waste_ratio,
-        "buckets": buckets,
+        "buckets": result.bucket_stats(),
     }

@@ -6,20 +6,8 @@ picosecond, which makes runs bit-for-bit reproducible for a given seed.
 Cancellation is O(1): events carry a ``cancelled`` flag and are skipped when
 popped.
 
-Two queue backends implement that order (``REPRO_SCHED`` or the ``sched=``
-constructor argument select one per simulator):
-
-``heap`` (default)
-    A binary heap (``heapq``): O(log n), C-speed constants, insensitive to
-    timestamp distribution.
-
-``calendar``
-    A :class:`repro.sim.calendar.CalendarQueue`: O(1) amortized when event
-    timestamps are regular (credit pacing makes them extremely regular),
-    self-tuning its bucket width from observed inter-event gaps.  Pop order
-    is the identical ``(time, sequence)`` total order, so runs are
-    bit-identical to the heap backend — ``tests/test_calendar.py`` holds
-    both backends to one differential oracle and the golden traces.
+The queue is a binary heap (``heapq``): O(log n), C-speed constants, and
+insensitive to timestamp distribution.
 
 Cancelled entries do not accumulate unboundedly: the simulator counts them
 (which also makes :meth:`Simulator.pending` O(1)) and, past the
@@ -46,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import os
 import random
 import zlib
 from itertools import count
@@ -110,10 +97,6 @@ class Event:
         return f"<Event t={self.time} {getattr(self.fn, '__qualname__', self.fn)} {state}>"
 
 
-#: Queue backends ``Simulator(sched=...)`` / ``REPRO_SCHED`` may name.
-SCHEDULERS = ("heap", "calendar")
-
-
 class Simulator:
     """Event loop with an integer-picosecond clock.
 
@@ -121,34 +104,12 @@ class Simulator:
     ----------
     seed:
         Master seed.  All named RNG streams derive from it.
-    sched:
-        Queue backend, one of :data:`SCHEDULERS`.  Defaults to the
-        ``REPRO_SCHED`` environment variable, else ``"heap"``.  Both
-        backends drain in the same ``(time, sequence)`` order, so the
-        choice never changes simulation results — only throughput.
     """
 
-    def __init__(self, seed: int = 0, sched: Optional[str] = None):
-        if sched is None:
-            sched = os.environ.get("REPRO_SCHED", "heap") or "heap"
-        if sched not in SCHEDULERS:
-            raise ValueError(f"unknown scheduler {sched!r}; "
-                             f"choose from {SCHEDULERS}")
-        self.sched = sched
+    def __init__(self, seed: int = 0):
         self.now: int = 0
         self.seed = seed
         self._heap: List[tuple] = []
-        #: Calendar-queue backend; ``None`` in heap mode.  The schedule
-        #: fast paths are swapped per instance so the heap path keeps its
-        #: zero-indirection ``heapq`` calls.
-        self._cal = None
-        if sched == "calendar":
-            from repro.sim.calendar import CalendarQueue
-
-            self._cal = CalendarQueue()
-            self.schedule = self._schedule_cal  # type: ignore[method-assign]
-            self.schedule_at = self._schedule_at_cal  # type: ignore[method-assign]
-            self.schedule_unref = self._schedule_unref_cal  # type: ignore[method-assign]
         #: Tie-break sequence for same-picosecond events; a C-level counter
         #: is cheaper per event than ``self._seq += 1``.
         self._seq = count(1)
@@ -291,54 +252,6 @@ class Simulator:
         event.sim = self
         _heappush(self._heap, (time, next(self._seq), event))
 
-    # -- calendar-backend scheduling ---------------------------------------
-    # Bound over the heap variants (instance attributes) when the simulator
-    # is built with ``sched="calendar"``; body-identical except for the push
-    # target.  Kept separate so the heap fast path pays no dispatch cost.
-
-    def _schedule_cal(self, delay: int, fn: Callable[..., Any],
-                      *args: Any) -> Event:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
-        free = self._freelist
-        event = free.pop() if free else _new_raw(Event)
-        event.time = time
-        event.fn = fn
-        event.args = args
-        event.state = 0
-        event.sim = self
-        self._cal.push((time, next(self._seq), event))
-        return event
-
-    def _schedule_at_cal(self, time: int, fn: Callable[..., Any],
-                         *args: Any) -> Event:
-        if time < self.now:
-            raise ValueError(f"cannot schedule into the past (t={time} < now={self.now})")
-        free = self._freelist
-        event = free.pop() if free else _new_raw(Event)
-        event.time = time
-        event.fn = fn
-        event.args = args
-        event.state = 0
-        event.sim = self
-        self._cal.push((time, next(self._seq), event))
-        return event
-
-    def _schedule_unref_cal(self, delay: int, fn: Callable[..., Any],
-                            *args: Any) -> None:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
-        free = self._freelist
-        event = free.pop() if free else _new_raw(Event)
-        event.time = time
-        event.fn = fn
-        event.args = args
-        event.state = _RECYCLE
-        event.sim = self
-        self._cal.push((time, next(self._seq), event))
-
     # -- cancellation bookkeeping -----------------------------------------
     def _note_cancelled(self) -> None:
         """Called by :meth:`Event.cancel` while the entry is still heaped."""
@@ -351,19 +264,19 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the queue in place with cancelled entries filtered out.
+        """Rebuild the heap in place with cancelled entries filtered out.
 
-        In place (slice assignment / ``reload``, not rebinding) because the
-        run loop holds a local reference to the queue while callbacks —
-        which may cancel events — are executing.  Rebuilds never change pop
-        order: the ``(time, sequence)`` key is a strict total order, so any
-        valid queue over the same live entries drains identically.
+        In place (slice assignment, not rebinding) because the run loop
+        holds a local reference to the heap while callbacks — which may
+        cancel events — are executing.  Rebuilds never change pop order:
+        the ``(time, sequence)`` key is a strict total order, so any valid
+        heap over the same live entries drains identically.
         """
-        source = self._heap if self._cal is None else self._cal
+        heap = self._heap
         free = self._freelist
         cap = perf.FREELIST_MAX
         live = []
-        for entry in source:
+        for entry in heap:
             event = entry[2]
             if event.state & _CANCELLED:
                 event.sim = None
@@ -373,12 +286,8 @@ class Simulator:
                     free.append(event)
             else:
                 live.append(entry)
-        if self._cal is None:
-            heap = self._heap
-            heap[:] = live
-            heapq.heapify(heap)
-        else:
-            self._cal.reload(live)
+        heap[:] = live
+        heapq.heapify(heap)
         self._cancelled = 0
 
     # -- execution --------------------------------------------------------
@@ -405,9 +314,9 @@ class Simulator:
 
     def _run(self, until: Optional[int] = None,
              max_events: Optional[int] = None) -> int:
-        """The untraced dispatch: calendar / profiled / inline heap loop."""
-        if self._cal is not None:
-            return self._run_calendar(until, max_events)
+        """The untraced dispatch: profiled / inline heap loop."""
+        if max_events is not None and max_events <= 0:
+            return 0
         if self.profiler is not None:
             return self._run_profiled(until, max_events)
         heap = self._heap
@@ -425,7 +334,8 @@ class Simulator:
             time = entry[0]
             if time > time_limit:
                 _heappush(heap, entry)
-                self.now = until
+                if until > self.now:
+                    self.now = until
                 break
             event = entry[2]
             event.sim = None
@@ -473,7 +383,8 @@ class Simulator:
             time = entry[0]
             if time > time_limit:
                 _heappush(heap, entry)
-                self.now = until
+                if until > self.now:
+                    self.now = until
                 break
             event = entry[2]
             event.sim = None
@@ -503,66 +414,8 @@ class Simulator:
         self.events_processed += processed
         return processed
 
-    def _run_calendar(self, until: Optional[int],
-                      max_events: Optional[int]) -> int:
-        """The run loop over the calendar-queue backend.
-
-        Mirrors the heap loop exactly (pop-first, inclusive ``until``,
-        freelist recycling) with the profiler folded in as per-event
-        branches: the calendar backend is about structural queue wins, not
-        the last branch, and a single loop keeps the semantics obviously
-        aligned with the heap ones above.
-        """
-        cal = self._cal
-        profiler = self.profiler
-        free = self._freelist
-        freelist_cap = perf.FREELIST_MAX
-        time_limit = _NO_LIMIT if until is None else until
-        event_limit = _NO_LIMIT if max_events is None else max_events
-        processed = 0
-        while cal._size:
-            entry = cal.pop()
-            time = entry[0]
-            if time > time_limit:
-                cal.push(entry)
-                self.now = until
-                break
-            event = entry[2]
-            event.sim = None
-            state = event.state
-            if state & _CANCELLED:
-                self._cancelled -= 1
-                if profiler is not None:
-                    profiler.on_cancelled_reaped()
-                if state & _RECYCLE and len(free) < freelist_cap:
-                    event.fn = None
-                    event.args = ()
-                    free.append(event)
-                continue
-            self.now = time
-            if self.auditor is not None:
-                self.auditor.on_event(time)
-            if profiler is not None:
-                profiler.fire(event.fn, event.args)
-            else:
-                event.fn(*event.args)
-            if state and len(free) < freelist_cap:
-                event.fn = None
-                event.args = ()
-                free.append(event)
-            processed += 1
-            if processed >= event_limit:
-                break
-        else:
-            if until is not None and until > self.now:
-                self.now = until
-        self.events_processed += processed
-        return processed
-
     def peek_time(self) -> Optional[int]:
         """Timestamp of the next pending event, or ``None`` if idle."""
-        if self._cal is not None:
-            return self._peek_time_cal()
         heap = self._heap
         while heap and heap[0][2].state & _CANCELLED:
             event = _heappop(heap)[2]
@@ -574,23 +427,6 @@ class Simulator:
                 self._freelist.append(event)
         return heap[0][0] if heap else None
 
-    def _peek_time_cal(self) -> Optional[int]:
-        cal = self._cal
-        while cal._size:
-            entry = cal.peek()
-            event = entry[2]
-            if not event.state & _CANCELLED:
-                return entry[0]
-            cal.pop()
-            event.sim = None
-            self._cancelled -= 1
-            if event.state & _RECYCLE and len(self._freelist) < perf.FREELIST_MAX:
-                event.fn = None
-                event.args = ()
-                self._freelist.append(event)
-        return None
-
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue.  O(1)."""
-        size = len(self._heap) if self._cal is None else self._cal._size
-        return size - self._cancelled
+        return len(self._heap) - self._cancelled

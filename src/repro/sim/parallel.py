@@ -124,11 +124,11 @@ class ShardSimulator(Simulator):
     never fall through to the (incomparable) events.
     """
 
-    def __init__(self, seed: int = 0, sched: Optional[str] = None):
+    def __init__(self, seed: int = 0):
         #: The worker's :class:`ShardContext`; set before the builder runs
         #: so ``Flow.__init__`` can self-register replicas.
         self.shard: Optional["ShardContext"] = None
-        super().__init__(seed=seed, sched=sched)
+        super().__init__(seed=seed)
 
     # Each override mirrors its base verbatim except for the pushed key —
     # the engine inlines Event construction for speed, and so do we.
@@ -174,50 +174,6 @@ class ShardSimulator(Simulator):
         event.sim = self
         _heappush(self._heap, (time, (self.now, 0, next(self._seq)), event))
 
-    def _schedule_cal(self, delay: int, fn: Callable[..., Any],
-                      *args: Any) -> Event:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
-        free = self._freelist
-        event = free.pop() if free else _new_raw(Event)
-        event.time = time
-        event.fn = fn
-        event.args = args
-        event.state = 0
-        event.sim = self
-        self._cal.push((time, (self.now, 0, next(self._seq)), event))
-        return event
-
-    def _schedule_at_cal(self, time: int, fn: Callable[..., Any],
-                         *args: Any) -> Event:
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule into the past (t={time} < now={self.now})")
-        free = self._freelist
-        event = free.pop() if free else _new_raw(Event)
-        event.time = time
-        event.fn = fn
-        event.args = args
-        event.state = 0
-        event.sim = self
-        self._cal.push((time, (self.now, 0, next(self._seq)), event))
-        return event
-
-    def _schedule_unref_cal(self, delay: int, fn: Callable[..., Any],
-                            *args: Any) -> None:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
-        free = self._freelist
-        event = free.pop() if free else _new_raw(Event)
-        event.time = time
-        event.fn = fn
-        event.args = args
-        event.state = _RECYCLE
-        event.sim = self
-        self._cal.push((time, (self.now, 0, next(self._seq)), event))
-
     def inject(self, time: int, subkey: tuple, fn: Callable[..., Any],
                *args: Any) -> None:
         """Enqueue a cross-shard arrival under an externally supplied key.
@@ -237,11 +193,7 @@ class ShardSimulator(Simulator):
         event.args = args
         event.state = 0
         event.sim = self
-        entry = (time, subkey, event)
-        if self._cal is None:
-            _heappush(self._heap, entry)
-        else:
-            self._cal.push(entry)
+        _heappush(self._heap, (time, subkey, event))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +489,7 @@ def _rng_report(sim: Simulator) -> Tuple[Dict[str, str], Dict[str, bool]]:
     return digests, consumed
 
 
-def _shard_worker(conn, builder, kwargs, shard_id, n_shards, seed, sched,
+def _shard_worker(conn, builder, kwargs, shard_id, n_shards, seed,
                   audit_on, metrics_on, trace_on, collect, probe) -> None:
     # One lock serialises every message on the pipe: the heartbeat thread
     # must never interleave bytes into the middle of a protocol reply.
@@ -560,7 +512,7 @@ def _shard_worker(conn, builder, kwargs, shard_id, n_shards, seed, sched,
     hb.start()
     try:
         _shard_worker_loop(send, conn, builder, kwargs, shard_id, n_shards,
-                           seed, sched, audit_on, metrics_on, trace_on,
+                           seed, audit_on, metrics_on, trace_on,
                            collect, probe, stop_hb)
     except BaseException:
         try:
@@ -573,7 +525,7 @@ def _shard_worker(conn, builder, kwargs, shard_id, n_shards, seed, sched,
 
 
 def _shard_worker_loop(send, conn, builder, kwargs, shard_id, n_shards, seed,
-                       sched, audit_on, metrics_on, trace_on, collect, probe,
+                       audit_on, metrics_on, trace_on, collect, probe,
                        stop_hb) -> None:
     from repro import audit as audit_mod
     from repro import obs as obs_mod
@@ -594,7 +546,7 @@ def _shard_worker_loop(send, conn, builder, kwargs, shard_id, n_shards, seed,
     obs_marker = obs_mod.begin_capture() if metrics_on else None
 
     build_t0 = tracer.now_us() if tracer is not None else 0.0
-    sim = ShardSimulator(seed=seed, sched=sched)
+    sim = ShardSimulator(seed=seed)
     ctx = ShardContext(sim, shard_id)
     built = builder(sim, **(kwargs or {}))
     ctx.built = built
@@ -981,7 +933,6 @@ class _ShardSupervisor:
 
 def run_sharded(builder, kwargs: Optional[dict] = None, *,
                 shards: int, until: int, seed: int = 0,
-                sched: Optional[str] = None,
                 collect: Optional[Callable] = None,
                 probe: Optional[Callable] = None,
                 checkpoints: Sequence[int] = (),
@@ -1046,7 +997,7 @@ def run_sharded(builder, kwargs: Optional[dict] = None, *,
         proc = mp.Process(
             target=_shard_worker,
             args=(child_conn, builder, kwargs, shard_id, shards, seed,
-                  sched, audit_on, metrics_on, trace_on, collect, probe),
+                  audit_on, metrics_on, trace_on, collect, probe),
             daemon=True)
         proc.start()
         child_conn.close()

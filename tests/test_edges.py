@@ -130,6 +130,14 @@ class TestEngineInterplay:
         assert done == 3
         assert sim.now <= 5
 
+    def test_max_events_zero_fires_nothing(self):
+        sim = Simulator(seed=0)
+        fired = []
+        sim.schedule(7, fired.append, 1)
+        assert sim.run(max_events=0) == 0
+        assert sim.run(until=100, max_events=0) == 0
+        assert sim.now == 0 and fired == [] and sim.pending() == 1
+
     def test_run_after_run_continues(self):
         sim = Simulator(seed=0)
         fired = []

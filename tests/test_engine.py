@@ -1,8 +1,13 @@
 """Tests for the discrete-event scheduler."""
 
-import pytest
-from hypothesis import given, strategies as st
+import bisect
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import perf
+from repro.perf.profile import Profiler
 from repro.sim.engine import Simulator
 
 
@@ -90,6 +95,17 @@ class TestRunControl:
         assert sim.run(max_events=3) == 3
         assert sim.run() == 7
 
+    def test_until_in_the_past_never_rewinds_clock(self, sim):
+        fired = []
+        sim.schedule(100, fired.append, 1)
+        sim.run(until=50)
+        sim.run(until=5)      # stale bound, event still pending
+        assert sim.now == 50
+        sim.profiler = Profiler()
+        sim.run(until=5)      # same on the profiled loop
+        assert sim.now == 50
+        assert fired == [] and sim.pending() == 1
+
     def test_events_processed_counter(self, sim):
         for i in range(5):
             sim.schedule(i, lambda: None)
@@ -154,3 +170,134 @@ def test_events_always_fire_in_nondecreasing_time(delays):
     sim.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
+
+
+# -- differential oracle: the engine vs a sorted-list reference model --------
+
+class _RefHandle:
+    def __init__(self, ref, entry):
+        self.ref, self.entry = ref, entry
+
+    def cancel(self):
+        if self.entry in self.ref.queue:
+            self.ref.queue.remove(self.entry)
+
+
+class _RefSim:
+    """The engine's contract at its most literal: a list kept sorted on
+    ``(time, seq)``, cancellation by eager removal.  No heap, no lazy
+    deletion, no compaction, no freelist — nothing shared with the engine."""
+
+    def __init__(self):
+        self.now = 0
+        self.queue = []
+        self._seq = itertools.count()
+
+    def schedule_at(self, time, fn, *args):
+        assert time >= self.now
+        # (time, seq) is unique, so comparisons never reach fn/args.
+        entry = (time, next(self._seq), fn, args)
+        bisect.insort(self.queue, entry)
+        return _RefHandle(self, entry)
+
+    def schedule(self, delay, fn, *args):
+        return self.schedule_at(self.now + delay, fn, *args)
+
+    schedule_unref = schedule
+
+    def run(self, max_events):
+        fired = 0
+        while self.queue and fired < max_events:
+            self.now, _, fn, args = self.queue.pop(0)
+            fn(*args)
+            fired += 1
+        return fired
+
+
+@st.composite
+def programs(draw):
+    """A deterministic dynamic schedule/cancel program.
+
+    ``init`` seeds the queue; ``spawn[k]`` dictates what the k-th fired
+    callback does: how many children to schedule, at what base delay, via
+    which scheduling API, and whether to cancel the oldest live handle.
+    Small delay scales make same-timestamp ties common.
+    """
+    scale = draw(st.sampled_from([1, 3, 1000]))
+    init = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12))
+    spawn = draw(st.lists(
+        st.tuples(st.integers(0, 3),        # children per firing
+                  st.integers(0, 50),       # child delay base
+                  st.booleans()),           # cancel the oldest handle?
+        max_size=120))
+    return scale, init, spawn
+
+
+def _run_program(sim, program, max_events=400):
+    scale, init, spawn = program
+    fired = []
+    handles = []
+    counter = itertools.count()
+
+    def fire(tag):
+        fired.append((sim.now, tag))
+        k = next(counter)
+        if k < len(spawn):
+            n_children, base, do_cancel = spawn[k]
+            for j in range(n_children):
+                delay = (base * (j + 1)) % (60 * scale)
+                mode = (k + j) % 3
+                if mode == 0:
+                    handles.append(sim.schedule(delay, fire, f"{tag}.{j}"))
+                elif mode == 1:
+                    sim.schedule_unref(delay, fire, f"{tag}.u{j}")
+                else:
+                    handles.append(
+                        sim.schedule_at(sim.now + delay, fire, f"{tag}.a{j}"))
+            if do_cancel and handles:
+                handles.pop(0).cancel()
+
+    for i, d in enumerate(init):
+        handles.append(sim.schedule(d * scale, fire, f"i{i}"))
+    sim.run(max_events=max_events)
+    return fired
+
+
+@given(programs())
+@settings(max_examples=40, deadline=None, database=None)
+def test_dynamic_programs_fire_identically(program):
+    assert _run_program(Simulator(seed=0), program) == \
+        _run_program(_RefSim(), program)
+
+
+@given(programs())
+@settings(max_examples=25, deadline=None, database=None)
+def test_dynamic_programs_fire_identically_under_compaction(program):
+    """Same oracle with compaction forced aggressively mid-run."""
+    old = perf.COMPACT_MIN
+    perf.COMPACT_MIN = 2
+    try:
+        assert _run_program(Simulator(seed=0), program) == \
+            _run_program(_RefSim(), program)
+    finally:
+        perf.COMPACT_MIN = old
+
+
+def test_same_timestamp_fifo_survives_compaction(monkeypatch):
+    """Events tied on the timestamp fire in schedule order even when a
+    compaction rebuilds the heap while they are pending."""
+    monkeypatch.setattr(perf, "COMPACT_MIN", 2)
+    sim = Simulator(seed=0)
+    fired = []
+    tied_at = 5_000_000
+    for i in range(8):
+        sim.schedule_at(tied_at, fired.append, i)
+    # Cancelling more entries than remain live trips the compaction
+    # threshold while the tied batch is still pending.
+    decoys = [sim.schedule_at(tied_at + 1, fired.append, 100 + i)
+              for i in range(10)]
+    for h in decoys:
+        h.cancel()
+    assert sim._cancelled < 10      # a compaction really reaped entries
+    sim.run()
+    assert fired == list(range(8))

@@ -2,18 +2,21 @@
 
 Determinism is the substrate's core contract, so each hot-path feature —
 heap compaction, the Event freelist, the port fast path, the profiler —
-is run against the golden-trace scenarios with the feature on and off,
-asserting bit-identical payloads and event counts.  Plus regression tests
-for the structural properties the features provide (bounded heap growth,
-event recycling, O(1) pending).
+is run against the golden-trace scenarios at the edges of its threshold
+(or, for the port fast path, with a no-op hook forcing every port through
+the checked path), asserting bit-identical payloads and event counts.
+Plus regression tests for the structural properties the features provide
+(bounded heap growth, event recycling, O(1) pending).
 """
 
 import pytest
 
 from repro import perf
+from repro.net.port import Port
 from repro.perf import profile
 from repro.sim import engine
 from repro.sim.engine import Simulator
+from repro.topology import dumbbell
 from tests.test_golden_traces import SCENARIOS, build_payload
 
 
@@ -29,7 +32,21 @@ def defaults(monkeypatch):
     monkeypatch.setattr(perf, "COMPACT_MIN", 256)
     monkeypatch.setattr(perf, "COMPACT_RATIO", 1)
     monkeypatch.setattr(perf, "FREELIST_MAX", 1024)
-    monkeypatch.setattr(perf, "FASTPATH_ENABLED", True)
+
+
+_port_init = Port.__init__
+
+
+def _hooked_port_init(port, *args, **kwargs):
+    """``Port.__init__`` plus a no-op ``on_transmit`` hook: a nonzero flags
+    word, so the port never takes the branch-free transmit path."""
+    _port_init(port, *args, **kwargs)
+    port.on_transmit = lambda pkt: None
+
+
+#: ``monkeypatch.setattr`` arguments routing every new port through the
+#: fully-checked path.
+CHECKED_PATH = (Port, "__init__", _hooked_port_init)
 
 
 # --- determinism: features on == features off --------------------------------
@@ -41,23 +58,29 @@ def test_disabling_all_optimisations_is_bit_identical(
     fast_events = _events_processed(name)
     monkeypatch.setattr(perf, "COMPACT_MIN", 0)
     monkeypatch.setattr(perf, "FREELIST_MAX", 0)
-    monkeypatch.setattr(perf, "FASTPATH_ENABLED", False)
+    monkeypatch.setattr(*CHECKED_PATH)
     slow = build_payload(name)
     assert slow == fast
     assert _events_processed(name) == fast_events
 
 
 @pytest.mark.parametrize("knob", [
-    ("COMPACT_MIN", 0),     # no compaction
-    ("COMPACT_MIN", 1),     # compact as aggressively as possible
-    ("FREELIST_MAX", 0),    # no event recycling
-    ("FASTPATH_ENABLED", False),
+    (perf, "COMPACT_MIN", 0),     # no compaction
+    (perf, "COMPACT_MIN", 1),     # compact as aggressively as possible
+    (perf, "FREELIST_MAX", 0),    # no event recycling
+    CHECKED_PATH,                 # no port fast path
 ])
 def test_each_knob_alone_is_bit_identical(knob, defaults, monkeypatch):
     name = "dumbbell_expresspass"
     reference = build_payload(name)
-    monkeypatch.setattr(perf, *knob)
+    monkeypatch.setattr(*knob)
     assert build_payload(name) == reference
+
+
+def test_noop_hook_takes_every_port_off_the_fast_path(monkeypatch):
+    monkeypatch.setattr(*CHECKED_PATH)
+    topo = dumbbell(Simulator(seed=0), n_pairs=1)
+    assert all(port._flags for port in topo.net.ports)
 
 
 def test_profiler_does_not_perturb_simulation(defaults):
@@ -216,3 +239,19 @@ def test_runtime_profile_knob_ships_summaries():
     assert summary is not None and summary["events"] == results[0].value
     assert profile.task_summaries()[0][1] == summary
     profile.reset_task_summaries()
+
+
+# --- the BENCH_simcore --check gate ------------------------------------------
+
+def test_bench_check_fails_on_row_missing_from_run():
+    from benchmarks.bench_simulator_throughput import check
+
+    committed = {"current": {"event_loop": 1_000_000,
+                             "expresspass_dumbbell": 250_000}}
+    assert check({"event_loop": 1_000_000,
+                  "expresspass_dumbbell": 250_000}, committed) == []
+    failures = check({"event_loop": 1_000_000}, committed)
+    assert len(failures) == 1 and "expresspass_dumbbell" in failures[0]
+    assert any("regression" in f
+               for f in check({"event_loop": 700_000,
+                               "expresspass_dumbbell": 250_000}, committed))

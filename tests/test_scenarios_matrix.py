@@ -1,6 +1,9 @@
-"""End-to-end matrix runs and the spec-vs-legacy bit-identity pins."""
+"""End-to-end matrix runs and the spec-vs-frozen-legacy-rows pins."""
 
 from __future__ import annotations
+
+import json
+import pathlib
 
 import pytest
 
@@ -74,41 +77,48 @@ class TestRunMatrix:
         assert [r.value["seed"] for r in out.results] == [3, 4]
 
 
+def _legacy_rows(fig: str, case: str) -> dict:
+    """Rows the hand-written runners produced at the commit that deleted
+    them (``tests/golden/fig1{5,9}_legacy_rows.json``).  Frozen data: a
+    mismatch means the spec path drifted — never regenerate these."""
+    path = pathlib.Path(__file__).parent / "golden" / f"{fig}_legacy_rows.json"
+    return json.loads(path.read_text())[case]
+
+
 class TestBitIdentity:
-    """The migrated fig15/fig19 runners must reproduce the hand-written
-    path exactly — same floats, same row order."""
+    """The spec-compiled fig15/fig19 runners must reproduce the deleted
+    hand-written path exactly — same floats, same row order."""
 
     def test_fig15_spec_matches_legacy(self):
         from repro.experiments import fig15_flow_scalability as f15
 
-        kw = dict(protocols=("expresspass", "dctcp"), flow_counts=(2, 3),
-                  warmup_ps=_WARM, measure_ps=_MEAS)
-        spec_result = f15.run(**kw)
-        legacy = f15.run_legacy(**kw)
-        assert spec_result.columns == legacy.columns
-        assert spec_result.rows == legacy.rows
+        legacy = _legacy_rows("fig15", "default")
+        res = f15.run(protocols=("expresspass", "dctcp"), flow_counts=(2, 3),
+                      warmup_ps=_WARM, measure_ps=_MEAS)
+        assert res.columns == legacy["columns"]
+        assert res.rows == legacy["rows"]
 
     def test_fig15_explicit_ep_params_falls_back_to_legacy(self):
+        """An explicit params object bypasses the spec compiler (specs name
+        profiles only) yet lands on the same cell runner and rows."""
         from repro.core.params import ExpressPassParams
         from repro.experiments import fig15_flow_scalability as f15
 
-        custom = ExpressPassParams(w_init=0.125)
+        legacy = _legacy_rows("fig15", "w_init_0.125")
         res = f15.run(protocols=("expresspass",), flow_counts=(2,),
-                      warmup_ps=_WARM, measure_ps=_MEAS, ep_params=custom)
-        legacy = f15.run_legacy(protocols=("expresspass",), flow_counts=(2,),
-                                warmup_ps=_WARM, measure_ps=_MEAS,
-                                ep_params=custom)
-        assert res.rows == legacy.rows
+                      warmup_ps=_WARM, measure_ps=_MEAS,
+                      ep_params=ExpressPassParams(w_init=0.125))
+        assert res.columns == legacy["columns"]
+        assert res.rows == legacy["rows"]
 
     def test_fig19_spec_matches_legacy(self):
         from repro.experiments import fig19_realistic_fct as f19
 
-        kw = dict(protocols=("expresspass", "dctcp"), n_flows=30,
-                  drain_ps=50_000_000_000)
-        spec_result = f19.run(**kw)
-        legacy = f19.run_legacy(**kw)
-        assert spec_result.columns == legacy.columns
-        assert spec_result.rows == legacy.rows
+        legacy = _legacy_rows("fig19", "default")
+        res = f19.run(protocols=("expresspass", "dctcp"), n_flows=30,
+                      drain_ps=50_000_000_000)
+        assert res.columns == legacy["columns"]
+        assert res.rows == legacy["rows"]
 
 
 class TestChaosCells:

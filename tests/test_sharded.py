@@ -129,8 +129,8 @@ def _merge_traces(collected, port_names):
     return merged
 
 
-def _run_serial(builder, until, seed, sched="heap"):
-    sim = Simulator(seed=seed, sched=sched)
+def _run_serial(builder, until, seed):
+    sim = Simulator(seed=seed)
     built = builder(sim)
     sim.run(until=until)
     return sim, built
@@ -181,15 +181,14 @@ class TestPartition:
 
 # -- bit-identity against the stored golden fixtures -------------------------
 
-@pytest.mark.parametrize("sched", ["heap", "calendar"])
 @pytest.mark.parametrize("name,builder,seed", [
     ("dumbbell_expresspass", build_dumbbell_ep, 7),
     ("star_cross_expresspass", build_star_ep, 21),
 ])
-def test_sharded_matches_golden_fixture(name, builder, seed, sched):
+def test_sharded_matches_golden_fixture(name, builder, seed):
     """A 2-shard run reproduces the serial golden digests byte-for-byte."""
     run = run_sharded(builder, shards=2, until=1 * SEC, seed=seed,
-                      sched=sched, collect=collect_traces)
+                      collect=collect_traces)
     assert run.n_effective == 2
     assert run.warnings == []
     serial = load_golden(GOLDEN_DIR / f"{name}.json")
@@ -198,15 +197,14 @@ def test_sharded_matches_golden_fixture(name, builder, seed, sched):
     assert not diffs, "sharded trace drift:\n" + "\n".join(diffs)
 
 
-@pytest.mark.parametrize("sched", ["heap", "calendar"])
-def test_fat_tree_pod_sharding_bit_identical(sched):
+def test_fat_tree_pod_sharding_bit_identical():
     """k=4 fat tree, one shard per pod plus a core shard (5 workers)."""
     until = 20 * MS
-    sim, built = _run_serial(build_fat_tree_ep, until, seed=33, sched=sched)
+    sim, built = _run_serial(build_fat_tree_ep, until, seed=33)
     serial = golden_payload("ft", {n: t.records
                                    for n, t in built.tracers.items()})
     run = run_sharded(build_fat_tree_ep, shards=5, until=until, seed=33,
-                      sched=sched, collect=collect_traces)
+                      collect=collect_traces)
     assert run.n_effective == 5
     merged = _merge_traces(run.collected, built.tracers)
     assert diff_golden(serial, golden_payload("ft", merged)) == []

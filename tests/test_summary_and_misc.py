@@ -111,3 +111,20 @@ class TestDistributionIntrospection:
             FlowSizeDistribution, _Bucket)
         with pytest.raises(ValueError):
             FlowSizeDistribution("bad", [_Bucket(0.5, 64, 1000, None)], 100)
+
+
+class TestKnobCensus:
+    def test_readme_knob_table_lists_exactly_the_env_names_in_use(self):
+        """README's "every ``REPRO_*`` variable, in one place" table and
+        the names the code reads cannot drift apart."""
+        import pathlib
+        import re
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        used = {"REPRO_SCALE"}      # read by benchmarks/conftest.py
+        for path in (root / "src").rglob("*.py"):
+            used.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+        assert "REPRO_SCALE" in (root / "benchmarks/conftest.py").read_text()
+        documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|",
+                                    (root / "README.md").read_text(), re.M))
+        assert documented == used
