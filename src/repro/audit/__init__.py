@@ -20,9 +20,10 @@ an auditor automatically, and :func:`capture` collects the merged verdict::
     print(audit.format_summary(cap.summary))
 
 The ambient path is what ``repro.cli --audit`` and the
-:mod:`repro.runtime` scheduler use: each sweep task runs inside a capture
-(in its worker process, if parallel) and its summary dict travels back on
-the :class:`~repro.runtime.scheduler.TaskResult`.
+:mod:`repro.runtime` scheduler use, through the :data:`PROBE` this module
+exports (:mod:`repro.runtime.probes`): each sweep task runs inside a
+capture (in its worker process, if parallel) and its summary dict travels
+back on ``TaskResult.probes["audit"]``.
 
 Captures nest like a stack: an inner capture removes its auditors from the
 outer capture's view, so a CLI-level capture around a sweep does not double
@@ -31,10 +32,10 @@ count the per-task summaries the scheduler already collected.
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Tuple
+from types import SimpleNamespace
+from typing import List, Optional, Union
 
-from repro.audit.auditor import NetworkAuditor
+from repro.audit.auditor import NetworkAuditor, merge_shard_summaries
 from repro.audit.report import (
     AuditReport,
     Violation,
@@ -42,26 +43,23 @@ from repro.audit.report import (
     format_summary,
     merge_summaries,
 )
+from repro.runtime.config import env_flag
 
 __all__ = [
-    "AuditReport", "NetworkAuditor", "Violation",
-    "begin_capture", "capture", "end_capture", "is_active", "maybe_attach",
+    "PROBE", "AuditReport", "NetworkAuditor", "Violation",
+    "capture", "is_active", "maybe_attach",
     "empty_summary", "format_summary", "merge_summaries",
-    "record_summary", "record_task_summary", "reset_session",
-    "session_summary",
 ]
 
 _capture_depth = 0
-_captured: List[NetworkAuditor] = []
-#: (label, summary) pairs recorded by the sweep scheduler for CLI reporting.
-_session: List[Tuple[str, dict]] = []
+#: Live auditors claimed by the open captures, oldest scope first — and the
+#: merged summary dicts sharded runs parked beside them.
+_captured: List[Union[NetworkAuditor, dict]] = []
 
 
 def is_active() -> bool:
     """True when auditors should attach: inside a capture or REPRO_AUDIT=1."""
-    if _capture_depth > 0:
-        return True
-    return os.environ.get("REPRO_AUDIT", "") in ("1", "true")
+    return _capture_depth > 0 or env_flag("REPRO_AUDIT")
 
 
 def maybe_attach(net) -> Optional[NetworkAuditor]:
@@ -75,7 +73,7 @@ def maybe_attach(net) -> Optional[NetworkAuditor]:
     """
     if not is_active():
         return None
-    auditor = getattr(net.sim, "auditor", None)
+    auditor = net.sim.auditor
     if auditor is None:
         auditor = NetworkAuditor(net.sim)
         if _capture_depth > 0:
@@ -84,72 +82,50 @@ def maybe_attach(net) -> Optional[NetworkAuditor]:
     return auditor
 
 
-def begin_capture() -> int:
-    """Open a capture scope; returns a marker for :func:`end_capture`."""
-    global _capture_depth
-    _capture_depth += 1
-    return len(_captured)
-
-
-def end_capture(marker: int) -> dict:
-    """Close a scope: finalize its auditors, return their merged summary."""
-    global _capture_depth
-    scoped = _captured[marker:]
-    del _captured[marker:]
-    _capture_depth = max(0, _capture_depth - 1)
-    return merge_summaries([a.finalize().summary() for a in scoped])
-
-
-class _Precomputed:
-    """An already-merged summary posing as a capture-scoped auditor.
-
-    Sharded runs (:mod:`repro.sim.parallel`) audit inside their worker
-    processes and merge the shard summaries in the parent; this wrapper
-    lets the merged dict ride the ordinary capture machinery, so
-    :func:`end_capture` folds it in like any live auditor's report.
-    """
-
-    def __init__(self, summary: dict):
-        self._summary = dict(summary)
-
-    def finalize(self) -> "_Precomputed":
-        return self
-
-    def summary(self) -> dict:
-        return self._summary
-
-
-def record_summary(summary: dict) -> None:
-    """Park a finished summary in the open capture (no-op outside one)."""
+def _absorb_shards(payloads: List[dict]) -> dict:
+    """Sharded runs (:mod:`repro.sim.parallel`) audit inside their worker
+    processes; the shard payloads merge here into the one simulation they
+    describe, and parking the merged dict in the open capture (if any)
+    lets it fold in beside the live auditors' reports."""
+    merged = merge_shard_summaries(payloads)
     if _capture_depth > 0:
-        _captured.append(_Precomputed(summary))
+        _captured.append(merged)
+    return merged
 
 
 class capture:
-    """Context manager over begin/end_capture; ``.summary`` after exit."""
+    """Capture scope: every auditor attached inside it (and not claimed by
+    a scope nested deeper) is finalized when it closes; ``.summary`` then
+    holds their merged verdict."""
 
+    #: The merged summary, once the scope has closed (``payload`` is the
+    #: same dict under the probe protocol's name).
     summary: Optional[dict] = None
+    payload: Optional[dict] = None
 
     def __enter__(self) -> "capture":
-        self._marker = begin_capture()
+        global _capture_depth
+        _capture_depth += 1
+        self._marker = len(_captured)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.summary = end_capture(self._marker)
+        global _capture_depth
+        scoped = _captured[self._marker:]
+        del _captured[self._marker:]
+        _capture_depth = max(0, _capture_depth - 1)
+        self.summary = self.payload = merge_summaries(
+            [a if isinstance(a, dict) else a.finalize().summary()
+             for a in scoped])
+        for auditor in scoped:
+            if not isinstance(auditor, dict) and auditor.sim.shard is not None:
+                # Inside a shard worker: ship what the coordinator needs to
+                # run the deferred cross-shard flow checks centrally.
+                self.summary["shard"] = auditor.shard_account()
         return False
 
 
-# -- session aggregation (scheduler -> CLI) ---------------------------------
-
-def record_task_summary(label: str, summary: dict) -> None:
-    """Scheduler hook: bank one task's audit summary for session reporting."""
-    _session.append((label, summary))
-
-
-def session_summary() -> dict:
-    """Merged verdict over every task summary banked since the last reset."""
-    return merge_summaries([s for _, s in _session])
-
-
-def reset_session() -> None:
-    _session.clear()
+#: This plane's face to :mod:`repro.runtime.probes`.
+PROBE = SimpleNamespace(name="audit", capture=capture, active=is_active,
+                        merge=merge_summaries, format=format_summary,
+                        absorb_shards=_absorb_shards)

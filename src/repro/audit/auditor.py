@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.audit.report import AuditReport
+from repro.audit.report import AuditReport, merge_summaries
 from repro.net.packet import (
     CREDIT_RATE_FRACTION_DEN,
     CREDIT_RATE_FRACTION_NUM,
@@ -199,7 +199,7 @@ class NetworkAuditor:
 
     def __init__(self, sim, keep: int = 32,
                  buffer_bound_bytes: Optional[int] = None):
-        existing = getattr(sim, "auditor", None)
+        existing = sim.auditor
         if existing is not None and existing is not self:
             raise RuntimeError("simulator already has an auditor attached")
         self.sim = sim
@@ -287,7 +287,7 @@ class NetworkAuditor:
         process boundaries, merge them counter-wise, and run the identical
         checks (:func:`check_flow_account`) on the reconstructed totals.
         """
-        chaos = getattr(self.sim, "chaos", None)
+        chaos = self.sim.chaos
         data_links, credit_links = self._flow_links.get(flow.fid,
                                                         (set(), set()))
         return {
@@ -311,8 +311,29 @@ class NetworkAuditor:
         """Accounts for every registered flow, in registration order."""
         return [self._flow_account(flow) for flow in self._flows]
 
+    def shard_account(self) -> dict:
+        """What a shard worker ships beside its summary so the coordinator
+        can run the deferred per-flow checks over merged totals
+        (:func:`merge_shard_summaries`): every flow replica's account,
+        tagged with whether this shard owns the flow's destination, the
+        fault plane's topology excuses, and the quiescence facts."""
+        shard = self.sim.shard
+        chaos = self.sim.chaos
+        accounts = self.flow_accounts()
+        for flow, account in zip(self._flows, accounts):
+            account["dst_owned"] = shard.owns(flow.dst.id)
+        return {
+            "flow_accounts": accounts,
+            "chaos": None if chaos is None else {
+                "topology_changed": chaos.topology_changed,
+                "affected_links": sorted(chaos.affected_links),
+            },
+            "now": self.sim.now,
+            "drained": self.sim.pending() == 0,
+        }
+
     def _check_flow(self, flow, drained: bool) -> None:
-        chaos = getattr(self.sim, "chaos", None)
+        chaos = self.sim.chaos
         check_flow_account(
             self.report, self._flow_account(flow), drained, self.sim.now,
             topology_changed=chaos is not None and chaos.topology_changed,
@@ -389,3 +410,57 @@ def check_flow_account(report: AuditReport, account: dict, drained: bool,
                 "completion-exactness", subject, now,
                 f"simulation drained but the flow delivered only "
                 f"{account['bytes_delivered']}B of {account['size_bytes']}B")
+
+
+def merge_shard_summaries(payloads: List[dict]) -> dict:
+    """One sharded simulation's verdict from its per-shard audit payloads.
+
+    Each worker audits its own ports and defers the per-flow quiescence
+    checks (a shard sees only its half of a flow's counters); here the
+    replicas' accounts are merged counter-wise and the identical checks run
+    once, centrally, with the fault plane's excuses unioned across shards.
+    """
+    shards = [p["shard"] for p in payloads if "shard" in p]
+    by_fid: Dict[int, List[dict]] = {}
+    for shard in shards:
+        for account in shard["flow_accounts"]:
+            by_fid.setdefault(account["fid"], []).append(account)
+    chaos_infos = [shard["chaos"] for shard in shards]
+    topology_changed = any(c["topology_changed"] for c in chaos_infos if c)
+    affected = set()
+    for c in chaos_infos:
+        if c:
+            affected.update(tuple(link) for link in c["affected_links"])
+    now = max((shard["now"] for shard in shards), default=0)
+    drained = all(shard["drained"] for shard in shards)
+    report = AuditReport()
+    for fid in sorted(by_fid):
+        check_flow_account(report, _merge_flow_account(by_fid[fid]),
+                           drained, now,
+                           topology_changed=topology_changed,
+                           affected_links=affected)
+    merged = merge_summaries(payloads + [report.summary()])
+    merged["runs"] = 1  # one simulation, not n_shards + 1
+    return merged
+
+
+def _merge_flow_account(accounts: List[dict]) -> dict:
+    # Each counter increments in exactly one shard (delivery at the dst
+    # owner, credit receipt at the src owner, drops wherever the dropping
+    # port lives) while every other replica stays at zero — so plain sums
+    # reconstruct the serial totals.  The subject string comes from the
+    # dst-owner replica, whose delivery-side state matches serial.
+    base = next((a for a in accounts if a.get("dst_owned")), accounts[0])
+    merged = dict(base)
+    for key in ("data_links", "credit_links"):
+        merged[key] = sorted({tuple(link) for a in accounts
+                              for link in a[key]})
+    for key in ("bytes_delivered", "credits_received", "credit_drops",
+                "injected_credit_drops"):
+        merged[key] = sum(a[key] for a in accounts)
+    sent = [a["credits_sent"] for a in accounts
+            if a["credits_sent"] is not None]
+    merged["credits_sent"] = sum(sent) if sent else None
+    for key in ("completed", "started", "stopped"):
+        merged[key] = any(a[key] for a in accounts)
+    return merged

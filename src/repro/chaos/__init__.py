@@ -47,6 +47,7 @@ from repro.chaos.plan import (
     SwitchBlackout,
     event_from_dict,
 )
+from repro.runtime.config import env_flag, env_number, env_text
 
 __all__ = [
     "ChaosController", "CreditMeterFault", "FaultEvent", "FaultPlan",
@@ -63,7 +64,7 @@ _plan_cache: dict = {}
 
 def is_active() -> bool:
     """True when ``REPRO_CHAOS`` names a fault-plan file."""
-    return bool(os.environ.get("REPRO_CHAOS", ""))
+    return env_text("REPRO_CHAOS") is not None
 
 
 def _load_env_plan(path: str) -> FaultPlan:
@@ -73,9 +74,9 @@ def _load_env_plan(path: str) -> FaultPlan:
         plan = FaultPlan.load(path)
         _plan_cache.clear()
         _plan_cache[key] = plan
-    seed_override = os.environ.get("REPRO_CHAOS_SEED", "")
-    if seed_override:
-        plan = plan.with_seed(int(seed_override))
+    seed_override = env_number("REPRO_CHAOS_SEED")
+    if seed_override is not None:
+        plan = plan.with_seed(seed_override)
     return plan
 
 
@@ -86,12 +87,12 @@ def maybe_attach(net) -> Optional[ChaosController]:
     simulator's existing controller so multi-network simulations share one
     plan and one injected-drop ledger.  No-op without ``REPRO_CHAOS``.
     """
-    path = os.environ.get("REPRO_CHAOS", "")
+    path = env_text("REPRO_CHAOS")
     if not path:
         return None
-    controller = getattr(net.sim, "chaos", None)
+    controller = net.sim.chaos
     if controller is not None:
         return controller.attach_network(net)
     plan = _load_env_plan(path)
-    log = sys.stderr if os.environ.get("REPRO_CHAOS_LOG", "") in ("1", "true") else None
+    log = sys.stderr if env_flag("REPRO_CHAOS_LOG") else None
     return ChaosController(net.sim, net, plan, log=log)

@@ -67,7 +67,7 @@ class ChaosController:
     """Executes one :class:`FaultPlan` against a simulation."""
 
     def __init__(self, sim, net, plan: FaultPlan, log=None):
-        existing = getattr(sim, "chaos", None)
+        existing = sim.chaos
         if existing is not None and existing is not self:
             raise RuntimeError("simulator already has a chaos controller attached")
         self.sim = sim
@@ -128,7 +128,7 @@ class ChaosController:
         self.applied.append((now, message))
         if self.log is not None:
             print(f"[chaos t={now}ps] {message}", file=self.log)
-        metrics = getattr(self.sim, "metrics", None)
+        metrics = self.sim.metrics
         if metrics is not None:
             metrics.counter("chaos.actions").inc()
             metrics.log_event(now, f"chaos: {message}", 0)
@@ -277,7 +277,7 @@ class ChaosController:
         *configured* rate: the misconfiguration is an injected fault (and is
         reported as such), while transmitting faster than even the
         misconfigured meter allows remains a violation."""
-        auditor = getattr(self.sim, "auditor", None)
+        auditor = self.sim.auditor
         if auditor is not None:
             auditor.on_credit_rate_change(port, rate_bps)
 
@@ -314,7 +314,7 @@ class ChaosController:
         else:
             self._injected_data[fid] = self._injected_data.get(fid, 0) + 1
             self.total_injected_data += 1
-        metrics = getattr(self.sim, "metrics", None)
+        metrics = self.sim.metrics
         if metrics is not None:
             kind = "credit" if pkt.is_credit else "data"
             metrics.counter(f"chaos.injected_{kind}_drops").inc()

@@ -102,10 +102,10 @@ def run_point(
         raise ValueError("warmup must end before the fault starts")
     sim = Simulator(seed=seed)
     topo = fat_tree(sim, k)
-    if getattr(sim, "chaos", None) is not None:
+    if sim.chaos is not None:
         raise RuntimeError("scenario runs build their own fault plan; "
                            "unset REPRO_CHAOS to run one")
-    auditor = getattr(sim, "auditor", None) or NetworkAuditor(sim)
+    auditor = sim.auditor or NetworkAuditor(sim)
     auditor.attach_network(topo.net)
 
     plan = _fabric_plan(scenario, seed, fault_ps, duration_ps,

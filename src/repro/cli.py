@@ -35,7 +35,6 @@ import argparse
 import contextlib
 import inspect
 import json
-import os
 import pathlib
 import sys
 from typing import Callable, Dict
@@ -43,6 +42,8 @@ from typing import Callable, Dict
 from repro.experiments import format_table
 from repro import runtime
 from repro.resilience import journal as run_journal
+from repro.runtime import probes
+from repro.runtime.config import ConfigError, check_env, env_text
 from repro.resilience.signals import (
     EXIT_INTERRUPTED,
     graceful_shutdown,
@@ -121,6 +122,17 @@ def _parse_value(raw: str):
     return raw
 
 
+def _parse_sets(parser, items, shape: str = "KEY=VALUE") -> list:
+    """``--set`` items as ``(key, parsed value)`` pairs."""
+    pairs = []
+    for item in items:
+        if "=" not in item:
+            parser.error(f"--set expects {shape}, got {item!r}")
+        key, _, raw = item.partition("=")
+        pairs.append((key, _parse_value(raw)))
+    return pairs
+
+
 def _stored_argv(argv, journal_path: pathlib.Path) -> list:
     """The argv a resume should replay: this invocation's, re-journaled.
 
@@ -145,13 +157,30 @@ def _stored_argv(argv, journal_path: pathlib.Path) -> list:
     return stored + ["--journal", str(journal_path)]
 
 
+def _frontier(state) -> str:
+    """One-line task census of a loaded journal."""
+    s = state.summary()
+    torn = f", {s['torn_lines']} torn line(s)" if s["torn_lines"] else ""
+    return (f"{s['done']} done, {s['failed']} failed, "
+            f"{s['interrupted']} interrupted, "
+            f"{len(state.unfinished())} unfinished{torn}")
+
+
+def _print_result(result, as_json: bool) -> None:
+    if as_json:
+        print(json.dumps({"name": result.name, "rows": result.rows,
+                          "meta": result.meta}, indent=2, default=str))
+    else:
+        print(format_table(result))
+
+
 def _activate_journal(parser, args, argv):
     """Resolve ``--journal``/``--resume``/``REPRO_JOURNAL`` into an active
     run journal (or ``None``) and record this process generation's meta.
     """
     resume = getattr(args, "resume", None)
     path = resume or getattr(args, "journal", None) \
-        or os.environ.get("REPRO_JOURNAL")
+        or env_text("REPRO_JOURNAL")
     if not path:
         return None
     path = pathlib.Path(path)
@@ -164,11 +193,7 @@ def _activate_journal(parser, args, argv):
         if state.metas:
             generation = state.generation + 1
         if resume:
-            s = state.summary()
-            print(f"[repro.resilience] resuming {path}: "
-                  f"{s['done']} done, {s['failed']} failed, "
-                  f"{s['interrupted']} interrupted, "
-                  f"{len(state.unfinished())} unfinished",
+            print(f"[repro.resilience] resuming {path}: {_frontier(state)}",
                   file=sys.stderr)
     journal = run_journal.activate(path)
     journal.meta(argv=_stored_argv(argv, path), command=args.command,
@@ -189,16 +214,87 @@ def _interrupted_exit(journal, signame: str, what: str) -> int:
     return EXIT_INTERRUPTED
 
 
+def _runtime_overrides(args) -> dict:
+    """The ``RuntimeConfig`` fields this invocation's flags override.
+
+    Shared by every sweep-running subcommand (each defines a subset of the
+    flags).  The plane switches: ``profile``/``obs`` are ``run`` with their
+    plane forced on; profiling and metering want the simulations to
+    actually run — a cache-served sweep would observe nothing — so they
+    bypass the result cache; ``--obs-jsonl`` implies ``--metrics``; a trace
+    path may also come from ``REPRO_TRACE``.
+    """
+    overrides = {}
+    for flag, field in (("parallel", "parallel"), ("shards", "shards"),
+                        ("retries", "retries"), ("timeout", "task_timeout_s")):
+        if getattr(args, flag, None) is not None:
+            overrides[field] = getattr(args, flag)
+    if getattr(args, "telemetry", None):
+        overrides["telemetry_path"] = pathlib.Path(args.telemetry)
+    if getattr(args, "audit", False):
+        overrides["audit"] = True
+    if args.command == "profile" or getattr(args, "profile", False):
+        overrides["profile"] = True
+    if args.command == "obs" or getattr(args, "metrics", False) \
+            or getattr(args, "obs_jsonl", None):
+        overrides["metrics"] = True
+    if _trace_path(args):
+        overrides["trace"] = True
+    if args.no_cache or "profile" in overrides or "metrics" in overrides:
+        overrides["cache_enabled"] = False
+    return overrides
+
+
+def _trace_path(args):
+    return getattr(args, "trace", None) or env_text("REPRO_TRACE")
+
+
+@contextlib.contextmanager
+def _observed(args, metrics_opts=None):
+    """The scope a ``run``/``matrix`` invocation executes in: drain-on-signal
+    handlers, the flags' runtime config, and one probe session over every
+    plane that config enables.
+
+    The session's outer captures cover simulations run directly in this
+    process; sweep tasks are captured individually by the scheduler (in
+    their worker processes when parallel) and banked on the session —
+    capture nesting ensures the two sources never double count.  Yields the
+    session; read it after the block.
+    """
+    opts = {"trace": {"path": _trace_path(args)},
+            "metrics": metrics_opts or {}}
+    with graceful_shutdown(), \
+            runtime.using(**_runtime_overrides(args)) as config, \
+            probes.session(config.probes, opts) as sess:
+        yield sess
+
+
+def _report_probes(merged: dict) -> int:
+    """Print every observed plane's merged payload to stderr; 1 if any of
+    them carries a failing verdict (an audit violation), else 0."""
+    status = 0
+    for name, payload in merged.items():
+        print(probes.get(name).format(payload), file=sys.stderr)
+        if payload.get("ok") is False:
+            status = 1
+    return status
+
+
 def main(argv=None) -> int:
     """CLI entry point.
 
     Thin shell around :func:`_cli` that guarantees the run journal (if one
     was activated) is flushed and detached on *every* exit path — including
     parser errors and experiment exceptions — so a later in-process
-    invocation never inherits a stale journal.
+    invocation never inherits a stale journal.  A hostile ``REPRO_*`` value
+    is one line on stderr and exit 2, like any other usage error.
     """
     try:
+        check_env()
         return _cli(argv)
+    except ConfigError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
     finally:
         run_journal.deactivate()
 
@@ -211,22 +307,18 @@ def _cli(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list available experiments")
 
-    def _add_run_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("experiment", help="experiment id, e.g. fig10 or table1")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a run(...) keyword argument")
-        p.add_argument("--json", action="store_true",
-                       help="emit rows as JSON instead of a table")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the experiment's seed (where accepted)")
+    def _add_runtime_options(p: argparse.ArgumentParser) -> None:
+        """Execution-policy flags every sweep-running subcommand shares
+        (a sweep task is one grid point of an experiment, or one cell of a
+        matrix)."""
         p.add_argument("--parallel", type=int, default=None, metavar="N",
                        help="run sweep tasks on N worker processes "
                             "(0/1 = serial; default REPRO_PARALLEL or 0)")
         p.add_argument("--shards", type=int, default=None, metavar="N",
                        help="shard each single simulation across N worker "
                             "processes (repro.sim.parallel; bit-identical "
-                            "to serial; 0/1 = serial; default REPRO_SHARDS "
-                            "or 0)")
+                            "to serial; 0/1 = serial; default REPRO_SHARDS, "
+                            "else a matrix spec's timing.shards, else 0)")
         p.add_argument("--no-cache", action="store_true",
                        help="disable the on-disk result cache for this run")
         p.add_argument("--retries", type=int, default=None, metavar="K",
@@ -258,6 +350,16 @@ def _cli(argv=None) -> int:
                             "campaign (completed tasks replay from the "
                             "result cache; the report is byte-identical "
                             "to an uninterrupted run)")
+
+    def _add_run_options(p: argparse.ArgumentParser) -> None:
+        p.add_argument("experiment", help="experiment id, e.g. fig10 or table1")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override a run(...) keyword argument")
+        p.add_argument("--json", action="store_true",
+                       help="emit rows as JSON instead of a table")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the experiment's seed (where accepted)")
+        _add_runtime_options(p)
 
     runp = sub.add_parser("run", help="run one experiment and print its table")
     _add_run_options(runp)
@@ -330,28 +432,7 @@ def _cli(argv=None) -> int:
                               "(schema repro.scenarios.report/v1) to FILE")
     matrixp.add_argument("--report-csv", default=None, metavar="FILE",
                          help="write the per-cell rows as wide CSV to FILE")
-    matrixp.add_argument("--parallel", type=int, default=None, metavar="N",
-                         help="run cells on N worker processes")
-    matrixp.add_argument("--shards", type=int, default=None, metavar="N",
-                         help="shard each single simulation across N worker "
-                              "processes (overrides the spec's "
-                              "timing.shards; bit-identical to serial)")
-    matrixp.add_argument("--no-cache", action="store_true",
-                         help="disable the on-disk result cache for this run")
-    matrixp.add_argument("--retries", type=int, default=None, metavar="K",
-                         help="retry a failing cell up to K times")
-    matrixp.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                         help="best-effort per-cell timeout in seconds")
-    matrixp.add_argument("--telemetry", default=None, metavar="FILE",
-                         help="append runtime events as JSONL to FILE")
-    matrixp.add_argument("--trace", default=None, metavar="FILE",
-                         help="capture a cross-layer trace "
-                              "(repro.obs.trace): JSONL at FILE plus "
-                              "Perfetto-loadable FILE.perfetto.json "
-                              "(default REPRO_TRACE)")
-    matrixp.add_argument("--audit", action="store_true",
-                         help="run every cell under the runtime verifier; "
-                              "exit 1 on any violation")
+    _add_runtime_options(matrixp)
     matrixp.add_argument("--metrics", action="store_true",
                          help="collect repro.obs metrics in every cell and "
                               "print a summary to stderr (disables the "
@@ -360,15 +441,6 @@ def _cli(argv=None) -> int:
                          help="export the merged obs summary as JSONL "
                               "(schema repro.obs.v1) to FILE; implies "
                               "--metrics")
-    matrixp.add_argument("--journal", default=None, metavar="FILE",
-                         help="append a crash-safe run journal "
-                              "(repro.resilience/v1 JSONL) to FILE; enables "
-                              "'repro resume FILE' (default REPRO_JOURNAL)")
-    matrixp.add_argument("--resume", default=None, metavar="FILE",
-                         help="like --journal but FILE must already exist: "
-                              "prints its task frontier, then re-runs the "
-                              "matrix (completed cells replay from the "
-                              "result cache)")
     resumep = sub.add_parser(
         "resume",
         help="re-invoke an interrupted campaign from its run journal: "
@@ -437,12 +509,8 @@ def _cli(argv=None) -> int:
             print(f"resume: {args.journal}: stored argv is itself a resume; "
                   f"refusing the recursion", file=sys.stderr)
             return 1
-        s = state.summary()
-        torn = f", {s['torn_lines']} torn line(s)" if s["torn_lines"] else ""
         print(f"[repro.resilience] {args.journal}: generation "
-              f"{state.generation}, {s['done']} done, {s['failed']} failed, "
-              f"{s['interrupted']} interrupted, "
-              f"{len(state.unfinished())} unfinished{torn}", file=sys.stderr)
+              f"{state.generation}, {_frontier(state)}", file=sys.stderr)
         print(f"[repro.resilience] re-invoking: repro "
               f"{' '.join(state.argv)}", file=sys.stderr)
         return main(state.argv)
@@ -536,11 +604,7 @@ def _cli(argv=None) -> int:
                 args.set.insert(0, f"backend={args.backend}")
             if args.set:
                 data = scenario.to_dict()
-                for item in args.set:
-                    if "=" not in item:
-                        parser.error(f"--set expects PATH=VALUE, got {item!r}")
-                    key, _, raw = item.partition("=")
-                    value = _parse_value(raw)
+                for key, value in _parse_sets(parser, args.set, "PATH=VALUE"):
                     if isinstance(value, tuple):
                         value = list(value)
                     sc.schema.set_by_path(data, key, value)
@@ -553,64 +617,13 @@ def _cli(argv=None) -> int:
         seeds = None
         if args.seeds:
             seeds = [int(s) for s in args.seeds.split(",") if s]
-        config_overrides = {}
-        if args.parallel is not None:
-            config_overrides["parallel"] = args.parallel
-        if args.shards is not None:
-            config_overrides["shards"] = args.shards
-        if args.no_cache:
-            config_overrides["cache_enabled"] = False
-        if args.retries is not None:
-            config_overrides["retries"] = args.retries
-        if args.timeout is not None:
-            config_overrides["task_timeout_s"] = args.timeout
-        if args.telemetry:
-            config_overrides["telemetry_path"] = pathlib.Path(args.telemetry)
-        if args.audit:
-            config_overrides["audit"] = True
-        do_metrics = args.metrics or bool(args.obs_jsonl)
-        if do_metrics:
-            # Cached results carry no metrics (same rule as `repro obs`).
-            config_overrides["metrics"] = True
-            config_overrides["cache_enabled"] = False
-        trace_path = args.trace or os.environ.get("REPRO_TRACE")
-        tracer = None
-        if trace_path:
-            from repro.obs import trace as obs_trace
-            tracer = obs_trace.activate()
-            config_overrides["trace"] = True
-        audit_verdict = None
-        metrics_summary = None
-        with contextlib.ExitStack() as stack:
-            stack.enter_context(graceful_shutdown())
-            cap = ocap = None
-            if args.audit:
-                from repro import audit
-                audit.reset_session()
-            if do_metrics:
-                from repro import obs
-                obs.reset_session()
-                ocap = stack.enter_context(obs.capture())
-            stack.enter_context(runtime.using(**config_overrides))
-            if args.audit:
-                cap = stack.enter_context(audit.capture())
+        with _observed(args) as sess:
             try:
                 outcome = sc.run_matrix(scenario, seeds=seeds,
                                         cell_filter=args.filter)
             except sc.SpecError as exc:
                 print(exc.render(), file=sys.stderr)
                 return 1
-        if args.audit:
-            audit_verdict = audit.merge_summaries(
-                [cap.summary, audit.session_summary()])
-        if do_metrics:
-            metrics_summary = obs.merge_summaries(
-                [ocap.summary, obs.session_summary()])
-        if tracer is not None:
-            obs_trace.deactivate()
-            n = obs_trace.write_files(tracer, trace_path)
-            print(f"wrote {n} trace record(s) to {trace_path} "
-                  f"(+ {trace_path}.perfetto.json)", file=sys.stderr)
         signame = shutdown_requested()
         if signame:
             # Drained: telemetry/trace/journal are flushed, but a partial
@@ -632,9 +645,10 @@ def _cli(argv=None) -> int:
             n = sc.write_report_csv(args.report_csv, report, stable=stable)
             print(f"wrote {n} CSV row(s) to {args.report_csv}",
                   file=sys.stderr)
-        if args.obs_jsonl and metrics_summary is not None:
+        merged = {name: sess.merged(name) for name in sess.names}
+        if args.obs_jsonl:
             from repro.obs import export as obs_export
-            n = obs_export.write_jsonl(args.obs_jsonl, metrics_summary)
+            n = obs_export.write_jsonl(args.obs_jsonl, merged["metrics"])
             print(f"wrote {n} obs record(s) to {args.obs_jsonl}",
                   file=sys.stderr)
         if args.json:
@@ -647,19 +661,12 @@ def _cli(argv=None) -> int:
             }, indent=2, default=str))
         else:
             print(sc.format_report(report))
-        if metrics_summary is not None and args.metrics:
-            print(obs.format_summary(metrics_summary), file=sys.stderr)
-        status = 0
+        status = _report_probes(merged)
         if not outcome.ok:
             for res in outcome.failed:
                 print(f"matrix: FAILED cell {res.label}: {res.error}",
                       file=sys.stderr)
             status = 1
-        if audit_verdict is not None:
-            from repro.audit import format_summary as audit_format
-            print(audit_format(audit_verdict), file=sys.stderr)
-            if not audit_verdict["ok"]:
-                status = 1
         return status
 
     if args.command == "chaos":
@@ -672,12 +679,7 @@ def _cli(argv=None) -> int:
             parser.error(
                 f"unknown chaos scenario {args.scenario!r}; "
                 f"try: {', '.join(chaos_scenarios.SCENARIOS)}")
-        overrides = {}
-        for item in args.set:
-            if "=" not in item:
-                parser.error(f"--set expects KEY=VALUE, got {item!r}")
-            key, _, raw = item.partition("=")
-            overrides[key] = _parse_value(raw)
+        overrides = dict(_parse_sets(parser, args.set))
         if args.emit_plan:
             plan_kwargs = {k: overrides[k] for k in
                            ("fault_ps", "duration_ps", "reconverge_delay_ps")
@@ -691,20 +693,11 @@ def _cli(argv=None) -> int:
         seeds = None
         if args.seeds:
             seeds = [int(s) for s in args.seeds.split(",") if s]
-        config_overrides = {}
-        if args.parallel is not None:
-            config_overrides["parallel"] = args.parallel
-        if args.no_cache:
-            config_overrides["cache_enabled"] = False
-        with runtime.using(**config_overrides):
+        with runtime.using(**_runtime_overrides(args)):
             result = chaos_scenarios.run(scenario=args.scenario,
                                          seed=args.seed, seeds=seeds,
                                          **overrides)
-        if args.json:
-            print(json.dumps({"name": result.name, "rows": result.rows,
-                              "meta": result.meta}, indent=2, default=str))
-        else:
-            print(format_table(result))
+        _print_result(result, args.json)
         if not result.meta["ok"]:
             bad = [r for r in result.rows if not r["ok"]]
             print(f"chaos: FAILED — {len(bad)} of {len(result.rows)} run(s) "
@@ -725,12 +718,7 @@ def _cli(argv=None) -> int:
     if args.experiment not in registry:
         parser.error(f"unknown experiment {args.experiment!r}; "
                      f"try: {', '.join(sorted(registry))}")
-    overrides = {}
-    for item in args.set:
-        if "=" not in item:
-            parser.error(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, raw = item.partition("=")
-        overrides[key] = _parse_value(raw)
+    overrides = dict(_parse_sets(parser, args.set))
 
     fn = registry[args.experiment]
     if getattr(args, "backend", None):
@@ -747,66 +735,11 @@ def _cli(argv=None) -> int:
             print(f"note: {args.experiment} is analytic and takes no seed; "
                   f"ignoring --seed", file=sys.stderr)
 
-    config_overrides = {}
-    if args.parallel is not None:
-        config_overrides["parallel"] = args.parallel
-    if getattr(args, "shards", None) is not None:
-        config_overrides["shards"] = args.shards
-    if args.no_cache:
-        config_overrides["cache_enabled"] = False
-    if args.retries is not None:
-        config_overrides["retries"] = args.retries
-    if args.timeout is not None:
-        config_overrides["task_timeout_s"] = args.timeout
-    if args.telemetry:
-        config_overrides["telemetry_path"] = pathlib.Path(args.telemetry)
-    if args.audit:
-        config_overrides["audit"] = True
-    do_profile = args.command == "profile" or getattr(args, "profile", False)
-    if do_profile:
-        # Profiling wants the simulations to actually run: a cache-served
-        # sweep would profile nothing, so the result cache is bypassed.
-        config_overrides["profile"] = True
-        config_overrides["cache_enabled"] = False
-    do_metrics = args.command == "obs" or getattr(args, "metrics", False)
-    if do_metrics:
-        # Same logic as profiling: cached results carry no metrics.
-        config_overrides["metrics"] = True
-        config_overrides["cache_enabled"] = False
-    trace_path = getattr(args, "trace", None) or os.environ.get("REPRO_TRACE")
-    tracer = None
-    if trace_path:
-        from repro.obs import trace as obs_trace
-        tracer = obs_trace.activate()
-        config_overrides["trace"] = True
-
-    # Outer captures cover simulations the experiment runs directly in this
-    # process; sweep tasks are captured individually by the scheduler (in
-    # their worker processes when parallel) and banked on the session.  The
-    # profiler's session nesting ensures the two sources never double count.
-    audit_verdict = None
-    profile_report = None
-    metrics_summary = None
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(graceful_shutdown())
-        cap = prof_session = ocap = None
-        if args.audit:
-            from repro import audit
-            audit.reset_session()
-        if do_profile:
-            from repro.perf import profile as perf_profile
-            perf_profile.reset_task_summaries()
-            prof_session = stack.enter_context(perf_profile.profiled())
-        if do_metrics:
-            from repro import obs
-            obs.reset_session()
-            ocap = stack.enter_context(obs.capture(
-                dashboard=(sys.stderr if getattr(args, "dashboard", False)
-                           else None),
-                trace=bool(getattr(args, "pcap", None))))
-        stack.enter_context(runtime.using(**config_overrides))
-        if args.audit:
-            cap = stack.enter_context(audit.capture())
+    metrics_opts = None
+    if args.command == "obs":
+        metrics_opts = {"dashboard": sys.stderr if args.dashboard else None,
+                        "trace": bool(args.pcap)}
+    with _observed(args, metrics_opts) as sess:
         try:
             result = fn(**overrides)
         except runtime.SweepError:
@@ -815,58 +748,33 @@ def _cli(argv=None) -> int:
             if not shutdown_requested():
                 raise
             result = None
-    if args.audit:
-        audit_verdict = audit.merge_summaries(
-            [cap.summary, audit.session_summary()])
-    if do_profile:
-        profile_report = prof_session.report
-        for _label, summary in perf_profile.task_summaries():
-            profile_report.add_summary(summary)
-    if do_metrics:
-        metrics_summary = obs.merge_summaries(
-            [ocap.summary, obs.session_summary()])
-        from repro.obs import export as obs_export
-        if getattr(args, "jsonl", None):
-            n = obs_export.write_jsonl(args.jsonl, metrics_summary)
-            print(f"wrote {n} JSONL record(s) to {args.jsonl}",
-                  file=sys.stderr)
-        if getattr(args, "csv", None):
-            n = obs_export.write_csv(args.csv, metrics_summary)
-            print(f"wrote {n} CSV row(s) to {args.csv}", file=sys.stderr)
-        if getattr(args, "prom", None):
-            obs_export.write_prometheus(args.prom, metrics_summary)
-            print(f"wrote Prometheus text to {args.prom}", file=sys.stderr)
-        if getattr(args, "pcap", None):
-            tracers = [t for reg in ocap.registries for t in reg.tracers]
-            n = obs_export.dump_traces(args.pcap, tracers)
-            print(f"wrote {n} packet record(s) to {args.pcap}",
-                  file=sys.stderr)
-    if tracer is not None:
-        obs_trace.deactivate()
-        n = obs_trace.write_files(tracer, trace_path)
-        print(f"wrote {n} trace record(s) to {trace_path} "
-              f"(+ {trace_path}.perfetto.json)", file=sys.stderr)
     signame = shutdown_requested()
     if signame or result is None:
         # A drained run may still hold partial rows; printing them would
         # look like a (wrong) result, so skip straight to the resume hint.
         return _interrupted_exit(journal, signame or "SIGINT",
                                  args.experiment)
-    if args.json:
-        print(json.dumps({"name": result.name, "rows": result.rows,
-                          "meta": result.meta}, indent=2, default=str))
-    else:
-        print(format_table(result))
-    if profile_report is not None:
-        print(profile_report.format(), file=sys.stderr)
-    if metrics_summary is not None:
-        print(obs.format_summary(metrics_summary), file=sys.stderr)
-    if audit_verdict is not None:
-        from repro.audit import format_summary
-        print(format_summary(audit_verdict), file=sys.stderr)
-        if not audit_verdict["ok"]:
-            return 1
-    return 0
+    _print_result(result, args.json)
+    merged = {name: sess.merged(name) for name in sess.names}
+    if args.command == "obs":
+        from repro.obs import export as obs_export
+        if args.jsonl:
+            n = obs_export.write_jsonl(args.jsonl, merged["metrics"])
+            print(f"wrote {n} JSONL record(s) to {args.jsonl}",
+                  file=sys.stderr)
+        if args.csv:
+            n = obs_export.write_csv(args.csv, merged["metrics"])
+            print(f"wrote {n} CSV row(s) to {args.csv}", file=sys.stderr)
+        if args.prom:
+            obs_export.write_prometheus(args.prom, merged["metrics"])
+            print(f"wrote Prometheus text to {args.prom}", file=sys.stderr)
+        if args.pcap:
+            tracers = [t for reg in sess.outer["metrics"].registries
+                       for t in reg.tracers]
+            n = obs_export.dump_traces(args.pcap, tracers)
+            print(f"wrote {n} packet record(s) to {args.pcap}",
+                  file=sys.stderr)
+    return _report_probes(merged)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

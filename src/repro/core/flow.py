@@ -456,7 +456,7 @@ class ExpressPassFlow(Flow):
         self._credit_sent_ts.clear()
         if self.obs_span is not None:
             self.obs_span.mark("path_recovery", self.sim.now)
-        metrics = getattr(self.sim, "metrics", None)
+        metrics = self.sim.metrics
         if metrics is not None:
             metrics.counter("transport.path_recoveries").inc()
             metrics.log_event(self.sim.now, "path_recovery", self.fid)

@@ -89,7 +89,7 @@ def run_realistic(
     topo = oversubscribed_clos(sim, edge=edge, core=core)
     if chaos_plan is not None:
         from repro.chaos import ChaosController, FaultPlan
-        if getattr(sim, "chaos", None) is not None:
+        if sim.chaos is not None:
             raise RuntimeError("chaos_plan conflicts with an ambient "
                                "REPRO_CHAOS plan; unset one of them")
         ChaosController(sim, topo.net, FaultPlan.from_dict(chaos_plan))

@@ -23,10 +23,12 @@ event stream, CSV time series, or Prometheus text, and dumps
 :class:`~repro.net.trace.PortTracer` records as pcap-lite JSONL; the
 :mod:`repro.obs.dashboard` renders live sparkline panels during long runs.
 
-Captures nest like :mod:`repro.audit`'s: the :mod:`repro.runtime` scheduler
-opens one per sweep task (in the worker process, if parallel) and ships the
-summary dict back on ``TaskResult.metrics``; an outer CLI capture does not
-double count registries an inner capture already claimed.
+Captures nest like :mod:`repro.audit`'s: through the :data:`PROBE` this
+module exports (:mod:`repro.runtime.probes`) the :mod:`repro.runtime`
+scheduler opens one per sweep task (in the worker process, if parallel) and
+ships the summary dict back on ``TaskResult.probes["metrics"]``; an outer
+CLI capture does not double count registries an inner capture already
+claimed.
 
 A fourth, orthogonal plane lives in :mod:`repro.obs.trace`: cross-layer
 *causal* tracing (wall-clock and sim-clock spans across the runtime
@@ -38,8 +40,8 @@ trace shows *where the wall-clock time went* doing it.
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Tuple
+from types import SimpleNamespace
+from typing import List, Optional, Union
 
 from repro.obs.registry import (
     Counter,
@@ -52,40 +54,32 @@ from repro.obs.registry import (
     merge_summaries,
 )
 from repro.obs.spans import FlowSpan
+from repro.runtime.config import env_flag, env_number
 
 __all__ = [
+    "PROBE",
     "Counter", "FlowSpan", "Gauge", "Histogram", "MetricsRegistry", "Series",
-    "begin_capture", "capture", "default_interval_ps", "end_capture",
-    "is_active", "maybe_attach",
+    "capture", "default_interval_ps", "is_active", "maybe_attach",
     "empty_summary", "format_summary", "merge_summaries",
-    "record_summary", "record_task_summary", "reset_session",
-    "session_summary",
 ]
 
 _capture_depth = 0
-_captured: List[MetricsRegistry] = []
+#: Live registries claimed by the open captures, oldest scope first — and
+#: the merged summary dicts sharded runs parked beside them.
+_captured: List[Union[MetricsRegistry, dict]] = []
 #: Options of the innermost open capture (dashboard stream, tracing flag).
 _opts: List[dict] = []
-#: (label, summary) pairs recorded by the sweep scheduler for CLI reporting.
-_session: List[Tuple[str, dict]] = []
 
 
 def is_active() -> bool:
     """True when metrics should attach: inside a capture or REPRO_METRICS=1."""
-    if _capture_depth > 0:
-        return True
-    return os.environ.get("REPRO_METRICS", "") in ("1", "true")
+    return _capture_depth > 0 or env_flag("REPRO_METRICS")
 
 
 def default_interval_ps() -> Optional[int]:
     """Snapshot interval override from ``REPRO_METRICS_INTERVAL_PS``."""
-    raw = os.environ.get("REPRO_METRICS_INTERVAL_PS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return None
+    interval = env_number("REPRO_METRICS_INTERVAL_PS")
+    return None if interval is None else max(1, interval)
 
 
 def maybe_attach(net) -> Optional[MetricsRegistry]:
@@ -98,7 +92,7 @@ def maybe_attach(net) -> Optional[MetricsRegistry]:
     """
     if not is_active():
         return None
-    reg = getattr(net.sim, "metrics", None)
+    reg = net.sim.metrics
     fresh = reg is None
     if fresh:
         reg = MetricsRegistry.attach(net.sim,
@@ -121,87 +115,57 @@ def _note_registry(reg: MetricsRegistry) -> None:
         _captured.append(reg)
 
 
-def begin_capture(**opts) -> int:
-    """Open a capture scope; returns a marker for :func:`end_capture`.
-
-    ``opts`` (``dashboard=<stream>``, ``trace=True``) apply to registries
-    created inside this scope.
-    """
-    global _capture_depth
-    _capture_depth += 1
-    _opts.append(opts)
-    return len(_captured)
-
-
-def end_capture(marker: int) -> Tuple[dict, List[MetricsRegistry]]:
-    """Close a scope: finalize its registries, return (summary, registries)."""
-    global _capture_depth
-    scoped = _captured[marker:]
-    del _captured[marker:]
-    _capture_depth = max(0, _capture_depth - 1)
-    if _opts:
-        _opts.pop()
-    return merge_summaries([r.summary() for r in scoped]), scoped
-
-
-class _Precomputed:
-    """An already-merged summary posing as a capture-scoped registry.
-
-    Sharded runs (:mod:`repro.sim.parallel`) collect metrics inside their
-    worker processes and merge the shard summaries in the parent; this
-    wrapper lets the merged dict ride the capture machinery.  ``tracers``
-    is empty: per-packet traces stay in the workers.
-    """
-
-    tracers: tuple = ()
-
-    def __init__(self, summary: dict):
-        self._summary = dict(summary)
-
-    def summary(self) -> dict:
-        return self._summary
-
-
-def record_summary(summary: dict) -> None:
-    """Park a finished summary in the open capture (no-op outside one)."""
+def _absorb_shards(payloads: List[dict]) -> dict:
+    """Sharded runs (:mod:`repro.sim.parallel`) collect metrics inside
+    their worker processes; the shard summaries merge here, and parking
+    the merged dict in the open capture (if any) lets it ride the capture
+    machinery.  It brings no registry: per-packet traces stay in the
+    workers."""
+    merged = merge_summaries(payloads)
     if _capture_depth > 0:
-        _captured.append(_Precomputed(summary))
+        _captured.append(merged)
+    return merged
 
 
 class capture:
-    """Context manager over begin/end_capture.
+    """Capture scope over every registry attached inside it (and not
+    claimed by a scope nested deeper).
 
-    After exit, ``.summary`` holds the merged summary dict and
-    ``.registries`` the finalized registries (for e.g. pcap-lite export of
-    their tracers).
+    ``opts`` (``dashboard=<stream>``, ``trace=True``) apply to registries
+    created inside this scope.  After exit, ``.summary`` holds the merged
+    summary dict and ``.registries`` the finalized registries (for e.g.
+    pcap-lite export of their tracers).
     """
 
+    #: The merged summary, once the scope has closed (``payload`` is the
+    #: same dict under the probe protocol's name).
     summary: Optional[dict] = None
+    payload: Optional[dict] = None
 
     def __init__(self, **opts):
         self._capture_opts = opts
         self.registries: List[MetricsRegistry] = []
 
     def __enter__(self) -> "capture":
-        self._marker = begin_capture(**self._capture_opts)
+        global _capture_depth
+        _capture_depth += 1
+        _opts.append(self._capture_opts)
+        self._marker = len(_captured)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.summary, self.registries = end_capture(self._marker)
+        global _capture_depth
+        scoped = _captured[self._marker:]
+        del _captured[self._marker:]
+        _capture_depth = max(0, _capture_depth - 1)
+        _opts.pop()
+        self.summary = self.payload = merge_summaries(
+            [r if isinstance(r, dict) else r.summary() for r in scoped])
+        self.registries = [r for r in scoped if not isinstance(r, dict)]
         return False
 
 
-# -- session aggregation (scheduler -> CLI) ---------------------------------
-
-def record_task_summary(label: str, summary: dict) -> None:
-    """Scheduler hook: bank one task's metrics summary for CLI reporting."""
-    _session.append((label, summary))
-
-
-def session_summary() -> dict:
-    """Merged summary over every task summary banked since the last reset."""
-    return merge_summaries([s for _, s in _session])
-
-
-def reset_session() -> None:
-    _session.clear()
+#: This plane's face to :mod:`repro.runtime.probes`.
+PROBE = SimpleNamespace(name="metrics", capture=capture, active=is_active,
+                        merge=merge_summaries, format=format_summary,
+                        absorb_shards=_absorb_shards)

@@ -252,7 +252,7 @@ class MetricsRegistry:
                ) -> "MetricsRegistry":
         """The simulator's registry, created (and claimed by any open
         :func:`repro.obs.capture`) on first use."""
-        reg = getattr(sim, "metrics", None)
+        reg = sim.metrics
         if reg is None:
             reg = cls(sim, snapshot_interval_ps)
             sim.metrics = reg

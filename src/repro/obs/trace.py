@@ -42,9 +42,10 @@ tracing on or off (``tests/test_trace.py`` pins this).  Turn it on with
 ``--trace FILE`` on ``repro run``/``repro matrix``/the fig CLIs, with
 ``REPRO_TRACE=FILE`` process-wide, or with :func:`tracing` in code.
 Worker processes never write files themselves: per-worker records ride
-the existing result channels (``TaskResult.trace``, the shard ``collect``
-reply) in bounded buffers and are stitched by the parent under
-shard/task-qualified track ids.
+the existing result channels (``TaskResult.probes["trace"]``, the shard
+``collect`` reply) in bounded buffers — the payloads of the :data:`PROBE`
+this module exports to :mod:`repro.runtime.probes` — and are stitched by
+the parent under shard/task-qualified track ids.
 """
 
 from __future__ import annotations
@@ -56,7 +57,10 @@ import os
 import pathlib
 import time
 import warnings
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional
+
+from repro.runtime.config import env_text
 
 #: Schema tag written to (and checked in) every JSONL export.
 SCHEMA = "repro.obs.trace/v1"
@@ -230,7 +234,7 @@ def reset() -> None:
 def _env_flush() -> None:
     """atexit hook for the lazy ``REPRO_TRACE`` activation: best-effort
     write of whatever the ambient tracer holds when the process exits."""
-    path = os.environ.get("REPRO_TRACE")
+    path = env_text("REPRO_TRACE")
     if _ACTIVE is None or not path or not _ACTIVE.records:
         return
     try:
@@ -247,8 +251,7 @@ def current() -> Optional[Tracer]:
     :func:`activate` (the CLI) preempts this and owns the write instead.
     """
     global _ACTIVE, _env_consumed, _atexit_registered
-    if _ACTIVE is None and not _env_consumed \
-            and os.environ.get("REPRO_TRACE"):
+    if _ACTIVE is None and not _env_consumed and env_text("REPRO_TRACE"):
         _env_consumed = True
         _ACTIVE = Tracer()
         if not _atexit_registered:
@@ -271,19 +274,25 @@ class collect:
     shipped back over the result channel and stitched by the parent.
 
     After exit, :attr:`blob` holds ``{"records", "epoch", "dropped"}`` —
-    feed it to :meth:`Tracer.ingest_blob`.
+    feed it to :meth:`Tracer.ingest_blob` — and :attr:`payload` wraps it
+    with the executing process's pid and run window (absolute
+    ``time.monotonic`` seconds), which is what the telemetry recorder
+    turns into a worker-lane span.
     """
 
     blob: Optional[dict] = None
+    payload: Optional[dict] = None
 
     def __init__(self, max_records: int = WORKER_MAX_RECORDS):
         self.tracer = Tracer(max_records=max_records)
 
     def __enter__(self) -> "collect":
         _BUFFERS.append(self.tracer)
+        self._t0 = time.monotonic()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        t1 = time.monotonic()
         if _BUFFERS and _BUFFERS[-1] is self.tracer:
             _BUFFERS.pop()
         elif self.tracer in _BUFFERS:  # pragma: no cover - defensive
@@ -291,7 +300,48 @@ class collect:
         self.blob = {"records": self.tracer.records,
                      "epoch": self.tracer.epoch,
                      "dropped": self.tracer.dropped}
+        self.payload = {"pid": os.getpid(), "t0": self._t0, "t1": t1,
+                        "trace": self.blob}
         return False
+
+
+@contextlib.contextmanager
+def _capture(path=None, **opts):
+    """The probe's capture: a worker/task buffer (:class:`collect`), or —
+    given ``path``, a whole invocation's ``--trace FILE`` — the ambient
+    tracer, both exports written on exit (payload ``{"path", "lines"}``)."""
+    if not path:
+        with collect(**opts) as handle:
+            yield handle
+        return
+    handle = SimpleNamespace(payload=None)
+    with tracing() as tracer:
+        yield handle
+    handle.payload = {"path": str(path), "lines": write_files(tracer, path)}
+
+
+def _merge(payloads) -> dict:
+    """Task buffers are stitched as they arrive (by the telemetry
+    recorder), so all that is left to fold is where the trace went."""
+    merged = next((dict(p) for p in payloads if "path" in p), {})
+    merged["buffers"] = sum(1 for p in payloads if "path" not in p)
+    return merged
+
+
+def _format(merged: dict) -> str:
+    if "path" not in merged:
+        return f"repro.obs.trace: {merged['buffers']} task buffer(s) captured"
+    return (f"wrote {merged['lines']} trace record(s) to {merged['path']} "
+            f"(+ {merged['path']}.perfetto.json)")
+
+
+def _absorb_shards(payloads) -> dict:
+    """Stitch each shard worker's spans in under shard-qualified tracks
+    (``shard<i>/lane``), re-based onto the recording tracer's epoch."""
+    tracer = emit_target()
+    adopted = sum(tracer.ingest_blob(p["trace"], prefix=f"shard{i}/")
+                  for i, p in enumerate(payloads))
+    return {"buffers": len(payloads), "records": adopted}
 
 
 @contextlib.contextmanager
@@ -456,26 +506,14 @@ def write_jsonl(path, source, dropped: Optional[int] = None) -> int:
     return len(records) + 1
 
 
-def _torn_tail(path, lineno: int, nonblank: int, line: str) -> bool:
-    """True when ``lineno`` is the file's final non-blank line (a crash
-    mid-write tears at most the last line; warn and skip it instead of
-    refusing the whole trace)."""
-    if lineno != nonblank:
-        return False
-    warnings.warn(f"{path}:{lineno}: skipping torn final line "
-                  f"({line[:40]!r}...)", stacklevel=3)
-    return True
+def _records(path):
+    """``(lineno, record)`` for every non-blank line of a trace file.
 
-
-def load_jsonl(path) -> dict:
-    """Load a trace file: ``{"meta": {...}, "records": [...], "torn": n}``.
-
-    A non-JSON *final* line (process killed mid-write) is skipped with a
-    warning and counted in ``torn``; garbage anywhere else still raises.
+    A non-JSON *final* line — the signature of a process killed mid-write,
+    which tears at most the last line — is warned about and yielded as
+    ``(lineno, None)`` instead of refusing the whole trace; garbage
+    anywhere else raises ``ValueError``.
     """
-    meta = None
-    records: List[dict] = []
-    torn = 0
     all_lines = pathlib.Path(path).read_text().splitlines()
     nonblank = max((i for i, l in enumerate(all_lines, 1) if l.strip()),
                    default=0)
@@ -485,12 +523,28 @@ def load_jsonl(path) -> dict:
             continue
         try:
             rec = json.loads(line)
-        except ValueError:
-            if _torn_tail(path, lineno, nonblank, line):
-                torn += 1
-                break
-            raise
-        if rec.get("record") == "meta":
+        except json.JSONDecodeError as exc:
+            if lineno != nonblank:
+                raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
+            warnings.warn(f"{path}:{lineno}: skipping torn final line "
+                          f"({line[:40]!r}...)", stacklevel=3)
+            rec = None
+        yield lineno, rec
+
+
+def load_jsonl(path) -> dict:
+    """Load a trace file: ``{"meta": {...}, "records": [...], "torn": n}``.
+
+    A torn *final* line is skipped with a warning and counted in ``torn``
+    (see :func:`_records`); garbage anywhere else still raises.
+    """
+    meta = None
+    records: List[dict] = []
+    torn = 0
+    for _lineno, rec in _records(path):
+        if rec is None:
+            torn += 1
+        elif rec.get("record") == "meta":
             meta = rec
         else:
             records.append(rec)
@@ -510,22 +564,11 @@ def validate_jsonl(path) -> dict:
     torn = 0
     seen_ids = set()
     last_key = None
-    all_lines = pathlib.Path(path).read_text().splitlines()
-    nonblank = max((i for i, l in enumerate(all_lines, 1) if l.strip()),
-                   default=0)
-    for lineno, line in enumerate(all_lines, 1):
-        line = line.strip()
-        if not line:
+    for lineno, rec in _records(path):
+        if rec is None:
+            torn += 1
             continue
         lines += 1
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if _torn_tail(path, lineno, nonblank, line):
-                torn += 1
-                lines -= 1
-                break
-            raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
         kind = rec.get("record")
         if kind not in _RECORD_KINDS:
             raise ValueError(f"{path}:{lineno}: unknown record {kind!r}")
@@ -734,3 +777,10 @@ def format_summary(summary: dict, top: int = 8) -> str:
                 f"{100 * s['idle_frac']:>5.1f}% {s['windows']:>8} "
                 f"{s['events']:>10} {s['shipped']:>8} {s['received']:>8}")
     return "\n".join(lines)
+
+
+#: This plane's face to :mod:`repro.runtime.probes`.
+PROBE = SimpleNamespace(name="trace", capture=_capture,
+                        active=lambda: emit_target() is not None,
+                        merge=_merge, format=_format,
+                        absorb_shards=_absorb_shards)

@@ -13,7 +13,9 @@ Three ways in:
   experiment's table as usual plus a profile report on stderr.
 * ``REPRO_PROFILE=1`` / ``RuntimeConfig(profile=True)`` makes every sweep
   task profile its own simulations — in its worker process when parallel —
-  and ship a plain-dict summary back on :class:`TaskResult.profile`.
+  and ship a plain-dict summary back on ``TaskResult.probes["profile"]``
+  (through the :data:`PROBE` this module exports to
+  :mod:`repro.runtime.probes`).
 * Programmatic::
 
       from repro.perf import profile
@@ -25,15 +27,16 @@ Attachment is ambient: a session installs :data:`repro.sim.engine
 .on_simulator_created` and hangs a fresh :class:`Profiler` on every
 simulator built while it is active.  Sessions nest (a sweep task profiling
 inside a profiled CLI run): the innermost session claims the simulator, so
-no event is ever double-counted; the outer session folds the inner's
-summary back in through :func:`record_task_summary`.
+no event is ever double-counted; whoever holds both summaries folds them
+with :func:`merge_summaries`.
 """
 
 from __future__ import annotations
 
 import contextlib
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sim import engine
 
@@ -132,7 +135,12 @@ class ProfileReport:
         self._merge_counts(prof.counts)
 
     def add_summary(self, summary: dict) -> None:
-        """Fold in a plain-dict summary shipped from a (worker) task."""
+        """Fold in a plain-dict summary shipped from a (worker) task.
+
+        Wall time does not add: an enclosing session's window already
+        covers the tasks that ran inside it, so the longest window wins.
+        """
+        self.wall_s = max(self.wall_s, summary.get("wall_s", 0.0))
         self.events += summary.get("events", 0)
         self.reaped += summary.get("reaped", 0)
         self.samples += summary.get("samples", 0)
@@ -165,7 +173,7 @@ class ProfileReport:
         return rows[:limit]
 
     def as_dict(self) -> dict:
-        """Picklable/JSON-able summary (the ``TaskResult.profile`` shape)."""
+        """Picklable/JSON-able summary (the profile probe's payload)."""
         return {
             "events": self.events,
             "reaped": self.reaped,
@@ -244,26 +252,25 @@ class ProfileSession:
         self.report = report
         return report
 
-
-# -- session-level aggregation of worker summaries ---------------------------
-# Mirrors repro.audit's session banking: sweep tasks profile themselves in
-# whatever process runs them; the scheduler ships the summary back and banks
-# it here so the CLI can print one merged report.
-
-_task_summaries: List[Tuple[str, dict]] = []
+    @property
+    def payload(self) -> Optional[dict]:
+        return None if self.report is None else self.report.as_dict()
 
 
-def record_task_summary(label: str, summary: dict) -> None:
-    """Bank a task's profile summary on the session aggregate."""
-    _task_summaries.append((label, summary))
+def _report(summaries: Sequence[dict]) -> ProfileReport:
+    report = ProfileReport()
+    for summary in summaries:
+        report.add_summary(summary)
+    return report
 
 
-def task_summaries() -> List[Tuple[str, dict]]:
-    return list(_task_summaries)
+def merge_summaries(summaries: Sequence[dict]) -> dict:
+    """Fold shipped summaries (a session's own, its tasks') into one."""
+    return _report(summaries).as_dict()
 
 
-def reset_task_summaries() -> None:
-    _task_summaries.clear()
+def format_summary(summary: dict) -> str:
+    return _report([summary]).format()
 
 
 @contextlib.contextmanager
@@ -277,3 +284,12 @@ def profiled(sample_every: int = DEFAULT_SAMPLE_EVERY) -> Iterator[ProfileSessio
         yield session
     finally:
         session.stop()
+
+
+#: This plane's face to :mod:`repro.runtime.probes`.  Never ambiently
+#: active: shard workers are not profiled (their event counts would need a
+#: session-side fold nothing asks for yet), so ``absorb_shards`` is unused.
+PROBE = SimpleNamespace(name="profile", capture=profiled,
+                        active=lambda: False,
+                        merge=merge_summaries, format=format_summary,
+                        absorb_shards=merge_summaries)

@@ -4,7 +4,8 @@ The resilience plane makes long campaigns survivable rather than fragile:
 
 * :mod:`repro.resilience.journal` — an append-only, torn-write-tolerant
   JSONL manifest of task states (``repro.resilience/v1``) that the
-  scheduler writes as a campaign runs, and that ``repro resume`` replays.
+  runtime's telemetry funnel writes as a campaign runs, and that
+  ``repro resume`` replays.
 * :mod:`repro.resilience.signals` — SIGINT/SIGTERM handlers that drain
   in-flight work, mark the rest interrupted, and exit with
   :data:`EXIT_INTERRUPTED` instead of a half-written report.

@@ -18,7 +18,8 @@ SIGKILLed process loses at most the final line — and that line may be torn
 ``(sweep, index)`` (last state wins) reconstructs the campaign's frontier:
 which tasks finished (and under which cache keys), which were in flight,
 and which never started.  The sweep ordinal is derived while folding — the
-scheduler emits a ``sweep`` note before each ``run_tasks`` batch, so a
+runtime's ``Telemetry`` (the journal's one writer of task records) opens
+each ``run_tasks`` batch with a ``sweep`` note, so a
 campaign that runs several sweeps through one journal keeps their
 identically-numbered tasks distinct; each ``meta`` record (a resume
 generation replaying the same argv) restarts the ordinal at zero so a
@@ -35,17 +36,16 @@ cache.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
-import threading
 import time
-import warnings
 from typing import Any, Dict, List, Optional, Sequence
+
+from repro.resilience.jsonl import JsonlAppender, read_records
 
 JOURNAL_SCHEMA = "repro.resilience/v1"
 
-#: Task states a journal records (mirrors scheduler/telemetry vocabulary).
+#: Task states a journal records (mirrors the telemetry vocabulary).
 TASK_STATES = ("queued", "running", "done", "failed", "interrupted")
 
 
@@ -60,25 +60,13 @@ class RunJournal:
 
     def __init__(self, path: pathlib.Path):
         self.path = pathlib.Path(path)
-        self._lock = threading.Lock()
-        self._fh = None
+        self._out = JsonlAppender(self.path)
 
     # -- writing ------------------------------------------------------------
 
     def _write(self, record: Dict[str, Any]) -> None:
         record.setdefault("t", round(time.time(), 6))
-        line = json.dumps(record, sort_keys=True, default=str)
-        with self._lock:
-            try:
-                if self._fh is None:
-                    self.path.parent.mkdir(parents=True, exist_ok=True)
-                    self._fh = self.path.open("a")
-                self._fh.write(line + "\n")
-                self._fh.flush()
-            except OSError:
-                # The journal is a safety net, never a failure mode: a full
-                # or read-only disk must not kill the campaign it protects.
-                pass
+        self._out.append(record, sort_keys=True)
 
     def meta(self, argv: Sequence[str], command: str = "",
              name: str = "", total: int = 0,
@@ -103,13 +91,7 @@ class RunJournal:
         self._write({"record": kind, **fields})
 
     def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                try:
-                    self._fh.close()
-                except OSError:
-                    pass
-                self._fh = None
+        self._out.close()
 
 
 class JournalState:
@@ -178,26 +160,14 @@ def load_journal(path: pathlib.Path) -> JournalState:
     """
     state = JournalState(path)
     try:
-        text = pathlib.Path(path).read_text()
+        records, state.torn_lines = read_records(path, "journal")
     except OSError as exc:
         raise FileNotFoundError(f"cannot read journal {path}: {exc}")
     #: "sweep" notes seen in the current generation; task records fold
     #: under the ordinal of the most recent one (0 before any note, so
     #: hand-written journals without sweep notes still load).
     sweeps = 0
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            state.torn_lines += 1
-            warnings.warn(f"{path}:{lineno}: skipping torn journal line "
-                          f"({line[:40]!r}...)", stacklevel=2)
-            continue
-        if not isinstance(record, dict):
-            state.torn_lines += 1
-            continue
+    for record in records:
         kind = record.get("record")
         if kind == "meta":
             state.metas.append(record)
@@ -227,7 +197,7 @@ def activate(path: pathlib.Path) -> RunJournal:
 
 
 def current() -> Optional[RunJournal]:
-    """The active journal, or ``None`` (the scheduler's one-line check)."""
+    """The active journal, or ``None`` (what a ``Telemetry`` attaches)."""
     return _ACTIVE
 
 

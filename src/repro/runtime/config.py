@@ -38,8 +38,8 @@ Environment variables (all optional) seed the defaults:
                             Observation-only — never part of fingerprints
 ==========================  =====================================================
 
-The resilience plane (:mod:`repro.resilience`, DESIGN.md §15) reads its own
-variables rather than travelling through :class:`RuntimeConfig` — they
+The resilience plane (:mod:`repro.resilience`, DESIGN.md §15) has its own
+variables that do not travel through :class:`RuntimeConfig` — they
 describe crash-safety machinery, not sweep policy, and several must reach
 code that runs before or without a config:
 
@@ -64,6 +64,13 @@ code that runs before or without a config:
                             tolerated before the pool is torn down and
                             rebuilt to reclaim capacity (default 2)
 ==========================  =====================================================
+
+Every ``REPRO_*`` read — these, and the observation planes' own
+(``REPRO_METRICS_INTERVAL_PS``, ``REPRO_CHAOS_SEED``) — goes through the
+three accessors below (:func:`env_number`, :func:`env_flag`,
+:func:`env_text`), so there is one truthiness rule and one answer to a
+hostile value: :class:`ConfigError`, naming the variable, the value and
+the accepted range, which the CLI prints as a single line (exit 2).
 """
 
 from __future__ import annotations
@@ -74,12 +81,76 @@ import pathlib
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-_UNSET = object()
+
+class ConfigError(ValueError):
+    """A ``REPRO_*`` variable holds a value outside its accepted range."""
+
+
+_ANY = (lambda v: True, "")
+_NON_NEGATIVE = (lambda v: v >= 0, " >= 0")
+_POSITIVE = (lambda v: v > 0, " > 0")
+
+#: Every numeric knob: ``name -> (cast, default, (accepts, range text))``.
+#: Knobs whose readers clamp to a floor (heartbeat, deadline, recycle
+#: threshold, snapshot interval) accept any number here.
+_NUMBERS = {
+    "REPRO_PARALLEL": (int, 0, _NON_NEGATIVE),
+    "REPRO_RETRIES": (int, 2, _NON_NEGATIVE),
+    "REPRO_TASK_TIMEOUT": (float, None, _POSITIVE),
+    "REPRO_CACHE_MAX_BYTES": (int, 512 * 1024 * 1024, _NON_NEGATIVE),
+    "REPRO_CACHE_MAX_ENTRIES": (int, 4096, _NON_NEGATIVE),
+    "REPRO_SHARDS": (int, 0, _NON_NEGATIVE),
+    "REPRO_RECYCLE_AFTER": (int, 2, _ANY),
+    "REPRO_SHARD_HEARTBEAT": (float, 1.0, _ANY),
+    "REPRO_SHARD_DEADLINE": (float, 60.0, _ANY),
+    "REPRO_METRICS_INTERVAL_PS": (int, None, _ANY),
+    "REPRO_CHAOS_SEED": (int, None, _ANY),
+}
+
+
+def _raw(name: str, environ) -> Optional[str]:
+    return (os.environ if environ is None else environ).get(name)
+
+
+def env_number(name: str, environ=None):
+    """The numeric knob ``name``: its default when unset or empty, else the
+    parsed value — or :class:`ConfigError` if it does not parse or falls
+    outside the accepted range."""
+    cast, default, (accepts, range_text) = _NUMBERS[name]
+    raw = _raw(name, environ)
+    if raw is None or raw == "":
+        return default
+    try:
+        value = cast(raw)
+        if value != value or not accepts(value):  # NaN never compares
+            raise ValueError(raw)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(
+            f"{name}={raw!r}: expected {kind}{range_text}") from None
+    return value
+
+
+def env_flag(name: str, environ=None) -> bool:
+    """True when the on/off knob ``name`` is set to ``1`` or ``true``."""
+    return _raw(name, environ) in ("1", "true")
+
+
+def env_text(name: str, environ=None) -> Optional[str]:
+    """The path/text knob ``name``, or ``None`` when unset or empty."""
+    return _raw(name, environ) or None
+
+
+def check_env() -> None:
+    """Parse every numeric knob now, so a hostile value fails the CLI up
+    front rather than deep inside the first task that happens to read it."""
+    for name in _NUMBERS:
+        env_number(name)
 
 
 def default_cache_dir() -> pathlib.Path:
     """``$REPRO_CACHE_DIR``, else XDG cache home, else ``~/.cache``."""
-    env = os.environ.get("REPRO_CACHE_DIR")
+    env = env_text("REPRO_CACHE_DIR")
     if env:
         return pathlib.Path(env)
     xdg = os.environ.get("XDG_CACHE_HOME")
@@ -128,38 +199,35 @@ class RuntimeConfig:
 
     @classmethod
     def from_env(cls, environ=None) -> "RuntimeConfig":
-        env = os.environ if environ is None else environ
-
-        def _int(name, default):
-            try:
-                return int(env.get(name, default))
-            except (TypeError, ValueError):
-                return default
-
-        timeout = env.get("REPRO_TASK_TIMEOUT")
-        progress = env.get("REPRO_PROGRESS")
-        telemetry = env.get("REPRO_TELEMETRY")
+        cache_dir = env_text("REPRO_CACHE_DIR", environ)
+        telemetry = env_text("REPRO_TELEMETRY", environ)
         return cls(
-            parallel=_int("REPRO_PARALLEL", 0),
-            cache_enabled=env.get("REPRO_NO_CACHE", "") not in ("1", "true"),
-            cache_dir=(pathlib.Path(env["REPRO_CACHE_DIR"])
-                       if env.get("REPRO_CACHE_DIR") else None),
-            retries=_int("REPRO_RETRIES", 2),
-            task_timeout_s=float(timeout) if timeout else None,
+            parallel=env_number("REPRO_PARALLEL", environ),
+            cache_enabled=not env_flag("REPRO_NO_CACHE", environ),
+            cache_dir=pathlib.Path(cache_dir) if cache_dir else None,
+            retries=env_number("REPRO_RETRIES", environ),
+            task_timeout_s=env_number("REPRO_TASK_TIMEOUT", environ),
             telemetry_path=pathlib.Path(telemetry) if telemetry else None,
-            progress=(None if progress in (None, "")
-                      else progress in ("1", "true")),
-            max_cache_bytes=_int("REPRO_CACHE_MAX_BYTES", 512 * 1024 * 1024),
-            max_cache_entries=_int("REPRO_CACHE_MAX_ENTRIES", 4096),
-            audit=env.get("REPRO_AUDIT", "") in ("1", "true"),
-            profile=env.get("REPRO_PROFILE", "") in ("1", "true"),
-            metrics=env.get("REPRO_METRICS", "") in ("1", "true"),
-            shards=_int("REPRO_SHARDS", 0),
-            trace=bool(env.get("REPRO_TRACE")),
+            progress=(None if env_text("REPRO_PROGRESS", environ) is None
+                      else env_flag("REPRO_PROGRESS", environ)),
+            max_cache_bytes=env_number("REPRO_CACHE_MAX_BYTES", environ),
+            max_cache_entries=env_number("REPRO_CACHE_MAX_ENTRIES", environ),
+            audit=env_flag("REPRO_AUDIT", environ),
+            profile=env_flag("REPRO_PROFILE", environ),
+            metrics=env_flag("REPRO_METRICS", environ),
+            shards=env_number("REPRO_SHARDS", environ),
+            trace=env_text("REPRO_TRACE", environ) is not None,
         )
 
     def resolved_cache_dir(self) -> pathlib.Path:
         return self.cache_dir or default_cache_dir()
+
+    @property
+    def probes(self) -> tuple:
+        """Names of the observation planes (:mod:`repro.runtime.probes`)
+        the four switches above enable, in capture-entry order."""
+        return tuple(name for name in ("audit", "profile", "metrics", "trace")
+                     if getattr(self, name))
 
 
 _ACTIVE: Optional[RuntimeConfig] = None

@@ -24,20 +24,19 @@ serially inside its worker rather than forking a nested pool.
 from __future__ import annotations
 
 import concurrent.futures as futures
-import contextlib
 import multiprocessing
 import os
 import pickle
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.resilience import journal as run_journal
 from repro.resilience import selfchaos
 from repro.resilience import signals as shutdown
+from repro.runtime import probes
 from repro.runtime.cache import ResultCache
-from repro.runtime.config import RuntimeConfig, get_config
+from repro.runtime.config import RuntimeConfig, env_number, get_config
 from repro.runtime.task import SweepPlan, TaskSpec
 from repro.runtime.telemetry import Telemetry
 
@@ -62,10 +61,7 @@ _QUEUE_LAPS = 3
 
 def _recycle_after() -> int:
     """Abandoned-worker threshold that triggers a pool recycle."""
-    try:
-        return max(1, int(os.environ.get("REPRO_RECYCLE_AFTER", "2")))
-    except ValueError:
-        return 2
+    return max(1, env_number("REPRO_RECYCLE_AFTER"))
 
 
 @dataclass
@@ -83,20 +79,11 @@ class TaskResult:
     #: than failing on its own; ``error`` names the signal.  Interrupted
     #: tasks re-execute on resume.
     interrupted: bool = False
-    #: Per-task audit summary dict when the run executed under
-    #: ``RuntimeConfig.audit``; ``None`` for unaudited or cache-served tasks.
-    audit: Optional[dict] = None
-    #: Per-task profile summary dict when the run executed under
-    #: ``RuntimeConfig.profile``; ``None`` for unprofiled or cached tasks.
-    profile: Optional[dict] = None
-    #: Per-task metrics summary dict when the run executed under
-    #: ``RuntimeConfig.metrics``; ``None`` for unmetered or cached tasks.
-    metrics: Optional[dict] = None
-    #: Per-task trace report when a tracer was active: the executing
-    #: process's pid, run window (absolute ``time.monotonic`` seconds), and
-    #: its bounded record buffer, stitched into the parent tracer by the
-    #: telemetry recorder.  ``None`` when tracing is off or cache-served.
-    trace: Optional[dict] = None
+    #: ``{probe name: payload}`` for every observation plane the task
+    #: executed under (:mod:`repro.runtime.probes` — the ``RuntimeConfig``
+    #: ``audit``/``profile``/``metrics``/``trace`` switches); empty for an
+    #: unobserved or cache-served task.
+    probes: Dict[str, dict] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -113,17 +100,14 @@ class SweepError(RuntimeError):
         super().__init__(f"{len(self.failures)} sweep task(s) failed: {detail}")
 
 
-def _call(spec: TaskSpec, audit_enabled: bool = False,
-          profile_enabled: bool = False, metrics_enabled: bool = False,
-          trace_enabled: bool = False, token=None) -> tuple:
+def _call(spec: TaskSpec, names: Tuple[str, ...] = (), token=None) -> tuple:
     """Worker entry point (module-level so it pickles).
 
-    Returns ``(value, audit_summary, profile_summary, metrics_summary,
-    trace_report)``; each is ``None`` unless the task ran under the
-    matching ``RuntimeConfig`` knob.  Capturing happens *here*, in
-    whichever process executes the task, so parallel workers
-    audit/profile/meter/trace their own simulations and ship plain-dict
-    results back.
+    Returns ``(value, {probe name: payload})`` for the probes in ``names``
+    (:func:`repro.runtime.probes.enabled`).  Capturing happens *here*, in
+    whichever process executes the task, so parallel workers observe their
+    own simulations and ship plain-dict payloads back; with no probe
+    enabled the task is a bare ``spec.call()``.
     """
     if _STARTED_Q is not None and token is not None:
         try:
@@ -133,35 +117,11 @@ def _call(spec: TaskSpec, audit_enabled: bool = False,
     if _IN_POOL_WORKER and selfchaos.armed() \
             and selfchaos.fire("task:kill", label=spec.label):
         selfchaos.kill_self()
-    if not (audit_enabled or profile_enabled or metrics_enabled
-            or trace_enabled):
-        return spec.call(), None, None, None, None
-    cap = session = ocap = tcol = None
-    t0 = 0.0
-    with contextlib.ExitStack() as stack:
-        if audit_enabled:
-            from repro import audit
-            cap = stack.enter_context(audit.capture())
-        if profile_enabled:
-            from repro.perf import profile as perf_profile
-            session = stack.enter_context(perf_profile.profiled())
-        if metrics_enabled:
-            from repro import obs
-            ocap = stack.enter_context(obs.capture())
-        if trace_enabled:
-            from repro.obs import trace as obs_trace
-            tcol = stack.enter_context(obs_trace.collect())
-            t0 = time.monotonic()
+    if not names:
+        return spec.call(), {}
+    with probes.capture(names) as handles:
         value = spec.call()
-    trace_report = None
-    if tcol is not None:
-        trace_report = {"pid": os.getpid(), "t0": t0,
-                        "t1": time.monotonic(), "trace": tcol.blob}
-    return (value,
-            cap.summary if cap is not None else None,
-            session.report.as_dict() if session is not None else None,
-            ocap.summary if ocap is not None else None,
-            trace_report)
+    return value, {name: handle.payload for name, handle in handles.items()}
 
 
 def _worker_init(started_q=None) -> None:
@@ -181,27 +141,6 @@ def _worker_init(started_q=None) -> None:
     os.environ.pop("REPRO_TRACE", None)
     os.environ.pop("REPRO_JOURNAL", None)
     _config.configure(parallel=0, progress=False)
-
-
-def _bank_audit(label: str, summary: Optional[dict]) -> None:
-    """Feed a task's audit verdict to the session aggregate (CLI report)."""
-    if summary is not None:
-        from repro import audit
-        audit.record_task_summary(label, summary)
-
-
-def _bank_profile(label: str, summary: Optional[dict]) -> None:
-    """Feed a task's profile summary to the session aggregate (CLI report)."""
-    if summary is not None:
-        from repro.perf import profile as perf_profile
-        perf_profile.record_task_summary(label, summary)
-
-
-def _bank_metrics(label: str, summary: Optional[dict]) -> None:
-    """Feed a task's metrics summary to the session aggregate (CLI report)."""
-    if summary is not None:
-        from repro import obs
-        obs.record_task_summary(label, summary)
 
 
 def _is_pickling_error(exc: BaseException) -> bool:
@@ -227,44 +166,35 @@ def run_tasks(
     tel = telemetry or Telemetry(name, len(specs),
                                  jsonl_path=config.telemetry_path,
                                  progress=config.progress)
-    from repro.obs import trace as obs_trace
-    trace_on = config.trace or obs_trace.emit_target() is not None
+    names = probes.enabled(config)
 
     cache = None
     if config.cache_enabled:
         cache = ResultCache(config.resolved_cache_dir(),
                             config.max_cache_bytes, config.max_cache_entries)
 
-    jr = run_journal.current()
-    if jr is not None:
-        jr.note("sweep", name=name, total=len(specs))
-
     results: List[Optional[TaskResult]] = [None] * len(specs)
     keys: Dict[int, str] = {}
     pending: List[int] = []
     for i, spec in enumerate(specs):
-        tel.task_queued(i, spec.label)
         if cache is not None:
             keys[i] = cache.key_for(spec)
+        tel.task_queued(i, spec.label, keys.get(i))
+        if cache is not None:
             hit, value = cache.get(keys[i])
             if hit:
                 results[i] = TaskResult(i, spec.label, value=value,
                                         cached=True)
                 tel.cache_hit(i, spec.label)
-                if jr is not None:
-                    jr.task(i, "done", spec.label, key=keys[i], cached=True)
                 continue
             tel.cache_miss(i, spec.label)
-        if jr is not None:
-            jr.task(i, "queued", spec.label, key=keys.get(i))
         pending.append(i)
 
     if pending and config.parallel >= 2 and not shutdown.shutdown_requested():
         pending = _run_pool(specs, pending, results, config, tel, cache,
-                            keys, trace_on)
+                            keys, names)
     if pending:
-        _run_serial(specs, pending, results, config, tel, cache, keys,
-                    trace_on)
+        _run_serial(specs, pending, results, config, tel, cache, keys, names)
 
     # A drain may leave tasks unexecuted (cancelled, deferred, or never
     # reached).  Every index still gets a real TaskResult so callers that
@@ -285,20 +215,46 @@ def _mark_interrupted(results, index: int, label: str, signame: str,
                                 error=f"interrupted ({signame})",
                                 interrupted=True, attempts=attempts)
     tel.task_interrupted(index, label, signame)
-    jr = run_journal.current()
-    if jr is not None:
-        jr.task(index, "interrupted", label, signal=signame)
 
 
-def _store(cache: Optional[ResultCache], keys: Dict[int, str], index: int,
-           spec: TaskSpec, value: Any, wall_s: float) -> None:
+def _complete(results, tel: Telemetry, cache: Optional[ResultCache],
+              keys: Dict[int, str], index: int, spec: TaskSpec, value: Any,
+              payloads: Dict[str, dict], attempts: int,
+              wall_s: float) -> None:
+    """A task executed to completion: bank its result, cache entry and
+    lifecycle event — then the parent-side self-chaos triggers, which count
+    completed tasks."""
+    results[index] = TaskResult(index, spec.label, value=value,
+                                attempts=attempts, wall_s=wall_s,
+                                probes=payloads)
     if cache is not None:
         cache.put(keys[index], value, task=spec.identity, elapsed_s=wall_s)
+    tel.task_done(index, spec.label, wall_s, payloads)
+    if selfchaos.armed():
+        if selfchaos.fire("parent:kill", count=tel.counts["done"]):
+            selfchaos.kill_self()
+        if selfchaos.fire("parent:int", count=tel.counts["done"]):
+            selfchaos.interrupt_self()
+
+
+def _retry_or_fail(results, tel: Telemetry, config: RuntimeConfig, index: int,
+                   spec: TaskSpec, attempts: int, error: str,
+                   wall_s: float) -> Optional[float]:
+    """An attempt raised (or timed out): the backoff in seconds if the
+    retry budget grants another, else ``None`` with the failure recorded."""
+    if attempts <= config.retries and not shutdown.shutdown_requested():
+        tel.task_retry(index, spec.label, attempts, error)
+        backoff = config.backoff_s * (2 ** (attempts - 1))
+        tel.task_deferred(index, spec.label, backoff)
+        return backoff
+    results[index] = TaskResult(index, spec.label, error=error,
+                                attempts=attempts, wall_s=wall_s)
+    tel.task_failed(index, spec.label, error, attempts)
+    return None
 
 
 def _run_serial(specs, indices, results, config, tel, cache, keys,
-                trace_on: bool = False) -> None:
-    jr = run_journal.current()
+                names: Tuple[str, ...] = ()) -> None:
     for i in indices:
         spec = specs[i]
         signame = shutdown.shutdown_requested()
@@ -309,52 +265,20 @@ def _run_serial(specs, indices, results, config, tel, cache, keys,
         while True:
             attempts += 1
             tel.task_started(i, spec.label, attempts)
-            if jr is not None:
-                jr.task(i, "running", spec.label, attempt=attempts)
             start = time.monotonic()
             try:
-                (value, audit_summary, profile_summary, metrics_summary,
-                 trace_report) = _call(spec, config.audit, config.profile,
-                                       config.metrics, trace_on)
+                value, payloads = _call(spec, names)
             except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                if attempts <= config.retries \
-                        and not shutdown.shutdown_requested():
-                    tel.task_retry(i, spec.label, attempts, error)
-                    backoff = config.backoff_s * (2 ** (attempts - 1))
-                    tel.task_deferred(i, spec.label, backoff)
-                    time.sleep(backoff)
-                    tel.task_resubmitted(i, spec.label, attempts + 1)
-                    continue
-                results[i] = TaskResult(i, spec.label, error=error,
-                                        attempts=attempts,
-                                        wall_s=time.monotonic() - start)
-                tel.task_failed(i, spec.label, error, attempts)
-                if jr is not None:
-                    jr.task(i, "failed", spec.label, error=error,
-                            attempts=attempts)
-                break
-            wall = time.monotonic() - start
-            results[i] = TaskResult(i, spec.label, value=value,
-                                    attempts=attempts, wall_s=wall,
-                                    audit=audit_summary,
-                                    profile=profile_summary,
-                                    metrics=metrics_summary,
-                                    trace=trace_report)
-            _bank_audit(spec.label, audit_summary)
-            _bank_profile(spec.label, profile_summary)
-            _bank_metrics(spec.label, metrics_summary)
-            tel.task_trace(i, trace_report)
-            _store(cache, keys, i, spec, value, wall)
-            tel.task_done(i, spec.label, wall)
-            if jr is not None:
-                jr.task(i, "done", spec.label, key=keys.get(i),
-                        wall_s=round(wall, 6), cached=False)
-            if selfchaos.armed():
-                if selfchaos.fire("parent:kill", count=tel.counts["done"]):
-                    selfchaos.kill_self()
-                if selfchaos.fire("parent:int", count=tel.counts["done"]):
-                    selfchaos.interrupt_self()
+                backoff = _retry_or_fail(
+                    results, tel, config, i, spec, attempts,
+                    f"{type(exc).__name__}: {exc}", time.monotonic() - start)
+                if backoff is None:
+                    break
+                time.sleep(backoff)
+                tel.task_resubmitted(i, spec.label, attempts + 1)
+                continue
+            _complete(results, tel, cache, keys, i, spec, value, payloads,
+                      attempts, time.monotonic() - start)
             break
 
 
@@ -380,7 +304,7 @@ def _kill_pool(pool) -> int:
 
 
 def _run_pool(specs, indices, results, config, tel, cache, keys,
-              trace_on: bool = False) -> List[int]:
+              names: Tuple[str, ...] = ()) -> List[int]:
     """Run ``indices`` on a process pool; returns indices left for serial."""
     try:
         started_q = multiprocessing.SimpleQueue()
@@ -391,7 +315,6 @@ def _run_pool(specs, indices, results, config, tel, cache, keys,
         tel.degraded(f"cannot start process pool: {exc}")
         return indices
 
-    jr = run_journal.current()
     attempts = {i: 0 for i in indices}
     inflight: Dict[futures.Future, tuple] = {}  # future -> (index, t_submit)
     #: index -> monotonic deadline for a backoff-deferred resubmission.
@@ -427,31 +350,26 @@ def _run_pool(specs, indices, results, config, tel, cache, keys,
 
     drain_deadline: Optional[float] = None
 
+    def dispatch(i: int) -> None:
+        """Hand task ``i`` to the pool under its current attempt number,
+        with a fresh submission clock."""
+        fut = pool.submit(_call, specs[i], names, (i, attempts[i]))
+        inflight[fut] = (i, time.monotonic())
+
     def submit(i: int) -> None:
         attempts[i] += 1
         tel.task_started(i, specs[i].label, attempts[i])
-        if jr is not None:
-            jr.task(i, "running", specs[i].label, attempt=attempts[i])
-        fut = pool.submit(_call, specs[i], config.audit, config.profile,
-                          config.metrics, trace_on,
-                          token=(i, attempts[i]))
-        inflight[fut] = (i, time.monotonic())
+        dispatch(i)
 
-    def record_failure(i: int, error: str, wall_s: float = 0.0,
-                       retryable: bool = True) -> None:
-        if retryable and attempts[i] <= config.retries \
-                and not shutdown.shutdown_requested():
-            tel.task_retry(i, specs[i].label, attempts[i], error)
-            backoff = config.backoff_s * (2 ** (attempts[i] - 1))
+    def interrupt(i: int, signame: str) -> None:
+        _mark_interrupted(results, i, specs[i].label, signame, tel,
+                          attempts=attempts[i])
+
+    def record_failure(i: int, error: str, wall_s: float = 0.0) -> None:
+        backoff = _retry_or_fail(results, tel, config, i, specs[i],
+                                 attempts[i], error, wall_s)
+        if backoff is not None:
             deferred[i] = time.monotonic() + backoff
-            tel.task_deferred(i, specs[i].label, backoff)
-        else:
-            results[i] = TaskResult(i, specs[i].label, error=error,
-                                    attempts=attempts[i], wall_s=wall_s)
-            tel.task_failed(i, specs[i].label, error, attempts[i])
-            if jr is not None:
-                jr.task(i, "failed", specs[i].label, error=error,
-                        attempts=attempts[i])
 
     try:
         for i in indices:
@@ -464,14 +382,11 @@ def _run_pool(specs, indices, results, config, tel, cache, keys,
                 # results, then abandon the stragglers.
                 for i in list(deferred):
                     del deferred[i]
-                    _mark_interrupted(results, i, specs[i].label, signame,
-                                      tel, attempts=attempts[i])
+                    interrupt(i, signame)
                 for fut, (i, _t) in list(inflight.items()):
                     if fut.cancel():
                         inflight.pop(fut)
-                        _mark_interrupted(results, i, specs[i].label,
-                                          signame, tel,
-                                          attempts=attempts[i])
+                        interrupt(i, signame)
                 if drain_deadline is None:
                     drain_deadline = time.monotonic() + shutdown.DRAIN_GRACE_S
                 elif inflight and time.monotonic() > drain_deadline:
@@ -485,9 +400,7 @@ def _run_pool(specs, indices, results, config, tel, cache, keys,
                             # interpreter's atexit join.
                             abandoned += 1
                         inflight.pop(fut)
-                        _mark_interrupted(results, i, specs[i].label,
-                                          signame, tel,
-                                          attempts=attempts[i])
+                        interrupt(i, signame)
                 if not inflight:
                     break
             wait_s = 0.1
@@ -523,11 +436,7 @@ def _run_pool(specs, indices, results, config, tel, cache, keys,
                         queue_laps[i] = queue_laps.get(i, 0) + 1
                         if fut.cancel():
                             inflight.pop(fut)
-                            nfut = pool.submit(_call, specs[i], config.audit,
-                                               config.profile, config.metrics,
-                                               trace_on,
-                                               token=(i, attempts[i]))
-                            inflight[nfut] = (i, time.monotonic())
+                            dispatch(i)
                         else:
                             # Still parked in the call queue: restart its
                             # clock so each lap costs a full timeout, not
@@ -576,18 +485,13 @@ def _run_pool(specs, indices, results, config, tel, cache, keys,
                         # Same attempt, fresh submission clock: the task
                         # never ran on the dead pool, it just moves to the
                         # new queue, so its timeout budget starts over.
-                        fut = pool.submit(_call, specs[i], config.audit,
-                                          config.profile, config.metrics,
-                                          trace_on,
-                                          token=(i, attempts[i]))
-                        inflight[fut] = (i, time.monotonic())
+                        dispatch(i)
             for fut in done:
                 if fut not in inflight:
                     continue
                 i, t_submit = inflight.pop(fut)
                 try:
-                    (value, audit_summary, profile_summary,
-                     metrics_summary, trace_report) = fut.result()
+                    value, payloads = fut.result()
                 except BrokenProcessPool as exc:
                     tel.degraded(f"worker pool broke: {exc}")
                     leftovers = [j for j in attempts if results[j] is None]
@@ -607,29 +511,8 @@ def _run_pool(specs, indices, results, config, tel, cache, keys,
                     else:
                         record_failure(i, error, wall_s=now - t_submit)
                     continue
-                wall = now - t_submit
-                results[i] = TaskResult(i, specs[i].label, value=value,
-                                        attempts=attempts[i], wall_s=wall,
-                                        audit=audit_summary,
-                                        profile=profile_summary,
-                                        metrics=metrics_summary,
-                                        trace=trace_report)
-                _bank_audit(specs[i].label, audit_summary)
-                _bank_profile(specs[i].label, profile_summary)
-                _bank_metrics(specs[i].label, metrics_summary)
-                tel.task_trace(i, trace_report)
-                _store(cache, keys, i, specs[i], value, wall)
-                tel.task_done(i, specs[i].label, wall)
-                if jr is not None:
-                    jr.task(i, "done", specs[i].label, key=keys.get(i),
-                            wall_s=round(wall, 6), cached=False)
-                if selfchaos.armed():
-                    if selfchaos.fire("parent:kill",
-                                      count=tel.counts["done"]):
-                        selfchaos.kill_self()
-                    if selfchaos.fire("parent:int",
-                                      count=tel.counts["done"]):
-                        selfchaos.interrupt_self()
+                _complete(results, tel, cache, keys, i, specs[i], value,
+                          payloads, attempts[i], now - t_submit)
     finally:
         if abandoned:
             # Loop ended with workers still grinding on abandoned results;

@@ -10,22 +10,27 @@ enabled only on a tty (or when forced), so pytest/CI logs stay clean.  The
 one-line summary at the end — task counts, failures, cache hit rate, wall
 time — prints whenever the ticker is enabled.
 
-Telemetry is also the single funnel feeding the runtime layer of
-``repro.obs.trace``: when a tracer is active, every state change forwards
-to a :class:`~repro.obs.trace.TaskRecorder`, which turns it into task /
-attempt / worker-lane spans.  With tracing off the forwarding is one
-``is None`` check per event.
+Telemetry is the single lifecycle funnel: the scheduler reports each task
+transition here once, and it fans out to three sinks — the JSONL log
+above; the runtime layer of ``repro.obs.trace`` (when a tracer is active,
+a :class:`~repro.obs.trace.TaskRecorder` turns every state change into
+task / attempt / worker-lane spans); and the crash-safe run journal
+(:mod:`repro.resilience.journal`, when one is active: the
+queued/running/done/failed/interrupted records ``repro resume`` folds).
+With a sink off its forwarding is one ``is None`` check per event.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import sys
 import threading
 import time
-import warnings
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from repro.resilience import journal as run_journal
+from repro.resilience.jsonl import JsonlAppender, read_records
+from repro.runtime import probes
 
 
 class Telemetry:
@@ -38,10 +43,13 @@ class Telemetry:
         jsonl_path: Optional[pathlib.Path] = None,
         progress: Optional[bool] = None,
         stream=None,
+        journal: Optional[run_journal.RunJournal] = None,
     ):
         self.sweep = sweep
         self.total = total
         self.jsonl_path = pathlib.Path(jsonl_path) if jsonl_path else None
+        self._jsonl = JsonlAppender(self.jsonl_path) \
+            if self.jsonl_path else None
         self.stream = stream if stream is not None else sys.stderr
         if progress is None:
             progress = bool(getattr(self.stream, "isatty", lambda: False)())
@@ -56,100 +64,116 @@ class Telemetry:
             "interrupted": 0, "recycles": 0,
         }
         self.task_wall_s: dict = {}
-        from repro.obs.trace import TaskRecorder  # dep-free module
+        from repro.obs.trace import TaskRecorder
         self.recorder = TaskRecorder.maybe(sweep)
+        #: The run journal (explicit, else the process's active one).  One
+        #: Telemetry is one ``run_tasks`` batch, so it opens with the
+        #: ``sweep`` note that keeps a campaign's sweeps apart on replay.
+        self.journal = journal if journal is not None \
+            else run_journal.current()
+        #: index -> result-cache key, as journaled with ``queued``/``done``.
+        self._keys: Dict[int, Optional[str]] = {}
+        if self.journal is not None:
+            self.journal.note("sweep", name=sweep, total=total)
 
     # -- event plumbing -----------------------------------------------------
 
     def emit(self, event: str, **fields) -> None:
-        if self.jsonl_path is not None:
-            record = {"t": round(time.time(), 6), "sweep": self.sweep,
-                      "event": event, **fields}
-            with self._lock:
-                self.jsonl_path.parent.mkdir(parents=True, exist_ok=True)
-                with self.jsonl_path.open("a") as fh:
-                    fh.write(json.dumps(record, default=str) + "\n")
+        if self._jsonl is not None:
+            self._jsonl.append({"t": round(time.time(), 6),
+                                "sweep": self.sweep, "event": event,
+                                **fields})
 
-    def task_queued(self, index: int, label: str) -> None:
+    def _task(self, event: str, index: int, label: str, *bump: str,
+              settles: bool = False, state: Optional[str] = None,
+              journal: Optional[dict] = None, **fields) -> None:
+        """One task transition into the counters (``bump``; ``settles`` =
+        the task left the running set), the JSONL log, and — when it is
+        one of the journaled ``state``s — the run journal, which records
+        the same ``fields`` unless given its own."""
         with self._lock:
-            self.counts["queued"] += 1
-        self.emit("task_queued", index=index, label=label)
+            if settles:
+                self.counts["running"] = max(0, self.counts["running"] - 1)
+            for name in bump:
+                self.counts[name] += 1
+        self.emit(event, index=index, label=label, **fields)
+        if state is not None and self.journal is not None:
+            self.journal.task(index, state, label,
+                              **(fields if journal is None else journal))
+
+    def task_queued(self, index: int, label: str,
+                    key: Optional[str] = None) -> None:
+        """A task entered the sweep; ``key`` is its result-cache key (when
+        caching is on), journaled so a resume can find its result."""
+        self._keys[index] = key
+        self._task("task_queued", index, label, "queued",
+                   state="queued", journal={"key": key})
         if self.recorder is not None:
             self.recorder.queued(index, label)
 
     def task_started(self, index: int, label: str, attempt: int) -> None:
-        with self._lock:
-            self.counts["running"] += 1
-        self.emit("task_started", index=index, label=label, attempt=attempt)
+        self._task("task_started", index, label, "running",
+                   state="running", attempt=attempt)
         if self.recorder is not None:
             self.recorder.started(index, label, attempt)
         self.tick()
 
     def task_done(self, index: int, label: str, wall_s: float,
-                  cached: bool = False) -> None:
-        with self._lock:
-            self.counts["running"] = max(0, self.counts["running"] - 1)
-            self.counts["done"] += 1
-            self.task_wall_s[index] = wall_s
-        self.emit("task_done", index=index, label=label,
-                  wall_s=round(wall_s, 6), cached=cached)
+                  payloads: Optional[Dict[str, dict]] = None) -> None:
+        """A task executed to completion; ``payloads`` is what the probes
+        it ran under observed (``{name: payload}``), credited to the open
+        :mod:`~repro.runtime.probes` session — and, for the trace, handed
+        to the recorder to stitch under this task's span."""
+        self.task_wall_s[index] = wall_s
+        wall = round(wall_s, 6)
+        self._task("task_done", index, label, "done", settles=True,
+                   state="done", wall_s=wall, cached=False,
+                   journal={"key": self._keys.get(index), "wall_s": wall,
+                            "cached": False})
+        if payloads:
+            probes.bank(label, payloads)
         if self.recorder is not None:
-            self.recorder.done(index, label, cached=cached)
+            if payloads:
+                self.recorder.task_blob(index, payloads.get("trace"))
+            self.recorder.done(index, label)
         self.tick()
 
     def task_failed(self, index: int, label: str, error: str,
                     attempts: int) -> None:
-        with self._lock:
-            self.counts["running"] = max(0, self.counts["running"] - 1)
-            self.counts["failed"] += 1
-        self.emit("task_failed", index=index, label=label,
-                  error=error, attempts=attempts)
+        self._task("task_failed", index, label, "failed", settles=True,
+                   state="failed", error=error, attempts=attempts)
         if self.recorder is not None:
             self.recorder.failed(index, label, error, attempts)
         self.tick()
 
     def task_retry(self, index: int, label: str, attempt: int,
                    error: str) -> None:
-        with self._lock:
-            self.counts["running"] = max(0, self.counts["running"] - 1)
-            self.counts["retries"] += 1
-        self.emit("task_retry", index=index, label=label,
-                  attempt=attempt, error=error)
+        self._task("task_retry", index, label, "retries", settles=True,
+                   attempt=attempt, error=error)
         if self.recorder is not None:
             self.recorder.retry(index, label, attempt, error)
 
     def task_deferred(self, index: int, label: str, backoff_s: float) -> None:
         """A retry parked for ``backoff_s`` before resubmission."""
-        with self._lock:
-            self.counts["deferred"] += 1
-        self.emit("task_deferred", index=index, label=label,
-                  backoff_s=round(backoff_s, 6),
-                  due_t=round(time.time() + backoff_s, 6))
+        self._task("task_deferred", index, label, "deferred",
+                   backoff_s=round(backoff_s, 6),
+                   due_t=round(time.time() + backoff_s, 6))
         if self.recorder is not None:
             self.recorder.deferred(index, label, backoff_s)
 
     def task_resubmitted(self, index: int, label: str, attempt: int) -> None:
         """A backoff-deferred task re-entering the pool/serial loop."""
-        with self._lock:
-            self.counts["resubmitted"] += 1
-        self.emit("task_resubmitted", index=index, label=label,
-                  attempt=attempt)
+        self._task("task_resubmitted", index, label, "resubmitted",
+                   attempt=attempt)
         if self.recorder is not None:
             self.recorder.resubmitted(index, label, attempt)
-
-    def task_trace(self, index: int, blob: Optional[dict]) -> None:
-        """Bank the executing process's trace report (no counter/JSONL)."""
-        if self.recorder is not None and blob is not None:
-            self.recorder.task_blob(index, blob)
 
     def task_interrupted(self, index: int, label: str,
                          signame: str = "SIGINT") -> None:
         """A task cut short by a graceful-shutdown drain (never ran, or
         its in-flight result was abandoned)."""
-        with self._lock:
-            self.counts["interrupted"] += 1
-        self.emit("task_interrupted", index=index, label=label,
-                  signal=signame)
+        self._task("task_interrupted", index, label, "interrupted",
+                   state="interrupted", signal=signame)
         if self.recorder is not None:
             self.recorder.interrupted(index, label, signame)
         self.tick()
@@ -164,18 +188,15 @@ class Telemetry:
                         f"({abandoned} abandoned, {killed} killed)\n")
 
     def cache_hit(self, index: int, label: str) -> None:
-        with self._lock:
-            self.counts["cache_hits"] += 1
-            self.counts["done"] += 1
-        self.emit("cache_hit", index=index, label=label)
+        self._task("cache_hit", index, label, "cache_hits", "done",
+                   state="done",
+                   journal={"key": self._keys.get(index), "cached": True})
         if self.recorder is not None:
             self.recorder.done(index, label, cached=True)
         self.tick()
 
     def cache_miss(self, index: int, label: str) -> None:
-        with self._lock:
-            self.counts["cache_misses"] += 1
-        self.emit("cache_miss", index=index, label=label)
+        self._task("cache_miss", index, label, "cache_misses")
 
     def degraded(self, reason: str) -> None:
         self.emit("degraded_to_serial", reason=reason)
@@ -220,6 +241,8 @@ class Telemetry:
         summary = self.summary()
         self.emit("sweep_done", **{k: v for k, v in summary.items()
                                    if k != "sweep"})
+        if self._jsonl is not None:
+            self._jsonl.close()
         if self.progress:
             c = self.counts
             rate = self.hit_rate()
@@ -246,21 +269,4 @@ def read_events(path: pathlib.Path) -> Tuple[List[dict], int]:
     and warns once per skipped line — a torn line is information
     (*something* died here), not an error.
     """
-    events: List[dict] = []
-    torn = 0
-    text = pathlib.Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            torn += 1
-            warnings.warn(f"{path}:{lineno}: skipping torn telemetry line "
-                          f"({line[:40]!r}...)", stacklevel=2)
-            continue
-        if isinstance(record, dict):
-            events.append(record)
-        else:
-            torn += 1
-    return events, torn
+    return read_records(path, "telemetry")

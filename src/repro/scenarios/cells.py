@@ -58,7 +58,7 @@ def _attach_chaos(sim: Simulator, net, chaos_plan: Optional[dict]):
         return None
     from repro.chaos import ChaosController, FaultPlan
 
-    if getattr(sim, "chaos", None) is not None:
+    if sim.chaos is not None:
         raise RuntimeError(
             "scenario cells build their own fault plan; unset REPRO_CHAOS "
             "to run a spec with a chaos section")
@@ -147,7 +147,7 @@ def _persistent_cell_builder(sim: Simulator, *, protocol: str, n_flows: int,
     horizon_ps = warmup_ps + measure_ps
     n_bins = horizon_ps // bin_ps
     totals: List[int] = []
-    shard = getattr(sim, "shard", None)
+    shard = sim.shard
 
     def _sample() -> None:
         # Ownership is applied after the builder returns but before any

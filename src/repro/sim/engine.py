@@ -136,6 +136,10 @@ class Simulator:
         #: switches (blackhole accounting) and the auditor (injected-drop
         #: budgets).
         self.chaos = None
+        #: Optional :class:`repro.sim.parallel.ShardContext`: set (before
+        #: the builder runs, so ``Flow.__init__`` can self-register
+        #: replicas) when this simulator is one shard of a sharded run.
+        self.shard = None
         #: Optional :class:`repro.obs.trace.Tracer` bound at construction
         #: (the ambient tracer or a worker capture buffer, if any): each
         #: ``run()`` call then emits one sim-clock ``engine.run`` span.

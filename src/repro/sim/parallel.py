@@ -59,6 +59,7 @@ Known v1 limitations (checked or warned, never silent):
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import multiprocessing
 import os
@@ -80,10 +81,8 @@ from repro.sim.units import tx_time_ps
 
 def _shard_heartbeat_s() -> float:
     """Worker heartbeat period (``REPRO_SHARD_HEARTBEAT`` seconds)."""
-    try:
-        return max(0.05, float(os.environ.get("REPRO_SHARD_HEARTBEAT", "1")))
-    except ValueError:
-        return 1.0
+    from repro.runtime.config import env_number
+    return max(0.05, env_number("REPRO_SHARD_HEARTBEAT"))
 
 
 def _shard_deadline_s() -> float:
@@ -93,10 +92,8 @@ def _shard_deadline_s() -> float:
     window may compute for minutes without tripping it — only a worker
     whose heartbeat thread has gone silent is declared hung.
     """
-    try:
-        return max(0.5, float(os.environ.get("REPRO_SHARD_DEADLINE", "60")))
-    except ValueError:
-        return 60.0
+    from repro.runtime.config import env_number
+    return max(0.5, env_number("REPRO_SHARD_DEADLINE"))
 
 __all__ = [
     "ShardContext",
@@ -123,12 +120,6 @@ class ShardSimulator(Simulator):
     invisible to them; key tuples are always unique, so entry comparisons
     never fall through to the (incomparable) events.
     """
-
-    def __init__(self, seed: int = 0):
-        #: The worker's :class:`ShardContext`; set before the builder runs
-        #: so ``Flow.__init__`` can self-register replicas.
-        self.shard: Optional["ShardContext"] = None
-        super().__init__(seed=seed)
 
     # Each override mirrors its base verbatim except for the pushed key —
     # the engine inlines Event construction for speed, and so do we.
@@ -490,7 +481,7 @@ def _rng_report(sim: Simulator) -> Tuple[Dict[str, str], Dict[str, bool]]:
 
 
 def _shard_worker(conn, builder, kwargs, shard_id, n_shards, seed,
-                  audit_on, metrics_on, trace_on, collect, probe) -> None:
+                  planes, collect, probe) -> None:
     # One lock serialises every message on the pipe: the heartbeat thread
     # must never interleave bytes into the middle of a protocol reply.
     send_lock = threading.Lock()
@@ -512,8 +503,7 @@ def _shard_worker(conn, builder, kwargs, shard_id, n_shards, seed,
     hb.start()
     try:
         _shard_worker_loop(send, conn, builder, kwargs, shard_id, n_shards,
-                           seed, audit_on, metrics_on, trace_on,
-                           collect, probe, stop_hb)
+                           seed, planes, collect, probe, stop_hb)
     except BaseException:
         try:
             send(("error", traceback.format_exc()))
@@ -525,37 +515,35 @@ def _shard_worker(conn, builder, kwargs, shard_id, n_shards, seed,
 
 
 def _shard_worker_loop(send, conn, builder, kwargs, shard_id, n_shards, seed,
-                       audit_on, metrics_on, trace_on, collect, probe,
-                       stop_hb) -> None:
-    from repro import audit as audit_mod
-    from repro import obs as obs_mod
+                       planes, collect, probe, stop_hb) -> None:
+    from repro.obs import trace as trace_mod
+    from repro.runtime import probes
 
     # The worker ships its spans back on the collect reply; it must never
     # lazily activate an ambient tracer of its own (which would race the
     # parent for the REPRO_TRACE output file at exit).
     os.environ.pop("REPRO_TRACE", None)
-    tracer = None
-    if trace_on:
-        from repro.obs import trace as trace_mod
-        # Explicit, non-ambient: the per-window ``sim.run`` calls below
-        # would otherwise each emit an ``engine.run`` span; the "window"
-        # spans carry that information with their counters instead.
-        tracer = trace_mod.Tracer(max_records=trace_mod.WORKER_MAX_RECORDS)
-
-    audit_marker = audit_mod.begin_capture() if audit_on else None
-    obs_marker = obs_mod.begin_capture() if metrics_on else None
+    # One capture per plane the coordinator found active, open for the
+    # worker's whole life; closing the stack at ``collect`` yields the
+    # payloads.  The tracer is the trace capture's buffer, if there is one.
+    captures = contextlib.ExitStack()
+    handles = captures.enter_context(probes.capture(planes))
+    tracer = trace_mod.emit_target()
 
     build_t0 = tracer.now_us() if tracer is not None else 0.0
     sim = ShardSimulator(seed=seed)
+    # The per-window ``sim.run`` calls below would otherwise each emit an
+    # ``engine.run`` span; the "window" spans carry that information with
+    # their counters instead.
+    sim.obs_trace = None
     ctx = ShardContext(sim, shard_id)
     built = builder(sim, **(kwargs or {}))
     ctx.built = built
     ctx.net, topo_hint = _find_net(built)
     ctx.owner = partition_nodes(ctx.net, n_shards, topo=topo_hint)
     n_effective = max(ctx.owner.values()) + 1
-    auditor = getattr(sim, "auditor", None)
-    if auditor is not None and n_effective > 1:
-        auditor.defer_flow_checks = True
+    if sim.auditor is not None and n_effective > 1:
+        sim.auditor.defer_flow_checks = True
     lookahead = cut_lookahead_ps(ctx.net, ctx.owner)
     _apply_ownership(ctx)
     if tracer is not None:
@@ -615,8 +603,11 @@ def _shard_worker_loop(send, conn, builder, kwargs, shard_id, n_shards, seed,
             send(("probe", msg[1], value))
         elif cmd == "collect":
             stop_hb.set()
-            send(("result", _collect_result(
-                ctx, collect, audit_marker, obs_marker, tracer)))
+            result = _collect_result(ctx, collect)
+            captures.close()
+            result["planes"] = {name: handle.payload
+                                for name, handle in handles.items()}
+            send(("result", result))
             return
         else:  # pragma: no cover - protocol guard
             raise RuntimeError(f"unknown coordinator command {cmd!r}")
@@ -624,14 +615,10 @@ def _shard_worker_loop(send, conn, builder, kwargs, shard_id, n_shards, seed,
             idle_anchor = tracer.now_us()
 
 
-def _collect_result(ctx: ShardContext, collect, audit_marker,
-                    obs_marker, tracer=None) -> dict:
-    from repro import audit as audit_mod
-    from repro import obs as obs_mod
-
+def _collect_result(ctx: ShardContext, collect) -> dict:
     sim = ctx.sim
     digests, consumed = _rng_report(sim)
-    result = {
+    return {
         "shard": ctx.id,
         "now": sim.now,
         "events": sim.events_processed,
@@ -643,27 +630,6 @@ def _collect_result(ctx: ShardContext, collect, audit_marker,
         "rng_consumed": consumed,
         "collect": None if collect is None else collect(ctx),
     }
-    if audit_marker is not None:
-        auditor = getattr(sim, "auditor", None)
-        accounts = [] if auditor is None else auditor.flow_accounts()
-        for account in accounts:
-            flow = ctx.flows.get(account["fid"])
-            account["dst_owned"] = (flow is not None
-                                    and ctx.owns(flow.dst.id))
-        result["flow_accounts"] = accounts
-        result["audit"] = audit_mod.end_capture(audit_marker)
-        chaos = getattr(sim, "chaos", None)
-        result["chaos"] = None if chaos is None else {
-            "topology_changed": chaos.topology_changed,
-            "affected_links": sorted(chaos.affected_links),
-        }
-    if obs_marker is not None:
-        summary, _ = obs_mod.end_capture(obs_marker)
-        result["metrics"] = summary
-    if tracer is not None:
-        result["trace"] = {"records": tracer.records, "epoch": tracer.epoch,
-                           "dropped": tracer.dropped}
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +651,9 @@ class ShardedRun:
     collected: List[Any]
     #: checkpoint time -> per-shard ``probe(ctx, t)`` values.
     probes: Dict[int, List[Any]]
-    audit: Optional[dict] = None
-    metrics: Optional[dict] = None
+    #: observation-plane name -> the shards' payloads merged into the one
+    #: simulation they describe (:mod:`repro.runtime.probes`).
+    planes: Dict[str, dict] = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
     #: One record per shard failover the supervisor performed:
     #: ``{"shard", "reason", "replayed_windows"}``.  Empty on a clean run.
@@ -936,8 +903,6 @@ def run_sharded(builder, kwargs: Optional[dict] = None, *,
                 collect: Optional[Callable] = None,
                 probe: Optional[Callable] = None,
                 checkpoints: Sequence[int] = (),
-                audit: Optional[bool] = None,
-                metrics: Optional[bool] = None,
                 deadline_s: Optional[float] = None,
                 max_respawns: int = 3) -> ShardedRun:
     """Execute ``builder``'s simulation to ``until`` across ``shards``
@@ -957,11 +922,12 @@ def run_sharded(builder, kwargs: Optional[dict] = None, *,
     ``sim.run(until=t)`` serially).  Both receive the worker's
     :class:`ShardContext` (``ctx.built``, ``ctx.flows``, ``ctx.owns``).
 
-    ``audit``/``metrics`` default to the ambient capture state
-    (:func:`repro.audit.is_active` / :func:`repro.obs.is_active`); when
-    active, per-shard captures run in the workers and the merged summary
-    — including the cross-shard flow invariant checks the workers defer —
-    is both returned and recorded into any open parent capture.
+    Every observation plane ambiently active here
+    (:func:`repro.runtime.probes.ambient` — inside an audit or metrics
+    capture, under a tracer) is captured per shard in the workers, and the
+    merged payload — for the audit, including the cross-shard flow
+    invariant checks the workers defer — is both returned
+    (:attr:`ShardedRun.planes`) and recorded into the open parent capture.
 
     Workers heartbeat to the coordinator; a worker that dies (SIGKILL,
     OOM) or goes silent past ``deadline_s`` (default
@@ -973,8 +939,8 @@ def run_sharded(builder, kwargs: Optional[dict] = None, *,
     unrecoverable errors every remaining worker is terminated and joined
     before the exception propagates: no orphan processes, ever.
     """
-    from repro import audit as audit_mod
-    from repro import obs as obs_mod
+    from repro.obs import trace as trace_mod
+    from repro.runtime import probes as probe_registry
 
     if shards < 1:
         raise ValueError(f"need at least one shard, got {shards}")
@@ -983,11 +949,8 @@ def run_sharded(builder, kwargs: Optional[dict] = None, *,
     checkpoints = sorted(set(checkpoints))
     if checkpoints and checkpoints[-1] > until:
         raise ValueError("checkpoints must lie within the run horizon")
-    audit_on = audit_mod.is_active() if audit is None else bool(audit)
-    metrics_on = obs_mod.is_active() if metrics is None else bool(metrics)
-    from repro.obs import trace as trace_mod
+    planes = probe_registry.ambient()
     tracer = trace_mod.emit_target()
-    trace_on = tracer is not None
     merge_t0 = None
 
     mp = multiprocessing.get_context()
@@ -997,7 +960,7 @@ def run_sharded(builder, kwargs: Optional[dict] = None, *,
         proc = mp.Process(
             target=_shard_worker,
             args=(child_conn, builder, kwargs, shard_id, shards, seed,
-                  audit_on, metrics_on, trace_on, collect, probe),
+                  planes, collect, probe),
             daemon=True)
         proc.start()
         child_conn.close()
@@ -1093,19 +1056,11 @@ def run_sharded(builder, kwargs: Optional[dict] = None, *,
         failovers=sup.failovers,
     )
     _merge_warnings(run)
-    if audit_on:
-        run.audit = _merge_audit(results, run.drained)
-        audit_mod.record_summary(run.audit)
-    if metrics_on:
-        run.metrics = obs_mod.merge_summaries(
-            [r["metrics"] for r in results])
-        obs_mod.record_summary(run.metrics)
+    for name in planes:
+        run.planes[name] = probe_registry.get(name).absorb_shards(
+            [r["planes"][name] for r in results])
     if tracer is not None and merge_t0 is not None:
-        # Stitch each worker's spans in under shard-qualified tracks
-        # (``shard<i>/lane``), re-based onto this tracer's epoch, then
-        # close the parent-side merge span over collect + merges.
-        for r in results:
-            tracer.ingest_blob(r.get("trace"), prefix=f"shard{r['shard']}/")
+        # The parent-side merge span closes over collect + the merges.
         tracer.span("shard", "merge", track="coordinator",
                     t0=merge_t0, t1=tracer.now_us(),
                     args={"shards": shards, "windows": windows,
@@ -1131,53 +1086,3 @@ def _merge_warnings(run: ShardedRun) -> None:
                 f"shared RNG stream {name!r} was drawn from in shards "
                 f"{drawn_in}: per-shard draw order differs from serial, so "
                 f"results may diverge from a serial run")
-
-
-def _merge_audit(results: List[dict], drained: bool) -> dict:
-    from repro.audit import merge_summaries
-    from repro.audit.auditor import check_flow_account
-    from repro.audit.report import AuditReport
-
-    by_fid: Dict[int, List[dict]] = {}
-    for r in results:
-        for account in r.get("flow_accounts", ()):
-            by_fid.setdefault(account["fid"], []).append(account)
-    chaos_infos = [r.get("chaos") for r in results]
-    topology_changed = any(c["topology_changed"] for c in chaos_infos if c)
-    affected = set()
-    for c in chaos_infos:
-        if c:
-            affected.update(tuple(link) for link in c["affected_links"])
-    now = max((r["now"] for r in results), default=0)
-    report = AuditReport()
-    for fid in sorted(by_fid):
-        check_flow_account(report, _merge_flow_account(by_fid[fid]),
-                           drained, now,
-                           topology_changed=topology_changed,
-                           affected_links=affected)
-    merged = merge_summaries([r["audit"] for r in results]
-                             + [report.summary()])
-    merged["runs"] = 1  # one simulation, not n_shards + 1
-    return merged
-
-
-def _merge_flow_account(accounts: List[dict]) -> dict:
-    # Each counter increments in exactly one shard (delivery at the dst
-    # owner, credit receipt at the src owner, drops wherever the dropping
-    # port lives) while every other replica stays at zero — so plain sums
-    # reconstruct the serial totals.  The subject string comes from the
-    # dst-owner replica, whose delivery-side state matches serial.
-    base = next((a for a in accounts if a.get("dst_owned")), accounts[0])
-    merged = dict(base)
-    for key in ("data_links", "credit_links"):
-        merged[key] = sorted({tuple(link) for a in accounts
-                              for link in a[key]})
-    for key in ("bytes_delivered", "credits_received", "credit_drops",
-                "injected_credit_drops"):
-        merged[key] = sum(a[key] for a in accounts)
-    sent = [a["credits_sent"] for a in accounts
-            if a["credits_sent"] is not None]
-    merged["credits_sent"] = sum(sent) if sent else None
-    for key in ("completed", "started", "stopped"):
-        merged[key] = any(a[key] for a in accounts)
-    return merged

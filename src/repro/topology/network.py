@@ -99,12 +99,8 @@ class Network:
         """
         build_ecmp_tables(self.nodes, [h.id for h in self.hosts])
         self._finalized = True
-        from repro.audit import maybe_attach
-        maybe_attach(self)
-        from repro.obs import maybe_attach as _obs_attach
-        _obs_attach(self)
-        from repro.chaos import maybe_attach as _chaos_attach
-        _chaos_attach(self)
+        from repro.runtime import probes
+        probes.attach_network(self)
 
     # -- link failures (§3.1: "exclude links that fail unidirectionally") ----
     def fail_link(self, a, b, direction: str = "both") -> None:

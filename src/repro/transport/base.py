@@ -73,16 +73,16 @@ class Flow:
         self._started = False
         self._start_evt = self.sim.schedule_at(max(start_ps, self.sim.now),
                                                self._start_event)
-        auditor = getattr(self.sim, "auditor", None)
+        auditor = self.sim.auditor
         if auditor is not None:
             auditor.register_flow(self)
-        shard = getattr(self.sim, "shard", None)
+        shard = self.sim.shard
         if shard is not None:
             shard.register_flow(self)
         #: :class:`repro.obs.FlowSpan` when metrics are on, else None — so
         #: instrumentation points cost one attribute check per event.
         self.obs_span = None
-        metrics = getattr(self.sim, "metrics", None)
+        metrics = self.sim.metrics
         if metrics is not None:
             metrics.register_flow(self)
 
@@ -109,7 +109,7 @@ class Flow:
         self._sym_hash = symmetric_flow_hash(
             self.src.id, self.dst.id, self.sport + salt, self.dport + salt)
         self.path_rehashes += 1
-        metrics = getattr(self.sim, "metrics", None)
+        metrics = self.sim.metrics
         if metrics is not None:
             metrics.counter("transport.path_rehashes").inc()
             metrics.log_event(self.sim.now, "path_rehash", self.fid)

@@ -23,7 +23,7 @@ from repro import audit as audit_mod
 from repro.net.fault import LossInjector
 from repro.net.queues import TokenBucket
 from repro.net.trace import PortTracer
-from repro.runtime import run_tasks
+from repro.runtime import probes, run_tasks
 from repro.runtime.task import TaskSpec
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, MS, SEC, US
@@ -221,22 +221,22 @@ class TestObservationOnly:
             "audited-serial": dict(parallel=0, audit=True),
             "audited-parallel": dict(parallel=2, audit=True),
         }.items():
-            audit_mod.reset_session()
-            with runtime.using(cache_enabled=False, progress=False,
-                               retries=0, **overrides):
+            with probes.session(("audit",)) as sess, \
+                    runtime.using(cache_enabled=False, progress=False,
+                                  retries=0, **overrides):
                 results = run_tasks(list(specs), name=f"diff-{mode}")
             assert all(r.ok for r in results)
             values[mode] = [r.value for r in results]
             if overrides["audit"]:
                 for r in results:
-                    assert r.audit is not None
-                    assert r.audit["ok"], r.audit
-                    assert r.audit["checks"]["events"] > 0
-                session = audit_mod.session_summary()
+                    assert r.probes.get("audit") is not None
+                    assert r.probes["audit"]["ok"], r.probes["audit"]
+                    assert r.probes["audit"]["checks"]["events"] > 0
+                session = sess.merged("audit")
                 assert session["runs"] == len(specs)
                 assert session["ok"]
             else:
-                assert all(r.audit is None for r in results)
+                assert all(r.probes.get("audit") is None for r in results)
         assert values["plain"] == values["audited-serial"]
         assert values["plain"] == values["audited-parallel"]
 

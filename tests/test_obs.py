@@ -8,7 +8,7 @@ round-tripping counters/series/histograms exactly and their validators
 rejecting malformed files; PortTracer JSONL round-trip; sampler stop
 semantics (idempotent, final sample); the ambient capture / REPRO_METRICS
 activation paths; the sweep scheduler shipping summaries on
-``TaskResult.metrics``; the dashboard rendering; and the ``repro obs`` CLI.
+``TaskResult.probes["metrics"]``; the dashboard rendering; and the ``repro obs`` CLI.
 """
 
 import json
@@ -29,7 +29,7 @@ from repro.obs import (
     format_summary,
     merge_summaries,
 )
-from repro.runtime import run_tasks
+from repro.runtime import probes, run_tasks
 from repro.runtime.task import TaskSpec
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, MS, US
@@ -496,15 +496,15 @@ class TestSchedulerIntegration:
     def test_task_results_carry_metrics(self):
         specs = [TaskSpec(fn=_sweep_point, kwargs={"seed": s},
                           label=f"seed{s}") for s in (5, 6)]
-        obs_mod.reset_session()
-        with runtime.using(cache_enabled=False, progress=False, retries=0,
-                           metrics=True, parallel=0):
+        with probes.session(("metrics",)) as sess, \
+                runtime.using(cache_enabled=False, progress=False, retries=0,
+                              metrics=True, parallel=0):
             results = run_tasks(list(specs), name="obs-sweep")
         assert all(r.ok for r in results)
         for r in results:
-            assert r.metrics is not None
-            assert r.metrics["counters"]["flow.completed"] == 2
-        session = obs_mod.session_summary()
+            assert r.probes.get("metrics") is not None
+            assert r.probes["metrics"]["counters"]["flow.completed"] == 2
+        session = sess.merged("metrics")
         assert session["runs"] == 2
         assert session["counters"]["flow.completed"] == 4
 
@@ -515,17 +515,16 @@ class TestSchedulerIntegration:
         with runtime.using(cache_enabled=False, progress=False, retries=0,
                            parallel=0, metrics=False):
             results = run_tasks(list(specs), name="plain-sweep")
-        assert results[0].ok and results[0].metrics is None
+        assert results[0].ok and results[0].probes.get("metrics") is None
 
     def test_parallel_workers_ship_summaries(self):
         specs = [TaskSpec(fn=_sweep_point, kwargs={"seed": s},
                           label=f"seed{s}") for s in (5, 6)]
-        obs_mod.reset_session()
         with runtime.using(cache_enabled=False, progress=False, retries=0,
                            metrics=True, parallel=2):
             results = run_tasks(list(specs), name="obs-par")
         assert all(r.ok for r in results)
-        assert all(r.metrics is not None for r in results)
+        assert all(r.probes.get("metrics") is not None for r in results)
         # parallel results identical to what the serial path measures
         serial, _ = _run_dumbbell(seed=5)
         assert results[0].value == serial

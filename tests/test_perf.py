@@ -229,16 +229,18 @@ def test_runtime_profile_knob_ships_summaries():
     from repro import runtime
     from repro.runtime.task import TaskSpec
 
-    profile.reset_task_summaries()
+    from repro.runtime import probes
+
     specs = [TaskSpec(_events_processed, {"name": "dumbbell_dctcp"})]
-    with runtime.using(parallel=0, cache_enabled=False, profile=True,
-                       progress=False):
+    with probes.session(("profile",)) as sess, \
+            runtime.using(parallel=0, cache_enabled=False, profile=True,
+                          progress=False):
         results = runtime.run_tasks(specs, name="profiled")
     assert results[0].ok
-    summary = results[0].profile
+    summary = results[0].probes.get("profile")
     assert summary is not None and summary["events"] == results[0].value
-    assert profile.task_summaries()[0][1] == summary
-    profile.reset_task_summaries()
+    label, banked = sess.banked[-1]
+    assert label == results[0].label and banked["profile"] == summary
 
 
 # --- the BENCH_simcore --check gate ------------------------------------------

@@ -26,6 +26,7 @@ from repro.runtime import (
     stable_repr,
     task_id,
 )
+from repro.runtime.config import ConfigError
 from repro.sim.units import MS
 
 
@@ -239,6 +240,54 @@ class TestConfig:
         with runtime.using(parallel=7):
             assert runtime.get_config().parallel == 7
         assert runtime.get_config().parallel == before.parallel
+
+    def test_unset_and_empty_mean_default(self):
+        cfg = RuntimeConfig.from_env({"REPRO_PARALLEL": "",
+                                      "REPRO_TASK_TIMEOUT": ""})
+        assert cfg == RuntimeConfig.from_env({})
+        assert cfg.task_timeout_s is None and cfg.retries == 2
+
+    @pytest.mark.parametrize("name,value,expect", [
+        ("REPRO_TASK_TIMEOUT", "abc", "a number > 0"),
+        ("REPRO_TASK_TIMEOUT", "-5", "a number > 0"),
+        ("REPRO_TASK_TIMEOUT", "nan", "a number > 0"),
+        ("REPRO_PARALLEL", "four", "an integer >= 0"),
+        ("REPRO_RETRIES", "-1", "an integer >= 0"),
+        ("REPRO_CACHE_MAX_BYTES", "1e9", "an integer >= 0"),
+        ("REPRO_SHARDS", "2.5", "an integer >= 0"),
+    ])
+    def test_hostile_value_names_variable_value_and_range(self, name, value,
+                                                          expect):
+        with pytest.raises(ConfigError) as err:
+            RuntimeConfig.from_env({name: value})
+        assert str(err.value) == f"{name}={value!r}: expected {expect}"
+
+    def test_one_truthiness_rule_for_every_switch(self):
+        for name in ("REPRO_AUDIT", "REPRO_PROFILE", "REPRO_METRICS"):
+            field = name[len("REPRO_"):].lower()
+            for raw, on in (("1", True), ("true", True), ("0", False),
+                            ("yes", False), ("", False)):
+                cfg = RuntimeConfig.from_env({name: raw})
+                assert getattr(cfg, field) is on, (name, raw)
+
+    @pytest.mark.parametrize("name,value", [
+        ("REPRO_TASK_TIMEOUT", "abc"),
+        ("REPRO_TASK_TIMEOUT", "-5"),
+        ("REPRO_CHAOS_SEED", "abc"),
+        ("REPRO_RECYCLE_AFTER", "soon"),
+        ("REPRO_SHARD_HEARTBEAT", "fast"),
+        ("REPRO_METRICS_INTERVAL_PS", "1ms"),
+    ])
+    def test_cli_reports_hostile_env_in_one_line_and_exits_2(
+            self, name, value, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv(name, value)
+        assert main(["run", "table1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"repro: {name}={value!r}: expected ")
 
 
 class TestScheduler:

@@ -246,15 +246,15 @@ def test_sharded_audit_verdict_matches_serial(builder):
     with audit.capture() as cap:
         run = run_sharded(builder, shards=2, until=1 * SEC, seed=7)
     sharded = cap.summary
-    assert run.audit is not None
+    assert run.planes.get("audit") is not None
     assert sharded["ok"] == serial["ok"] is True
     assert sharded["violations"] == serial["violations"] == []
-    # The merged summary rode record_summary into the ambient capture.
+    # The merged summary was parked in the ambient capture.
     assert sharded["runs"] == 1
     # The chaos variant must actually have eaten credits for this test to
     # exercise the injected-drop budget merge.
     if builder is build_dumbbell_ep_chaos:
-        assert run.shards[0]["chaos"] is not None
+        assert run.shards[0]["planes"]["audit"]["shard"]["chaos"] is not None
 
 
 def test_sharded_audit_catches_injected_violation():
@@ -262,11 +262,12 @@ def test_sharded_audit_catches_injected_violation():
     and the credit-conservation law must break centrally."""
     from repro.audit.auditor import check_flow_account
     from repro.audit.report import AuditReport
-    from repro.sim.parallel import _merge_flow_account
+    from repro.audit.auditor import _merge_flow_account
 
     with audit.capture():
         run = run_sharded(build_dumbbell_ep, shards=2, until=1 * SEC, seed=7)
-    accounts = [a for r in run.shards for a in r["flow_accounts"]
+    accounts = [a for r in run.shards
+                for a in r["planes"]["audit"]["shard"]["flow_accounts"]
                 if a["fid"] == 1]
     assert len(accounts) == 2
     merged = _merge_flow_account(accounts)
