@@ -93,7 +93,7 @@ FLOORS = {
     "expresspass_dumbbell": 60_000,
     "sweep_parallel2": 60_000,
     "fig15_cells_packet": 0.2,
-    "fig15_cells_fluid": 20,
+    "fig15_cells_fluid": 480,
     "fattree_cell_serial": 0.08,
     "fattree_cell_shards2": 0.05,
 }

@@ -27,7 +27,7 @@ import pathlib
 import pickle
 import tempfile
 import time
-from typing import Any, Callable, Iterator, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.resilience import selfchaos
 from repro.runtime.task import TaskSpec
@@ -108,12 +108,27 @@ class ResultCache:
 
     # -- keys ---------------------------------------------------------------
 
-    def key_for(self, spec: TaskSpec) -> str:
-        payload = spec.identity + "\n" + code_fingerprint(spec.fn)
+    def key_for(self, spec: TaskSpec, identity: Optional[str] = None) -> str:
+        """Cache key of ``spec``.  ``identity`` is ``spec.identity`` when
+        the caller already holds it — it is a recursive rendering of the
+        kwargs, recomputed on every access."""
+        if identity is None:
+            identity = spec.identity
+        payload = identity + "\n" + code_fingerprint(spec.fn)
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def _path(self, key: str) -> pathlib.Path:
         return self.directory / f"{key}.pkl"
+
+    def _mkstemp(self) -> Tuple[int, str]:
+        """A temp file in the cache directory.  The directory is made when
+        it is found missing — a cache's first write, or removed under a
+        running sweep — not re-asserted with a ``mkdir`` per entry."""
+        try:
+            return tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        except FileNotFoundError:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            return tempfile.mkstemp(dir=self.directory, suffix=".tmp")
 
     # -- get / put ----------------------------------------------------------
 
@@ -147,7 +162,6 @@ class ResultCache:
     def put(self, key: str, value: Any, task: str = "",
             elapsed_s: float = 0.0) -> bool:
         """Store a result; returns False if the value is unpicklable."""
-        self.directory.mkdir(parents=True, exist_ok=True)
         entry = {"value": value, "task": task, "elapsed_s": elapsed_s}
         try:
             blob = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
@@ -157,7 +171,7 @@ class ResultCache:
             # Crash-mid-write simulation: a torn blob still lands on disk
             # (atomically, ironically) so get() must prune it as corrupt.
             blob = blob[:max(1, len(blob) // 3)]
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        fd, tmp = self._mkstemp()
         try:
             with os.fdopen(fd, "wb") as fh:
                 if selfchaos.armed() and selfchaos.fire("cache:enospc"):
@@ -211,8 +225,7 @@ class ResultCache:
         for key in self._COUNTER_KEYS:
             totals[key] += self._unflushed[key]
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            fd, tmp = self._mkstemp()
             with os.fdopen(fd, "w") as fh:
                 json.dump(totals, fh, sort_keys=True)
             os.replace(tmp, self._counters_path())
@@ -287,16 +300,23 @@ class ResultCache:
 
     # -- hygiene ------------------------------------------------------------
 
-    def _entries(self):
-        if not self.directory.is_dir():
-            return []
+    def _entries(self) -> List[Tuple[str, float, int]]:
+        """``(path, mtime, size)`` of every entry, in directory order —
+        one ``scandir`` pass (pathlib's glob + a ``Path.stat()`` per entry
+        cost more in Python than the syscalls they wrap)."""
         out = []
-        for path in self.directory.glob("*.pkl"):
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            out.append((path, st.st_mtime, st.st_size))
+        try:
+            with os.scandir(self.directory) as scan:
+                for entry in scan:
+                    if not entry.name.endswith(".pkl"):
+                        continue
+                    try:
+                        st = entry.stat()
+                    except OSError:
+                        continue  # evicted by a concurrent run mid-scan
+                    out.append((entry.path, st.st_mtime, st.st_size))
+        except OSError:
+            return []  # no directory yet (or not a directory): no entries
         return out
 
     def evict(self) -> int:
@@ -317,7 +337,7 @@ class ResultCache:
                                or total > self.max_bytes):
                 path, _, size = entries.pop(0)
                 try:
-                    path.unlink()
+                    os.unlink(path)
                 except OSError:
                     continue
                 total -= size
@@ -346,7 +366,7 @@ class ResultCache:
         removed = 0
         for path, _, _ in self._entries():
             try:
-                path.unlink()
+                os.unlink(path)
                 removed += 1
             except OSError:
                 pass

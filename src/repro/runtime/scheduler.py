@@ -174,14 +174,19 @@ def run_tasks(
                             config.max_cache_bytes, config.max_cache_entries)
 
     results: List[Optional[TaskResult]] = [None] * len(specs)
-    keys: Dict[int, str] = {}
+    #: index -> (cache key, task identity): the identity is rendered once
+    #: per spec and serves both the key and the entry's ``task`` field.
+    keys: Dict[int, Tuple[str, str]] = {}
     pending: List[int] = []
     for i, spec in enumerate(specs):
+        key = None
         if cache is not None:
-            keys[i] = cache.key_for(spec)
-        tel.task_queued(i, spec.label, keys.get(i))
+            identity = spec.identity
+            key = cache.key_for(spec, identity)
+            keys[i] = (key, identity)
+        tel.task_queued(i, spec.label, key)
         if cache is not None:
-            hit, value = cache.get(keys[i])
+            hit, value = cache.get(key)
             if hit:
                 results[i] = TaskResult(i, spec.label, value=value,
                                         cached=True)
@@ -218,8 +223,8 @@ def _mark_interrupted(results, index: int, label: str, signame: str,
 
 
 def _complete(results, tel: Telemetry, cache: Optional[ResultCache],
-              keys: Dict[int, str], index: int, spec: TaskSpec, value: Any,
-              payloads: Dict[str, dict], attempts: int,
+              keys: Dict[int, Tuple[str, str]], index: int, spec: TaskSpec,
+              value: Any, payloads: Dict[str, dict], attempts: int,
               wall_s: float) -> None:
     """A task executed to completion: bank its result, cache entry and
     lifecycle event — then the parent-side self-chaos triggers, which count
@@ -228,7 +233,8 @@ def _complete(results, tel: Telemetry, cache: Optional[ResultCache],
                                 attempts=attempts, wall_s=wall_s,
                                 probes=payloads)
     if cache is not None:
-        cache.put(keys[index], value, task=spec.identity, elapsed_s=wall_s)
+        key, identity = keys[index]
+        cache.put(key, value, task=identity, elapsed_s=wall_s)
     tel.task_done(index, spec.label, wall_s, payloads)
     if selfchaos.armed():
         if selfchaos.fire("parent:kill", count=tel.counts["done"]):

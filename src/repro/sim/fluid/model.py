@@ -6,7 +6,9 @@ bytes — advanced in fixed RTT-sized steps:
 1. **Targets**: max-min fair shares over the flow/link incidence
    (water-filling), against each link's *achievable* capacity
    (``capacity × Dynamics.utilization`` — credit overhead for ExpressPass,
-   ECN headroom for DCTCP/HULL, and so on).
+   ECN headroom for DCTCP/HULL, and so on).  They depend on the active
+   flow set, routes and capacities only, so they are recomputed when a
+   flow starts, not every step.
 2. **Relaxation**: each flow moves a ``gain_per_rtt`` fraction of the way
    from its current rate to its target — the first-order stand-in for the
    protocol's control loop (feedback aggregation, AIMD, rate updates).
@@ -106,17 +108,42 @@ class FluidFlow:
 
 
 class FluidNetwork:
-    """Flows over links, advanced one RTT per :meth:`step`."""
+    """Flows over links, advanced one RTT per :meth:`step`.
+
+    The fair-share targets are a function of the active flow set, the
+    routes and the capacities only, so they are recomputed when ``now_ps``
+    crosses a flow's ``start_ps`` — never in between.  That memo is sound
+    because the structure it depends on is frozen here: capacities, routes
+    and start times are copied out of the ``links``/``flows`` passed in
+    (and the route indices validated), so editing those objects afterwards
+    cannot reach the network.  Their *state* — ``rate_bps``,
+    ``delivered_bytes``, ``queue_bytes``, ``max_queue_bytes`` — stays on
+    the objects, read and written every step.
+    """
 
     def __init__(self, links: Sequence[FluidLink], flows: Sequence[FluidFlow],
                  dynamics: Dynamics, rtt_ps: int):
         if rtt_ps <= 0:
             raise ValueError(f"rtt_ps must be positive, got {rtt_ps}")
-        self.links = list(links)
-        self.flows = list(flows)
+        self.links = tuple(links)
+        self.flows = tuple(flows)
         self.dynamics = dynamics
         self.rtt_ps = rtt_ps
         self.now_ps = 0
+        self._capacities = tuple(link.capacity_bps for link in self.links)
+        self._routes = tuple(tuple(flow.route) for flow in self.flows)
+        for idx, route in enumerate(self._routes):
+            for l in route:
+                if not 0 <= l < len(self.links):
+                    raise ValueError(
+                        f"flow {idx} routes over link {l}; the fabric has "
+                        f"links 0..{len(self.links) - 1}")
+        self._starts = tuple(flow.start_ps for flow in self.flows)
+        #: The next ``start_ps`` boundary ``now_ps`` has yet to cross (None
+        #: once every flow is admitted: the targets never change again).
+        self._next_start_ps: Optional[int] = min(self._starts, default=None)
+        #: (flow, route, target) per admitted flow, in flow-index order.
+        self._active: List[Tuple[FluidFlow, Tuple[int, ...], float]] = []
 
     # -- fair-share targets ------------------------------------------------
     def _weights(self, active: List[int],
@@ -137,7 +164,7 @@ class FluidNetwork:
                      if len(flow_ids) >= 2}
         weights = {}
         for idx in active:
-            c = sum(1 for l in self.flows[idx].route if l in contended)
+            c = sum(1 for l in self._routes[idx] if l in contended)
             weights[idx] = 0.5 ** c if c >= 2 else 1.0
         return weights
 
@@ -147,14 +174,15 @@ class FluidNetwork:
         Classic progressive filling over achievable capacities: repeatedly
         saturate the tightest link, freeze its flows at their weighted
         split of its remaining capacity, remove it, repeat.  O(links ×
-        flows) per call — negligible next to the packet backend it
-        replaces.
+        flows) per freeze round, which is why :meth:`step` calls it only
+        when the active set changes.
         """
         util = self.dynamics.utilization
-        remaining = [link.capacity_bps * util for link in self.links]
-        users: List[List[int]] = [[] for _ in self.links]
+        routes = self._routes
+        remaining = [cap * util for cap in self._capacities]
+        users: List[List[int]] = [[] for _ in self._capacities]
         for idx in active:
-            for l in self.flows[idx].route:
+            for l in routes[idx]:
                 users[l].append(idx)
         weights = self._weights(active, users)
         share = {idx: float("inf") for idx in active}
@@ -173,8 +201,7 @@ class FluidNetwork:
             if tight_link is None:
                 # Remaining flows traverse no constrained link: cap at the
                 # fastest link so "unconstrained" still means line rate.
-                top = max((lk.capacity_bps for lk in self.links),
-                          default=0.0) * util
+                top = max(self._capacities, default=0.0) * util
                 for idx in unfrozen:
                     share[idx] = top
                 break
@@ -182,48 +209,69 @@ class FluidNetwork:
             for idx in frozen:
                 share[idx] = tight_unit * weights[idx]
                 unfrozen.discard(idx)
-                for l in self.flows[idx].route:
+                for l in routes[idx]:
                     remaining[l] = max(0.0, remaining[l] - share[idx])
         return [share[idx] for idx in active]
 
+    def _retarget(self) -> None:
+        """Admit every flow whose start has passed and water-fill the new
+        active set."""
+        now_ps = self.now_ps
+        active = [idx for idx, start_ps in enumerate(self._starts)
+                  if start_ps <= now_ps]
+        targets = self.max_min_shares(active)
+        self._active = [(self.flows[idx], self._routes[idx], target)
+                        for idx, target in zip(active, targets)]
+        self._next_start_ps = min(
+            (start_ps for start_ps in self._starts if start_ps > now_ps),
+            default=None)
+
     # -- evolution ---------------------------------------------------------
     def step(self) -> None:
-        """Advance one RTT: retarget, relax, deliver, integrate queues."""
+        """Advance one RTT: retarget (at a start boundary), relax, deliver,
+        integrate queues.
+
+        Every float below is produced by the same operations on the same
+        operands in the same order as a water-filling on every step would
+        give — ``tests/test_fluid.py`` compares the two with ``==`` — so
+        keep the accumulation order (per-link inflow adds flows in index
+        order) and do not re-associate or hoist a product.
+        """
+        boundary = self._next_start_ps
+        if boundary is not None and boundary <= self.now_ps:
+            self._retarget()
         dt_s = self.rtt_ps * 1e-12
         dyn = self.dynamics
-        active = [i for i, f in enumerate(self.flows)
-                  if f.start_ps <= self.now_ps]
-        if active:
-            targets = self.max_min_shares(active)
-            gain = min(1.0, dyn.gain_per_rtt)
-            for idx, target in zip(active, targets):
-                flow = self.flows[idx]
-                if flow.rate_bps == 0.0:
-                    flow.rate_bps = dyn.start_fraction * target
-                flow.rate_bps += gain * (target - flow.rate_bps)
-
-        # Per-link arrivals; credit throttling caps admission at capacity.
+        gain = min(1.0, dyn.gain_per_rtt)
+        start_fraction = dyn.start_fraction
         inflow = [0.0] * len(self.links)
-        for idx in active:
-            flow = self.flows[idx]
-            for l in flow.route:
-                inflow[l] += flow.rate_bps
-        for l, link in enumerate(self.links):
-            cap = link.capacity_bps
-            arriving = min(inflow[l], cap) if dyn.credit_throttled \
-                else inflow[l]
-            link.queue_bytes = max(
-                0.0, link.queue_bytes + (arriving - cap) * dt_s / 8)
+        for flow, route, target in self._active:
+            rate = flow.rate_bps
+            if rate == 0.0:
+                rate = start_fraction * target
+            rate += gain * (target - rate)
+            flow.rate_bps = rate
+            for l in route:
+                inflow[l] += rate
+            flow.delivered_bytes += rate * dt_s / 8
+
+        # Credit throttling caps admission at capacity.
+        throttled = dyn.credit_throttled
+        standing_bytes = dyn.queue_bytes
+        for link, cap, arriving in zip(self.links, self._capacities, inflow):
             # A saturated link carries the protocol's standing queue on top
             # of any transient backlog (sub-RTT burstiness the rate model
             # integrates away).
-            standing = dyn.queue_bytes if inflow[l] >= 0.5 * cap else 0.0
-            link.max_queue_bytes = max(link.max_queue_bytes,
-                                       link.queue_bytes + standing)
-
-        for idx in active:
-            flow = self.flows[idx]
-            flow.delivered_bytes += flow.rate_bps * dt_s / 8
+            standing = standing_bytes if arriving >= 0.5 * cap else 0.0
+            if throttled and arriving > cap:
+                arriving = cap
+            queue = link.queue_bytes + (arriving - cap) * dt_s / 8
+            if not queue > 0.0:
+                queue = 0.0
+            link.queue_bytes = queue
+            peak = queue + standing
+            if peak > link.max_queue_bytes:
+                link.max_queue_bytes = peak
         self.now_ps += self.rtt_ps
 
     def run(self, until_ps: int,
@@ -231,6 +279,9 @@ class FluidNetwork:
             samples: Optional[List[float]] = None) -> None:
         """Step to ``until_ps``; optionally record total delivered bytes
         every ``sample_every_ps`` (bin edges, like the packet sampler)."""
+        if sample_every_ps and samples is None:
+            raise ValueError(
+                "run(sample_every_ps=...) needs a samples list to append to")
         next_sample = self.now_ps if sample_every_ps else None
         while self.now_ps < until_ps:
             if next_sample is not None and self.now_ps >= next_sample:

@@ -223,6 +223,51 @@ class TestResultCache:
         assert cache.clear() == 4
         assert cache.stats()["entries"] == 0
 
+    def test_directory_made_once_and_remade_if_removed(self, tmp_path,
+                                                       monkeypatch):
+        import shutil
+        made = []
+        mkdir = pathlib.Path.mkdir
+
+        def counting(self, *args, **kwargs):
+            made.append(self)
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "mkdir", counting)
+        directory = tmp_path / "cache"
+        cache = ResultCache(directory)
+        keys = [cache.key_for(TaskSpec(cube, {"x": i})) for i in range(40)]
+        for i, key in enumerate(keys[:39]):
+            assert cache.put(key, i)
+        assert made == [directory]        # not one mkdir per entry
+        # The directory vanishes under a running sweep (rm -rf, a tmp
+        # reaper): the next put recreates it instead of raising.
+        shutil.rmtree(directory)
+        assert cache.put(keys[39], 39)
+        assert made == [directory, directory]
+        assert cache.get(keys[39]) == (True, 39)
+        assert cache.stats()["entries"] == 1
+
+    def test_entries_ignore_everything_but_entries(self, tmp_path):
+        cache = ResultCache(tmp_path / "absent")
+        assert cache.stats()["entries"] == 0 and cache.clear() == 0
+        assert cache.evict() == 0
+        cache = ResultCache(tmp_path)
+        key = cache.key_for(TaskSpec(cube, {"x": 1}))
+        cache.put(key, "value")
+        (tmp_path / "stray.tmp").write_bytes(b"half a write")
+        (tmp_path / "notes.txt").write_text("not an entry")
+        stats = cache.stats()
+        assert stats["entries"] == 1
+        assert stats["total_bytes"] == (tmp_path / f"{key}.pkl").stat().st_size
+        assert cache.clear() == 1
+        assert (tmp_path / "stray.tmp").exists()
+
+    def test_key_for_takes_the_identity_it_is_given(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = TaskSpec(cube, {"x": 5})
+        assert cache.key_for(spec, spec.identity) == cache.key_for(spec)
+
 
 class TestConfig:
     def test_from_env(self):
@@ -316,6 +361,31 @@ class TestScheduler:
         assert [r.value for r in first] == [r.value for r in second]
         assert all(r.cached for r in second)
         assert tel.hit_rate() == 1.0
+
+    @pytest.mark.parametrize("parallel", [0, 2])
+    def test_identity_rendered_once_per_task(self, tmp_path, monkeypatch,
+                                             parallel):
+        """The key and the entry's ``task`` field share one rendering of
+        the kwargs (it is recursive — the per-task cost worth counting)."""
+        import pickle
+        from repro.runtime import task as task_module
+
+        rendered = []
+        inner = task_module.task_id
+
+        def counting(fn, kwargs):
+            rendered.append(kwargs["x"])
+            return inner(fn, kwargs)
+
+        monkeypatch.setattr(task_module, "task_id", counting)
+        plan = SweepPlan.from_grid(cube, [{"x": i} for i in range(5)])
+        with runtime.using(parallel=parallel, cache_dir=tmp_path):
+            results = run_tasks(plan)
+        assert all(r.ok and not r.cached for r in results)
+        assert sorted(rendered) == list(range(5))
+        tasks = sorted(pickle.loads(path.read_bytes())["task"]
+                       for path in tmp_path.glob("*.pkl"))
+        assert tasks == sorted(spec.identity for spec in plan)
 
     def test_failing_task_is_retried_then_recovers(self, tmp_path):
         marker = tmp_path / "marker"
