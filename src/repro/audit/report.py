@@ -147,4 +147,11 @@ def _format_checks(checks: Dict[str, int]) -> str:
     parts = [f"{checks[k]} {k}" for k in order if k in checks]
     parts.extend(f"{v} {k}" for k, v in sorted(checks.items())
                  if k not in order)
-    return ", ".join(parts)
+    text = ", ".join(parts)
+    if "events" in checks and checks.get("transmits"):
+        # Derived from the two counts above: a port whose queues are empty
+        # when it starts transmitting schedules no completion event.
+        text += (f"; events exclude elided transmit completions "
+                 f"(at most one per transmit, <= {checks['transmits']}; "
+                 f"`repro profile` counts them)")
+    return text

@@ -106,20 +106,29 @@ class Host(Node):
         # never on how many *other* hosts sampled before us — the property
         # sharded execution needs for replica-identical trajectories.
         self._delay_rng = sim.rng_for("host-delay", node_id)
+        #: The one attached port, resolved as ports attach (per-packet
+        #: ``nic`` reads then cost one slot load); None unless exactly one.
+        self._nic = None
 
     def sample_delay(self) -> int:
         """One credit-processing delay from this host's own stream."""
         return self.delay_model.sample(self._delay_rng)
 
+    def attach_port(self, port) -> None:
+        super().attach_port(port)
+        self._nic = port if len(self.ports) == 1 else None
+
     @property
     def nic(self):
         """The single NIC egress port (hosts here are single-homed)."""
-        if len(self.ports) != 1:
+        nic = self._nic
+        if nic is None:
             raise RuntimeError(f"{self.name} has {len(self.ports)} ports, expected 1")
-        return next(iter(self.ports.values()))
+        return nic
 
     def receive(self, pkt: Packet, from_port) -> None:
-        pkt.trace_hop(self.id)
+        if pkt.hops is not None:
+            pkt.hops.append(self.id)
         if pkt.dst != self.id:
             raise RuntimeError(
                 f"{self.name} received packet addressed to host {pkt.dst}"

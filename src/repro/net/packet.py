@@ -63,6 +63,7 @@ class Packet:
 
     __slots__ = (
         "kind",
+        "is_credit",
         "src",
         "dst",
         "flow",
@@ -96,6 +97,9 @@ class Packet:
         sent_ts: int = -1,
     ):
         self.kind = kind
+        #: ``kind`` is never reassigned, so the port's per-hop test is a
+        #: slot read instead of a property call.
+        self.is_credit = kind == PacketKind.CREDIT
         self.src = src
         self.dst = dst
         self.flow = flow
@@ -112,10 +116,6 @@ class Packet:
         self.low_priority = False
         self.uid = next(_packet_ids)
         self.hops: Optional[list] = None  # populated only when path tracing is on
-
-    @property
-    def is_credit(self) -> bool:
-        return self.kind == PacketKind.CREDIT
 
     def trace_hop(self, node_id: int) -> None:
         """Record a node on the packet's path (used by path-symmetry tests)."""

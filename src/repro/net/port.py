@@ -18,6 +18,18 @@ properties that maintain a precomputed flags word, and while the word is
 zero the transmitter takes a fast path that skips every attachment check
 (:mod:`repro.perf`).  The fast and checked paths are behaviour-identical —
 golden traces do not move when a no-op hook forces the checked path.
+
+"The line goes idle" is usually not an event.  A transmission that starts
+with every queue empty does not schedule its completion: the port reserves
+the completion's tie-break key, notes when the line frees (``_free_at``),
+and ``_try_send`` — the only reader of ``_busy`` — decides on the next
+arrival whether that position has already passed (the line is free) or is
+still ahead of the entry being dispatched (the completion is pushed under
+the reserved key, popping exactly where an eagerly scheduled one would).
+Credit-scheduled data arrives paced at an idle port, so most completions
+are never pushed; transmit sequences, statistics and RNG draws are
+bit-identical to scheduling every one (``tests/test_lazy_completion.py``
+keeps that eager port as the oracle).
 """
 
 from __future__ import annotations
@@ -70,7 +82,8 @@ class Port:
         "_lowprio_queue",
         "_phantom", "_rcp_controller", "_on_transmit", "_on_enqueue",
         "_pfc", "_pfc_paused", "_up", "_drop_filter", "_drop_filters", "_obs",
-        "stats", "_busy", "_wake_event", "_flags", "_tx_cache",
+        "stats", "_busy", "_free_at", "_tx_key", "_wake_event", "_flags",
+        "_tx_cache",
     )
 
     def __init__(
@@ -113,7 +126,13 @@ class Port:
         self._drop_filters: list = []
         self._obs = None
         self.stats = PortStats()
+        #: True from a transmission's start until its completion is known to
+        #: have passed.  While ``_tx_key`` is not None that completion is
+        #: *deferred*: not in the heap, only its position ``(_free_at,
+        #: _tx_key)`` is held (see :meth:`_try_send`).
         self._busy = False
+        self._free_at = 0
+        self._tx_key = None
         self._wake_event = None
         #: Per-size serialization-delay memo (the port's rate is fixed).
         self._tx_cache = {}
@@ -368,7 +387,22 @@ class Port:
     # -- transmitter ---------------------------------------------------------
     def _try_send(self) -> None:
         if self._busy:
-            return
+            key = self._tx_key
+            if key is None:
+                return  # the completion is in the heap and will call back
+            # Deferred completion.  Had it been scheduled, would it already
+            # have fired?  Compare its position with the entry being
+            # dispatched; if it is still ahead, materialise it there — under
+            # the reserved key, so it pops exactly where the eager one would
+            # — and let it call back.  Otherwise the line is free.
+            sim = self.sim
+            free_at = self._free_at
+            now = sim.now
+            if now < free_at or (now == free_at and sim.dispatch_key < key):
+                self._tx_key = None
+                sim.push_reserved(free_at, key, self._tx_done)
+                return
+            self._busy = False
         if self._flags:
             return self._try_send_checked()
         now = self.sim.now
@@ -447,10 +481,21 @@ class Port:
             stats.data_bytes_sent += wire
             stats.data_pkts_sent += 1
         stats.busy_ps += tx
-        # Fire-and-forget events: nothing ever cancels a transmit completion
-        # or an in-flight wire delivery, so let the engine pool them.
+        # A completion only matters if something waits for the line.  With
+        # all queues empty it is not scheduled: its tie-break key is reserved
+        # (consuming the sequence number the event would have) and
+        # _try_send, the only reader of _busy, settles it on the next
+        # arrival.  Queues may be replaced (net/classes.py), so ask through
+        # the protocol, never a queue's internals.
         sim = self.sim
-        sim.schedule_unref(tx, self._tx_done)
+        lowprio = self._lowprio_queue
+        if (len(self.data_queue) or len(self.credit_queue)
+                or (lowprio is not None and len(lowprio))):
+            self._tx_key = None
+            sim.schedule_unref(tx, self._tx_done)
+        else:
+            self._tx_key = sim.reserve_key()
+            self._free_at = sim.now + tx
         sim.schedule_unref(tx + self.prop_delay_ps, self.peer.receive, pkt, self)
 
     def _tx_done(self) -> None:

@@ -23,7 +23,8 @@ class Switch(Node):
         self.table: Dict[int, List[int]] = {}
 
     def receive(self, pkt: Packet, from_port) -> None:
-        pkt.trace_hop(self.id)
+        if pkt.hops is not None:
+            pkt.hops.append(self.id)
         candidates = self.table.get(pkt.dst)
         if not candidates:
             # Under an active fault plan a destination can be legitimately

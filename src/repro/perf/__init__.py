@@ -9,9 +9,9 @@ shows where events go.
 
 Every optimisation is **behaviour-preserving**: golden traces and
 ``events_processed`` are bit-identical across the thresholds below
-(``tests/test_perf.py`` pins ``COMPACT_MIN`` 0/1, ``FREELIST_MAX`` 0 and a
-hooked port against the goldens).  They are plain constants, not user
-options; the tests monkeypatch them to exercise the edges of the one path.
+(``tests/test_perf.py`` pins ``COMPACT_MIN`` 0/1 and a hooked port against
+the goldens).  They are plain constants, not user options; the tests
+monkeypatch them to exercise the edges of the one path.
 
 ``COMPACT_MIN`` / ``COMPACT_RATIO``
     Lazy-deletion compaction: the scheduler rebuilds its heap in place once
@@ -20,12 +20,15 @@ options; the tests monkeypatch them to exercise the edges of the one path.
     the heap at ~``(1 + COMPACT_RATIO) x live`` entries no matter how many
     timers are cancelled.
 
-``FREELIST_MAX``
-    Events scheduled through :meth:`Simulator.schedule_unref` (fire-and-
-    forget, no handle returned — transmit completions and wire deliveries)
-    are recycled through a per-simulator freelist instead of being
-    reallocated.  Only handle-less events are pooled, so a stale reference
-    can never cancel a recycled event.
+Two more have no threshold.  Events nobody can cancel
+(:meth:`Simulator.schedule_unref`: wire deliveries, transmit completions)
+are plain heap tuples — no Event object is built for them.  And a port
+whose queues are empty when it starts transmitting does not schedule its
+transmit completion at all: it reserves the completion's tie-break key and
+pushes the event only if a packet arrives before that position passes
+(:mod:`repro.net.port`), so every surviving event pops exactly where it
+always did while ``events_processed`` no longer counts completions nobody
+waited for.
 
 Ports precompute a flags word over their optional attachments
 (``phantom``/``rcp_controller``/``pfc``/hooks/...) and take a branch-free
@@ -40,7 +43,5 @@ from __future__ import annotations
 COMPACT_MIN: int = 256
 #: Compact when cancelled entries exceed live entries by this factor.
 COMPACT_RATIO: int = 1
-#: Cap on recycled Event objects per simulator (0 disables the freelist).
-FREELIST_MAX: int = 1024
 
-__all__ = ["COMPACT_MIN", "COMPACT_RATIO", "FREELIST_MAX"]
+__all__ = ["COMPACT_MIN", "COMPACT_RATIO"]

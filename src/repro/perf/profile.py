@@ -172,6 +172,11 @@ class ProfileReport:
         rows.sort(key=lambda r: -r[1])
         return rows[:limit]
 
+    def _fired(self, suffix: str) -> int:
+        """Events fired by callbacks whose qualname ends in ``suffix``."""
+        return sum(n for (_, qual), (n, _, _) in self.counts.items()
+                   if qual.endswith(suffix))
+
     def as_dict(self) -> dict:
         """Picklable/JSON-able summary (the profile probe's payload)."""
         return {
@@ -202,6 +207,16 @@ class ProfileReport:
             lines.append("  events by subsystem:")
             for name, n in subsystems.items():
                 lines.append(f"    {name:<12s} {n:>12,}  {100 * n / total:5.1f}%")
+        deliveries = self._fired(".receive")
+        if deliveries:
+            # Derived, not counted: every transmission schedules one wire
+            # delivery, and a ``Port._tx_done`` only if something waited
+            # for the line (exact once the run has drained).
+            lines.append(
+                f"  transmit completions elided: "
+                f"{deliveries - self._fired('._tx_done'):,} of "
+                f"{deliveries:,} transmissions (wire deliveries fired "
+                f"- Port._tx_done fired; idle ports schedule none)")
         top = self.top_callbacks(limit)
         if top:
             lines.append(f"  top callbacks (by events fired):")

@@ -1,10 +1,10 @@
 """Deterministic discrete-event scheduler.
 
-The scheduler orders ``(time, sequence, event)`` entries.  The monotonically
-increasing sequence number breaks ties between events scheduled for the same
-picosecond, which makes runs bit-for-bit reproducible for a given seed.
-Cancellation is O(1): events carry a ``cancelled`` flag and are skipped when
-popped.
+The scheduler orders heap entries by ``(time, key)``.  The monotonically
+increasing key (a sequence number) breaks ties between events scheduled for
+the same picosecond, which makes runs bit-for-bit reproducible for a given
+seed.  Cancellation is O(1): events carry a ``cancelled`` flag and are
+skipped when popped.
 
 The queue is a binary heap (``heapq``): O(log n), C-speed constants, and
 insensitive to timestamp distribution.
@@ -16,12 +16,21 @@ filtered out.  Compaction never changes pop order — the ``(time, sequence)``
 key is a strict total order, so any valid heap over the same live entries
 drains identically.
 
-Hot-path callers that never cancel what they schedule (a port's transmit
-completion, a wire delivery) should use :meth:`Simulator.schedule_unref`: it
-returns no handle, which lets the simulator recycle the Event object through
-a freelist instead of reallocating.  Handle-returning ``schedule`` /
-``schedule_at`` events are *never* recycled, so holding an Event reference
-after it fired stays safe (cancelling it is a no-op, as before).
+Two entry shapes share the heap.  ``schedule`` / ``schedule_at`` return an
+:class:`Event` handle and push ``(time, key, event)``.  Hot-path callers that
+never cancel what they schedule (a wire delivery, a transmit completion) use
+:meth:`Simulator.schedule_unref`, which returns nothing and pushes the plain
+tuple ``(time, key, None, fn, args)``: nobody can hold or cancel such an
+entry, so no Event is built for it.  Keys are unique, so entry comparisons
+never reach the third element.
+
+A caller may also *reserve* a key (:meth:`Simulator.reserve_key`) and push
+its event later, or never (:meth:`Simulator.push_reserved`): the entry then
+pops exactly where one scheduled at reservation time would have.  To let
+such a caller tell whether its reserved position has already been passed,
+the run loop publishes the key of the entry it is dispatching as
+:attr:`Simulator.dispatch_key` (:class:`repro.net.port.Port` defers its
+transmit completions this way).
 
 Random numbers come from *named streams* (:meth:`Simulator.rng`): each stream
 is an independent ``random.Random`` seeded from ``(simulator seed, name)``, so
@@ -57,14 +66,6 @@ _NO_LIMIT = 1 << 63
 on_simulator_created: Optional[Callable[["Simulator"], None]] = None
 
 
-# Event.state bits.  One int field instead of two bools: the schedule fast
-# paths reset it with a single store per event.
-_CANCELLED = 1
-#: Set only on ``schedule_unref`` events, which have no external handle and
-#: may be pooled after they fire.
-_RECYCLE = 2
-
-
 class Event:
     """A scheduled callback.  Returned by :meth:`Simulator.schedule`."""
 
@@ -74,6 +75,7 @@ class Event:
         self.time = time
         self.fn = fn
         self.args = args
+        #: 1 once cancelled, else 0.
         self.state = 0
         #: Owning simulator while the entry sits in its heap; cleared when
         #: the entry is popped so late cancels don't skew the garbage count.
@@ -82,18 +84,18 @@ class Event:
     @property
     def cancelled(self) -> bool:
         """True once :meth:`cancel` has been called."""
-        return bool(self.state & _CANCELLED)
+        return bool(self.state)
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""
-        if not self.state & _CANCELLED:
-            self.state |= _CANCELLED
+        if not self.state:
+            self.state = 1
             sim = self.sim
             if sim is not None:
                 sim._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.state & _CANCELLED else "pending"
+        state = "cancelled" if self.state else "pending"
         return f"<Event t={self.time} {getattr(self.fn, '__qualname__', self.fn)} {state}>"
 
 
@@ -105,6 +107,9 @@ class Simulator:
     seed:
         Master seed.  All named RNG streams derive from it.
     """
+
+    #: Compares above every key :meth:`reserve_key` hands out.
+    _KEY_END = _NO_LIMIT
 
     def __init__(self, seed: int = 0):
         self.now: int = 0
@@ -120,8 +125,11 @@ class Simulator:
         self._port_counter = 10_000
         #: Cancelled-but-unpopped entries currently in the heap.
         self._cancelled = 0
-        #: Pooled Event objects from fired ``schedule_unref`` entries.
-        self._freelist: List[Event] = []
+        #: Key (``entry[1]``) of the entry being dispatched; ``_KEY_END``
+        #: once a ``run()`` has fired everything due at ``now`` (it drained,
+        #: or stopped at ``until``), kept on a ``max_events`` stop.  With
+        #: ``now`` it orders a reserved position against the present.
+        self.dispatch_key = self._KEY_END
         #: Optional :class:`repro.audit.NetworkAuditor`; installed by the
         #: auditor itself, consulted by the run loop and by flows.
         self.auditor = None
@@ -212,8 +220,7 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         time = self.now + delay
-        free = self._freelist
-        event = free.pop() if free else _new_raw(Event)
+        event = _new_raw(Event)
         event.time = time
         event.fn = fn
         event.args = args
@@ -226,8 +233,7 @@ class Simulator:
         """Schedule ``fn(*args)`` at an absolute picosecond timestamp."""
         if time < self.now:
             raise ValueError(f"cannot schedule into the past (t={time} < now={self.now})")
-        free = self._freelist
-        event = free.pop() if free else _new_raw(Event)
+        event = _new_raw(Event)
         event.time = time
         event.fn = fn
         event.args = args
@@ -240,21 +246,31 @@ class Simulator:
         """Fire-and-forget scheduling for the hot path.
 
         Identical semantics to :meth:`schedule` except no handle is returned,
-        which guarantees nobody can cancel the event — so the simulator may
-        recycle the Event object once it fires, cutting allocation churn on
-        per-packet events (transmit completions, wire deliveries).
+        which guarantees nobody can cancel the event — so the entry is a
+        plain tuple and no Event is built for it (wire deliveries, transmit
+        completions).
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
-        free = self._freelist
-        event = free.pop() if free else _new_raw(Event)
-        event.time = time
-        event.fn = fn
-        event.args = args
-        event.state = _RECYCLE
-        event.sim = self
-        _heappush(self._heap, (time, next(self._seq), event))
+        _heappush(self._heap,
+                  (self.now + delay, next(self._seq), None, fn, args))
+
+    def reserve_key(self):
+        """Take the tie-break key a ``schedule*`` call made now would get,
+        without pushing anything; see :meth:`push_reserved`."""
+        return next(self._seq)
+
+    def push_reserved(self, time: int, key, fn: Callable[..., Any],
+                      *args: Any) -> None:
+        """Push a fire-and-forget event under a key from :meth:`reserve_key`.
+
+        It pops exactly where an event scheduled for ``time`` at reservation
+        time would have.  The caller must know ``(time, key)`` is still ahead
+        of the entry being dispatched (``(now, dispatch_key)``).
+        """
+        if time < self.now:
+            raise ValueError(f"cannot schedule into the past (t={time} < now={self.now})")
+        _heappush(self._heap, (time, key, None, fn, args))
 
     # -- cancellation bookkeeping -----------------------------------------
     def _note_cancelled(self) -> None:
@@ -277,17 +293,11 @@ class Simulator:
         heap over the same live entries drains identically.
         """
         heap = self._heap
-        free = self._freelist
-        cap = perf.FREELIST_MAX
         live = []
         for entry in heap:
             event = entry[2]
-            if event.state & _CANCELLED:
+            if event is not None and event.state:
                 event.sim = None
-                if event.state & _RECYCLE and len(free) < cap:
-                    event.fn = None
-                    event.args = ()
-                    free.append(event)
             else:
                 live.append(entry)
         heap[:] = live
@@ -325,8 +335,6 @@ class Simulator:
             return self._run_profiled(until, max_events)
         heap = self._heap
         pop = heapq.heappop
-        free = self._freelist
-        freelist_cap = perf.FREELIST_MAX
         time_limit = _NO_LIMIT if until is None else until
         event_limit = _NO_LIMIT if max_events is None else max_events
         processed = 0
@@ -338,31 +346,31 @@ class Simulator:
             time = entry[0]
             if time > time_limit:
                 _heappush(heap, entry)
-                if until > self.now:
+                if until >= self.now:
                     self.now = until
+                    self.dispatch_key = self._KEY_END
                 break
             event = entry[2]
-            event.sim = None
-            state = event.state
-            if state & _CANCELLED:
-                self._cancelled -= 1
-                if state & _RECYCLE and len(free) < freelist_cap:
-                    event.fn = None
-                    event.args = ()
-                    free.append(event)
-                continue
+            if event is None:
+                fn = entry[3]
+                args = entry[4]
+            else:
+                event.sim = None
+                if event.state:
+                    self._cancelled -= 1
+                    continue
+                fn = event.fn
+                args = event.args
             self.now = time
+            self.dispatch_key = entry[1]
             if self.auditor is not None:
                 self.auditor.on_event(time)
-            event.fn(*event.args)
-            if state and len(free) < freelist_cap:
-                event.fn = None
-                event.args = ()
-                free.append(event)
+            fn(*args)
             processed += 1
             if processed >= event_limit:
                 break
         else:
+            self.dispatch_key = self._KEY_END
             if until is not None and until > self.now:
                 self.now = until
         self.events_processed += processed
@@ -377,8 +385,6 @@ class Simulator:
         profiler = self.profiler
         heap = self._heap
         pop = heapq.heappop
-        free = self._freelist
-        freelist_cap = perf.FREELIST_MAX
         time_limit = _NO_LIMIT if until is None else until
         event_limit = _NO_LIMIT if max_events is None else max_events
         processed = 0
@@ -387,32 +393,32 @@ class Simulator:
             time = entry[0]
             if time > time_limit:
                 _heappush(heap, entry)
-                if until > self.now:
+                if until >= self.now:
                     self.now = until
+                    self.dispatch_key = self._KEY_END
                 break
             event = entry[2]
-            event.sim = None
-            state = event.state
-            if state & _CANCELLED:
-                self._cancelled -= 1
-                profiler.on_cancelled_reaped()
-                if state & _RECYCLE and len(free) < freelist_cap:
-                    event.fn = None
-                    event.args = ()
-                    free.append(event)
-                continue
+            if event is None:
+                fn = entry[3]
+                args = entry[4]
+            else:
+                event.sim = None
+                if event.state:
+                    self._cancelled -= 1
+                    profiler.on_cancelled_reaped()
+                    continue
+                fn = event.fn
+                args = event.args
             self.now = time
+            self.dispatch_key = entry[1]
             if self.auditor is not None:
                 self.auditor.on_event(time)
-            profiler.fire(event.fn, event.args)
-            if state and len(free) < freelist_cap:
-                event.fn = None
-                event.args = ()
-                free.append(event)
+            profiler.fire(fn, args)
             processed += 1
             if processed >= event_limit:
                 break
         else:
+            self.dispatch_key = self._KEY_END
             if until is not None and until > self.now:
                 self.now = until
         self.events_processed += processed
@@ -421,15 +427,14 @@ class Simulator:
     def peek_time(self) -> Optional[int]:
         """Timestamp of the next pending event, or ``None`` if idle."""
         heap = self._heap
-        while heap and heap[0][2].state & _CANCELLED:
-            event = _heappop(heap)[2]
+        while heap:
+            event = heap[0][2]
+            if event is None or not event.state:
+                return heap[0][0]
+            _heappop(heap)
             event.sim = None
             self._cancelled -= 1
-            if event.state & _RECYCLE and len(self._freelist) < perf.FREELIST_MAX:
-                event.fn = None
-                event.args = ()
-                self._freelist.append(event)
-        return heap[0][0] if heap else None
+        return None
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue.  O(1)."""

@@ -75,7 +75,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.packet import Packet, PacketKind
 from repro.resilience import selfchaos
-from repro.sim.engine import _RECYCLE, Event, Simulator, _heappush, _new_raw
+from repro.sim.engine import (
+    _NO_LIMIT, Event, Simulator, _heappush, _new_raw)
 from repro.sim.units import tx_time_ps
 
 
@@ -108,28 +109,33 @@ __all__ = [
 class ShardSimulator(Simulator):
     """A :class:`Simulator` whose tie-break keys survive sharding.
 
-    Heap entries become ``(time, (sched_now, 0, seq), event)`` — the extra
-    ``sched_now`` (the clock when the event was scheduled) is what lets a
-    cross-shard arrival, keyed ``(time, (sender_sched_now, 1, shard,
-    seq))`` via :meth:`inject`, take the exact queue position the serial
-    run's locally-scheduled delivery would have had.  For purely local
-    events the order is unchanged from serial: the clock is non-decreasing
-    over schedule calls, so ``(sched_now, 0, seq)`` sorts identically to
-    ``seq`` alone.  The run loops, compaction, and ``peek_time`` only read
-    ``entry[0]`` and ``entry[2]``, so the widened middle element is
-    invisible to them; key tuples are always unique, so entry comparisons
-    never fall through to the (incomparable) events.
+    Entry keys become ``(sched_now, 0, seq)`` — the extra ``sched_now`` (the
+    clock when the event was scheduled, or its key reserved) is what lets a
+    cross-shard arrival, pushed by the worker loop through
+    :meth:`push_reserved` under ``(sender_sched_now, 1, src_shard,
+    src_seq)``, take the exact queue position the serial run's
+    locally-scheduled delivery would have had: the tier ``1`` ranks it
+    after local events scheduled at the same picosecond (serial would have
+    interleaved by a shared counter; the convention must merely be
+    *fixed*), and ``(src_shard, src_seq)`` makes same-instant arrivals from
+    different senders deterministic.  For purely local events the
+    order is unchanged from serial: the clock is non-decreasing over
+    schedule calls, so ``(sched_now, 0, seq)`` sorts identically to ``seq``
+    alone.  The run loops, compaction, and ``peek_time`` never look inside
+    ``entry[1]``, so the widened key is invisible to them; keys are always
+    unique, so entry comparisons never fall through to what follows them.
     """
 
-    # Each override mirrors its base verbatim except for the pushed key —
-    # the engine inlines Event construction for speed, and so do we.
+    _KEY_END = (_NO_LIMIT,)
+
+    # Each override mirrors its base verbatim except for the key — the
+    # engine inlines entry construction for speed, and so do we.
 
     def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         time = self.now + delay
-        free = self._freelist
-        event = free.pop() if free else _new_raw(Event)
+        event = _new_raw(Event)
         event.time = time
         event.fn = fn
         event.args = args
@@ -142,8 +148,7 @@ class ShardSimulator(Simulator):
         if time < self.now:
             raise ValueError(
                 f"cannot schedule into the past (t={time} < now={self.now})")
-        free = self._freelist
-        event = free.pop() if free else _new_raw(Event)
+        event = _new_raw(Event)
         event.time = time
         event.fn = fn
         event.args = args
@@ -155,36 +160,12 @@ class ShardSimulator(Simulator):
     def schedule_unref(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
-        free = self._freelist
-        event = free.pop() if free else _new_raw(Event)
-        event.time = time
-        event.fn = fn
-        event.args = args
-        event.state = _RECYCLE
-        event.sim = self
-        _heappush(self._heap, (time, (self.now, 0, next(self._seq)), event))
+        now = self.now
+        _heappush(self._heap,
+                  (now + delay, (now, 0, next(self._seq)), None, fn, args))
 
-    def inject(self, time: int, subkey: tuple, fn: Callable[..., Any],
-               *args: Any) -> None:
-        """Enqueue a cross-shard arrival under an externally supplied key.
-
-        ``subkey`` is ``(sender_sched_time, 1, src_shard, src_seq)``: the
-        tier ``1`` ranks it after local events scheduled at the same
-        picosecond (serial would have interleaved by a shared counter; the
-        convention must merely be *fixed*), and ``(src_shard, src_seq)``
-        makes same-instant arrivals from different senders deterministic.
-        """
-        if time < self.now:
-            raise ValueError(
-                f"cannot inject into the past (t={time} < now={self.now})")
-        event = _new_raw(Event)
-        event.time = time
-        event.fn = fn
-        event.args = args
-        event.state = 0
-        event.sim = self
-        _heappush(self._heap, (time, subkey, event))
+    def reserve_key(self) -> tuple:
+        return (self.now, 0, next(self._seq))
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +558,8 @@ def _shard_worker_loop(send, conn, builder, kwargs, shard_id, n_shards, seed,
             for (link, arr, sched_t, src_shard, src_seq, data) in incoming:
                 port = ctx.cut_in[link]
                 pkt = _decode_packet(ctx, data)
-                sim.inject(arr, (sched_t, 1, src_shard, src_seq),
-                           port.peer.receive, pkt, port)
+                sim.push_reserved(arr, (sched_t, 1, src_shard, src_seq),
+                                  port.peer.receive, pkt, port)
             if tracer is not None:
                 events_before = sim.events_processed
             sim.run(until=window_end)

@@ -42,7 +42,18 @@ class TestHost:
     def test_nic_requires_single_port(self):
         sim = Simulator(seed=0)
         host = Host(sim, 0)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="has 0 ports"):
+            _ = host.nic
+
+    def test_nic_follows_attach_port(self):
+        from repro.net.link import connect
+
+        sim = Simulator(seed=0)
+        host, a, b = Host(sim, 0), Host(sim, 1), Host(sim, 2)
+        port, _ = connect(sim, host, a, 10**10, 0, 10_000)
+        assert host.nic is port
+        connect(sim, host, b, 10**10, 0, 10_000)  # dual-homed: ambiguous
+        with pytest.raises(RuntimeError, match="has 2 ports"):
             _ = host.nic
 
     def test_misrouted_packet_raises(self):

@@ -1,0 +1,382 @@
+"""Deferred transmit completions against an eager oracle.
+
+A :class:`~repro.net.port.Port` whose queues are empty when it starts
+transmitting does not schedule its ``_tx_done``: it reserves the event's
+tie-break key and pushes it only if a packet arrives before that position
+passes.  The claim is *exactness* — every surviving event pops where it
+always did — so the reference implementation lives here, not in ``src/``:
+:class:`EagerPort` schedules every completion, as the port did before, and
+the tests drive identical traffic through both and require identical
+transmit sequences, statistics and RNG state, with strictly fewer events
+on the lazy side.
+"""
+
+from itertools import count
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import repro.net.link
+from repro.net.classes import install_credit_classes
+from repro.net.node import Node
+from repro.net.packet import credit_packet, data_packet
+from repro.net.pfc import install_pfc
+from repro.net.port import Port, PortStats
+from repro.net.queues import _QueueStats
+from repro.perf import profile
+from repro.sim.engine import Simulator
+from repro.sim.units import GBPS, US, tx_time_ps
+from tests.test_golden_traces import SCENARIOS, build_payload
+
+RATE = 10 * GBPS
+DATA_TX = tx_time_ps(1538, RATE)
+CREDIT_TX = tx_time_ps(84, RATE)
+
+
+class EagerPort(Port):
+    """The oracle: every transmission schedules its completion event."""
+
+    __slots__ = ()
+
+    def _transmit(self, pkt):
+        if self._on_transmit is not None:
+            self._on_transmit(pkt)
+        self._busy = True
+        self._tx_key = None  # never deferred: _try_send just sees "busy"
+        if self._wake_event is not None:
+            self._wake_event.cancel()
+            self._wake_event = None
+        wire = pkt.wire_bytes
+        tx = tx_time_ps(wire, self.rate_bps)
+        stats = self.stats
+        if pkt.is_credit:
+            stats.credit_bytes_sent += wire
+            stats.credit_pkts_sent += 1
+        else:
+            stats.data_bytes_sent += wire
+            stats.data_pkts_sent += 1
+        stats.busy_ps += tx
+        self.sim.schedule_unref(tx, self._tx_done)
+        self.sim.schedule_unref(tx + self.prop_delay_ps, self.peer.receive,
+                                pkt, self)
+
+
+# --- a small fabric built to collide ------------------------------------------
+
+class Relay(Node):
+    """Forwards around a ring; answers most credits with a data packet.
+
+    All relays draw from one named RNG stream and label replies from one
+    counter, so any change in event order shows up in the logs.
+    """
+
+    def __init__(self, fabric, node_id):
+        super().__init__(fabric.sim, node_id, f"r{node_id}")
+        self.fabric = fabric
+        self.rng = fabric.sim.rng("relay")
+
+    def receive(self, pkt, from_port):
+        fabric = self.fabric
+        fabric.log.setdefault(from_port.name, []).append(
+            (self.sim.now, pkt.seq))
+        if pkt.dst != self.id:
+            self.forward(pkt)
+        elif pkt.is_credit and self.rng.random() < 0.75:
+            self.forward(data_packet(self.id, pkt.src, None, 1500,
+                                     seq=next(fabric.labels)))
+
+    def forward(self, pkt):
+        n = len(self.fabric.nodes)
+        step = 1 if (pkt.dst - self.id) % n <= n // 2 else -1
+        self.ports[(self.id + step) % n].send(pkt)
+
+
+class Fabric:
+    """``n`` relays in a ring, equal link rates, ``port_cls`` egress ports."""
+
+    def __init__(self, port_cls, n, prop_delay_ps, classified, hooked, pfc):
+        self.sim = Simulator(seed=7)
+        self.log = {}
+        self.labels = count()
+        self.nodes = [Relay(self, i) for i in range(n)]
+        self.ports = []
+        for a, b in sorted({tuple(sorted((i, (i + 1) % n)))
+                            for i in range(n)}):
+            for src, dst in ((a, b), (b, a)):
+                port = port_cls(self.sim, self.nodes[src], self.nodes[dst],
+                                RATE, prop_delay_ps,
+                                data_capacity_bytes=4 * 1538,
+                                credit_capacity_pkts=4)
+                self.nodes[src].attach_port(port)
+                self.ports.append(port)
+        if classified:
+            install_credit_classes(self.ports[0], {0: 1, 1: 1},
+                                   capacity_pkts=4)
+        if hooked:  # odd ports leave the flags-zero fast path
+            for port in self.ports[1::2]:
+                port.on_transmit = lambda pkt: None
+        if pfc:
+            install_pfc(self.sim, self.ports,
+                        xoff_bytes=2 * 1538, xon_bytes=1538)
+
+    # -- the traffic script ---------------------------------------------------
+    def apply(self, action):
+        kind, _, a, b, extra = action
+        n = len(self.nodes)
+        port = self.ports[a % len(self.ports)]
+        if kind in ("data", "lowprio", "credits"):
+            src, dst = a % n, b % n
+            if src == dst:
+                dst = (dst + 1) % n
+            for _ in range(extra if kind != "lowprio" else 1):
+                label = next(self.labels)
+                if kind == "credits":
+                    pkt = credit_packet(src, dst, None, label)
+                    pkt.seq = label
+                else:
+                    pkt = data_packet(src, dst, None, 1500, seq=label)
+                    pkt.low_priority = kind == "lowprio"
+                self.nodes[src].forward(pkt)
+        elif kind == "down":
+            port.up = False
+        elif kind == "up":
+            port.up = True
+        else:
+            port.set_pfc_paused(kind == "pause")
+
+    def drive(self, actions, mode):
+        """Run the script to quiescence, sliced by ``mode``.
+
+        ``single``: one ``run()``.  ``windows``: ``run(until=…)`` at every
+        instant a transmission started by the script could end — landing
+        exactly on ``free_at`` values — with the actions marked external
+        applied *between* runs.  ``steps``: ``run(max_events=1)``, with each
+        external action applied from outside the loop right after the step
+        that delivered the fabric's k-th packet (deliveries are never
+        elided, so that is the same point of both runs).
+        """
+        sim = self.sim
+        between = {}
+        for action in actions:
+            at, external = action[1]
+            if external and mode == "windows":
+                between.setdefault(at, []).append(action)
+            elif external and mode == "steps":
+                between.setdefault(action[2] + action[3], []).append(action)
+            else:
+                sim.schedule_at(at, self.apply, action)
+        if mode == "windows":
+            starts = {action[1][0] for action in actions}
+            for at in sorted(starts | {t + DATA_TX for t in starts}
+                             | {t + CREDIT_TX for t in starts}):
+                sim.run(until=at)
+                for action in between.pop(at, ()):
+                    self.apply(action)
+        elif mode == "steps":
+            while sim.run(max_events=1):
+                delivered = sum(map(len, self.log.values()))
+                for action in between.pop(delivered, ()):
+                    self.apply(action)
+            for _, late in sorted(between.items()):
+                for action in late:
+                    self.apply(action)
+        sim.run()
+
+    def snapshot(self):
+        def stats_of(queue):
+            if queue is None:
+                return None
+            queues = getattr(queue, "queues", None)
+            if queues is not None:  # ClassifiedCreditQueues
+                return {cls: stats_of(q) for cls, q in queues.items()}
+            return ({f: getattr(queue.stats, f)
+                     for f in _QueueStats.__slots__}, len(queue))
+
+        return {
+            "now": self.sim.now,
+            "labels": next(self.labels),
+            "log": self.log,
+            "ports": {
+                port.name: (
+                    {f: getattr(port.stats, f) for f in PortStats.__slots__},
+                    stats_of(port.data_queue), stats_of(port.credit_queue),
+                    stats_of(port.lowprio_queue), port.pfc_paused)
+                for port in self.ports},
+            "rng": {name: rng.random()
+                    for name, rng in sorted(self.sim._rngs.items())},
+        }
+
+    def transmissions(self):
+        return sum(p.stats.data_pkts_sent + p.stats.credit_pkts_sent
+                   for p in self.ports)
+
+
+def _completions_fired(report):
+    return sum(n for (_, qual), (n, _, _) in report.counts.items()
+               if qual.endswith("._tx_done"))
+
+
+#: Few instants, all built from the two serialization delays, so arrivals,
+#: completions and window edges coincide to the picosecond.
+instants = st.builds(lambda a, b: a * DATA_TX + b * CREDIT_TX,
+                     st.integers(0, 2), st.integers(0, 1))
+
+actions = st.lists(
+    st.tuples(
+        st.sampled_from(["data"] * 4 + ["credits"] * 4
+                        + ["lowprio", "down", "up", "pause", "resume"]),
+        st.tuples(instants, st.booleans()),
+        st.integers(0, 5), st.integers(0, 5), st.integers(1, 4)),
+    min_size=2, max_size=16)
+
+fabrics = st.fixed_dictionaries({
+    "n": st.integers(2, 3),
+    "prop_delay_ps": st.sampled_from([0, 0, CREDIT_TX, DATA_TX, 1 * US]),
+    "classified": st.booleans(),
+    "hooked": st.booleans(),
+    "pfc": st.booleans(),
+})
+
+
+@settings(deadline=None, max_examples=500,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fabrics, actions, st.sampled_from(["single", "windows", "steps"]),
+       st.booleans())
+def test_lazy_ports_are_indistinguishable_from_eager_ones(
+        fabric_kw, script, mode, profiled):
+    eager = Fabric(EagerPort, **fabric_kw)
+    eager.drive(script, mode)
+    if profiled:  # also exercises the profiled run loop
+        with profile.profiled() as session:
+            lazy = Fabric(Port, **fabric_kw)
+            lazy.drive(script, mode)
+    else:
+        lazy = Fabric(Port, **fabric_kw)
+        lazy.drive(script, mode)
+
+    assert lazy.snapshot() == eager.snapshot()
+    saved = eager.sim.events_processed - lazy.sim.events_processed
+    assert saved >= 0
+    assert eager.sim.pending() == lazy.sim.pending() == 0
+    if profiled:
+        # Drained, so the eager side fired one completion per transmission;
+        # what the lazy side did not fire is exactly what it saved.
+        elided = lazy.transmissions() - _completions_fired(session.report)
+        assert saved == elided
+        if lazy.transmissions():  # and the report derives the same number
+            assert (f"elided: {elided:,} of {lazy.transmissions():,} "
+                    in session.report.format())
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_golden_scenarios_match_the_eager_oracle(name, monkeypatch):
+    lazy_payload = build_payload(name)
+    lazy_sim = next(iter(SCENARIOS[name]().values())).port.sim
+    monkeypatch.setattr(repro.net.link, "Port", EagerPort)
+    assert build_payload(name) == lazy_payload
+    eager_sim = next(iter(SCENARIOS[name]().values())).port.sim
+    assert eager_sim.now == lazy_sim.now
+    assert lazy_sim.events_processed < eager_sim.events_processed
+
+
+# --- the tie, case by case -----------------------------------------------------
+
+class Sink(Node):
+    def __init__(self, sim, node_id):
+        super().__init__(sim, node_id)
+        self.arrivals = []
+
+    def receive(self, pkt, from_port):
+        self.arrivals.append((self.sim.now, pkt.seq))
+
+
+def _wire(port_cls, prop_delay_ps=1 * US):
+    sim = Simulator(seed=0)
+    sink = Sink(sim, 1)
+    port = port_cls(sim, Sink(sim, 0), sink, RATE, prop_delay_ps,
+                    data_capacity_bytes=100_000)
+    return sim, port, sink
+
+
+def _data(seq):
+    return data_packet(0, 1, None, 1500, seq=seq)
+
+
+BACK_TO_BACK = [(DATA_TX + 1 * US, 0), (2 * DATA_TX + 1 * US, 1)]
+
+
+@pytest.mark.parametrize("port_cls", [Port, EagerPort])
+def test_arrival_at_free_at_with_a_lower_key_enqueues_then_completes(port_cls):
+    sim, port, sink = _wire(port_cls)
+    sim.schedule_at(DATA_TX, port.send, _data(1))  # key 1
+    port.send(_data(0))          # completion position: (DATA_TX, key 2)
+    assert sim.run(max_events=1) == 1              # the arrival, at free_at
+    # Its key precedes the completion's, so the line is still busy.
+    assert sim.now == DATA_TX
+    assert len(port.data_queue) == 1 and port.stats.data_pkts_sent == 1
+    assert sim.run(max_events=1) == 1              # the completion itself
+    assert len(port.data_queue) == 0 and port.stats.data_pkts_sent == 2
+    sim.run()
+    assert sink.arrivals == BACK_TO_BACK
+    assert sim.events_processed == (5 if port_cls is EagerPort else 4)
+
+
+@pytest.mark.parametrize("port_cls", [Port, EagerPort])
+def test_arrival_at_free_at_with_a_higher_key_transmits_in_place(port_cls):
+    sim, port, sink = _wire(port_cls)
+    port.send(_data(0))          # completion position: (DATA_TX, key 1)
+    sim.schedule_at(DATA_TX, port.send, _data(1))  # key 3
+    sim.run(until=DATA_TX)
+    # The completion's position has passed: the arrival found a free line.
+    assert len(port.data_queue) == 0 and port.stats.data_pkts_sent == 2
+    assert port.data_queue.stats.max_pkts == 1
+    sim.run()
+    assert sink.arrivals == BACK_TO_BACK
+    assert sim.events_processed == (5 if port_cls is EagerPort else 3)
+
+
+@pytest.mark.parametrize("port_cls", [Port, EagerPort])
+def test_arrival_between_runs_at_until_equal_free_at_transmits_in_place(
+        port_cls):
+    sim, port, sink = _wire(port_cls)
+    sim.schedule_at(DATA_TX // 2, lambda: None)    # key 1: last dispatched
+    port.send(_data(0))          # completion position: (DATA_TX, key 2)
+    sim.run(until=DATA_TX)       # everything due at DATA_TX has fired
+    port.send(_data(1))
+    assert len(port.data_queue) == 0 and port.stats.data_pkts_sent == 2
+    sim.run()
+    assert sink.arrivals == BACK_TO_BACK
+
+
+@pytest.mark.parametrize("port_cls", [Port, EagerPort])
+def test_max_events_stop_keeps_the_dispatch_position(port_cls):
+    sim, port, sink = _wire(port_cls)
+    sim.schedule_at(DATA_TX, lambda: None)         # key 1
+    port.send(_data(0))          # completion position: (DATA_TX, key 2)
+    assert sim.run(max_events=1) == 1 and sim.now == DATA_TX
+    # Stopped mid-instant, *before* the completion's position: an arrival
+    # from outside the loop must still queue behind it.
+    port.send(_data(1))
+    assert len(port.data_queue) == 1 and port.stats.data_pkts_sent == 1
+    sim.run()
+    assert sink.arrivals == BACK_TO_BACK
+
+
+def test_classified_credit_queue_on_a_port_that_defers_completions():
+    """The eager/lazy decision asks the queue protocol, not ``_q``
+    (ClassifiedCreditQueues has none)."""
+    sim, port, sink = _wire(Port)
+    classified = install_credit_classes(port, {0: 3, 1: 1})
+    assert not hasattr(classified, "_q")
+    for seq in range(3):         # the third waits for tokens: burst is 2
+        pkt = credit_packet(0, 1, None, seq)
+        pkt.seq = seq
+        port.send(pkt)
+    # First credit found the others not yet queued: deferred.  The second
+    # arrival materialised that completion and waited behind it.
+    assert port.stats.credit_pkts_sent == 1 and len(classified) == 2
+    sim.run()
+    assert [seq for _, seq in sink.arrivals] == [0, 1, 2]
+    assert sink.arrivals[1][0] - sink.arrivals[0][0] == CREDIT_TX
+    port.send(_data(3))          # long after: the last completion was elided
+    assert port.stats.data_pkts_sent == 1 and len(port.data_queue) == 0

@@ -1,12 +1,13 @@
 """repro.perf: the optimisations must be invisible except in speed.
 
 Determinism is the substrate's core contract, so each hot-path feature —
-heap compaction, the Event freelist, the port fast path, the profiler —
-is run against the golden-trace scenarios at the edges of its threshold
-(or, for the port fast path, with a no-op hook forcing every port through
-the checked path), asserting bit-identical payloads and event counts.
-Plus regression tests for the structural properties the features provide
-(bounded heap growth, event recycling, O(1) pending).
+heap compaction, the port fast path, the profiler — is run against the
+golden-trace scenarios at the edges of its threshold (or, for the port fast
+path, with a no-op hook forcing every port through the checked path),
+asserting bit-identical payloads and event counts.  Plus regression tests
+for the structural properties the features provide (bounded heap growth,
+O(1) pending, handle-less heap entries).  Deferred transmit completions
+have their own eager oracle in ``tests/test_lazy_completion.py``.
 """
 
 import pytest
@@ -31,7 +32,6 @@ def defaults(monkeypatch):
     """Pin the perf knobs to their shipped defaults (env-independent)."""
     monkeypatch.setattr(perf, "COMPACT_MIN", 256)
     monkeypatch.setattr(perf, "COMPACT_RATIO", 1)
-    monkeypatch.setattr(perf, "FREELIST_MAX", 1024)
 
 
 _port_init = Port.__init__
@@ -57,7 +57,6 @@ def test_disabling_all_optimisations_is_bit_identical(
     fast = build_payload(name)
     fast_events = _events_processed(name)
     monkeypatch.setattr(perf, "COMPACT_MIN", 0)
-    monkeypatch.setattr(perf, "FREELIST_MAX", 0)
     monkeypatch.setattr(*CHECKED_PATH)
     slow = build_payload(name)
     assert slow == fast
@@ -67,7 +66,6 @@ def test_disabling_all_optimisations_is_bit_identical(
 @pytest.mark.parametrize("knob", [
     (perf, "COMPACT_MIN", 0),     # no compaction
     (perf, "COMPACT_MIN", 1),     # compact as aggressively as possible
-    (perf, "FREELIST_MAX", 0),    # no event recycling
     CHECKED_PATH,                 # no port fast path
 ])
 def test_each_knob_alone_is_bit_identical(knob, defaults, monkeypatch):
@@ -145,38 +143,88 @@ def test_compaction_preserves_pop_order(defaults, monkeypatch):
     assert len(fired) == 10
 
 
-# --- event freelist -----------------------------------------------------------
-
-def test_unref_events_are_recycled(defaults):
-    sim = Simulator(seed=0)
-    for _ in range(100):
-        sim.schedule_unref(100, lambda: None)
-    sim.run()
-    assert len(sim._freelist) == 100
-    before = len(sim._freelist)
-    sim.schedule_unref(100, lambda: None)
-    assert len(sim._freelist) == before - 1  # popped from the pool
-    sim.run()
-
+# --- handle-less entries and reserved keys -----------------------------------
 
 def test_handle_events_are_never_recycled(defaults):
+    """A fired handle can be cancelled harmlessly and is never reused."""
     sim = Simulator(seed=0)
     events = [sim.schedule(100, lambda: None) for _ in range(50)]
     sim.run()
-    assert sim._freelist == []
-    # A stale cancel on a fired handle must stay a no-op.
     for event in events:
         event.cancel()
     assert sim.pending() == 0
+    fresh = [sim.schedule(100, lambda: None) for _ in range(50)]
+    sim.schedule_unref(100, lambda: None)
+    assert not {id(e) for e in events} & {id(e) for e in fresh}
+    assert all(e.cancelled for e in events)
+    assert sim.run() == 51  # the stale cancels touched nothing live
 
 
-def test_freelist_respects_cap(defaults, monkeypatch):
-    monkeypatch.setattr(perf, "FREELIST_MAX", 16)
+def test_compact_and_peek_time_with_handleless_entries_at_the_head(
+        defaults, monkeypatch):
+    monkeypatch.setattr(perf, "COMPACT_MIN", 4)
     sim = Simulator(seed=0)
-    for _ in range(100):
-        sim.schedule_unref(100, lambda: None)
+    fired = []
+    sim.schedule_unref(10, fired.append, "unref")   # heap head, no Event
+    doomed = [sim.schedule(20 + i, fired.append, i) for i in range(8)]
+    sim.schedule(50, fired.append, "handle")
+    assert sim.peek_time() == 10
+    for event in doomed:       # crosses COMPACT_MIN with live < cancelled
+        event.cancel()
+    assert len(sim._heap) < 10 and sim.pending() == 2
+    assert sim.peek_time() == 10
+    sim.run(until=10)
+    assert sim.peek_time() == 50
     sim.run()
-    assert len(sim._freelist) == 16
+    assert fired == ["unref", "handle"]
+
+
+def test_peek_time_reaps_cancelled_head_before_a_handleless_entry(monkeypatch):
+    monkeypatch.setattr(perf, "COMPACT_MIN", 0)
+    sim = Simulator(seed=0)
+    sim.schedule(5, lambda: None).cancel()
+    sim.schedule_unref(7, lambda: None)
+    assert sim.peek_time() == 7
+    assert len(sim._heap) == 1 and sim.pending() == 1
+
+
+def test_push_reserved_pops_at_the_reserved_position():
+    sim = Simulator(seed=0)
+    fired = []
+    sim.schedule(10, fired.append, "before")
+    key = sim.reserve_key()
+    sim.schedule(10, fired.append, "after")
+    sim.push_reserved(10, key, fired.append, "reserved")
+    sim.run()
+    assert fired == ["before", "reserved", "after"]
+
+
+def test_dispatch_key_tracks_the_run_loop():
+    sim = Simulator(seed=0)
+    seen = []
+    for _ in range(3):
+        sim.schedule(10, lambda: seen.append(sim.dispatch_key))
+    sim.schedule(20, lambda: None)
+    assert sim.run(max_events=2) == 2
+    assert seen == [1, 2] and sim.dispatch_key == 2   # stopped mid-instant
+    sim.run(until=5)                # behind the clock: nothing dispatched
+    assert sim.now == 10 and sim.dispatch_key == 2
+    sim.run(until=10)               # everything due at ``now`` has fired
+    assert seen == [1, 2, 3] and sim.dispatch_key == Simulator._KEY_END
+    sim.run(max_events=1)
+    assert sim.dispatch_key == 4    # drained by the limit, not the loop
+    sim.run()
+    assert sim.dispatch_key == Simulator._KEY_END
+
+
+def test_push_reserved_into_the_past_raises():
+    sim = Simulator(seed=0)
+    key = sim.reserve_key()
+    sim.run(until=100)
+    with pytest.raises(ValueError, match="into the past"):
+        sim.push_reserved(99, key, lambda: None)
+    sim.push_reserved(100, key, lambda: None)  # ``now`` itself is allowed
+    assert sim.run() == 1
 
 
 # --- profiler internals -------------------------------------------------------
