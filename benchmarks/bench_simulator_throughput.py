@@ -14,9 +14,9 @@ runner for the CI perf-smoke job::
 It measures events/sec for the pure event loop (sparse chain and dense
 many-timer shapes), port transmissions/sec for a serial ExpressPass
 dumbbell and a small sweep on two workers, fig15-style cell throughput on
-the packet vs fluid backends, and a fat-tree persistent cell serial vs
-sharded (``repro.sim.parallel``), then writes them to a JSON report
-alongside the committed pre-PR baseline.  ``--check`` exits non-zero if any
+the packet vs fluid backends, and a fat-tree persistent cell (the one
+multi-hop packet row), then writes them to a JSON report alongside the
+committed pre-PR baseline.  ``--check`` exits non-zero if any
 metric falls below its absolute floor, regresses more than 20 % against
 the committed report's numbers, or is in the committed report but missing
 from the run.
@@ -88,7 +88,6 @@ UNITS = {
     "fig15_cells_packet": "cells",
     "fig15_cells_fluid": "cells",
     "fattree_cell_serial": "cells",
-    "fattree_cell_shards2": "cells",
 }
 
 #: Absolute floors (per second, in each row's unit): ~4-5x below the
@@ -102,7 +101,6 @@ FLOORS = {
     "fig15_cells_packet": 1.5,
     "fig15_cells_fluid": 480,
     "fattree_cell_serial": 0.37,
-    "fattree_cell_shards2": 0.13,
 }
 
 #: ``--check`` fails when a metric drops below this fraction of the
@@ -234,51 +232,15 @@ def _bench_fig15_cells(backend: str) -> tuple:
     return len(_FIG15_GRID), perf_counter() - t0
 
 
-#: Fat-tree persistent cell both execution modes run for the serial vs
-#: sharded comparison.
-_SHARDED_KW = dict(protocol="expresspass", n_flows=4, topology="fat_tree",
-                   topo_params={"k": 4})
-
-#: Partner results queued by the interleaved sharded measurement below.
-_sharded_pending = {1: [], 2: []}
-
-
-def _sharded_cell_run(shards: int) -> tuple:
-    """(cells, seconds) for one fat-tree persistent cell at ``shards``.
-
-    At smoke scale this is an *overhead* row, not a speedup row: the
-    cut-link lookahead is a few microseconds of simulated time, so the
-    conservative window loop synchronizes thousands of times per
-    millisecond and process dispatch dominates — sharding pays off only
-    when per-window event density is much higher.  The committed ratio
-    keeps that overhead visible (and bounded); bit-identity of the rows
-    themselves is pinned by ``tests/test_sharded.py``, not here.
-    """
-    from repro.runtime import using
+def _bench_fattree_cell() -> tuple:
+    """(cells, seconds) for one k=4 fat-tree persistent cell: the only row
+    whose packets cross more than one switch."""
     from repro.scenarios.cells import run_persistent
 
     t0 = perf_counter()
-    with using(shards=shards, cache_enabled=False, progress=False):
-        run_persistent(warmup_ps=2 * MS, measure_ps=4 * MS, **_SHARDED_KW)
+    run_persistent(protocol="expresspass", n_flows=4, topology="fat_tree",
+                   topo_params={"k": 4}, warmup_ps=2 * MS, measure_ps=4 * MS)
     return 1, perf_counter() - t0
-
-
-def _bench_sharded_cell(shards: int) -> tuple:
-    """One cell per execution mode, measured back-to-back.
-
-    The serial/sharded ratio is the point of these two rows, and on a
-    shared CI machine throughput drifts by tens of percent between
-    measurement moments — so each call times *both* modes adjacently and
-    queues the partner's result for the partner's next call, keeping every
-    compared pair temporally local.
-    """
-    pending = _sharded_pending[shards]
-    if pending:
-        return pending.pop(0)
-    other = 2 if shards == 1 else 1
-    mine = _sharded_cell_run(shards)
-    _sharded_pending[other].append(_sharded_cell_run(other))
-    return mine
 
 
 SCENARIOS = {
@@ -288,8 +250,7 @@ SCENARIOS = {
     "sweep_parallel2": _bench_sweep_parallel2,
     "fig15_cells_packet": lambda: _bench_fig15_cells("packet"),
     "fig15_cells_fluid": lambda: _bench_fig15_cells("fluid"),
-    "fattree_cell_serial": lambda: _bench_sharded_cell(1),
-    "fattree_cell_shards2": lambda: _bench_sharded_cell(2),
+    "fattree_cell_serial": _bench_fattree_cell,
 }
 
 
@@ -367,12 +328,6 @@ def main(argv=None) -> int:
             "fluid_vs_packet_fig15_cells": round(
                 current["fig15_cells_fluid"]
                 / current["fig15_cells_packet"], 1),
-            # < 1 at smoke scale by design: conservative windows cost more
-            # than they win until per-window event density is fabric-sized.
-            # The committed ratio bounds that overhead.
-            "sharded2_vs_serial_fattree_cell": round(
-                current["fattree_cell_shards2"]
-                / current["fattree_cell_serial"], 2),
         },
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"

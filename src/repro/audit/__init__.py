@@ -33,9 +33,9 @@ count the per-task summaries the scheduler already collected.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import List, Optional, Union
+from typing import List, Optional
 
-from repro.audit.auditor import NetworkAuditor, merge_shard_summaries
+from repro.audit.auditor import NetworkAuditor
 from repro.audit.report import (
     AuditReport,
     Violation,
@@ -52,9 +52,8 @@ __all__ = [
 ]
 
 _capture_depth = 0
-#: Live auditors claimed by the open captures, oldest scope first — and the
-#: merged summary dicts sharded runs parked beside them.
-_captured: List[Union[NetworkAuditor, dict]] = []
+#: Live auditors claimed by the open captures, oldest scope first.
+_captured: List[NetworkAuditor] = []
 
 
 def is_active() -> bool:
@@ -82,17 +81,6 @@ def maybe_attach(net) -> Optional[NetworkAuditor]:
     return auditor
 
 
-def _absorb_shards(payloads: List[dict]) -> dict:
-    """Sharded runs (:mod:`repro.sim.parallel`) audit inside their worker
-    processes; the shard payloads merge here into the one simulation they
-    describe, and parking the merged dict in the open capture (if any)
-    lets it fold in beside the live auditors' reports."""
-    merged = merge_shard_summaries(payloads)
-    if _capture_depth > 0:
-        _captured.append(merged)
-    return merged
-
-
 class capture:
     """Capture scope: every auditor attached inside it (and not claimed by
     a scope nested deeper) is finalized when it closes; ``.summary`` then
@@ -115,17 +103,10 @@ class capture:
         del _captured[self._marker:]
         _capture_depth = max(0, _capture_depth - 1)
         self.summary = self.payload = merge_summaries(
-            [a if isinstance(a, dict) else a.finalize().summary()
-             for a in scoped])
-        for auditor in scoped:
-            if not isinstance(auditor, dict) and auditor.sim.shard is not None:
-                # Inside a shard worker: ship what the coordinator needs to
-                # run the deferred cross-shard flow checks centrally.
-                self.summary["shard"] = auditor.shard_account()
+            [a.finalize().summary() for a in scoped])
         return False
 
 
 #: This plane's face to :mod:`repro.runtime.probes`.
 PROBE = SimpleNamespace(name="audit", capture=capture, active=is_active,
-                        merge=merge_summaries, format=format_summary,
-                        absorb_shards=_absorb_shards)
+                        merge=merge_summaries, format=format_summary)

@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.audit.report import AuditReport, merge_summaries
+from repro.audit.report import AuditReport
 from repro.net.packet import (
     CREDIT_RATE_FRACTION_DEN,
     CREDIT_RATE_FRACTION_NUM,
@@ -211,11 +211,6 @@ class NetworkAuditor:
         self._flow_links: Dict[int, Tuple[Set, Set]] = {}  # fid -> (data, credit)
         self._last_event_ps: Optional[int] = None
         self._finalized = False
-        #: When True, :meth:`finalize` skips the per-flow quiescence checks.
-        #: Sharded execution sets this in each worker: a single shard sees
-        #: only its own half of a flow's counters, so the checks run once,
-        #: centrally, over merged :meth:`flow_accounts`.
-        self.defer_flow_checks = False
         sim.auditor = self
 
     # -- engine observer ----------------------------------------------------
@@ -274,193 +269,70 @@ class NetworkAuditor:
         for probe in self._ports.values():
             probe.finalize()
         drained = self.sim.pending() == 0
-        if not self.defer_flow_checks:
-            for flow in self._flows:
-                self._check_flow(flow, drained)
+        for flow in self._flows:
+            self._check_flow(flow, drained)
         return self.report
 
-    def _flow_account(self, flow) -> dict:
-        """One flow's audited counters as plain data.
-
-        The quiescence checks consume these accounts rather than live flow
-        objects, so a sharded run can ship each replica's account across
-        process boundaries, merge them counter-wise, and run the identical
-        checks (:func:`check_flow_account`) on the reconstructed totals.
-        """
+    def _check_flow(self, flow, drained: bool) -> None:
+        """The per-flow quiescence checks."""
+        report = self.report
+        subject = repr(flow)
+        now = self.sim.now
         chaos = self.sim.chaos
         data_links, credit_links = self._flow_links.get(flow.fid,
                                                         (set(), set()))
-        return {
-            "fid": flow.fid,
-            "subject": repr(flow),
-            "data_links": sorted(data_links),
-            "credit_links": sorted(credit_links),
-            "credits_sent": getattr(flow, "credits_sent", None),
-            "credits_received": getattr(flow, "credits_received", 0),
-            "credit_drops": flow.credit_drops,
-            "injected_credit_drops": (chaos.injected_credit_drops(flow.fid)
-                                      if chaos is not None else 0),
-            "size_bytes": flow.size_bytes,
-            "bytes_delivered": flow.bytes_delivered,
-            "completed": flow.completed,
-            "started": getattr(flow, "_started", False),
-            "stopped": getattr(flow, "_stopped", False),
-        }
-
-    def flow_accounts(self) -> List[dict]:
-        """Accounts for every registered flow, in registration order."""
-        return [self._flow_account(flow) for flow in self._flows]
-
-    def shard_account(self) -> dict:
-        """What a shard worker ships beside its summary so the coordinator
-        can run the deferred per-flow checks over merged totals
-        (:func:`merge_shard_summaries`): every flow replica's account,
-        tagged with whether this shard owns the flow's destination, the
-        fault plane's topology excuses, and the quiescence facts."""
-        shard = self.sim.shard
-        chaos = self.sim.chaos
-        accounts = self.flow_accounts()
-        for flow, account in zip(self._flows, accounts):
-            account["dst_owned"] = shard.owns(flow.dst.id)
-        return {
-            "flow_accounts": accounts,
-            "chaos": None if chaos is None else {
-                "topology_changed": chaos.topology_changed,
-                "affected_links": sorted(chaos.affected_links),
-            },
-            "now": self.sim.now,
-            "drained": self.sim.pending() == 0,
-        }
-
-    def _check_flow(self, flow, drained: bool) -> None:
-        chaos = self.sim.chaos
-        check_flow_account(
-            self.report, self._flow_account(flow), drained, self.sim.now,
-            topology_changed=chaos is not None and chaos.topology_changed,
-            affected_links=(chaos.affected_links if chaos is not None
-                            else frozenset()))
-
-
-def check_flow_account(report: AuditReport, account: dict, drained: bool,
-                       now: int, topology_changed: bool = False,
-                       affected_links=frozenset()) -> None:
-    """The per-flow quiescence checks, over a plain-data account.
-
-    Single source of truth for serial (:meth:`NetworkAuditor._check_flow`)
-    and sharded (merged-account) auditing — both paths produce identical
-    invariant names and messages for identical totals.
-    """
-    subject = account["subject"]
-    data_links = {tuple(link) for link in account["data_links"]}
-    credit_links = {tuple(link) for link in account["credit_links"]}
-    if topology_changed:
-        # A flow that lived through a routing reconvergence took one
-        # path before the change and another after it; the whole-run
-        # set comparison below cannot distinguish that from a genuine
-        # asymmetric hash, so the check is skipped (and counted) when
-        # the fault plan changed the topology.  Loss/jitter/meter-only
-        # plans keep it fully armed.
-        data_links = credit_links = set()
-        report.count("path_symmetry_skipped_chaos")
-    elif data_links and credit_links:
-        # Links an active fault plan touched are excused: during a
-        # blackhole window one direction can legitimately cross a link
-        # whose mirror is dead (both orientations are excused).
-        if affected_links:
-            data_links = {l for l in data_links if l not in affected_links}
-            credit_links = {l for l in credit_links
-                            if l not in affected_links}
-    if data_links and credit_links:
-        reversed_credit = {(b, a) for (a, b) in credit_links}
-        if data_links != reversed_credit:
-            stray = sorted(reversed_credit - data_links)
-            missing = sorted(data_links - reversed_credit)
-            report.add(
-                "path-symmetry", subject, now,
-                f"credit path is not the reverse of the data path "
-                f"(§3.1): credits crossed reversed-links {stray} not on "
-                f"the data path; data links {missing} saw no credits")
-    # Credit conservation holds only at quiescence: a run cut mid-flight
-    # legitimately has credits on the wire.
-    sent = account["credits_sent"]
-    if drained and sent is not None:
-        injected = account["injected_credit_drops"]
-        received = account["credits_received"]
-        drops = account["credit_drops"]
-        accounted = received + drops + injected
-        if sent != accounted:
-            budget = (f" + {injected} chaos-injected" if injected else "")
-            report.add(
-                "credit-conservation", subject, now,
-                f"{sent} credits sent but only {accounted} accounted "
-                f"({received} received + "
-                f"{drops} dropped{budget}) — "
-                f"{sent - accounted} lost silently")
-    if account["size_bytes"] is not None:
-        if (account["completed"]
-                and account["bytes_delivered"] != account["size_bytes"]):
-            report.add(
-                "completion-exactness", subject, now,
-                f"flow completed having delivered "
-                f"{account['bytes_delivered']}B of {account['size_bytes']}B")
-        elif (drained and not account["completed"]
-                and account["started"]
-                and not account["stopped"]):
-            report.add(
-                "completion-exactness", subject, now,
-                f"simulation drained but the flow delivered only "
-                f"{account['bytes_delivered']}B of {account['size_bytes']}B")
-
-
-def merge_shard_summaries(payloads: List[dict]) -> dict:
-    """One sharded simulation's verdict from its per-shard audit payloads.
-
-    Each worker audits its own ports and defers the per-flow quiescence
-    checks (a shard sees only its half of a flow's counters); here the
-    replicas' accounts are merged counter-wise and the identical checks run
-    once, centrally, with the fault plane's excuses unioned across shards.
-    """
-    shards = [p["shard"] for p in payloads if "shard" in p]
-    by_fid: Dict[int, List[dict]] = {}
-    for shard in shards:
-        for account in shard["flow_accounts"]:
-            by_fid.setdefault(account["fid"], []).append(account)
-    chaos_infos = [shard["chaos"] for shard in shards]
-    topology_changed = any(c["topology_changed"] for c in chaos_infos if c)
-    affected = set()
-    for c in chaos_infos:
-        if c:
-            affected.update(tuple(link) for link in c["affected_links"])
-    now = max((shard["now"] for shard in shards), default=0)
-    drained = all(shard["drained"] for shard in shards)
-    report = AuditReport()
-    for fid in sorted(by_fid):
-        check_flow_account(report, _merge_flow_account(by_fid[fid]),
-                           drained, now,
-                           topology_changed=topology_changed,
-                           affected_links=affected)
-    merged = merge_summaries(payloads + [report.summary()])
-    merged["runs"] = 1  # one simulation, not n_shards + 1
-    return merged
-
-
-def _merge_flow_account(accounts: List[dict]) -> dict:
-    # Each counter increments in exactly one shard (delivery at the dst
-    # owner, credit receipt at the src owner, drops wherever the dropping
-    # port lives) while every other replica stays at zero — so plain sums
-    # reconstruct the serial totals.  The subject string comes from the
-    # dst-owner replica, whose delivery-side state matches serial.
-    base = next((a for a in accounts if a.get("dst_owned")), accounts[0])
-    merged = dict(base)
-    for key in ("data_links", "credit_links"):
-        merged[key] = sorted({tuple(link) for a in accounts
-                              for link in a[key]})
-    for key in ("bytes_delivered", "credits_received", "credit_drops",
-                "injected_credit_drops"):
-        merged[key] = sum(a[key] for a in accounts)
-    sent = [a["credits_sent"] for a in accounts
-            if a["credits_sent"] is not None]
-    merged["credits_sent"] = sum(sent) if sent else None
-    for key in ("completed", "started", "stopped"):
-        merged[key] = any(a[key] for a in accounts)
-    return merged
+        if chaos is not None and chaos.topology_changed:
+            # A flow that lived through a routing reconvergence took one
+            # path before the change and another after it; the whole-run
+            # set comparison below cannot distinguish that from a genuine
+            # asymmetric hash, so the check is skipped (and counted) when
+            # the fault plan changed the topology.  Loss/jitter/meter-only
+            # plans keep it fully armed.
+            data_links = credit_links = set()
+            report.count("path_symmetry_skipped_chaos")
+        elif chaos is not None and chaos.affected_links:
+            # Links an active fault plan touched are excused: during a
+            # blackhole window one direction can legitimately cross a link
+            # whose mirror is dead (both orientations are excused).
+            excused = chaos.affected_links
+            data_links = {l for l in data_links if l not in excused}
+            credit_links = {l for l in credit_links if l not in excused}
+        if data_links and credit_links:
+            reversed_credit = {(b, a) for (a, b) in credit_links}
+            if data_links != reversed_credit:
+                stray = sorted(reversed_credit - data_links)
+                missing = sorted(data_links - reversed_credit)
+                report.add(
+                    "path-symmetry", subject, now,
+                    f"credit path is not the reverse of the data path "
+                    f"(§3.1): credits crossed reversed-links {stray} not on "
+                    f"the data path; data links {missing} saw no credits")
+        # Credit conservation holds only at quiescence: a run cut mid-flight
+        # legitimately has credits on the wire.
+        sent = getattr(flow, "credits_sent", None)
+        if drained and sent is not None:
+            injected = (chaos.injected_credit_drops(flow.fid)
+                        if chaos is not None else 0)
+            received = getattr(flow, "credits_received", 0)
+            drops = flow.credit_drops
+            accounted = received + drops + injected
+            if sent != accounted:
+                budget = (f" + {injected} chaos-injected" if injected else "")
+                report.add(
+                    "credit-conservation", subject, now,
+                    f"{sent} credits sent but only {accounted} accounted "
+                    f"({received} received + {drops} dropped{budget}) — "
+                    f"{sent - accounted} lost silently")
+        if flow.size_bytes is not None:
+            if flow.completed and flow.bytes_delivered != flow.size_bytes:
+                report.add(
+                    "completion-exactness", subject, now,
+                    f"flow completed having delivered "
+                    f"{flow.bytes_delivered}B of {flow.size_bytes}B")
+            elif (drained and not flow.completed
+                    and getattr(flow, "_started", False)
+                    and not getattr(flow, "_stopped", False)):
+                report.add(
+                    "completion-exactness", subject, now,
+                    f"simulation drained but the flow delivered only "
+                    f"{flow.bytes_delivered}B of {flow.size_bytes}B")

@@ -43,7 +43,8 @@ from repro.experiments import format_table
 from repro import runtime
 from repro.resilience import journal as run_journal
 from repro.runtime import probes
-from repro.runtime.config import ConfigError, check_env, env_text
+from repro.runtime.config import (
+    ConfigError, check_env, env_text, parse_number)
 from repro.resilience.signals import (
     EXIT_INTERRUPTED,
     graceful_shutdown,
@@ -131,6 +132,22 @@ def _parse_sets(parser, items, shape: str = "KEY=VALUE") -> list:
         key, _, raw = item.partition("=")
         pairs.append((key, _parse_value(raw)))
     return pairs
+
+
+def _parse_seeds(parser, raw):
+    """``--seeds S1,S2,...`` as a list of ints (``None`` when not given)."""
+    if not raw:
+        return None
+    seeds = []
+    for token in raw.split(","):
+        if not token:
+            continue
+        try:
+            seeds.append(int(token))
+        except ValueError:
+            parser.error(f"--seeds expects comma-separated integers, "
+                         f"got {token!r}")
+    return seeds
 
 
 def _stored_argv(argv, journal_path: pathlib.Path) -> list:
@@ -225,8 +242,8 @@ def _runtime_overrides(args) -> dict:
     path may also come from ``REPRO_TRACE``.
     """
     overrides = {}
-    for flag, field in (("parallel", "parallel"), ("shards", "shards"),
-                        ("retries", "retries"), ("timeout", "task_timeout_s")):
+    for flag, field in (("parallel", "parallel"), ("retries", "retries"),
+                        ("timeout", "task_timeout_s")):
         if getattr(args, flag, None) is not None:
             overrides[field] = getattr(args, flag)
     if getattr(args, "telemetry", None):
@@ -311,20 +328,17 @@ def _cli(argv=None) -> int:
         """Execution-policy flags every sweep-running subcommand shares
         (a sweep task is one grid point of an experiment, or one cell of a
         matrix)."""
-        p.add_argument("--parallel", type=int, default=None, metavar="N",
+        p.add_argument("--parallel", default=None, metavar="N",
                        help="run sweep tasks on N worker processes "
                             "(0/1 = serial; default REPRO_PARALLEL or 0)")
         p.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="shard each single simulation across N worker "
-                            "processes (repro.sim.parallel; bit-identical "
-                            "to serial; 0/1 = serial; default REPRO_SHARDS, "
-                            "else a matrix spec's timing.shards, else 0)")
+                       help=argparse.SUPPRESS)
         p.add_argument("--no-cache", action="store_true",
                        help="disable the on-disk result cache for this run")
-        p.add_argument("--retries", type=int, default=None, metavar="K",
+        p.add_argument("--retries", default=None, metavar="K",
                        help="retry a failing sweep task up to K times "
                             "(default REPRO_RETRIES or 2)")
-        p.add_argument("--timeout", type=float, default=None, metavar="SEC",
+        p.add_argument("--timeout", default=None, metavar="SEC",
                        help="best-effort per-task timeout in seconds")
         p.add_argument("--telemetry", default=None, metavar="FILE",
                        help="append sweep events as JSONL to FILE")
@@ -461,8 +475,7 @@ def _cli(argv=None) -> int:
     tracep = sub.add_parser(
         "trace",
         help="inspect a repro.obs.trace JSONL file: per-layer time sinks "
-             "and the shard-imbalance table (summarize), or schema-check "
-             "it (validate)")
+             "(summarize), or schema-check it (validate)")
     tracep.add_argument("action", choices=("summarize", "validate"))
     tracep.add_argument("path", help="trace JSONL file (from --trace or "
                                      "REPRO_TRACE)")
@@ -484,7 +497,7 @@ def _cli(argv=None) -> int:
                              "duration_ps or reconverge_delay_ps")
     chaosp.add_argument("--json", action="store_true",
                         help="emit rows as JSON instead of a table")
-    chaosp.add_argument("--parallel", type=int, default=None, metavar="N",
+    chaosp.add_argument("--parallel", default=None, metavar="N",
                         help="sweep seeds on N worker processes")
     chaosp.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk result cache for this run")
@@ -492,6 +505,16 @@ def _cli(argv=None) -> int:
                         help="write the scenario's fault plan as JSON to "
                              "FILE (usable via REPRO_CHAOS) and exit")
     args = parser.parse_args(argv)
+    # The runtime flags go through the range table their env twins do.
+    for flag, knob in (("parallel", "REPRO_PARALLEL"),
+                       ("retries", "REPRO_RETRIES"),
+                       ("timeout", "REPRO_TASK_TIMEOUT")):
+        raw = getattr(args, flag, None)
+        if raw is not None:
+            setattr(args, flag, parse_number(knob, raw, f"--{flag}"))
+    if (getattr(args, "shards", None) or 0) > 1:
+        print("repro: --shards is ignored: single-simulation sharding was "
+              "removed (DESIGN §13); running serially", file=sys.stderr)
 
     if args.command == "resume":
         try:
@@ -614,9 +637,7 @@ def _cli(argv=None) -> int:
         except sc.SpecError as exc:
             print(exc.render(), file=sys.stderr)
             return 1
-        seeds = None
-        if args.seeds:
-            seeds = [int(s) for s in args.seeds.split(",") if s]
+        seeds = _parse_seeds(parser, args.seeds)
         with _observed(args) as sess:
             try:
                 outcome = sc.run_matrix(scenario, seeds=seeds,
@@ -690,9 +711,7 @@ def _cli(argv=None) -> int:
             print(f"wrote fault plan for {args.scenario!r} to "
                   f"{args.emit_plan}")
             return 0
-        seeds = None
-        if args.seeds:
-            seeds = [int(s) for s in args.seeds.split(",") if s]
+        seeds = _parse_seeds(parser, args.seeds)
         with runtime.using(**_runtime_overrides(args)):
             result = chaos_scenarios.run(scenario=args.scenario,
                                          seed=args.seed, seeds=seeds,

@@ -119,8 +119,8 @@ class ExpressPassFlow(Flow):
         self._dead_updates = 0
         self.path_recoveries = 0
         # Per-flow stream (credit-size and pacing jitter): keyed by flow id
-        # so a flow's draws are independent of every other flow's activity —
-        # required for serial == sharded bit-identity.
+        # so a flow's draws are independent of every other flow's activity:
+        # adding or removing another flow never moves this one's trajectory.
         self._rng = self.sim.rng_for("expresspass", self.fid)
 
     # ------------------------------------------------------------------ sender

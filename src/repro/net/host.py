@@ -103,8 +103,8 @@ class Host(Node):
         super().__init__(sim, node_id, name or f"h{node_id}")
         self.delay_model = delay_model or HostDelayModel.constant(0)
         # Per-host delay stream: draws here depend only on (seed, node id),
-        # never on how many *other* hosts sampled before us — the property
-        # sharded execution needs for replica-identical trajectories.
+        # never on how many *other* hosts sampled before us, so a host's
+        # delays are reproducible whatever else the topology contains.
         self._delay_rng = sim.rng_for("host-delay", node_id)
         #: The one attached port, resolved as ports attach (per-packet
         #: ``nic`` reads then cost one slot load); None unless exactly one.

@@ -32,7 +32,7 @@ claimed.
 
 A fourth, orthogonal plane lives in :mod:`repro.obs.trace`: cross-layer
 *causal* tracing (wall-clock and sim-clock spans across the runtime
-scheduler, shard window loop, matrix cells, and sim phases), activated by
+scheduler, matrix cells, and sim phases), activated by
 ``--trace``/``REPRO_TRACE`` and exported as validated JSONL plus
 Chrome/Perfetto JSON.  Metrics aggregate *what* the simulation did; the
 trace shows *where the wall-clock time went* doing it.
@@ -41,7 +41,7 @@ trace shows *where the wall-clock time went* doing it.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.obs.registry import (
     Counter,
@@ -64,9 +64,8 @@ __all__ = [
 ]
 
 _capture_depth = 0
-#: Live registries claimed by the open captures, oldest scope first — and
-#: the merged summary dicts sharded runs parked beside them.
-_captured: List[Union[MetricsRegistry, dict]] = []
+#: Live registries claimed by the open captures, oldest scope first.
+_captured: List[MetricsRegistry] = []
 #: Options of the innermost open capture (dashboard stream, tracing flag).
 _opts: List[dict] = []
 
@@ -115,18 +114,6 @@ def _note_registry(reg: MetricsRegistry) -> None:
         _captured.append(reg)
 
 
-def _absorb_shards(payloads: List[dict]) -> dict:
-    """Sharded runs (:mod:`repro.sim.parallel`) collect metrics inside
-    their worker processes; the shard summaries merge here, and parking
-    the merged dict in the open capture (if any) lets it ride the capture
-    machinery.  It brings no registry: per-packet traces stay in the
-    workers."""
-    merged = merge_summaries(payloads)
-    if _capture_depth > 0:
-        _captured.append(merged)
-    return merged
-
-
 class capture:
     """Capture scope over every registry attached inside it (and not
     claimed by a scope nested deeper).
@@ -160,12 +147,11 @@ class capture:
         _capture_depth = max(0, _capture_depth - 1)
         _opts.pop()
         self.summary = self.payload = merge_summaries(
-            [r if isinstance(r, dict) else r.summary() for r in scoped])
-        self.registries = [r for r in scoped if not isinstance(r, dict)]
+            [r.summary() for r in scoped])
+        self.registries = scoped
         return False
 
 
 #: This plane's face to :mod:`repro.runtime.probes`.
 PROBE = SimpleNamespace(name="metrics", capture=capture, active=is_active,
-                        merge=merge_summaries, format=format_summary,
-                        absorb_shards=_absorb_shards)
+                        merge=merge_summaries, format=format_summary)

@@ -75,7 +75,6 @@ class Dashboard:
         lines.extend(self._rate_panel())
         lines.extend(self._fct_panel())
         lines.extend(self._counter_panel())
-        lines.extend(self._shard_panel())
         return "\n".join(lines)
 
     def _spark(self, values) -> str:
@@ -127,35 +126,3 @@ class Dashboard:
                     marks += getattr(q.stats, "ecn_marked", 0)
         return [f"  drops={drops} ecn_marks={marks} "
                 f"credit_throttled={self.registry.credit_throttled}"]
-
-    def _shard_panel(self) -> List[str]:
-        """Per-shard lanes from the ambient cross-layer tracer, if any.
-
-        Sparkline of recent window-grant durations plus the busy/idle
-        split per shard — fed by the same ``repro.obs.trace`` shard spans
-        the offline ``repro trace summarize`` table aggregates.
-        """
-        from repro.obs import trace as obs_trace
-        tracer = obs_trace.emit_target()
-        if tracer is None:
-            return []
-        lanes = {}
-        for rec in tracer.records:
-            if rec.get("layer") != "shard" or rec.get("record") != "span":
-                continue
-            sid = rec.get("args", {}).get("shard")
-            if sid is None or rec.get("name") != "window":
-                continue
-            lanes.setdefault(sid, []).append(rec)
-        lines = []
-        for sid in sorted(lanes):
-            spans = lanes[sid]
-            durs = [r["t1"] - r["t0"] for r in spans]
-            busy = sum(durs)
-            idle = sum(float(r["args"].get("idle_us", 0.0)) for r in spans)
-            active = busy + idle
-            idle_pct = 100.0 * idle / active if active else 0.0
-            lines.append(f"  shard{sid:<3} windows={len(spans):<6} "
-                         f"|{self._spark(durs)}| "
-                         f"busy={busy / 1e3:.1f}ms idle={idle_pct:.0f}%")
-        return lines

@@ -1,14 +1,11 @@
-"""repro.obs.trace — cross-layer causal tracing for sweeps, shards, cells.
+"""repro.obs.trace — cross-layer causal tracing for sweeps and cells.
 
 One trace answers "where did the wall-clock time go?" across every layer a
 matrix run touches: the runtime scheduler (task attempt spans, pool worker
-lanes, retry/backoff events), the sharding window loop (per-shard
-``[W, W+lookahead)`` grant spans with events-drained / cut-packet / idle
-counters, plus the parent's merge span), matrix cells (one span per cell,
-spec axes as args, linked to the scheduler task span), and sim phases
-(builder replay, warmup, measurement, finalize — plus generic
-``engine.run`` spans the :class:`~repro.sim.engine.Simulator` emits per
-``run()`` call).
+lanes, retry/backoff events), matrix cells (one span per cell, spec axes
+as args, linked to the scheduler task span), and sim phases (build,
+warmup, measurement, finalize — plus generic ``engine.run`` spans the
+:class:`~repro.sim.engine.Simulator` emits per ``run()`` call).
 
 Two explicit clock domains, never mixed in one record:
 
@@ -42,10 +39,10 @@ tracing on or off (``tests/test_trace.py`` pins this).  Turn it on with
 ``--trace FILE`` on ``repro run``/``repro matrix``/the fig CLIs, with
 ``REPRO_TRACE=FILE`` process-wide, or with :func:`tracing` in code.
 Worker processes never write files themselves: per-worker records ride
-the existing result channels (``TaskResult.probes["trace"]``, the shard
-``collect`` reply) in bounded buffers — the payloads of the :data:`PROBE`
-this module exports to :mod:`repro.runtime.probes` — and are stitched by
-the parent under shard/task-qualified track ids.
+the existing result channel (``TaskResult.probes["trace"]``) in bounded
+buffers — the payloads of the :data:`PROBE` this module exports to
+:mod:`repro.runtime.probes` — and are stitched by the parent under
+task-qualified track ids.
 """
 
 from __future__ import annotations
@@ -65,8 +62,8 @@ from repro.runtime.config import env_text
 #: Schema tag written to (and checked in) every JSONL export.
 SCHEMA = "repro.obs.trace/v1"
 
-#: The four instrumented layers, in export order.
-LAYERS = ("cell", "runtime", "shard", "sim")
+#: The three instrumented layers, in export order.
+LAYERS = ("cell", "runtime", "sim")
 
 CLOCKS = ("wall", "sim")
 
@@ -76,8 +73,8 @@ _RECORD_KINDS = ("meta", "span", "event")
 #: records increment ``dropped`` (reported in the meta record) instead.
 MAX_RECORDS = 100_000
 
-#: Smaller default for per-task / per-shard worker buffers: they ship over
-#: pipes and pickle back onto TaskResults, so keep them modest.
+#: Smaller default for per-task worker buffers: they ship over pipes and
+#: pickle back onto TaskResults, so keep them modest.
 WORKER_MAX_RECORDS = 50_000
 
 
@@ -177,8 +174,8 @@ class Tracer:
 
     def ingest_blob(self, blob: Optional[dict], *, prefix: str = "") -> int:
         """Adopt a worker buffer shipped as ``{"records", "epoch",
-        "dropped"}`` (the shape :func:`collect` and the shard workers
-        produce), re-basing its epoch onto ours."""
+        "dropped"}`` (the shape :func:`collect` produces), re-basing its
+        epoch onto ours."""
         if not blob or not blob.get("records"):
             return 0
         shift = round((blob.get("epoch", self.epoch) - self.epoch) * 1e6, 3)
@@ -333,15 +330,6 @@ def _format(merged: dict) -> str:
         return f"repro.obs.trace: {merged['buffers']} task buffer(s) captured"
     return (f"wrote {merged['lines']} trace record(s) to {merged['path']} "
             f"(+ {merged['path']}.perfetto.json)")
-
-
-def _absorb_shards(payloads) -> dict:
-    """Stitch each shard worker's spans in under shard-qualified tracks
-    (``shard<i>/lane``), re-based onto the recording tracer's epoch."""
-    tracer = emit_target()
-    adopted = sum(tracer.ingest_blob(p["trace"], prefix=f"shard{i}/")
-                  for i, p in enumerate(payloads))
-    return {"buffers": len(payloads), "records": adopted}
 
 
 @contextlib.contextmanager
@@ -703,20 +691,19 @@ def _span_wall_us(rec: dict) -> Optional[float]:
 
 
 def summarize(records) -> dict:
-    """Aggregate a trace: per-layer time sinks and a shard-imbalance table.
+    """Aggregate a trace into per-layer time sinks.
 
     Returns ``{"records", "layers": {layer: {name: {count, total_us,
-    max_us}}}, "shards": {shard: {...}}}``.
+    max_us}}}}``.
     """
     layers: Dict[str, Dict[str, dict]] = {}
-    shards: Dict[Any, dict] = {}
     for rec in records:
         if rec.get("record") != "span":
             continue
         wall = _span_wall_us(rec)
         if wall is not None:
             # Stitched worker tracks keep their task prefix; fold the
-            # prefix away so one name aggregates across tasks/shards.
+            # prefix away so one name aggregates across tasks.
             agg = layers.setdefault(rec["layer"], {}) \
                         .setdefault(rec["name"],
                                     {"count": 0, "total_us": 0.0,
@@ -724,28 +711,7 @@ def summarize(records) -> dict:
             agg["count"] += 1
             agg["total_us"] += wall
             agg["max_us"] = max(agg["max_us"], wall)
-        if rec["layer"] == "shard":
-            sid = rec.get("args", {}).get("shard")
-            if sid is None:
-                continue
-            s = shards.setdefault(sid, {"busy_us": 0.0, "idle_us": 0.0,
-                                        "build_us": 0.0, "windows": 0,
-                                        "events": 0, "shipped": 0,
-                                        "received": 0})
-            args = rec.get("args", {})
-            if rec["name"] == "window":
-                s["busy_us"] += rec["t1"] - rec["t0"]
-                s["idle_us"] += float(args.get("idle_us", 0.0))
-                s["windows"] += 1
-                s["events"] += int(args.get("events", 0))
-                s["shipped"] += int(args.get("shipped", 0))
-                s["received"] += int(args.get("received", 0))
-            elif rec["name"] == "builder.replay":
-                s["build_us"] += rec["t1"] - rec["t0"]
-    for s in shards.values():
-        active = s["busy_us"] + s["idle_us"]
-        s["idle_frac"] = round(s["idle_us"] / active, 4) if active else 0.0
-    return {"records": len(records), "layers": layers, "shards": shards}
+    return {"records": len(records), "layers": layers}
 
 
 def format_summary(summary: dict, top: int = 8) -> str:
@@ -764,23 +730,10 @@ def format_summary(summary: dict, top: int = 8) -> str:
                 f"max={agg['max_us'] / 1e3:8.3f}ms")
         if len(ranked) > top:
             lines.append(f"  ... and {len(ranked) - top} more")
-    if summary["shards"]:
-        lines.append("[shard] imbalance:")
-        lines.append(f"  {'shard':<6} {'busy_ms':>10} {'idle_ms':>10} "
-                     f"{'idle%':>6} {'windows':>8} {'events':>10} "
-                     f"{'shipped':>8} {'recv':>8}")
-        for sid in sorted(summary["shards"]):
-            s = summary["shards"][sid]
-            lines.append(
-                f"  {sid!s:<6} {s['busy_us'] / 1e3:>10.3f} "
-                f"{s['idle_us'] / 1e3:>10.3f} "
-                f"{100 * s['idle_frac']:>5.1f}% {s['windows']:>8} "
-                f"{s['events']:>10} {s['shipped']:>8} {s['received']:>8}")
     return "\n".join(lines)
 
 
 #: This plane's face to :mod:`repro.runtime.probes`.
 PROBE = SimpleNamespace(name="trace", capture=_capture,
                         active=lambda: emit_target() is not None,
-                        merge=_merge, format=_format,
-                        absorb_shards=_absorb_shards)
+                        merge=_merge, format=_format)

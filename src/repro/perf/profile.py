@@ -302,9 +302,7 @@ def profiled(sample_every: int = DEFAULT_SAMPLE_EVERY) -> Iterator[ProfileSessio
 
 
 #: This plane's face to :mod:`repro.runtime.probes`.  Never ambiently
-#: active: shard workers are not profiled (their event counts would need a
-#: session-side fold nothing asks for yet), so ``absorb_shards`` is unused.
+#: active: only an explicit capture profiles.
 PROBE = SimpleNamespace(name="profile", capture=profiled,
                         active=lambda: False,
-                        merge=merge_summaries, format=format_summary,
-                        absorb_shards=merge_summaries)
+                        merge=merge_summaries, format=format_summary)

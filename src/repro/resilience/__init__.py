@@ -11,7 +11,7 @@ The resilience plane makes long campaigns survivable rather than fragile:
   :data:`EXIT_INTERRUPTED` instead of a half-written report.
 * :mod:`repro.resilience.selfchaos` — ``REPRO_SELFCHAOS`` fault injection
   aimed at the *execution substrate itself* (killed workers, torn cache
-  blobs, ENOSPC, hung shards), the counterpart of :mod:`repro.chaos`
+  blobs, ENOSPC), the counterpart of :mod:`repro.chaos`
   which faults the simulated fabric.
 
 Nothing here changes results: a resumed campaign's report is bit-identical

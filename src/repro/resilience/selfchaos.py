@@ -2,8 +2,8 @@
 
 ``repro.chaos`` breaks the *simulated* fabric; this module breaks the
 *simulator's own machinery* — killed workers, torn cache blobs, full
-disks, hung shards — so tests (and the CI ``resilience-smoke`` job) can
-assert that journaling, failover, and cache hygiene actually recover.
+disks — so tests (and the CI ``resilience-smoke`` job) can assert that
+journaling, pool recovery, and cache hygiene actually recover.
 
 Directives come from ``REPRO_SELFCHAOS``, comma-separated:
 
@@ -18,10 +18,6 @@ Directives come from ``REPRO_SELFCHAOS``, comma-separated:
                               graceful drain without racing a timer)
 ``cache:torn``                the next cache put writes a truncated blob
 ``cache:enospc``              the next cache put fails with ENOSPC
-``shard:kill=<w>``            a shard worker SIGKILLs itself on entering
-                              conservative window ``<w>`` (1-based)
-``shard:hang=<w>``            a shard worker stops replying (and
-                              heartbeating) at window ``<w>``
 ============================  =============================================
 
 Every directive fires **once per run**, claimed through an ``O_EXCL``
@@ -30,7 +26,9 @@ eligible in several workers at once.  Markers live in
 ``REPRO_SELFCHAOS_DIR`` when set (tests point it at a tmpdir), else in a
 tempdir keyed by the directive string.  Production code calls
 :func:`fire` at the injection points; with ``REPRO_SELFCHAOS`` unset the
-cost is one env lookup.
+cost is one env lookup.  A directive naming a point outside
+:data:`POINTS` would never fire, so the CLI refuses it up front
+(:func:`repro.runtime.config.check_env`).
 """
 
 from __future__ import annotations
@@ -49,14 +47,15 @@ ENV_DIR = "REPRO_SELFCHAOS_DIR"
 
 #: Injection points production code may fire.
 POINTS = ("task:kill", "parent:kill", "parent:int", "cache:torn",
-          "cache:enospc", "shard:kill", "shard:hang")
+          "cache:enospc")
 
 
 def armed() -> bool:
     return bool(os.environ.get(ENV_VAR))
 
 
-def _directives() -> List[Tuple[str, Optional[str]]]:
+def directives() -> List[Tuple[str, Optional[str]]]:
+    """``REPRO_SELFCHAOS`` split into ``(point, arg or None)`` pairs."""
     out = []
     for raw in os.environ.get(ENV_VAR, "").split(","):
         raw = raw.strip()
@@ -92,30 +91,26 @@ def _claim(directive: str) -> bool:
 
 
 def _matches(point: str, arg: Optional[str], *, label: Optional[str],
-             count: Optional[int], window: Optional[int]) -> bool:
+             count: Optional[int]) -> bool:
     if point in ("cache:torn", "cache:enospc"):
         return True
     if point == "task:kill":
         return label is not None and (arg or "") in label
     if point in ("parent:kill", "parent:int"):
         return count is not None and arg is not None and count >= int(arg)
-    if point in ("shard:kill", "shard:hang"):
-        return window is not None and arg is not None and window == int(arg)
     return False
 
 
 def fire(point: str, *, label: Optional[str] = None,
-         count: Optional[int] = None,
-         window: Optional[int] = None) -> bool:
+         count: Optional[int] = None) -> bool:
     """True when an armed directive for ``point`` matches and was claimed."""
     if not armed():
         return False
-    for d_point, arg in _directives():
+    for d_point, arg in directives():
         if d_point != point:
             continue
         try:
-            matched = _matches(point, arg, label=label, count=count,
-                               window=window)
+            matched = _matches(point, arg, label=label, count=count)
         except ValueError:
             continue  # malformed numeric arg: ignore the directive
         if matched and _claim(f"{d_point}={arg}" if arg else d_point):
@@ -142,5 +137,5 @@ def enospc() -> OSError:
     return OSError(errno.ENOSPC, "injected ENOSPC (REPRO_SELFCHAOS)")
 
 
-__all__ = ["ENV_VAR", "ENV_DIR", "POINTS", "armed", "fire", "kill_self",
-           "interrupt_self", "enospc"]
+__all__ = ["ENV_VAR", "ENV_DIR", "POINTS", "armed", "directives", "fire",
+           "kill_self", "interrupt_self", "enospc"]

@@ -28,10 +28,6 @@ Environment variables (all optional) seed the defaults:
                             carry per-run profile summaries
 ``REPRO_METRICS``           "1" meters every sweep task (:mod:`repro.obs`);
                             task results then carry per-run metrics summaries
-``REPRO_SHARDS``            worker processes *within one simulation*
-                            (:mod:`repro.sim.parallel`); 0/1 = serial
-                            (default 0).  Execution policy, not science:
-                            never part of task fingerprints or cache keys
 ``REPRO_TRACE``             path for a cross-layer trace
                             (:mod:`repro.obs.trace`): JSONL at the path
                             plus Perfetto-loadable ``<path>.perfetto.json``.
@@ -50,16 +46,11 @@ code that runs before or without a config:
 ``REPRO_SELFCHAOS``         comma-separated fault directives aimed at the
                             execution substrate itself (``task:kill=SUBSTR``,
                             ``parent:kill=N``, ``parent:int=N``,
-                            ``cache:torn``, ``cache:enospc``,
-                            ``shard:kill=W``, ``shard:hang=W``); each fires
+                            ``cache:torn``, ``cache:enospc``); each fires
                             once per campaign
 ``REPRO_SELFCHAOS_DIR``     marker directory enforcing the once-only firing
                             across processes (default: a tempdir keyed by
                             the directive string)
-``REPRO_SHARD_HEARTBEAT``   sharded-run worker heartbeat interval in seconds
-                            (default 1.0)
-``REPRO_SHARD_DEADLINE``    heartbeat silence after which a shard counts as
-                            hung and is failed over (default 60)
 ``REPRO_RECYCLE_AFTER``     abandoned (timed-out but uncancellable) workers
                             tolerated before the pool is torn down and
                             rebuilt to reclaim capacity (default 2)
@@ -83,7 +74,8 @@ from typing import Iterator, Optional
 
 
 class ConfigError(ValueError):
-    """A ``REPRO_*`` variable holds a value outside its accepted range."""
+    """A ``REPRO_*`` variable, or the CLI flag that overrides it, holds a
+    value outside its accepted range."""
 
 
 _ANY = (lambda v: True, "")
@@ -91,18 +83,15 @@ _NON_NEGATIVE = (lambda v: v >= 0, " >= 0")
 _POSITIVE = (lambda v: v > 0, " > 0")
 
 #: Every numeric knob: ``name -> (cast, default, (accepts, range text))``.
-#: Knobs whose readers clamp to a floor (heartbeat, deadline, recycle
-#: threshold, snapshot interval) accept any number here.
+#: Knobs whose readers clamp to a floor (recycle threshold, snapshot
+#: interval) accept any number here.
 _NUMBERS = {
     "REPRO_PARALLEL": (int, 0, _NON_NEGATIVE),
     "REPRO_RETRIES": (int, 2, _NON_NEGATIVE),
     "REPRO_TASK_TIMEOUT": (float, None, _POSITIVE),
     "REPRO_CACHE_MAX_BYTES": (int, 512 * 1024 * 1024, _NON_NEGATIVE),
     "REPRO_CACHE_MAX_ENTRIES": (int, 4096, _NON_NEGATIVE),
-    "REPRO_SHARDS": (int, 0, _NON_NEGATIVE),
     "REPRO_RECYCLE_AFTER": (int, 2, _ANY),
-    "REPRO_SHARD_HEARTBEAT": (float, 1.0, _ANY),
-    "REPRO_SHARD_DEADLINE": (float, 60.0, _ANY),
     "REPRO_METRICS_INTERVAL_PS": (int, None, _ANY),
     "REPRO_CHAOS_SEED": (int, None, _ANY),
 }
@@ -116,10 +105,17 @@ def env_number(name: str, environ=None):
     """The numeric knob ``name``: its default when unset or empty, else the
     parsed value — or :class:`ConfigError` if it does not parse or falls
     outside the accepted range."""
-    cast, default, (accepts, range_text) = _NUMBERS[name]
     raw = _raw(name, environ)
     if raw is None or raw == "":
-        return default
+        return _NUMBERS[name][1]
+    return parse_number(name, raw)
+
+
+def parse_number(name: str, raw: str, flag: Optional[str] = None):
+    """``raw`` as a value of the numeric knob ``name``, or
+    :class:`ConfigError`.  A CLI ``flag`` that overrides the knob is held
+    to the same row of :data:`_NUMBERS`; the error then names the flag."""
+    cast, _default, (accepts, range_text) = _NUMBERS[name]
     try:
         value = cast(raw)
         if value != value or not accepts(value):  # NaN never compares
@@ -127,7 +123,7 @@ def env_number(name: str, environ=None):
     except ValueError:
         kind = "an integer" if cast is int else "a number"
         raise ConfigError(
-            f"{name}={raw!r}: expected {kind}{range_text}") from None
+            f"{flag or name}={raw!r}: expected {kind}{range_text}") from None
     return value
 
 
@@ -143,9 +139,19 @@ def env_text(name: str, environ=None) -> Optional[str]:
 
 def check_env() -> None:
     """Parse every numeric knob now, so a hostile value fails the CLI up
-    front rather than deep inside the first task that happens to read it."""
+    front rather than deep inside the first task that happens to read it —
+    and reject a ``REPRO_SELFCHAOS`` directive that names no injection
+    point, which would otherwise silently never fire."""
     for name in _NUMBERS:
         env_number(name)
+    raw = env_text("REPRO_SELFCHAOS")
+    if raw:
+        from repro.resilience import selfchaos
+        for point, _arg in selfchaos.directives():
+            if point not in selfchaos.POINTS:
+                raise ConfigError(
+                    f"REPRO_SELFCHAOS={raw!r}: unknown point {point!r}; "
+                    f"expected one of {', '.join(selfchaos.POINTS)}")
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -187,11 +193,6 @@ class RuntimeConfig:
     #: Meter every task's simulations (:mod:`repro.obs` counters, series,
     #: flow spans); metrics summaries ride on the TaskResults.
     metrics: bool = False
-    #: Shard each single simulation across this many worker processes
-    #: (:mod:`repro.sim.parallel`); 0 or 1 runs serially.  Like ``parallel``
-    #: this is execution policy — sharded runs are bit-identical to serial,
-    #: so it never enters task fingerprints or cache keys.
-    shards: int = 0
     #: Capture cross-layer spans (:mod:`repro.obs.trace`) for every task.
     #: Observation-only execution policy: the tracer touches no RNG, event
     #: heap, or fingerprint, so results are bit-identical either way.
@@ -215,7 +216,6 @@ class RuntimeConfig:
             audit=env_flag("REPRO_AUDIT", environ),
             profile=env_flag("REPRO_PROFILE", environ),
             metrics=env_flag("REPRO_METRICS", environ),
-            shards=env_number("REPRO_SHARDS", environ),
             trace=env_text("REPRO_TRACE", environ) is not None,
         )
 

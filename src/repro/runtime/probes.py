@@ -2,8 +2,7 @@
 
 The runner never names a plane.  Each plane module exports one ``PROBE``
 object, and everything that executes simulations on somebody's behalf —
-the sweep scheduler, the CLI, the shard coordinator and its workers —
-talks to planes only through it:
+the sweep scheduler and the CLI — talks to planes only through it:
 
 ``name``
     The registry key: also the ``RuntimeConfig`` switch, and the key its
@@ -19,12 +18,7 @@ talks to planes only through it:
     merged payload carrying ``"ok": False`` fails the CLI run.
 ``active()``
     True when the plane is ambiently on in this process (inside a capture,
-    or switched on by its environment variable); a sharded simulation
-    captures exactly the active planes in its workers.
-``absorb_shards(payloads)``
-    Merge one sharded simulation's per-shard payloads (shard order) into
-    the one simulation they describe, park that in this process's open
-    capture, and return it.
+    or switched on by its environment variable).
 
 Adding a plane is one module exporting ``PROBE`` plus its line in
 :data:`_PLANES` (and a ``RuntimeConfig`` switch if sweeps should be able to
@@ -66,11 +60,6 @@ def enabled(config) -> Tuple[str, ...]:
     if "trace" not in names and get("trace").active():
         names += ("trace",)
     return names
-
-
-def ambient() -> Tuple[str, ...]:
-    """Names of the probes ambiently active in this process."""
-    return tuple(name for name in _PLANES if get(name).active())
 
 
 def attach_network(net) -> None:

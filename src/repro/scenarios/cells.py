@@ -35,9 +35,6 @@ from repro.topology import (
     single_switch,
 )
 
-#: One-shot flag so a sweep of poisson cells notes the shard fallback once.
-_POISSON_SHARD_NOTED = False
-
 #: ExpressPass parameter profiles selectable from a spec.
 EP_PROFILES: Dict[str, Optional[ExpressPassParams]] = {
     "default": None,
@@ -112,85 +109,6 @@ def _persistent_fabric(sim: Simulator, topology: str, n_flows: int,
     raise ValueError(f"unknown topology kind {topology!r}")
 
 
-def _persistent_cell_builder(sim: Simulator, *, protocol: str, n_flows: int,
-                             topology: str, topo_params: dict, rate_bps: int,
-                             prop_delay_ps: int, warmup_ps: int,
-                             measure_ps: int, bin_ps: int,
-                             ep_profile: str,
-                             ep_params: Optional[ExpressPassParams],
-                             chaos_plan: Optional[dict]):
-    """Build (never run) one persistent cell; shared by every shard.
-
-    Mirrors the construction half of :func:`run_persistent` exactly — same
-    harness, fabric, chaos, flow order, and sampler schedule — so a sharded
-    execution replays the serial event stream bit-for-bit.  The per-bin
-    sampler only counts flows whose *destination* this shard owns (delivery
-    updates ``bytes_delivered`` in the dst-owner alone; replicas stay 0),
-    which makes the parent's elementwise sum equal the serial totals.
-    """
-    from types import SimpleNamespace
-
-    from repro.experiments.runner import get_harness
-
-    params = ep_params if ep_params is not None \
-        else resolve_ep_profile(ep_profile)
-    base_rtt = 30 * US
-    harness = get_harness(protocol, rate_bps, base_rtt, params)
-    spec = harness.adapt_link(
-        LinkSpec(rate_bps=rate_bps, prop_delay_ps=prop_delay_ps))
-    topo, pairs, capacity_bps = _persistent_fabric(
-        sim, topology, n_flows, spec, topo_params or {})
-    chaos = _attach_chaos(sim, topo.net, chaos_plan)
-    harness.install(sim, topo.net)
-    flows = [harness.flow(src, dst, None) for src, dst in pairs]
-
-    horizon_ps = warmup_ps + measure_ps
-    n_bins = horizon_ps // bin_ps
-    totals: List[int] = []
-    shard = sim.shard
-
-    def _sample() -> None:
-        # Ownership is applied after the builder returns but before any
-        # event fires, so reading it lazily here is safe.
-        totals.append(sum(f.bytes_delivered for f in flows
-                          if shard is None or shard.owns(f.dst.id)))
-
-    for i in range(n_bins + 1):
-        sim.schedule_at(i * bin_ps, _sample)
-
-    return SimpleNamespace(net=topo.net, topo=topo, flows=flows,
-                           totals=totals, chaos=chaos,
-                           capacity_bps=capacity_bps)
-
-
-def _persistent_cell_probe(ctx, t: int) -> Dict[int, int]:
-    """Warmup-checkpoint read: dst-owned flows' delivered bytes at ``t``."""
-    return {f.fid: f.bytes_delivered for f in ctx.built.flows
-            if ctx.owns(f.dst.id)}
-
-
-def _persistent_cell_collect(ctx) -> dict:
-    built = ctx.built
-    chaos = built.chaos
-    return {
-        "totals": list(built.totals),
-        "final": {f.fid: f.bytes_delivered for f in built.flows
-                  if ctx.owns(f.dst.id)},
-        "fids": [f.fid for f in built.flows],  # creation order, replicated
-        "capacity_bps": built.capacity_bps,
-        "max_queue_bytes": built.net.max_data_queue_bytes(),
-        "data_drops": built.net.total_data_drops(),
-        # The fault plan replays identically in every shard (time-driven,
-        # per-burst RNG streams), so these match shard 0 == serial.
-        "chaos": None if chaos is None else {
-            "fault_ps": min(ev.t_ps for ev in chaos.plan.events),
-            "faults": len(chaos.applied),
-            "injected_credit": chaos.total_injected_credit,
-            "injected_data": chaos.total_injected_data,
-        },
-    }
-
-
 def _goodput_gbps(totals: List[int], bin_ps: int) -> List[float]:
     bin_s = bin_ps * 1e-12
     return [(totals[i + 1] - totals[i]) * 8 / bin_s / 1e9
@@ -213,14 +131,10 @@ def _persistent_row(protocol: str, n_flows: int, topology: str, seed: int,
                     rates: List[float], capacity_bps: int,
                     max_queue_bytes: int, data_drops: int,
                     totals: List[int], bin_ps: int, warmup_ps: int,
-                    chaos_stats: Optional[dict]) -> dict:
-    """Fold raw measurements into the cell's result row.
-
-    Shared verbatim by the serial and sharded paths: both hand over the
-    same integers (per-flow delivered-byte deltas in flow-creation order,
-    elementwise-summed bin totals), so every float here — sums, Jain
-    index, thresholds — comes out bit-identical.
-    """
+                    chaos) -> dict:
+    """Fold raw measurements (per-flow rates in flow-creation order, the
+    per-bin delivered-byte totals, the cell's ChaosController or ``None``)
+    into the cell's result row."""
     gbps = _goodput_gbps(totals, bin_ps)
     steady = sum(rates) / 1e9
     threshold = 0.9 * (steady if steady > 0 else float("inf"))
@@ -239,8 +153,8 @@ def _persistent_row(protocol: str, n_flows: int, topology: str, seed: int,
         "convergence_ms": (round(convergence_ps / MS, 3)
                            if convergence_ps >= 0 else -1.0),
     }
-    if chaos_stats is not None:
-        fault_ps = chaos_stats["fault_ps"]
+    if chaos is not None:
+        fault_ps = min(ev.t_ps for ev in chaos.plan.events)
         pre_bins = [gbps[i] for i in range(len(gbps))
                     if i * bin_ps >= warmup_ps
                     and (i + 1) * bin_ps <= fault_ps]
@@ -260,28 +174,11 @@ def _persistent_row(protocol: str, n_flows: int, topology: str, seed: int,
             "recovered_frac": round(post / pre, 4) if pre > 0 else 0.0,
             "recovery_ms": (round(recovery_ps / MS, 3)
                             if recovery_ps >= 0 else -1.0),
-            "faults": chaos_stats["faults"],
-            "injected_credit": chaos_stats["injected_credit"],
-            "injected_data": chaos_stats["injected_data"],
+            "faults": len(chaos.applied),
+            "injected_credit": chaos.total_injected_credit,
+            "injected_data": chaos.total_injected_data,
         })
     return row
-
-
-def _config_shards() -> int:
-    """Shard count from the active runtime config, gated to safe contexts.
-
-    Execution policy only — callers must produce the same row either way.
-    Daemonic workers (``multiprocessing.Pool``-style) cannot spawn the
-    shard processes, so those fall back to serial silently.
-    """
-    import multiprocessing
-
-    from repro.runtime.config import get_config
-
-    shards = get_config().shards
-    if shards > 1 and multiprocessing.current_process().daemon:
-        return 0
-    return shards
 
 
 def run_persistent(
@@ -306,38 +203,43 @@ def run_persistent(
     plain data.  With a ``chaos_plan``, goodput recovery is measured the
     same way :mod:`repro.chaos.scenarios` does: pre-fault mean, fault-window
     minimum, and time until goodput sustains 90 % of the pre-fault level.
-
-    With ``RuntimeConfig.shards > 1`` (``REPRO_SHARDS`` / ``--shards``) the
-    one simulation is sharded across worker processes via
-    :mod:`repro.sim.parallel`; the row is bit-identical to serial, so the
-    shard count never enters the cell's kwargs or cache key.
     """
-    shards = _config_shards()
-    if shards > 1:
-        return _run_persistent_sharded(
-            shards, protocol, n_flows, topology, topo_params,
-            rate_bps, prop_delay_ps, warmup_ps, measure_ps, bin_ps, seed,
-            ep_profile, ep_params, chaos_plan)
-
+    from repro.experiments.runner import get_harness
     from repro.obs import trace as obs_trace
     tracer = obs_trace.emit_target()
 
     build_t0 = tracer.now_us() if tracer is not None else 0.0
+    params = ep_params if ep_params is not None \
+        else resolve_ep_profile(ep_profile)
     sim = Simulator(seed=seed)
-    built = _persistent_cell_builder(
-        sim, protocol=protocol, n_flows=n_flows, topology=topology,
-        topo_params=topo_params or {}, rate_bps=rate_bps,
-        prop_delay_ps=prop_delay_ps, warmup_ps=warmup_ps,
-        measure_ps=measure_ps, bin_ps=bin_ps, ep_profile=ep_profile,
-        ep_params=ep_params, chaos_plan=chaos_plan)
-    flows = built.flows
+    base_rtt = 30 * US
+    harness = get_harness(protocol, rate_bps, base_rtt, params)
+    spec = harness.adapt_link(
+        LinkSpec(rate_bps=rate_bps, prop_delay_ps=prop_delay_ps))
+    topo, pairs, capacity_bps = _persistent_fabric(
+        sim, topology, n_flows, spec, topo_params or {})
+    chaos = _attach_chaos(sim, topo.net, chaos_plan)
+    harness.install(sim, topo.net)
+    flows = [harness.flow(src, dst, None) for src, dst in pairs]
+
+    # Fixed-edge goodput sampling (read-only callbacks: they never perturb
+    # the simulation, so the dumbbell branch stays bit-identical to the
+    # frozen fig15 rows, which were measured without a sampler).
+    horizon_ps = warmup_ps + measure_ps
+    n_bins = horizon_ps // bin_ps
+    totals: List[int] = []
+
+    def _sample() -> None:
+        totals.append(sum(f.bytes_delivered for f in flows))
+
+    for i in range(n_bins + 1):
+        sim.schedule_at(i * bin_ps, _sample)
     if tracer is not None:
         tracer.span("sim", "cell.build", track="phases",
                     t0=build_t0, t1=tracer.now_us(),
                     args={"protocol": protocol, "topology": topology,
                           "flows": n_flows})
 
-    horizon_ps = warmup_ps + measure_ps
     warm_t0 = tracer.now_us() if tracer is not None else 0.0
     sim.run(until=warmup_ps)
     if tracer is not None:
@@ -354,77 +256,14 @@ def run_persistent(
     fin_t0 = tracer.now_us() if tracer is not None else 0.0
     seconds = measure_ps / 1e12
     rates = [(f.bytes_delivered - base[f]) * 8 / seconds for f in flows]
-
-    chaos = built.chaos
-    chaos_stats = None if chaos is None else {
-        "fault_ps": min(ev.t_ps for ev in chaos.plan.events),
-        "faults": len(chaos.applied),
-        "injected_credit": chaos.total_injected_credit,
-        "injected_data": chaos.total_injected_data,
-    }
     row = _persistent_row(
-        protocol, n_flows, topology, seed, rates, built.capacity_bps,
-        built.net.max_data_queue_bytes(), built.net.total_data_drops(),
-        built.totals, bin_ps, warmup_ps, chaos_stats)
+        protocol, n_flows, topology, seed, rates, capacity_bps,
+        topo.net.max_data_queue_bytes(), topo.net.total_data_drops(),
+        totals, bin_ps, warmup_ps, chaos)
     if tracer is not None:
         tracer.span("sim", "cell.finalize", track="phases",
                     t0=fin_t0, t1=tracer.now_us(),
                     args={"protocol": protocol})
-    return row
-
-
-def _run_persistent_sharded(shards: int, protocol: str, n_flows: int,
-                            topology: Optional[str], topo_params,
-                            rate_bps: int, prop_delay_ps: int,
-                            warmup_ps: int, measure_ps: int, bin_ps: int,
-                            seed: int, ep_profile: str, ep_params,
-                            chaos_plan: Optional[dict]) -> dict:
-    """Run one persistent cell sharded; same row as the serial path.
-
-    The builder replays identically in every worker; the parent merges
-    integers only (per-fid byte deltas keyed to flow-creation order,
-    elementwise bin-total sums, max of per-shard queue maxima, drop sums)
-    and defers every float to :func:`_persistent_row`.
-    """
-    from repro.obs import trace as obs_trace
-    from repro.sim.parallel import run_sharded
-
-    tracer = obs_trace.emit_target()
-    horizon_ps = warmup_ps + measure_ps
-    run = run_sharded(
-        _persistent_cell_builder,
-        dict(protocol=protocol, n_flows=n_flows, topology=topology,
-             topo_params=topo_params or {}, rate_bps=rate_bps,
-             prop_delay_ps=prop_delay_ps, warmup_ps=warmup_ps,
-             measure_ps=measure_ps, bin_ps=bin_ps, ep_profile=ep_profile,
-             ep_params=ep_params, chaos_plan=chaos_plan),
-        shards=shards, until=horizon_ps, seed=seed,
-        collect=_persistent_cell_collect, probe=_persistent_cell_probe,
-        checkpoints=(warmup_ps,))
-
-    merge_t0 = tracer.now_us() if tracer is not None else 0.0
-    cols = run.collected
-    base: Dict[int, int] = {}
-    for shard_base in run.probes[warmup_ps]:
-        base.update(shard_base)
-    final: Dict[int, int] = {}
-    for c in cols:
-        final.update(c["final"])
-    seconds = measure_ps / 1e12
-    rates = [(final[fid] - base[fid]) * 8 / seconds
-             for fid in cols[0]["fids"]]
-    totals = [sum(c["totals"][i] for c in cols)
-              for i in range(len(cols[0]["totals"]))]
-    row = _persistent_row(
-        protocol, n_flows, topology, seed, rates, cols[0]["capacity_bps"],
-        max(c["max_queue_bytes"] for c in cols),
-        sum(c["data_drops"] for c in cols),
-        totals, bin_ps, warmup_ps, cols[0]["chaos"])
-    if tracer is not None:
-        tracer.span("sim", "cell.merge", track="phases",
-                    t0=merge_t0, t1=tracer.now_us(),
-                    args={"protocol": protocol, "shards": shards,
-                          "windows": run.windows})
     return row
 
 
@@ -446,22 +285,8 @@ def run_poisson(
     FCT statistics come back both overall (``avg_fct_ms``/``p99_fct_ms``
     across every completed flow) and per Table-2 size bucket (``buckets``),
     so the fig19 table and the matrix report both read off one shape.
-
-    Poisson cells always run serially: the realistic workload draws its
-    open-loop arrivals from shared named RNG streams, which
-    :mod:`repro.sim.parallel` cannot split without diverging from serial
-    (a ``--shards`` setting is noted and ignored here).
     """
-    import sys
-
     from repro.experiments.realistic import run_realistic
-
-    global _POISSON_SHARD_NOTED
-    if _config_shards() > 1 and not _POISSON_SHARD_NOTED:
-        _POISSON_SHARD_NOTED = True
-        print("repro: shards>1 applies to persistent cells only; "
-              "poisson cells run serially", file=sys.stderr)
-
     from repro.obs import trace as obs_trace
     tracer = obs_trace.emit_target()
     run_t0 = tracer.now_us() if tracer is not None else 0.0

@@ -10,12 +10,10 @@ behaves exactly like ``repro run`` because both funnel through
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.runtime import run_tasks
-from repro.runtime.config import get_config, using
 from repro.scenarios.compiler import (
     CompiledMatrix,
     cell_rows,
@@ -61,11 +59,6 @@ def run_matrix(scenario: Scenario,
                 ("<filter>", f"filter {cell_filter!r} matches none of the "
                              f"{scenario.cell_count} cell(s)"),
                 source=scenario.name)
-    # ``timing.shards`` is execution policy the spec may request: it raises
-    # the runtime shard count only when nothing set one (config 0 = unset;
-    # an explicit ``--shards``/``REPRO_SHARDS`` — even 1, serial — wins).
-    # It never reaches cell kwargs, so cache keys are unaffected.
-    spec_shards = int(scenario.timing.get("shards", 1))
     from repro.obs import trace as obs_trace
     tracer = obs_trace.emit_target()
     if tracer is not None:
@@ -73,10 +66,7 @@ def run_matrix(scenario: Scenario,
         # cell's spec axes into its task span as it finishes.
         for cell in matrix.cells:
             tracer.annotate(cell.label, dict(cell.axes, seed=cell.seed))
-    with contextlib.ExitStack() as stack:
-        if spec_shards > 1 and get_config().shards == 0:
-            stack.enter_context(using(shards=spec_shards))
-        results = run_tasks(matrix.plan())
+    results = run_tasks(matrix.plan())
     if tracer is not None:
         # One cell-layer span per cell, linked to its scheduler task span
         # (same interval — the cell layer re-keys the timeline by science

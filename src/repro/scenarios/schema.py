@@ -83,12 +83,8 @@ _TOP_KEYS = ("schema", "name", "description", "tags", "backend", "topology",
              "workload", "transport", "timing", "chaos", "seeds", "sweep",
              "report")
 
-#: ``shards`` is execution policy, not science: the compiler never lowers
-#: it into cell kwargs (sharded runs are bit-identical to serial, so it
-#: must not perturb task fingerprints or cache keys) and it is not a sweep
-#: axis; the matrix runner reads it into the runtime config instead.
 _TIMING_KEYS = {
-    "persistent": ("warmup_ps", "measure_ps", "bin_ps", "shards"),
+    "persistent": ("warmup_ps", "measure_ps", "bin_ps"),
     "poisson": ("drain_ps",),
 }
 
@@ -97,7 +93,6 @@ _TIMING_DEFAULTS = {
     "measure_ps": 50 * MS,
     "bin_ps": 500 * US,
     "drain_ps": 1 * SEC,
-    "shards": 1,
 }
 
 
@@ -332,6 +327,13 @@ def _validate_transport(chk: _Check, data: dict) -> dict:
 
 def _validate_timing(chk: _Check, data: dict, workload_kind: str) -> dict:
     timing = _require_map(chk, data.get("timing"), "timing")
+    if "shards" in timing:
+        # Valid in older specs; the generic unknown-key text would not say
+        # that dropping it is safe.
+        chk.fail("timing.shards",
+                 "removed along with single-simulation sharding (DESIGN "
+                 "§13): delete this key — it never changed a result row")
+        timing = {k: v for k, v in timing.items() if k != "shards"}
     allowed = _TIMING_KEYS.get(workload_kind, _TIMING_KEYS["persistent"])
     _unknown_keys(chk, timing, allowed, "timing")
     return {key: _pos_int(chk, timing.get(key), f"timing.{key}",

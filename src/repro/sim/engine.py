@@ -125,10 +125,11 @@ class Simulator:
         self._port_counter = 10_000
         #: Cancelled-but-unpopped entries currently in the heap.
         self._cancelled = 0
-        #: Key (``entry[1]``) of the entry being dispatched; ``_KEY_END``
-        #: once a ``run()`` has fired everything due at ``now`` (it drained,
-        #: or stopped at ``until``), kept on a ``max_events`` stop.  With
-        #: ``now`` it orders a reserved position against the present.
+        #: Key (``entry[1]``, an int) of the entry being dispatched;
+        #: ``_KEY_END`` once a ``run()`` has fired everything due at ``now``
+        #: (it drained, or stopped at ``until``), kept on a ``max_events``
+        #: stop.  With ``now`` it orders a reserved position against the
+        #: present.
         self.dispatch_key = self._KEY_END
         #: Optional :class:`repro.audit.NetworkAuditor`; installed by the
         #: auditor itself, consulted by the run loop and by flows.
@@ -144,10 +145,6 @@ class Simulator:
         #: switches (blackhole accounting) and the auditor (injected-drop
         #: budgets).
         self.chaos = None
-        #: Optional :class:`repro.sim.parallel.ShardContext`: set (before
-        #: the builder runs, so ``Flow.__init__`` can self-register
-        #: replicas) when this simulator is one shard of a sharded run.
-        self.shard = None
         #: Optional :class:`repro.obs.trace.Tracer` bound at construction
         #: (the ambient tracer or a worker capture buffer, if any): each
         #: ``run()`` call then emits one sim-clock ``engine.run`` span.
@@ -199,8 +196,7 @@ class Simulator:
         Per-entity randomness — per-flow jitter, per-host delay — needs one
         stream per (family, entity) pair so that adding or removing *other*
         entities never perturbs a given entity's draws: that is what keeps
-        a sharded run's per-entity trajectories identical to serial, and a
-        100k-flow run reproducible flow-by-flow.  Unlike :meth:`rng` these
+        a 100k-flow run reproducible flow-by-flow.  Unlike :meth:`rng` these
         streams are neither memoised nor collision-guarded (CRC32 would
         birthday-collide around ~2^16 names); the seed mixes a 64-bit
         BLAKE2b digest of ``"family:index"``, making accidental collisions
@@ -255,12 +251,13 @@ class Simulator:
         _heappush(self._heap,
                   (self.now + delay, next(self._seq), None, fn, args))
 
-    def reserve_key(self):
-        """Take the tie-break key a ``schedule*`` call made now would get,
-        without pushing anything; see :meth:`push_reserved`."""
+    def reserve_key(self) -> int:
+        """Take the tie-break key (a plain sequence number) a ``schedule*``
+        call made now would get, without pushing anything; see
+        :meth:`push_reserved`."""
         return next(self._seq)
 
-    def push_reserved(self, time: int, key, fn: Callable[..., Any],
+    def push_reserved(self, time: int, key: int, fn: Callable[..., Any],
                       *args: Any) -> None:
         """Push a fire-and-forget event under a key from :meth:`reserve_key`.
 

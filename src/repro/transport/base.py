@@ -76,9 +76,6 @@ class Flow:
         auditor = self.sim.auditor
         if auditor is not None:
             auditor.register_flow(self)
-        shard = self.sim.shard
-        if shard is not None:
-            shard.register_flow(self)
         #: :class:`repro.obs.FlowSpan` when metrics are on, else None — so
         #: instrumentation points cost one attribute check per event.
         self.obs_span = None

@@ -180,3 +180,59 @@ class TestScenarioCli:
     def test_matrix_unknown_spec_exits_1(self, capsys):
         assert main(["matrix", "fig99_imaginary"]) == 1
         assert "fig99_imaginary" in capsys.readouterr().err
+
+    def test_shards_flag_is_an_inert_shim(self, capsys, tmp_path,
+                                          monkeypatch):
+        """``--shards`` outlived single-simulation sharding only as a
+        spelling (DESIGN §13): it is noted, starts no process, and changes
+        no row."""
+        import multiprocessing.process
+
+        def no_children(self):
+            raise AssertionError("--shards started a child process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            no_children)
+        spec = self._tiny_spec(
+            tmp_path, topology={"kind": "fat_tree", "params": {"k": 4}},
+            workload={"kind": "persistent", "n_flows": 4})
+        rows = {}
+        for shards in ("1", "2"):
+            assert main(["matrix", str(spec), "--shards", shards,
+                         "--no-cache", "--json"]) == 0
+            out, err = capsys.readouterr()
+            rows[shards] = [
+                {k: v for k, v in row.items() if k != "wall_s"}
+                for row in json.loads(out)["rows"]]
+            notes = [line for line in err.splitlines() if "--shards" in line]
+            assert notes == ([] if shards == "1" else [
+                "repro: --shards is ignored: single-simulation sharding "
+                "was removed (DESIGN §13); running serially"])
+        assert rows["2"] == rows["1"]
+
+    def test_removed_timing_key_says_it_can_be_deleted(self, capsys,
+                                                       tmp_path):
+        spec = self._tiny_spec(tmp_path, timing={
+            "warmup_ps": 2_000_000_000, "measure_ps": 2_000_000_000,
+            "shards": 2})
+        for argv in (["scenarios", "validate", str(spec)],
+                     ["matrix", str(spec)]):
+            assert main(argv) == 1
+            (line,) = capsys.readouterr().err.splitlines()
+            assert f"{spec}: timing.shards: removed" in line
+            assert "delete this key" in line and "unknown key" not in line
+
+    @pytest.mark.parametrize("argv,token", [
+        (["matrix", "smoke_mini", "--seeds", "x"], "x"),
+        (["chaos", "link-flap", "--seeds", "1,y"], "y"),
+    ])
+    def test_bad_seeds_is_a_usage_error_naming_the_token(self, argv, token,
+                                                         capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"repro: error: --seeds expects comma-separated integers, "
+            f"got {token!r}")

@@ -161,6 +161,52 @@ class TestRngStreams:
         assert sim.rng("plumless") is sim.rng("plumless")
 
 
+class TestPerEntityRngStreams:
+    """``rng_for``: ``(seed, family, index)`` alone fixes the sequence."""
+
+    @staticmethod
+    def _draws(stream, n=6):
+        return [stream.random() for _ in range(n)]
+
+    def test_sequence_is_fixed_by_seed_family_and_index(self):
+        expected = self._draws(Simulator(seed=7).rng_for("flow", 3))
+        # Whatever else was created or drawn from first, in any order.
+        sim = Simulator(seed=7)
+        others = [sim.rng_for("flow", i) for i in (9, 2, 4)]
+        others.append(sim.rng_for("host-delay", 3))
+        for stream in others:
+            stream.random()
+        sim.rng("named").random()
+        assert self._draws(sim.rng_for("flow", 3)) == expected
+        # Each call is a fresh generator at the start of that sequence.
+        assert self._draws(sim.rng_for("flow", 3)) == expected
+
+    def test_interleaved_draws_do_not_couple_entities(self):
+        solo = Simulator(seed=7)
+        a_alone = self._draws(solo.rng_for("flow", 1))
+        b_alone = self._draws(solo.rng_for("flow", 2))
+        sim = Simulator(seed=7)
+        a, b = sim.rng_for("flow", 1), sim.rng_for("flow", 2)
+        mixed = [(a.random(), b.random()) for _ in range(6)]
+        assert [x for x, _ in mixed] == a_alone
+        assert [y for _, y in mixed] == b_alone
+
+    def test_indices_families_and_seeds_all_differ(self):
+        base = self._draws(Simulator(seed=7).rng_for("flow", 1))
+        assert self._draws(Simulator(seed=7).rng_for("flow", 2)) != base
+        assert self._draws(Simulator(seed=7).rng_for("host", 1)) != base
+        assert self._draws(Simulator(seed=8).rng_for("flow", 1)) != base
+
+    def test_never_advances_or_registers_a_named_stream(self):
+        expected = self._draws(Simulator(seed=7).rng("flow"))
+        sim = Simulator(seed=7)
+        named = sim.rng("flow")
+        for index in range(5):
+            sim.rng_for("flow", index).random()
+        assert self._draws(named) == expected
+        assert list(sim._rngs) == ["flow"]
+
+
 @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=50))
 def test_events_always_fire_in_nondecreasing_time(delays):
     sim = Simulator(seed=0)

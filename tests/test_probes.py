@@ -115,8 +115,9 @@ def test_registry_resolves_every_plane_to_a_conforming_probe():
     for name in PLANES:
         probe = probes.get(name)
         assert probe.name == name
-        for attr in ("capture", "merge", "format", "active",
-                     "absorb_shards"):
+        assert sorted(vars(probe)) == ["active", "capture", "format",
+                                       "merge", "name"]
+        for attr in ("capture", "merge", "format", "active"):
             assert callable(getattr(probe, attr)), (name, attr)
         with probe.capture() as handle:
             pass

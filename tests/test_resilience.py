@@ -2,9 +2,9 @@
 
 The invariant every test here circles back to: **recovery never changes
 results**.  A campaign that loses a worker to SIGKILL, its parent to
-Ctrl-C, a cache blob to a torn write, or a shard to a hang must come back
-— via retry, failover, or ``repro resume`` — with byte-identical output
-and no orphan processes left behind.
+Ctrl-C, or a cache blob to a torn write must come back — via retry or
+``repro resume`` — with byte-identical output and no orphan processes
+left behind.
 
 Sweep task functions live at module scope so the process pool can pickle
 them, like everywhere else in the suite.  Self-chaos directives are armed
@@ -24,12 +24,10 @@ import subprocess
 import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 
-from repro import ExpressPassFlow, ExpressPassParams, runtime
-from repro.net.trace import PortTracer
+from repro import runtime
 from repro.resilience import (
     EXIT_INTERRUPTED,
     JOURNAL_SCHEMA,
@@ -41,11 +39,6 @@ from repro.resilience import journal as run_journal
 from repro.resilience import signals as shutdown
 from repro.runtime import ResultCache, TaskSpec, Telemetry, run_tasks
 from repro.runtime.telemetry import read_events
-from repro.sim.parallel import run_sharded
-from repro.sim.units import SEC, US
-from repro.topology.simple import dumbbell
-
-EP = dict(params=ExpressPassParams(rtt_hint_ps=40 * US))
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -100,26 +93,6 @@ def quick(tag=0):
 def _specs(fn, values, key="x"):
     return [TaskSpec(fn, {key: v}, label=f"{fn.__name__}[{key}={v}]")
             for v in values]
-
-
-# -- shard builders (module scope: shard workers run them) -------------------
-
-def build_pair(sim):
-    topo = dumbbell(sim, n_pairs=2)
-    tracers = {"L->R": PortTracer(topo.bottleneck_fwd)}
-    ExpressPassFlow(topo.senders[0], topo.receivers[0],
-                    size_bytes=30_000, **EP)
-    ExpressPassFlow(topo.senders[1], topo.receivers[1],
-                    size_bytes=20_000, start_ps=500 * US, **EP)
-    return SimpleNamespace(net=topo.net, topo=topo, tracers=tracers)
-
-
-def build_broken(sim):
-    raise ValueError("deterministically broken builder")
-
-
-def collect_traces(ctx):
-    return {name: list(t.records) for name, t in ctx.built.tracers.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -472,60 +445,6 @@ class TestStartedMarkerBackpressure:
                               cwd=str(REPO))
         assert proc.returncode == 0, proc.stderr
         assert "OK 4000" in proc.stdout
-
-
-# ---------------------------------------------------------------------------
-# Shard failover: SIGKILL, hang, deterministic error, respawn budget
-# ---------------------------------------------------------------------------
-
-UNTIL = SEC // 2
-
-
-class TestShardFailover:
-    @pytest.fixture(scope="class")
-    def serial_traces(self):
-        run = run_sharded(build_pair, shards=1, until=UNTIL, seed=7,
-                          collect=collect_traces)
-        return run.collected
-
-    def test_shard_sigkill_fails_over_bit_identical(self, chaos,
-                                                    serial_traces):
-        chaos("shard:kill=2")
-        run = run_sharded(build_pair, shards=2, until=UNTIL, seed=7,
-                          collect=collect_traces)
-        assert len(run.failovers) == 1
-        fo = run.failovers[0]
-        assert fo["shard"] in (0, 1)
-        assert "exited" in fo["reason"]
-        assert fo["replayed_windows"] >= 1
-        merged = [c["L->R"] for c in run.collected if c["L->R"]]
-        assert merged == [serial_traces[0]["L->R"]]
-        _assert_no_orphans()
-
-    def test_hung_shard_hits_deadline_and_fails_over(self, chaos,
-                                                     monkeypatch,
-                                                     serial_traces):
-        monkeypatch.setenv("REPRO_SHARD_HEARTBEAT", "0.1")
-        chaos("shard:hang=2")
-        run = run_sharded(build_pair, shards=2, until=UNTIL, seed=7,
-                          collect=collect_traces, deadline_s=2.0)
-        assert len(run.failovers) == 1
-        assert "heartbeat" in run.failovers[0]["reason"]
-        merged = [c["L->R"] for c in run.collected if c["L->R"]]
-        assert merged == [serial_traces[0]["L->R"]]
-        _assert_no_orphans()
-
-    def test_deterministic_error_is_not_respawned(self):
-        with pytest.raises(RuntimeError, match="broken builder"):
-            run_sharded(build_broken, shards=2, until=UNTIL, seed=7)
-        _assert_no_orphans()
-
-    def test_respawn_budget_exhaustion_raises(self, chaos):
-        chaos("shard:kill=1")
-        with pytest.raises(RuntimeError, match="respawn budget"):
-            run_sharded(build_pair, shards=2, until=UNTIL, seed=7,
-                        max_respawns=0)
-        _assert_no_orphans()
 
 
 # ---------------------------------------------------------------------------

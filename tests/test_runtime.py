@@ -299,7 +299,6 @@ class TestConfig:
         ("REPRO_PARALLEL", "four", "an integer >= 0"),
         ("REPRO_RETRIES", "-1", "an integer >= 0"),
         ("REPRO_CACHE_MAX_BYTES", "1e9", "an integer >= 0"),
-        ("REPRO_SHARDS", "2.5", "an integer >= 0"),
     ])
     def test_hostile_value_names_variable_value_and_range(self, name, value,
                                                           expect):
@@ -320,7 +319,6 @@ class TestConfig:
         ("REPRO_TASK_TIMEOUT", "-5"),
         ("REPRO_CHAOS_SEED", "abc"),
         ("REPRO_RECYCLE_AFTER", "soon"),
-        ("REPRO_SHARD_HEARTBEAT", "fast"),
         ("REPRO_METRICS_INTERVAL_PS", "1ms"),
     ])
     def test_cli_reports_hostile_env_in_one_line_and_exits_2(
@@ -333,6 +331,57 @@ class TestConfig:
         assert out == ""
         (line,) = err.splitlines()
         assert line.startswith(f"repro: {name}={value!r}: expected ")
+
+    @pytest.mark.parametrize("argv,line", [
+        (["run", "table1", "--timeout", "-5"],
+         "repro: --timeout='-5': expected a number > 0"),
+        (["matrix", "smoke_mini", "--timeout", "-5", "--parallel", "2"],
+         "repro: --timeout='-5': expected a number > 0"),
+        (["matrix", "smoke_mini", "--parallel", "-3"],
+         "repro: --parallel='-3': expected an integer >= 0"),
+        (["run", "table1", "--retries", "-1"],
+         "repro: --retries='-1': expected an integer >= 0"),
+        (["chaos", "link-flap", "--parallel", "-3"],
+         "repro: --parallel='-3': expected an integer >= 0"),
+        (["run", "table1", "--parallel", "many"],
+         "repro: --parallel='many': expected an integer >= 0"),
+    ])
+    def test_cli_holds_runtime_flags_to_their_env_twins_ranges(
+            self, argv, line, capsys):
+        from repro.cli import main
+
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [line]
+
+    def test_cli_refuses_a_selfchaos_point_that_would_never_fire(
+            self, monkeypatch, capsys):
+        from repro.cli import main
+        from repro.resilience import selfchaos
+
+        monkeypatch.setenv("REPRO_SELFCHAOS", ",".join(
+            f"{point}=1" for point in selfchaos.POINTS))
+        assert main(["list"]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("REPRO_SELFCHAOS", "cache:torn,shard:kill=1")
+        assert main(["run", "table1"]) == 2
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        assert out == "" and line.startswith(
+            "repro: REPRO_SELFCHAOS='cache:torn,shard:kill=1': "
+            "unknown point 'shard:kill'; expected one of task:kill, ")
+
+    def test_single_simulation_sharding_is_gone_not_hidden(self):
+        import dataclasses
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.sim.parallel")
+        assert "shards" not in {f.name
+                                for f in dataclasses.fields(RuntimeConfig)}
+        # Its env knobs are simply no longer read — even a hostile value.
+        assert RuntimeConfig.from_env({"REPRO_SHARDS": "2.5"}) == \
+            RuntimeConfig.from_env({})
 
 
 class TestScheduler:

@@ -2,9 +2,9 @@
 
 Three concerns, in rough order of importance:
 
-1. *Neutrality* — tracing must be pure observation: golden digests, cell
-   rows, and sharded bit-identity are byte-identical with tracing on or
-   off (the ``--trace`` flag must never become a heisen-switch).
+1. *Neutrality* — tracing must be pure observation: golden digests and
+   cell rows are byte-identical with tracing on or off (the ``--trace``
+   flag must never become a heisen-switch).
 2. *Determinism of the trace itself* — ids, export order, and the Chrome
    mapping are pure functions of the recorded set, so a fixed run yields
    a structurally fixed trace file.
@@ -108,9 +108,9 @@ class TestTracer:
         child.epoch = parent.epoch + 0.5  # child booted half a second later
         child.span("sim", "w", track="e", t0=0.0, t1=1.0)
         blob = {"records": child.records, "epoch": child.epoch, "dropped": 0}
-        parent.ingest_blob(blob, prefix="shard1/")
+        parent.ingest_blob(blob, prefix="t1.")
         rec = parent.records[-1]
-        assert rec["track"] == "shard1/e"
+        assert rec["track"] == "t1.e"
         assert rec["t0"] == pytest.approx(500_000.0)
 
     def test_sorted_records_is_canonical_order(self):
@@ -135,9 +135,8 @@ def _sample_tracer() -> trace.Tracer:
            t0=0, t1=4_000_000_000, args={"wall_us": 9.0})
     t.event("runtime", "deferred", track="task/0", t=3.0,
             args={"backoff_s": 0.5})
-    t.span("shard", "window", track="shard0/lane", t0=0.0, t1=2.0,
-           args={"shard": 0, "idle_us": 1.0, "events": 10,
-                 "shipped": 3, "received": 4})
+    t.span("cell", "demo[seed=1]", track="cell/0", t0=0.0, t1=2.0,
+           args={"seed": 1})
     return t
 
 
@@ -165,12 +164,12 @@ class TestJsonl:
         meta = trace.load_jsonl(path)["meta"]
         assert meta["schema"] == trace.SCHEMA
         assert meta["records"] == 4
-        assert meta["tracks"] == 3  # task/0, t0.engine, shard0/lane
+        assert meta["tracks"] == 3  # task/0, t0.engine, cell/0
 
     @pytest.mark.parametrize("mutate,hint", [
         (lambda lines: lines[1:], "meta"),             # header gone
         (lambda lines: [lines[0]]
-         + [lines[1].replace('"runtime"', '"bogus"')]
+         + [lines[1].replace('"cell"', '"bogus"')]
          + lines[2:], "layer"),
         (lambda lines: lines + [lines[-1]], "id"),     # duplicate id
         (lambda lines: [lines[0], lines[2], lines[1]]
@@ -202,10 +201,10 @@ class TestChrome:
         doc = trace.to_chrome(_sample_tracer().sorted_records())
         names = {e["args"]["name"] for e in doc["traceEvents"]
                  if e["ph"] == "M" and e["name"] == "process_name"}
-        assert names == {"repro:runtime", "repro:sim", "repro:shard"}
+        assert names == {"repro:runtime", "repro:sim", "repro:cell"}
         threads = {e["args"]["name"] for e in doc["traceEvents"]
                    if e["ph"] == "M" and e["name"] == "thread_name"}
-        assert {"task/0", "t0.engine", "shard0/lane"} <= threads
+        assert {"task/0", "t0.engine", "cell/0"} <= threads
 
     def test_sim_spans_convert_ps_to_us_and_keep_exact_args(self):
         doc = trace.to_chrome(_sample_tracer().sorted_records())
@@ -344,36 +343,28 @@ class TestNeutrality:
         assert trace.current() is not None  # the env actually engaged
         assert traced == baseline
 
-    def test_sharded_row_bit_identical_with_tracing(self):
+    def test_persistent_row_bit_identical_with_tracing(self):
         from repro.scenarios.cells import run_persistent
 
         kw = dict(protocol="expresspass", n_flows=3, topology="dumbbell",
                   warmup_ps=2 * MS, measure_ps=2 * MS, bin_ps=500 * US,
                   seed=5, prop_delay_ps=3_333_333)
-        serial = run_persistent(**kw)
-        with using(shards=2):
-            with trace.tracing() as t:
-                sharded = run_persistent(**kw)
-        # Exact dict equality, floats included — same pin as
-        # test_sharded.py, now with the tracer in the loop.
-        assert sharded == serial
-        windows = [r for r in t.records if r["layer"] == "shard"
-                   and r["name"] == "window"]
-        assert {r["args"]["shard"] for r in windows} == {0, 1}
-        assert any(r["name"] == "window.grant" for r in t.records)
-        assert any(r["name"] == "merge" for r in t.records)
-        summary = trace.summarize(t.records)
-        assert set(summary["shards"]) == {0, 1}
-        for s in summary["shards"].values():
-            assert s["windows"] > 0
-            assert 0.0 <= s["idle_frac"] <= 1.0
+        untraced = run_persistent(**kw)
+        with trace.tracing() as t:
+            traced = run_persistent(**kw)
+        # Exact dict equality, floats included.
+        assert traced == untraced
+        phases = [r["name"] for r in t.records if r["layer"] == "sim"
+                  and r["name"].startswith("cell.")]
+        assert phases == ["cell.build", "cell.warmup", "cell.measure",
+                          "cell.finalize"]
 
-    def test_matrix_serial_vs_sharded_same_span_names(self):
+    def test_matrix_cells_link_to_task_spans(self):
         from repro.scenarios import Scenario, run_matrix
 
         spec = {
             "schema": "repro.scenarios/v1",
-            "name": "trace-shards",
+            "name": "trace-cells",
             "topology": {"kind": "dumbbell", "prop_delay_ps": 3_456_789},
             "workload": {"kind": "persistent", "n_flows": 2},
             "transport": {"protocol": "expresspass"},
@@ -381,25 +372,14 @@ class TestNeutrality:
         }
         scenario = Scenario.from_dict(spec)
         with using(cache_enabled=False):
-            with trace.tracing() as t_serial:
-                serial = run_matrix(scenario)
-            with using(shards=2):
-                with trace.tracing() as t_sharded:
-                    sharded = run_matrix(scenario)
-        assert [r.value for r in serial.results] == \
-            [r.value for r in sharded.results]
-
-        def names(tracer, layer):
-            return {r["name"] for r in tracer.records
-                    if r["layer"] == layer and r["record"] == "span"}
-
-        # Same cells, same tasks — the execution strategy only changes
-        # which *shard/sim* tracks appear underneath them.
-        for layer in ("cell", "runtime"):
-            assert names(t_serial, layer) == names(t_sharded, layer)
-        cell = next(r for r in t_sharded.records if r["layer"] == "cell")
-        assert cell["link"] in {r["id"] for r in t_sharded.records}
-        assert cell["args"]["scenario"] == "trace-shards"
+            untraced = run_matrix(scenario)
+            with trace.tracing() as t:
+                traced = run_matrix(scenario)
+        assert [r.value for r in untraced.results] == \
+            [r.value for r in traced.results]
+        cell = next(r for r in t.records if r["layer"] == "cell")
+        assert cell["link"] in {r["id"] for r in t.records}
+        assert cell["args"]["scenario"] == "trace-cells"
         assert cell["args"]["seed"] == 1
 
 
@@ -408,22 +388,18 @@ class TestNeutrality:
 # ---------------------------------------------------------------------------
 
 class TestSummarize:
-    def test_layer_sinks_and_shard_table(self):
+    def test_layer_sinks(self):
         summary = trace.summarize(_sample_tracer().sorted_records())
         assert summary["layers"]["runtime"]["task"]["count"] == 1
         assert summary["layers"]["runtime"]["task"]["total_us"] == 9.5
         # Sim spans contribute their wall_us arg, not picoseconds.
         assert summary["layers"]["sim"]["engine.run"]["total_us"] == 9.0
-        shard = summary["shards"][0]
-        assert shard["windows"] == 1 and shard["events"] == 10
-        assert shard["busy_us"] == 2.0 and shard["idle_us"] == 1.0
-        assert shard["idle_frac"] == pytest.approx(1.0 / 3.0, abs=1e-4)
+        assert summary["layers"]["cell"]["demo[seed=1]"]["max_us"] == 2.0
 
     def test_format_summary_renders(self):
         text = trace.format_summary(
             trace.summarize(_sample_tracer().sorted_records()))
         assert "top time sinks" in text
-        assert "imbalance" in text
         assert "engine.run" in text
 
 
