@@ -23,7 +23,7 @@ or protocol-name tuples as appropriate (best effort: int, then float, then
 comma-split, then string).
 
 Sweep execution policy — worker count, result cache, retry budget, per-task
-timeout, telemetry sink — is handled by :mod:`repro.runtime`; the ``run``
+timeout — is handled by :mod:`repro.runtime`; the ``run``
 flags below override the ``REPRO_*`` environment defaults for one
 invocation.  Runs of sweep-based experiments are memoised: an immediate
 rerun is served from the on-disk cache (disable with ``--no-cache``).
@@ -150,13 +150,13 @@ def _parse_seeds(parser, raw):
     return seeds
 
 
-def _stored_argv(argv, journal_path: pathlib.Path) -> list:
-    """The argv a resume should replay: this invocation's, re-journaled.
+def _stored_argv(argv) -> list:
+    """The argv a resume should replay: this invocation's, un-journaled.
 
-    Any ``--journal``/``--resume`` the user passed is stripped and replaced
-    by a single ``--journal <path>`` so the re-invocation appends to the
-    same journal regardless of which spelling (or the ``REPRO_JOURNAL``
-    environment variable) attached it originally.
+    Any ``--journal`` the user passed is stripped: ``repro resume FILE``
+    re-attaches the file *it* was handed, so the re-invocation appends to
+    that journal from whatever directory it runs in and however (flag or
+    ``REPRO_JOURNAL``) the original run attached it.
     """
     raw = list(argv) if argv is not None else list(sys.argv[1:])
     stored = []
@@ -164,14 +164,11 @@ def _stored_argv(argv, journal_path: pathlib.Path) -> list:
     for token in raw:
         if skip:
             skip = False
-            continue
-        if token in ("--journal", "--resume"):
+        elif token == "--journal":
             skip = True
-            continue
-        if token.startswith("--journal=") or token.startswith("--resume="):
-            continue
-        stored.append(token)
-    return stored + ["--journal", str(journal_path)]
+        elif not token.startswith("--journal="):
+            stored.append(token)
+    return stored
 
 
 def _frontier(state) -> str:
@@ -191,29 +188,21 @@ def _print_result(result, as_json: bool) -> None:
         print(format_table(result))
 
 
-def _activate_journal(parser, args, argv):
-    """Resolve ``--journal``/``--resume``/``REPRO_JOURNAL`` into an active
-    run journal (or ``None``) and record this process generation's meta.
+def _activate_journal(args, argv):
+    """Resolve ``--journal``/``REPRO_JOURNAL`` into an active run journal
+    (or ``None``) and record this process generation's meta.
     """
-    resume = getattr(args, "resume", None)
-    path = resume or getattr(args, "journal", None) \
-        or env_text("REPRO_JOURNAL")
+    path = getattr(args, "journal", None) or env_text("REPRO_JOURNAL")
     if not path:
         return None
     path = pathlib.Path(path)
-    if resume and not path.exists():
-        parser.error(f"--resume: journal {path} does not exist "
-                     f"(start one with --journal)")
     generation = 0
     if path.exists():
         state = run_journal.load_journal(path)
         if state.metas:
             generation = state.generation + 1
-        if resume:
-            print(f"[repro.resilience] resuming {path}: {_frontier(state)}",
-                  file=sys.stderr)
     journal = run_journal.activate(path)
-    journal.meta(argv=_stored_argv(argv, path), command=args.command,
+    journal.meta(argv=_stored_argv(argv), command=args.command,
                  name=getattr(args, "experiment", None)
                  or getattr(args, "spec", "") or "",
                  generation=generation)
@@ -223,7 +212,7 @@ def _activate_journal(parser, args, argv):
 def _interrupted_exit(journal, signame: str, what: str) -> int:
     """Shared drain epilogue: journal the shutdown, print the resume hint."""
     if journal is not None:
-        journal.note("shutdown", signal=signame)
+        journal.event("shutdown", signal=signame)
         hint = f"resume with: repro resume {journal.path}"
     else:
         hint = "add --journal FILE to make runs resumable"
@@ -246,8 +235,6 @@ def _runtime_overrides(args) -> dict:
                         ("timeout", "task_timeout_s")):
         if getattr(args, flag, None) is not None:
             overrides[field] = getattr(args, flag)
-    if getattr(args, "telemetry", None):
-        overrides["telemetry_path"] = pathlib.Path(args.telemetry)
     if getattr(args, "audit", False):
         overrides["audit"] = True
     if args.command == "profile" or getattr(args, "profile", False):
@@ -340,8 +327,6 @@ def _cli(argv=None) -> int:
                             "(default REPRO_RETRIES or 2)")
         p.add_argument("--timeout", default=None, metavar="SEC",
                        help="best-effort per-task timeout in seconds")
-        p.add_argument("--telemetry", default=None, metavar="FILE",
-                       help="append sweep events as JSONL to FILE")
         p.add_argument("--trace", default=None, metavar="FILE",
                        help="capture a cross-layer trace (repro.obs.trace): "
                             "JSONL at FILE plus Perfetto-loadable "
@@ -353,17 +338,11 @@ def _cli(argv=None) -> int:
                             "symmetry in every simulation; exit 1 on any "
                             "violation")
         p.add_argument("--journal", default=None, metavar="FILE",
-                       help="append a crash-safe run journal "
-                            "(repro.resilience/v1 JSONL) to FILE so an "
-                            "interrupted or killed campaign can be replayed "
-                            "with 'repro resume FILE' "
-                            "(default REPRO_JOURNAL)")
-        p.add_argument("--resume", default=None, metavar="FILE",
-                       help="like --journal but FILE must already exist: "
-                            "prints its task frontier, then re-runs the "
-                            "campaign (completed tasks replay from the "
-                            "result cache; the report is byte-identical "
-                            "to an uninterrupted run)")
+                       help="append the run journal (repro.resilience/v2 "
+                            "JSONL: every sweep and task event, flushed per "
+                            "line) to FILE: tail it for progress, and replay "
+                            "an interrupted or killed campaign with "
+                            "'repro resume FILE' (default REPRO_JOURNAL)")
 
     def _add_run_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("experiment", help="experiment id, e.g. fig10 or table1")
@@ -519,7 +498,7 @@ def _cli(argv=None) -> int:
     if args.command == "resume":
         try:
             state = run_journal.load_journal(args.journal)
-        except (FileNotFoundError, OSError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"resume: {exc}", file=sys.stderr)
             return 1
         if not state.argv:
@@ -534,9 +513,12 @@ def _cli(argv=None) -> int:
             return 1
         print(f"[repro.resilience] {args.journal}: generation "
               f"{state.generation}, {_frontier(state)}", file=sys.stderr)
-        print(f"[repro.resilience] re-invoking: repro "
-              f"{' '.join(state.argv)}", file=sys.stderr)
-        return main(state.argv)
+        # The stored argv names no journal: re-attach the file we were
+        # handed, wherever this process happens to be running.
+        argv = state.argv + ["--journal", args.journal]
+        print(f"[repro.resilience] re-invoking: repro {' '.join(argv)}",
+              file=sys.stderr)
+        return main(argv)
 
     if args.command == "cache":
         config = runtime.get_config()
@@ -616,7 +598,11 @@ def _cli(argv=None) -> int:
 
     journal = None
     if args.command in ("run", "profile", "obs", "matrix"):
-        journal = _activate_journal(parser, args, argv)
+        try:
+            journal = _activate_journal(args, argv)
+        except (OSError, ValueError) as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 1
 
     if args.command == "matrix":
         from repro import scenarios as sc
@@ -647,7 +633,7 @@ def _cli(argv=None) -> int:
                 return 1
         signame = shutdown_requested()
         if signame:
-            # Drained: telemetry/trace/journal are flushed, but a partial
+            # Drained: trace and journal are flushed, but a partial
             # report would be misleading — skip it and point at resume.
             return _interrupted_exit(journal, signame, "matrix")
         report = outcome.report

@@ -86,7 +86,7 @@ def run_sweep(
     """Run ``fn(**common, **point)`` for every point of a parameter grid.
 
     This is the experiments' doorway into :mod:`repro.runtime`: execution
-    policy (worker count, result cache, retries, telemetry) comes from the
+    policy (worker count, result cache, retries, ticker) comes from the
     active runtime config, so ``python -m repro run fig15 --parallel 4`` and
     ``REPRO_PARALLEL=4 pytest benchmarks/`` parallelise every adopter with
     no experiment-side changes.  ``fn`` must be a module-level function and

@@ -18,8 +18,7 @@ restores it.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.net.packet import Packet, PacketKind
@@ -99,26 +98,3 @@ class PortTracer:
         if len(self.records) > limit:
             lines.append(f"... {len(self.records) - limit} more")
         return "\n".join(lines)
-
-    def to_jsonl(self, path) -> int:
-        """Dump every record as one JSON object per line; returns count.
-
-        The output round-trips through :meth:`from_jsonl`, so traces can be
-        saved from one run and diffed against another outside the golden
-        test harness.
-        """
-        with open(path, "w") as fh:
-            for r in self.records:
-                fh.write(json.dumps(asdict(r)) + "\n")
-        return len(self.records)
-
-    @staticmethod
-    def from_jsonl(path) -> List[TraceRecord]:
-        """Reload a :meth:`to_jsonl` dump as a list of records."""
-        records: List[TraceRecord] = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(TraceRecord(**json.loads(line)))
-        return records

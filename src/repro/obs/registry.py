@@ -171,53 +171,6 @@ class Series:
         return len(self.times_ps)
 
 
-class _FlowRateSampler:
-    """Periodic cwnd/rate series for explicitly tracked flows.
-
-    Samples whatever rate signal the flow exposes: ExpressPass's
-    ``current_rate_bps``, a :class:`~repro.transport.base.RateFlow`'s
-    ``rate_bps``, else a window flow's ``cwnd`` (in segments).
-    """
-
-    def __init__(self, registry: "MetricsRegistry", flows: Sequence,
-                 interval_ps: int, name_prefix: str = "rate"):
-        self.sim = registry.sim
-        self.flows = list(flows)
-        self.interval_ps = interval_ps
-        self._series = {}
-        for f in self.flows:
-            unit = ("bps" if hasattr(f, "current_rate_bps")
-                    or hasattr(f, "rate_bps") else "cwnd")
-            self._series[f] = registry.add_series(
-                f"{name_prefix}.f{f.fid}_{unit}")
-        self._event = self.sim.schedule(interval_ps, self._tick)
-
-    @staticmethod
-    def _read(flow) -> float:
-        v = getattr(flow, "current_rate_bps", None)
-        if v is not None:
-            return v
-        v = getattr(flow, "rate_bps", None)
-        if v is not None:
-            return v
-        return getattr(flow, "cwnd", 0.0)
-
-    def _sample(self) -> None:
-        now = self.sim.now
-        for f in self.flows:
-            self._series[f].append(now, self._read(f))
-
-    def _tick(self) -> None:
-        self._sample()
-        self._event = self.sim.schedule(self.interval_ps, self._tick)
-
-    def stop(self) -> None:
-        if self._event is None:
-            return
-        self._event.cancel()
-        self._event = None
-
-
 class MetricsRegistry:
     """All observability state for one simulator.  See module docstring."""
 
@@ -359,13 +312,6 @@ class MetricsRegistry:
         sampler = FlowThroughputSampler(self.sim, flows, interval_ps,
                                         registry=self,
                                         name_prefix=name_prefix)
-        self._samplers.append(sampler)
-        return sampler
-
-    def sample_rates(self, flows, interval_ps: int,
-                     name_prefix: str = "rate") -> _FlowRateSampler:
-        """Periodic cwnd/rate series for ``flows``."""
-        sampler = _FlowRateSampler(self, flows, interval_ps, name_prefix)
         self._samplers.append(sampler)
         return sampler
 

@@ -2,9 +2,9 @@
 
 The resilience plane makes long campaigns survivable rather than fragile:
 
-* :mod:`repro.resilience.journal` — an append-only, torn-write-tolerant
-  JSONL manifest of task states (``repro.resilience/v1``) that the
-  runtime's telemetry funnel writes as a campaign runs, and that
+* :mod:`repro.resilience.journal` — the append-only, torn-write-tolerant
+  JSONL log of every sweep and task event (``repro.resilience/v2``) that
+  the runtime's telemetry funnel writes as a campaign runs, and that
   ``repro resume`` replays.
 * :mod:`repro.resilience.signals` — SIGINT/SIGTERM handlers that drain
   in-flight work, mark the rest interrupted, and exit with

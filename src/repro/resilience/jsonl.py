@@ -1,6 +1,6 @@
 """Crash-tolerant JSONL: one append-and-flush writer, one torn-line reader.
 
-Shared by the run journal and the scheduler's telemetry log — both are one
+What the run journal (:mod:`repro.resilience.journal`) is made of: one
 JSON object per line, appended while a campaign runs and read back after
 the process may have been SIGKILLed mid-write.  (``repro.obs.trace`` files
 are written whole at exit and keep their stricter final-line-only reader.)
@@ -31,8 +31,8 @@ class JsonlAppender:
         self._lock = threading.Lock()
         self._fh = None
 
-    def append(self, record: dict, sort_keys: bool = False) -> None:
-        line = json.dumps(record, sort_keys=sort_keys, default=str) + "\n"
+    def append(self, record: dict) -> None:
+        line = json.dumps(record, default=str) + "\n"
         with self._lock:
             try:
                 if self._fh is None:
@@ -53,13 +53,13 @@ class JsonlAppender:
             self._fh = None
 
 
-def read_records(path, what: str = "JSONL") -> Tuple[List[dict], int]:
+def read_records(path) -> Tuple[List[dict], int]:
     """Every well-formed record in ``path`` plus the count of torn lines.
 
     A crash tears at most the final line, but replayed or concatenated
     logs may carry earlier tears — skipping is always the right recovery,
-    so no line is fatal; each skipped line warns (``what`` names the kind
-    of file): a torn line is information (*something* died here).
+    so no line is fatal; each skipped line warns: a torn line is
+    information (*something* died here).
     """
     records: List[dict] = []
     torn = 0
@@ -71,7 +71,7 @@ def read_records(path, what: str = "JSONL") -> Tuple[List[dict], int]:
             record = json.loads(line)
         except ValueError:
             record = None
-            warnings.warn(f"{path}:{lineno}: skipping torn {what} line "
+            warnings.warn(f"{path}:{lineno}: skipping torn journal line "
                           f"({line[:40]!r}...)", stacklevel=3)
         if isinstance(record, dict):
             records.append(record)

@@ -5,10 +5,11 @@ points × seeds).  This subsystem decomposes such sweeps into picklable
 :class:`TaskSpec` units, executes them on a process pool (or serially) with
 per-task retries and best-effort timeouts, memoises each task's result in a
 content-addressed on-disk cache keyed by ``(function, kwargs incl. seed,
-code fingerprint)``, and reports progress as JSONL telemetry plus a live
-stderr ticker.
+code fingerprint)``, and reports progress to the run journal
+(:mod:`repro.resilience.journal`, when one is active) plus a live stderr
+ticker.
 
-Policy (worker count, cache on/off, retry budget, telemetry path) comes from
+Policy (worker count, cache on/off, retry budget) comes from
 the active :class:`RuntimeConfig` — set by CLI flags (``python -m repro run
 fig15 --parallel 4``), environment variables (``REPRO_PARALLEL=4 pytest
 benchmarks/``), or :func:`configure`/:func:`using` in code.  Experiments
@@ -31,7 +32,7 @@ from repro.runtime.config import (
 )
 from repro.runtime.scheduler import SweepError, TaskResult, run_tasks
 from repro.runtime.task import SweepPlan, TaskSpec, stable_repr, task_id
-from repro.runtime.telemetry import Telemetry, read_events
+from repro.runtime.telemetry import Telemetry
 
 __all__ = [
     "ResultCache",
@@ -45,7 +46,6 @@ __all__ = [
     "configure",
     "default_cache_dir",
     "get_config",
-    "read_events",
     "reset",
     "run_tasks",
     "stable_repr",

@@ -16,7 +16,6 @@ Environment variables (all optional) seed the defaults:
 ``REPRO_CACHE_DIR``         cache directory (default ``~/.cache/repro-expresspass``)
 ``REPRO_RETRIES``           retry budget per task (default 2)
 ``REPRO_TASK_TIMEOUT``      per-task timeout in seconds (default: none)
-``REPRO_TELEMETRY``         path for JSONL event log (default: off)
 ``REPRO_PROGRESS``          "1" forces the stderr ticker on, "0" forces it off
 ``REPRO_CACHE_MAX_BYTES``   cache size cap before LRU eviction (default 512 MiB)
 ``REPRO_CACHE_MAX_ENTRIES`` cache entry cap before LRU eviction (default 4096)
@@ -40,9 +39,11 @@ describe crash-safety machinery, not sweep policy, and several must reach
 code that runs before or without a config:
 
 ==========================  =====================================================
-``REPRO_JOURNAL``           path for the crash-safe run journal
-                            (``repro.resilience/v1`` JSONL); same effect as
-                            ``--journal``, enables ``repro resume``
+``REPRO_JOURNAL``           path for the run journal
+                            (``repro.resilience/v2`` JSONL), the one log of
+                            every sweep and task event: tail it for
+                            progress, ``repro resume`` it after a crash;
+                            same effect as ``--journal``
 ``REPRO_SELFCHAOS``         comma-separated fault directives aimed at the
                             execution substrate itself (``task:kill=SUBSTR``,
                             ``parent:kill=N``, ``parent:int=N``,
@@ -179,7 +180,6 @@ class RuntimeConfig:
     backoff_s: float = 0.05
     #: Best-effort per-task wall-clock limit (seconds); None = unlimited.
     task_timeout_s: Optional[float] = None
-    telemetry_path: Optional[pathlib.Path] = None
     #: True/False force the stderr ticker; None = only when stderr is a tty.
     progress: Optional[bool] = None
     max_cache_bytes: int = 512 * 1024 * 1024
@@ -201,14 +201,12 @@ class RuntimeConfig:
     @classmethod
     def from_env(cls, environ=None) -> "RuntimeConfig":
         cache_dir = env_text("REPRO_CACHE_DIR", environ)
-        telemetry = env_text("REPRO_TELEMETRY", environ)
         return cls(
             parallel=env_number("REPRO_PARALLEL", environ),
             cache_enabled=not env_flag("REPRO_NO_CACHE", environ),
             cache_dir=pathlib.Path(cache_dir) if cache_dir else None,
             retries=env_number("REPRO_RETRIES", environ),
             task_timeout_s=env_number("REPRO_TASK_TIMEOUT", environ),
-            telemetry_path=pathlib.Path(telemetry) if telemetry else None,
             progress=(None if env_text("REPRO_PROGRESS", environ) is None
                       else env_flag("REPRO_PROGRESS", environ)),
             max_cache_bytes=env_number("REPRO_CACHE_MAX_BYTES", environ),

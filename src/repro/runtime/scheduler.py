@@ -163,9 +163,7 @@ def run_tasks(
         specs = list(tasks)
         name = name or "sweep"
     config = config or get_config()
-    tel = telemetry or Telemetry(name, len(specs),
-                                 jsonl_path=config.telemetry_path,
-                                 progress=config.progress)
+    tel = telemetry or Telemetry(name, len(specs), progress=config.progress)
     names = probes.enabled(config)
 
     cache = None

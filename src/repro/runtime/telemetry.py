@@ -1,9 +1,9 @@
-"""Structured progress for sweeps: JSONL events + a live stderr ticker.
+"""Structured progress for sweeps: run-log events + a live stderr ticker.
 
 Every scheduler state change (queued, started, done, failed, retry, cache
-hit) increments counters and, when a telemetry path is configured, appends
-one JSON object per line — a format tail-able during a long sweep and
-trivially loadable afterwards (``[json.loads(l) for l in open(p)]``).
+hit) increments counters and, when a run journal is active, appends one
+JSON object per line to it — a format tail-able during a long sweep and
+loadable afterwards (:func:`repro.resilience.journal.load_journal`).
 
 The ticker rewrites a single stderr line (``\\r``) while tasks run and is
 enabled only on a tty (or when forced), so pytest/CI logs stay clean.  The
@@ -11,45 +11,39 @@ one-line summary at the end — task counts, failures, cache hit rate, wall
 time — prints whenever the ticker is enabled.
 
 Telemetry is the single lifecycle funnel: the scheduler reports each task
-transition here once, and it fans out to three sinks — the JSONL log
-above; the runtime layer of ``repro.obs.trace`` (when a tracer is active,
-a :class:`~repro.obs.trace.TaskRecorder` turns every state change into
-task / attempt / worker-lane spans); and the crash-safe run journal
-(:mod:`repro.resilience.journal`, when one is active: the
-queued/running/done/failed/interrupted records ``repro resume`` folds).
+transition here once, and it fans out to two sinks — the crash-safe run
+journal (:mod:`repro.resilience.journal`: the one log of every event,
+which ``repro resume`` folds to a task frontier); and the runtime layer of
+``repro.obs.trace`` (when a tracer is active, a
+:class:`~repro.obs.trace.TaskRecorder` turns every state change into
+task / attempt / worker-lane spans).
 With a sink off its forwarding is one ``is None`` check per event.
 """
 
 from __future__ import annotations
 
-import pathlib
 import sys
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.resilience import journal as run_journal
-from repro.resilience.jsonl import JsonlAppender, read_records
 from repro.runtime import probes
 
 
 class Telemetry:
-    """Counters + JSONL sink + ticker for one ``run_tasks`` invocation."""
+    """Counters + run-log sink + ticker for one ``run_tasks`` invocation."""
 
     def __init__(
         self,
         sweep: str = "sweep",
         total: int = 0,
-        jsonl_path: Optional[pathlib.Path] = None,
         progress: Optional[bool] = None,
         stream=None,
         journal: Optional[run_journal.RunJournal] = None,
     ):
         self.sweep = sweep
         self.total = total
-        self.jsonl_path = pathlib.Path(jsonl_path) if jsonl_path else None
-        self._jsonl = JsonlAppender(self.jsonl_path) \
-            if self.jsonl_path else None
         self.stream = stream if stream is not None else sys.stderr
         if progress is None:
             progress = bool(getattr(self.stream, "isatty", lambda: False)())
@@ -63,57 +57,45 @@ class Telemetry:
             "cache_hits": 0, "cache_misses": 0,
             "interrupted": 0, "recycles": 0,
         }
-        self.task_wall_s: dict = {}
         from repro.obs.trace import TaskRecorder
         self.recorder = TaskRecorder.maybe(sweep)
         #: The run journal (explicit, else the process's active one).  One
         #: Telemetry is one ``run_tasks`` batch, so it opens with the
-        #: ``sweep`` note that keeps a campaign's sweeps apart on replay.
+        #: ``sweep`` event that keeps a campaign's sweeps apart on replay.
         self.journal = journal if journal is not None \
             else run_journal.current()
         #: index -> result-cache key, as journaled with ``queued``/``done``.
         self._keys: Dict[int, Optional[str]] = {}
-        if self.journal is not None:
-            self.journal.note("sweep", name=sweep, total=total)
+        self.emit("sweep", name=sweep, total=total)
 
     # -- event plumbing -----------------------------------------------------
 
     def emit(self, event: str, **fields) -> None:
-        if self._jsonl is not None:
-            self._jsonl.append({"t": round(time.time(), 6),
-                                "sweep": self.sweep, "event": event,
-                                **fields})
+        if self.journal is not None:
+            self.journal.event(event, **fields)
 
     def _task(self, event: str, index: int, label: str, *bump: str,
-              settles: bool = False, state: Optional[str] = None,
-              journal: Optional[dict] = None, **fields) -> None:
+              settles: bool = False, **fields) -> None:
         """One task transition into the counters (``bump``; ``settles`` =
-        the task left the running set), the JSONL log, and — when it is
-        one of the journaled ``state``s — the run journal, which records
-        the same ``fields`` unless given its own."""
+        the task left the running set) and the run journal."""
         with self._lock:
             if settles:
                 self.counts["running"] = max(0, self.counts["running"] - 1)
             for name in bump:
                 self.counts[name] += 1
         self.emit(event, index=index, label=label, **fields)
-        if state is not None and self.journal is not None:
-            self.journal.task(index, state, label,
-                              **(fields if journal is None else journal))
 
     def task_queued(self, index: int, label: str,
                     key: Optional[str] = None) -> None:
         """A task entered the sweep; ``key`` is its result-cache key (when
         caching is on), journaled so a resume can find its result."""
         self._keys[index] = key
-        self._task("task_queued", index, label, "queued",
-                   state="queued", journal={"key": key})
+        self._task("task_queued", index, label, "queued", key=key)
         if self.recorder is not None:
             self.recorder.queued(index, label)
 
     def task_started(self, index: int, label: str, attempt: int) -> None:
-        self._task("task_started", index, label, "running",
-                   state="running", attempt=attempt)
+        self._task("task_started", index, label, "running", attempt=attempt)
         if self.recorder is not None:
             self.recorder.started(index, label, attempt)
         self.tick()
@@ -124,12 +106,9 @@ class Telemetry:
         it ran under observed (``{name: payload}``), credited to the open
         :mod:`~repro.runtime.probes` session — and, for the trace, handed
         to the recorder to stitch under this task's span."""
-        self.task_wall_s[index] = wall_s
-        wall = round(wall_s, 6)
         self._task("task_done", index, label, "done", settles=True,
-                   state="done", wall_s=wall, cached=False,
-                   journal={"key": self._keys.get(index), "wall_s": wall,
-                            "cached": False})
+                   key=self._keys.get(index), wall_s=round(wall_s, 6),
+                   cached=False)
         if payloads:
             probes.bank(label, payloads)
         if self.recorder is not None:
@@ -141,7 +120,7 @@ class Telemetry:
     def task_failed(self, index: int, label: str, error: str,
                     attempts: int) -> None:
         self._task("task_failed", index, label, "failed", settles=True,
-                   state="failed", error=error, attempts=attempts)
+                   error=error, attempts=attempts)
         if self.recorder is not None:
             self.recorder.failed(index, label, error, attempts)
         self.tick()
@@ -173,7 +152,7 @@ class Telemetry:
         """A task cut short by a graceful-shutdown drain (never ran, or
         its in-flight result was abandoned)."""
         self._task("task_interrupted", index, label, "interrupted",
-                   state="interrupted", signal=signame)
+                   signal=signame)
         if self.recorder is not None:
             self.recorder.interrupted(index, label, signame)
         self.tick()
@@ -189,8 +168,7 @@ class Telemetry:
 
     def cache_hit(self, index: int, label: str) -> None:
         self._task("cache_hit", index, label, "cache_hits", "done",
-                   state="done",
-                   journal={"key": self._keys.get(index), "cached": True})
+                   key=self._keys.get(index), cached=True)
         if self.recorder is not None:
             self.recorder.done(index, label, cached=True)
         self.tick()
@@ -237,12 +215,8 @@ class Telemetry:
             self._ticker_live = True
 
     def close(self) -> None:
-        """Emit the final summary (always to JSONL, to stderr if ticking)."""
-        summary = self.summary()
-        self.emit("sweep_done", **{k: v for k, v in summary.items()
-                                   if k != "sweep"})
-        if self._jsonl is not None:
-            self._jsonl.close()
+        """Emit the final summary (to the journal, to stderr if ticking)."""
+        self.emit("sweep_done", **self.summary())
         if self.progress:
             c = self.counts
             rate = self.hit_rate()
@@ -259,14 +233,3 @@ class Telemetry:
                     f"{c['failed']} failed, {retry_txt}, "
                     f"cache hit rate {rate_txt}, {self.wall_s:.1f}s\n")
 
-
-def read_events(path: pathlib.Path) -> Tuple[List[dict], int]:
-    """Load a telemetry JSONL file, tolerating a torn final line.
-
-    A process killed mid-:meth:`Telemetry.emit` leaves a partial last
-    line; crash-recovery tooling (``repro resume``, post-mortems) must
-    still read everything before it.  Returns ``(events, torn_lines)``
-    and warns once per skipped line — a torn line is information
-    (*something* died here), not an error.
-    """
-    return read_records(path, "telemetry")

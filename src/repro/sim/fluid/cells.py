@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.metrics import jain_index
 from repro.sim.fluid.model import (
     Dynamics,
     FluidFlow,
@@ -92,17 +91,6 @@ def _fluid_fabric(topology: str, n_flows: int, rate_bps: int,
     raise ValueError(f"unknown topology kind {topology!r}")
 
 
-def _first_sustained_ps(gbps: List[float], threshold: float,
-                        bin_ps: int) -> int:
-    """Same two-consecutive-bins rule as the packet cells."""
-    for i in range(len(gbps) - 1):
-        if gbps[i] >= threshold and gbps[i + 1] >= threshold:
-            return (i + 1) * bin_ps
-    if len(gbps) == 1 and gbps[0] >= threshold:
-        return bin_ps
-    return -1
-
-
 def run_fluid(
     protocol: str,
     n_flows: int,
@@ -124,6 +112,11 @@ def run_fluid(
     Chaos plans are rejected at the schema layer (:func:`fluid_blockers`),
     so this cell takes none.
     """
+    # The packet cells' row fold.  Imported here so ``repro.sim.fluid``
+    # stays importable without the scenario layer above it; the compiler
+    # that emitted this cell has already loaded it.
+    from repro.scenarios.cells import _persistent_row
+
     dyn = _dynamics(protocol, ep_profile)
     links, routes, capacity_bps = _fluid_fabric(
         topology, n_flows, rate_bps, topo_params or {})
@@ -139,27 +132,12 @@ def run_fluid(
     seconds = measure_ps / 1e12
     rates = [(f.delivered_bytes - b) * 8 / seconds
              for f, b in zip(flows, base)]
-    bin_s = bin_ps * 1e-12
-    gbps = [(totals[i + 1] - totals[i]) * 8 / bin_s / 1e9
-            for i in range(len(totals) - 1)]
-    steady = sum(rates) / 1e9
-    threshold = 0.9 * (steady if steady > 0 else float("inf"))
-    convergence_ps = _first_sustained_ps(gbps, threshold, bin_ps)
-
-    return {
-        "protocol": protocol,
-        "flows": n_flows,
-        "utilization": sum(rates) / capacity_bps,
-        "fairness": jain_index(rates),
-        "max_queue_kb": net.max_queue_bytes() / 1e3,
-        "data_drops": 0,   # the fluid model admits no overflow, so no loss
-        "topology": topology,
-        "seed": seed,
-        "agg_gbps": round(steady, 4),
-        "convergence_ms": (round(convergence_ps / MS, 3)
-                           if convergence_ps >= 0 else -1.0),
-        "backend": "fluid",
-    }
+    # data_drops=0: the fluid model admits no overflow, so no loss.
+    row = _persistent_row(protocol, n_flows, topology, seed, rates,
+                          capacity_bps, net.max_queue_bytes(), 0, totals,
+                          bin_ps, warmup_ps, chaos=None)
+    row["backend"] = "fluid"
+    return row
 
 
 def fluid_join_convergence(

@@ -1,21 +1,20 @@
-"""Telemetry as the single lifecycle funnel: the journal sink.
+"""Telemetry as the single lifecycle funnel: the run journal it writes.
 
-The scheduler reports each task transition to :class:`Telemetry` once;
-the run journal is one of its sinks.  The resume contract is what a
+The scheduler reports each task transition to :class:`Telemetry` once, and
+every one of them lands in the run journal.  The resume contract is what a
 journal *folds* to (``repro resume`` replays the frontier from it), so this
 drives Telemetry through the transitions directly and compares the fold
 with what the scheduler of the commit before the funnel wrote by hand for
 the same sequence — a five-task serial sweep (cache hit; fail once then
 succeed; fail for good; succeed; cut by a drain), ``retries=1``, dumped
-once from that commit with keys and clocks replaced by placeholders.
+once from that commit (journal schema v1) with keys and clocks replaced by
+placeholders.
 """
-
-import json
 
 from repro.resilience.journal import RunJournal, load_journal
 from repro.runtime import Telemetry
 
-#: The parent scheduler's journal for the sequence, line by line (``t``,
+#: The parent scheduler's v1 journal for the sequence, line by line (``t``,
 #: ``pid`` and ``wall_s`` dropped).
 PARENT_RECORDS = [
     {"record": "sweep", "name": "s", "total": 5},
@@ -58,7 +57,9 @@ PARENT_FOLD = {
     (0, 4): PARENT_RECORDS[14],
 }
 
-VOLATILE = ("t", "wall_s")
+#: What a fold must agree on for a resume to redo exactly the same tasks
+#: and find the same cache entries.
+CONTRACT = ("state", "key", "cached", "error", "attempts", "signal")
 
 
 def _drive(tel: Telemetry) -> None:
@@ -88,8 +89,8 @@ def _drive(tel: Telemetry) -> None:
     tel.close()
 
 
-def _stable(record: dict) -> dict:
-    return {k: v for k, v in record.items() if k not in VOLATILE}
+def _contract(record: dict) -> dict:
+    return {k: record[k] for k in CONTRACT if k in record}
 
 
 def test_journal_through_telemetry_keeps_the_resume_contract(tmp_path):
@@ -100,28 +101,34 @@ def test_journal_through_telemetry_keeps_the_resume_contract(tmp_path):
 
     state = load_journal(path)
     assert state.torn_lines == 0
-    assert {k: _stable(r) for k, r in state.tasks.items()} == PARENT_FOLD
-    assert [_stable(n) for n in state.notes] == [PARENT_RECORDS[0]]
+    assert {k: _contract(r) for k, r in state.tasks.items()} \
+        == {k: _contract(r) for k, r in PARENT_FOLD.items()}
+    assert {k: r["label"] for k, r in state.tasks.items()} \
+        == {k: r["label"] for k, r in PARENT_FOLD.items()}
     summary = state.summary()
     assert (summary["done"], summary["failed"], summary["interrupted"]) \
         == (3, 1, 1)
     assert state.unfinished() == [4]          # exactly what resume redoes
     assert state.tasks[(0, 1)]["wall_s"] == 0.25
 
-    # Line for line the journal is the parent's, plus one ``queued`` line
-    # ahead of the cache hit (a hit is now announced like any other task
-    # before the cache answers; the fold is unaffected — last state wins).
-    written = [_stable(json.loads(line))
-               for line in path.read_text().splitlines()]
-    extra = {"record": "task", "index": 0, "state": "queued",
-             "label": "hit", "key": "k0"}
-    assert written == PARENT_RECORDS[:1] + [extra] + PARENT_RECORDS[1:]
+    # On disk it is every transition Telemetry was told about, one
+    # ``{"t", "event", ...}`` line each, in the order they happened.
+    kinds = [e["event"] for e in state.events]
+    assert kinds[0] == "sweep" and kinds[-1] == "sweep_done"
+    assert kinds[1:11] == ["task_queued", "cache_hit"] \
+        + ["task_queued", "cache_miss"] * 4
+    assert kinds[11:17] == ["task_started", "task_retry", "task_deferred",
+                            "task_resubmitted", "task_started", "task_done"]
+    assert len(kinds) == 27     # the opener + one line per _drive call
+    assert all(set(e) >= {"t", "event"} for e in state.events)
+    done = state.events[-1]
+    assert (done["done"], done["retries"], done["cache_hits"]) == (3, 2, 1)
 
 
-def test_without_a_journal_the_sink_is_inert(tmp_path):
-    tel = Telemetry("s", 5, progress=False,
-                    jsonl_path=tmp_path / "events.jsonl")
+def test_without_a_journal_the_sink_is_inert(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    tel = Telemetry("s", 5, progress=False)
     assert tel.journal is None
     _drive(tel)
     assert tel.counts["done"] == 3 and tel.counts["interrupted"] == 1
-    assert not (tmp_path / "j.jsonl").exists()
+    assert list(tmp_path.iterdir()) == []

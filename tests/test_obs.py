@@ -341,13 +341,6 @@ class TestTraceExport:
         sim.run()
         return tracer
 
-    def test_port_tracer_jsonl_round_trip(self, tmp_path):
-        tracer = self._traced_run()
-        path = tmp_path / "trace.jsonl"
-        n = tracer.to_jsonl(path)
-        assert n == len(tracer.records) > 0
-        assert PortTracer.from_jsonl(path) == tracer.records
-
     def test_dump_traces_round_trip(self, tmp_path):
         tracer = self._traced_run()
         path = tmp_path / "pcap.jsonl"
@@ -427,18 +420,6 @@ class TestSamplerLifecycle:
         m1 = reg.series[f"throughput.f{f1.fid}_bps"]
         assert len(m0) == len(m1)
         assert m1.values[:2] == [0.0, 0.0]  # backfilled pre-track intervals
-
-    def test_sample_rates_reads_expresspass_rate(self):
-        sim = Simulator(seed=1)
-        topo = small_dumbbell(sim)
-        reg = MetricsRegistry.attach(sim)
-        flow = ExpressPassFlow(topo.senders[0], topo.receivers[0], None, **EP)
-        reg.sample_rates([flow], 1 * MS)
-        sim.run(until=3 * MS)
-        flow.stop()
-        series = reg.series[f"rate.f{flow.fid}_bps"]
-        assert len(series) >= 2
-        assert max(series.values) > 0
 
 
 # -- activation paths --------------------------------------------------------

@@ -28,6 +28,7 @@ import time
 import pytest
 
 from repro import runtime
+from repro.cli import main as cli_main
 from repro.resilience import (
     EXIT_INTERRUPTED,
     JOURNAL_SCHEMA,
@@ -38,7 +39,6 @@ from repro.resilience import (
 from repro.resilience import journal as run_journal
 from repro.resilience import signals as shutdown
 from repro.runtime import ResultCache, TaskSpec, Telemetry, run_tasks
-from repro.runtime.telemetry import read_events
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -103,37 +103,43 @@ class TestJournal:
     def test_round_trip_and_folding(self, tmp_path):
         path = tmp_path / "run.journal.jsonl"
         jr = RunJournal(path)
-        jr.meta(argv=["run", "fig15", "--journal", str(path)],
-                command="run", name="fig15", total=3)
-        jr.task(0, "queued", "t0", key="k0")
-        jr.task(1, "queued", "t1", key="k1")
-        jr.task(2, "queued", "t2", key="k2")
-        jr.task(0, "running", "t0", attempt=1)
-        jr.task(0, "done", "t0", key="k0", cached=False)
-        jr.task(1, "failed", "t1", error="boom", attempts=3)
-        jr.note("sweep", name="fig15", total=3)
+        jr.meta(argv=["run", "fig15"], command="run", name="fig15")
+        jr.event("task_queued", index=0, label="t0", key="k0")
+        jr.event("task_queued", index=1, label="t1", key="k1")
+        jr.event("task_queued", index=2, label="t2", key="k2")
+        jr.event("task_started", index=0, label="t0", attempt=1)
+        jr.event("task_done", index=0, label="t0", key="k0", cached=False)
+        jr.event("task_failed", index=1, label="t1", error="boom",
+                 attempts=3)
+        jr.event("sweep", name="fig15", total=3)
         jr.close()
 
         state = load_journal(path)
-        assert state.meta["schema"] == JOURNAL_SCHEMA
-        assert state.argv[-2:] == ["--journal", str(path)]
+        assert state.meta["schema"] == JOURNAL_SCHEMA == "repro.resilience/v2"
+        assert state.argv == ["run", "fig15"]
         assert state.generation == 0
-        assert state.total == 3
         assert state.by_state("done") == [0]
         assert state.by_state("failed") == [1]
         assert state.unfinished() == [2]
         assert state.tasks[(0, 0)]["key"] == "k0"
-        assert state.notes and state.notes[0]["record"] == "sweep"
+        # Every line is {"t", "event", ...} and the state keeps them all,
+        # in file order, for readers that want more than the fold.
+        assert [e["event"] for e in state.events] == [
+            "meta", "task_queued", "task_queued", "task_queued",
+            "task_started", "task_done", "task_failed", "sweep"]
+        assert all(isinstance(e["t"], float) for e in state.events)
+        assert "total" not in state.meta and "total" not in state.summary()
+        assert not hasattr(state, "total")
         assert state.torn_lines == 0
 
     def test_torn_final_line_warns_and_folds_the_rest(self, tmp_path):
         path = tmp_path / "run.journal.jsonl"
         jr = RunJournal(path)
-        jr.meta(argv=["run", "x"], command="run", name="x", total=2)
-        jr.task(0, "done", "t0")
+        jr.meta(argv=["run", "x"], command="run", name="x")
+        jr.event("task_done", index=0, label="t0")
         jr.close()
         with path.open("a") as fh:
-            fh.write('{"record": "task", "index": 1, "sta')  # SIGKILL here
+            fh.write('{"t": 1.0, "event": "task_done", "ind')  # SIGKILL here
         with pytest.warns(UserWarning, match="torn journal line"):
             state = load_journal(path)
         assert state.torn_lines == 1
@@ -145,13 +151,13 @@ class TestJournal:
         # one journal; their 0..n-1 indices must not collide in the fold.
         path = tmp_path / "run.journal.jsonl"
         jr = RunJournal(path)
-        jr.meta(argv=["run", "x"], command="run", name="x", total=2)
-        jr.note("sweep", name="warmup", total=2)
-        jr.task(0, "done", "w0")
-        jr.task(1, "done", "w1")
-        jr.note("sweep", name="main", total=2)
-        jr.task(0, "done", "m0")
-        jr.task(1, "failed", "m1", error="boom")
+        jr.meta(argv=["run", "x"], command="run", name="x")
+        jr.event("sweep", name="warmup", total=2)
+        jr.event("task_done", index=0, label="w0")
+        jr.event("task_done", index=1, label="w1")
+        jr.event("sweep", name="main", total=2)
+        jr.event("task_done", index=0, label="m0")
+        jr.event("task_failed", index=1, label="m1", error="boom")
         jr.close()
         state = load_journal(path)
         assert sorted(state.tasks) == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -165,15 +171,14 @@ class TestJournal:
         # generation's records instead of stacking beside them.
         path = tmp_path / "run.journal.jsonl"
         jr = RunJournal(path)
-        jr.meta(argv=["run", "x"], command="run", name="x", total=2)
-        jr.note("sweep", name="x", total=2)
-        jr.task(0, "done", "t0")
-        jr.task(1, "running", "t1")     # SIGKILL landed about here
-        jr.meta(argv=["run", "x"], command="run", name="x", total=2,
-                generation=1)
-        jr.note("sweep", name="x", total=2)
-        jr.task(0, "done", "t0", cached=True)
-        jr.task(1, "done", "t1")
+        jr.meta(argv=["run", "x"], command="run", name="x")
+        jr.event("sweep", name="x", total=2)
+        jr.event("task_done", index=0, label="t0")
+        jr.event("task_started", index=1, label="t1")  # SIGKILL about here
+        jr.meta(argv=["run", "x"], command="run", name="x", generation=1)
+        jr.event("sweep", name="x", total=2)
+        jr.event("cache_hit", index=0, label="t0", cached=True)
+        jr.event("task_done", index=1, label="t1")
         jr.close()
         state = load_journal(path)
         assert state.generation == 1
@@ -187,8 +192,23 @@ class TestJournal:
 
     def test_writer_never_raises_on_bad_path(self):
         jr = RunJournal(pathlib.Path("/proc/nonexistent/journal.jsonl"))
-        jr.task(0, "done", "t0")  # swallowed: journal is a safety net
+        # Swallowed: the journal is a safety net, never a failure mode.
+        jr.event("task_done", index=0, label="t0")
         jr.close()
+
+    def test_v1_journal_is_refused_not_read(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"record": "meta", "schema": "repro.resilience/v1", '
+            '"argv": ["run", "x", "--journal", "old.jsonl"], '
+            '"generation": 0}\n'
+            '{"record": "task", "index": 0, "state": "done"}\n')
+        with pytest.raises(ValueError, match="is not repro.resilience/v2"):
+            load_journal(path)
+
+    def test_writer_has_one_way_in(self):
+        assert not hasattr(RunJournal, "task")
+        assert not hasattr(RunJournal, "note")
 
 
 class TestSchedulerJournaling:
@@ -206,12 +226,16 @@ class TestSchedulerJournaling:
         assert state.by_state("done") == [0, 0, 1, 1]
         assert sorted(state.tasks) == [(0, 0), (0, 1), (1, 0), (1, 1)]
         # First generation executed (cached=False), second replayed.
-        done = [r for r in json.loads(
-            "[" + ",".join(
-                l for l in jr.path.read_text().splitlines() if l) + "]")
-            if r.get("record") == "task" and r.get("state") == "done"]
+        done = [e for e in state.events
+                if e["event"] in ("task_done", "cache_hit")]
         assert [d["cached"] for d in done] == [False, False, True, True]
         assert all(d["key"] for d in done)
+        # The same file carries what the telemetry log used to: the cache
+        # verdict per task and the closing summary per sweep.
+        kinds = [e["event"] for e in state.events]
+        assert kinds.count("cache_miss") == 2 and kinds.count("cache_hit") == 2
+        assert [e["done"] for e in state.events
+                if e["event"] == "sweep_done"] == [2, 2]
 
     def test_serial_drain_marks_interrupted(self, tmp_path):
         jr = run_journal.activate(tmp_path / "j.jsonl")
@@ -230,6 +254,68 @@ class TestSchedulerJournaling:
         state = load_journal(jr.path)
         assert state.by_state("interrupted") == [1, 2]
         assert state.unfinished() == [1, 2]       # exactly what resume redoes
+
+
+# ---------------------------------------------------------------------------
+# CLI: one flag attaches the log, `repro resume FILE` re-attaches FILE
+# ---------------------------------------------------------------------------
+
+class TestRunLogCli:
+    ARGS = ["run", "fig15", "--backend", "fluid", "--set", "flow_counts=2,4"]
+
+    def test_resume_reattaches_the_journal_it_was_given(self, tmp_path,
+                                                        monkeypatch, capsys):
+        # A relative --journal used to be stored as typed and replayed
+        # against the resuming process's cwd: a second, generation-0
+        # journal appeared there and the real one never saw generation 1.
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        monkeypatch.chdir(a)
+        assert cli_main(self.ARGS + ["--journal", "j.jsonl"]) == 0
+        first = capsys.readouterr().out
+        monkeypatch.chdir(b)
+        assert cli_main(["resume", "../a/j.jsonl"]) == 0
+        assert capsys.readouterr().out == first
+        assert list(b.iterdir()) == []
+        assert [p.name for p in a.iterdir()] == ["j.jsonl"]
+        state = load_journal(a / "j.jsonl")
+        assert [m["generation"] for m in state.metas] == [0, 1]
+        assert [m["argv"] for m in state.metas] == [self.ARGS, self.ARGS]
+        assert not state.unfinished()
+
+    def test_v1_journal_is_refused_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "old.jsonl"
+        v1 = ('{"record": "meta", "schema": "repro.resilience/v1", '
+              '"argv": ["run", "fig15"], "generation": 0}\n')
+        path.write_text(v1)
+        for argv, who in ((["resume", str(path)], "resume"),
+                          (self.ARGS + ["--journal", str(path)], "run")):
+            assert cli_main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.splitlines() == [
+                f"{who}: {path}: journal schema 'repro.resilience/v1' is "
+                f"not repro.resilience/v2; re-run the original command — "
+                f"completed tasks replay from the result cache"]
+        assert path.read_text() == v1       # refused, not appended to
+
+    @pytest.mark.parametrize("flag", ["--telemetry", "--resume"])
+    def test_removed_spellings_are_usage_errors(self, flag, tmp_path, capsys):
+        target = tmp_path / "x.jsonl"
+        target.write_text("")       # --resume used to demand it exists
+        with pytest.raises(SystemExit) as info:
+            cli_main(self.ARGS + [flag, str(target)])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert target.read_text() == ""
+
+    def test_removed_env_knob_creates_no_file(self, tmp_path, monkeypatch):
+        # A fresh interpreter: the suite's session config would mask an
+        # environment read.
+        log = tmp_path / "events.jsonl"
+        monkeypatch.setenv("REPRO_TELEMETRY", str(log))
+        _repro(self.ARGS, tmp_path)
+        assert not log.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +578,17 @@ class TestGracefulShutdownHandlers:
 class TestTornTails:
     def test_telemetry_reader_skips_torn_line(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        tel = Telemetry("sweep", 1, jsonl_path=path, progress=False)
+        tel = Telemetry("sweep", 1, progress=False, journal=RunJournal(path))
         tel.task_queued(0, "t0")
         tel.task_done(0, "t0", wall_s=0.1)
+        tel.journal.close()
         with path.open("a") as fh:
             fh.write('{"t": 1.0, "event": "task_do')
-        with pytest.warns(UserWarning, match="torn telemetry line"):
-            events, torn = read_events(path)
-        assert torn == 1
-        assert [e["event"] for e in events] == ["task_queued", "task_done"]
+        with pytest.warns(UserWarning, match="torn journal line"):
+            state = load_journal(path)
+        assert state.torn_lines == 1
+        assert [e["event"] for e in state.events] \
+            == ["sweep", "task_queued", "task_done"]
 
     def _trace_file(self, path):
         from repro.obs import trace as obs_trace

@@ -7,12 +7,14 @@ qualified name, exactly like the experiments' ``run_point`` functions.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import pathlib
 
 import pytest
 
 from repro import runtime
+from repro.resilience import journal as run_journal
 from repro.experiments import fig15_flow_scalability
 from repro.experiments.runner import run_sweep
 from repro.runtime import (
@@ -28,6 +30,16 @@ from repro.runtime import (
 )
 from repro.runtime.config import ConfigError
 from repro.sim.units import MS
+
+
+@contextlib.contextmanager
+def journaled(path):
+    """The run journal attached for the block (what ``--journal`` does)."""
+    run_journal.activate(path)
+    try:
+        yield
+    finally:
+        run_journal.deactivate()
 
 
 def cube(x, seed=1):
@@ -383,6 +395,15 @@ class TestConfig:
         assert RuntimeConfig.from_env({"REPRO_SHARDS": "2.5"}) == \
             RuntimeConfig.from_env({})
 
+    def test_second_lifecycle_log_is_gone_not_hidden(self):
+        import dataclasses
+
+        assert "telemetry_path" not in {
+            f.name for f in dataclasses.fields(RuntimeConfig)}
+        assert RuntimeConfig.from_env({"REPRO_TELEMETRY": "events.jsonl"}) \
+            == RuntimeConfig.from_env({})
+        assert not hasattr(runtime, "read_events")
+
 
 class TestScheduler:
     def test_results_in_grid_order(self, tmp_path):
@@ -469,13 +490,14 @@ class TestScheduler:
         tasks = [TaskSpec(flaky_once, {"marker": str(marker)}, label="flaky"),
                  TaskSpec(slow_ok, {"delay_s": 0.2, "tag": 0}, label="ok0"),
                  TaskSpec(slow_ok, {"delay_s": 0.2, "tag": 1}, label="ok1")]
-        with runtime.using(parallel=3, cache_enabled=False, retries=1,
-                           backoff_s=1.0, telemetry_path=log):
+        with journaled(log), \
+                runtime.using(parallel=3, cache_enabled=False, retries=1,
+                              backoff_s=1.0):
             results = run_tasks(tasks)
         assert results[0].ok and results[0].value == "recovered"
         assert results[0].attempts == 2
         assert results[1].ok and results[2].ok
-        events = [json.loads(line) for line in log.read_text().splitlines()]
+        events = run_journal.load_journal(log).events
         ok_done = [i for i, e in enumerate(events)
                    if e["event"] == "task_done"
                    and e["label"].startswith("ok")]
@@ -502,14 +524,14 @@ class TestScheduler:
         # parked (task_deferred) then re-run (task_resubmitted).
         log = tmp_path / "events.jsonl"
         marker = tmp_path / "marker"
-        with runtime.using(parallel=0, cache_enabled=False, retries=1,
-                           backoff_s=0.01, telemetry_path=log):
+        with journaled(log), \
+                runtime.using(parallel=0, cache_enabled=False, retries=1,
+                              backoff_s=0.01):
             results = run_tasks([TaskSpec(flaky_once,
                                           {"marker": str(marker)},
                                           label="flaky")])
         assert results[0].ok and results[0].attempts == 2
-        events = [json.loads(line) for line in log.read_text().splitlines()]
-        kinds = [e["event"] for e in events]
+        kinds = [e["event"] for e in run_journal.load_journal(log).events]
         assert kinds.count("task_deferred") == 1
         assert kinds.count("task_resubmitted") == 1
         assert kinds.index("task_deferred") < kinds.index("task_resubmitted")
@@ -531,10 +553,10 @@ class TestScheduler:
 
     def test_telemetry_jsonl(self, tmp_path):
         log = tmp_path / "events.jsonl"
-        with runtime.using(parallel=0, cache_dir=tmp_path / "cache",
-                           telemetry_path=log):
+        with journaled(log), \
+                runtime.using(parallel=0, cache_dir=tmp_path / "cache"):
             run_tasks(SweepPlan.from_grid(cube, [{"x": 1}, {"x": 2}]))
-        events = [json.loads(line) for line in log.read_text().splitlines()]
+        events = run_journal.load_journal(log).events
         kinds = [e["event"] for e in events]
         assert kinds.count("task_done") == 2
         assert kinds[-1] == "sweep_done"
