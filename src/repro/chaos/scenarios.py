@@ -96,6 +96,8 @@ def run_point(
     Flows are persistent ExpressPass transfers between mirrored hosts of
     pods p and p+2 (every flow crosses the core, where the faults live).
     """
+    from repro.scenarios.cells import _first_sustained, _goodput_gbps
+
     if fault_ps + duration_ps >= horizon_ps:
         raise ValueError("fault must start and end within the horizon")
     if warmup_ps >= fault_ps:
@@ -156,9 +158,7 @@ def run_point(
     report = auditor.finalize()
 
     # -- goodput series ------------------------------------------------------
-    bin_s = bin_ps * 1e-12
-    gbps = [(totals[i + 1] - totals[i]) * 8 / bin_s / 1e9
-            for i in range(min(n_bins, len(totals) - 1))]
+    gbps = _goodput_gbps(totals, bin_ps)
 
     def _bin_mean(lo_ps: int, hi_ps: int) -> float:
         vals = [gbps[i] for i in range(len(gbps))
@@ -172,13 +172,10 @@ def run_point(
 
     # Time to recover: first bin after fault onset from which goodput stays
     # at >= RECOVERY_FRACTION of pre for two consecutive bins.
-    threshold = RECOVERY_FRACTION * pre
-    recovery_ps = -1
-    first_fault_bin = fault_ps // bin_ps
-    for i in range(first_fault_bin, len(gbps) - 1):
-        if gbps[i] >= threshold and gbps[i + 1] >= threshold:
-            recovery_ps = (i + 1) * bin_ps - fault_ps
-            break
+    recovery_ps = _first_sustained(gbps, RECOVERY_FRACTION * pre,
+                                   fault_ps // bin_ps, bin_ps)
+    if recovery_ps >= 0:
+        recovery_ps -= fault_ps
 
     stalled = sum(1 for f in flows
                   if f.bytes_delivered <= per_flow_late.get(f.fid, 0))

@@ -326,7 +326,8 @@ def _cli(argv=None) -> int:
                        help="retry a failing sweep task up to K times "
                             "(default REPRO_RETRIES or 2)")
         p.add_argument("--timeout", default=None, metavar="SEC",
-                       help="best-effort per-task timeout in seconds")
+                       help="per-task timeout in seconds from its start on "
+                            "a pool worker, which is killed at expiry")
         p.add_argument("--trace", default=None, metavar="FILE",
                        help="capture a cross-layer trace (repro.obs.trace): "
                             "JSONL at FILE plus Perfetto-loadable "

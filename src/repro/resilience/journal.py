@@ -14,8 +14,7 @@ Schema ``repro.resilience/v2``.  Every line is ``{"t": <unix time>,
   is on), ``cache_hit``/``cache_miss``, ``task_started``, ``task_retry``,
   ``task_deferred``, ``task_resubmitted``, ``task_done``
   (``key``/``wall_s``/``cached``), ``task_failed`` (``error``),
-  ``task_interrupted``; and ``pool_recycled``, ``degraded_to_serial``,
-  ``shutdown``.
+  ``task_interrupted``; and ``degraded_to_serial``, ``shutdown``.
 
 So the same file is the progress log to ``tail -f`` during a long sweep
 and the record ``repro resume`` replays from.  The writer appends one line

@@ -3,7 +3,7 @@
 Every paper figure/table is a sweep over a parameter grid (protocols × sweep
 points × seeds).  This subsystem decomposes such sweeps into picklable
 :class:`TaskSpec` units, executes them on a process pool (or serially) with
-per-task retries and best-effort timeouts, memoises each task's result in a
+per-task retries and timeouts, memoises each task's result in a
 content-addressed on-disk cache keyed by ``(function, kwargs incl. seed,
 code fingerprint)``, and reports progress to the run journal
 (:mod:`repro.resilience.journal`, when one is active) plus a live stderr

@@ -15,7 +15,9 @@ Environment variables (all optional) seed the defaults:
 ``REPRO_NO_CACHE``          "1" disables the result cache
 ``REPRO_CACHE_DIR``         cache directory (default ``~/.cache/repro-expresspass``)
 ``REPRO_RETRIES``           retry budget per task (default 2)
-``REPRO_TASK_TIMEOUT``      per-task timeout in seconds (default: none)
+``REPRO_TASK_TIMEOUT``      per-task timeout in seconds, clocked from the
+                            task's start on a pool worker, which is killed
+                            when it expires (default: none)
 ``REPRO_PROGRESS``          "1" forces the stderr ticker on, "0" forces it off
 ``REPRO_CACHE_MAX_BYTES``   cache size cap before LRU eviction (default 512 MiB)
 ``REPRO_CACHE_MAX_ENTRIES`` cache entry cap before LRU eviction (default 4096)
@@ -52,9 +54,6 @@ code that runs before or without a config:
 ``REPRO_SELFCHAOS_DIR``     marker directory enforcing the once-only firing
                             across processes (default: a tempdir keyed by
                             the directive string)
-``REPRO_RECYCLE_AFTER``     abandoned (timed-out but uncancellable) workers
-                            tolerated before the pool is torn down and
-                            rebuilt to reclaim capacity (default 2)
 ==========================  =====================================================
 
 Every ``REPRO_*`` read — these, and the observation planes' own
@@ -84,15 +83,14 @@ _NON_NEGATIVE = (lambda v: v >= 0, " >= 0")
 _POSITIVE = (lambda v: v > 0, " > 0")
 
 #: Every numeric knob: ``name -> (cast, default, (accepts, range text))``.
-#: Knobs whose readers clamp to a floor (recycle threshold, snapshot
-#: interval) accept any number here.
+#: A knob whose reader clamps to a floor (snapshot interval) accepts any
+#: number here.
 _NUMBERS = {
     "REPRO_PARALLEL": (int, 0, _NON_NEGATIVE),
     "REPRO_RETRIES": (int, 2, _NON_NEGATIVE),
     "REPRO_TASK_TIMEOUT": (float, None, _POSITIVE),
     "REPRO_CACHE_MAX_BYTES": (int, 512 * 1024 * 1024, _NON_NEGATIVE),
     "REPRO_CACHE_MAX_ENTRIES": (int, 4096, _NON_NEGATIVE),
-    "REPRO_RECYCLE_AFTER": (int, 2, _ANY),
     "REPRO_METRICS_INTERVAL_PS": (int, None, _ANY),
     "REPRO_CHAOS_SEED": (int, None, _ANY),
 }
@@ -178,7 +176,7 @@ class RuntimeConfig:
     #: Sleep between attempts, doubled each retry (kept tiny: tasks are
     #: deterministic, so backoff only matters for resource exhaustion).
     backoff_s: float = 0.05
-    #: Best-effort per-task wall-clock limit (seconds); None = unlimited.
+    #: Per-task limit (seconds) from its start on a worker; None = unlimited.
     task_timeout_s: Optional[float] = None
     #: True/False force the stderr ticker; None = only when stderr is a tty.
     progress: Optional[bool] = None

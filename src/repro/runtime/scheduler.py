@@ -1,4 +1,4 @@
-"""Sweep executor: cache lookup, process pool, retries, serial fallback.
+"""Sweep executor: cache lookup, worker processes, retries, serial fallback.
 
 Execution contract (what makes parallel safe for a *reproduction*):
 
@@ -8,13 +8,19 @@ Execution contract (what makes parallel safe for a *reproduction*):
   cache.  Tests assert this.
 * **Fault tolerance.**  A task that raises is retried (``retries`` budget,
   exponential backoff) and, if it keeps failing, reported as a failed
-  :class:`TaskResult` without killing the sweep.  A broken pool (worker
-  killed, fork failure) or an unpicklable task degrades the remainder of the
-  sweep to in-process serial execution instead of erroring out.
-* **Timeouts are best-effort.**  ``task_timeout_s`` measures from submission
-  (queue + run).  An expired task is cancelled if still queued; if it is
-  already running its result is abandoned (the worker finishes in the
-  background) and the attempt counts as a failure.
+  :class:`TaskResult` without killing the sweep.  A worker that dies under
+  a task (SIGKILL, OOM, segfault) is that task's failure — ``worker died
+  (exit N)``, same retry budget, on another worker, never re-executed in
+  the parent — and a fresh process takes its slot.  Only what a worker
+  process cannot do degrades to in-process serial execution: a process the
+  OS refuses to start, a task whose spec or result value does not pickle.
+* **One task per worker, so timeouts are exact.**  Each worker process
+  holds one task at a time on its own pipe; what has started, since when,
+  and which process to stop are all one field in the parent.
+  ``task_timeout_s`` is clocked from the moment a task is sent to its
+  worker (never queue time); when it expires that worker is SIGKILLed and
+  reaped, a fresh one takes its slot, and the attempt counts as a failure.
+  No process started here outlives ``run_tasks``.
 
 Workers are initialised with ``parallel=0`` so a task that itself calls
 ``run_sweep`` (e.g. the summary driver invoking another experiment) runs
@@ -23,45 +29,25 @@ serially inside its worker rather than forking a nested pool.
 
 from __future__ import annotations
 
-import concurrent.futures as futures
 import multiprocessing
 import os
-import pickle
 import time
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.resilience import selfchaos
 from repro.resilience import signals as shutdown
 from repro.runtime import probes
 from repro.runtime.cache import ResultCache
-from repro.runtime.config import RuntimeConfig, env_number, get_config
+from repro.runtime.config import RuntimeConfig, get_config
 from repro.runtime.task import SweepPlan, TaskSpec
 from repro.runtime.telemetry import Telemetry
 
 #: True inside pool worker processes (set by :func:`_worker_init`); gates
 #: self-chaos injection points that must only ever kill a *worker*.
 _IN_POOL_WORKER = False
-
-#: Worker-side handle on the started-marker queue (set by
-#: :func:`_worker_init`).  Workers drop a ``(index, attempt)`` token the
-#: moment they begin a task so the parent's timeout watchdog can tell a
-#: genuinely long-running task from one merely stuck in the executor's
-#: queue behind hung workers — ``Future.cancel()`` cannot make that
-#: distinction (the executor marks prefetched items RUNNING before any
-#: worker touches them).
-_STARTED_Q = None
-
-
-#: How many times a queued-but-never-started task may be timeout-cancelled
-#: and requeued with a fresh clock before the timeout is charged to it.
-_QUEUE_LAPS = 3
-
-
-def _recycle_after() -> int:
-    """Abandoned-worker threshold that triggers a pool recycle."""
-    return max(1, env_number("REPRO_RECYCLE_AFTER"))
 
 
 @dataclass
@@ -100,7 +86,7 @@ class SweepError(RuntimeError):
         super().__init__(f"{len(self.failures)} sweep task(s) failed: {detail}")
 
 
-def _call(spec: TaskSpec, names: Tuple[str, ...] = (), token=None) -> tuple:
+def _call(spec: TaskSpec, names: Tuple[str, ...] = ()) -> tuple:
     """Worker entry point (module-level so it pickles).
 
     Returns ``(value, {probe name: payload})`` for the probes in ``names``
@@ -109,11 +95,6 @@ def _call(spec: TaskSpec, names: Tuple[str, ...] = (), token=None) -> tuple:
     own simulations and ship plain-dict payloads back; with no probe
     enabled the task is a bare ``spec.call()``.
     """
-    if _STARTED_Q is not None and token is not None:
-        try:
-            _STARTED_Q.put(token)
-        except (OSError, ValueError):
-            pass  # queue torn down mid-recycle: the marker is best-effort
     if _IN_POOL_WORKER and selfchaos.armed() \
             and selfchaos.fire("task:kill", label=spec.label):
         selfchaos.kill_self()
@@ -124,7 +105,7 @@ def _call(spec: TaskSpec, names: Tuple[str, ...] = (), token=None) -> tuple:
     return value, {name: handle.payload for name, handle in handles.items()}
 
 
-def _worker_init(started_q=None) -> None:
+def _worker_init() -> None:
     """Force serial execution inside workers (no nested pools).
 
     Also drops ``REPRO_TRACE`` and ``REPRO_JOURNAL`` from the worker's
@@ -133,20 +114,78 @@ def _worker_init(started_q=None) -> None:
     — a worker that journaled its nested serial sweeps would interleave
     garbage into the campaign manifest.
     """
-    global _IN_POOL_WORKER, _STARTED_Q
+    global _IN_POOL_WORKER
     from repro.runtime import config as _config
 
     _IN_POOL_WORKER = True
-    _STARTED_Q = started_q
     os.environ.pop("REPRO_TRACE", None)
     os.environ.pop("REPRO_JOURNAL", None)
     _config.configure(parallel=0, progress=False)
 
 
-def _is_pickling_error(exc: BaseException) -> bool:
-    if isinstance(exc, (pickle.PicklingError, pickle.UnpicklingError)):
-        return True
-    return isinstance(exc, (TypeError, AttributeError)) and "pickle" in str(exc).lower()
+def _worker_main(conn, inherited) -> None:
+    """Pool worker process: one task at a time until the parent hangs up.
+
+    Receives ``(spec, names)``, runs :func:`_call`, replies ``(True,
+    (value, payloads))`` or ``(False, error)`` — or ``(None, error)`` when
+    the task ran but its reply does not pickle, which only the serial path
+    can fix.  ``inherited`` are the parent's pipe ends a forked child
+    holds copies of; closing them is what lets EOF reach every worker when
+    the parent closes its end — or is SIGKILLed.
+    """
+    for parent_end in inherited:
+        parent_end.close()
+    _worker_init()
+    while True:
+        try:
+            spec, names = conn.recv()
+        except (EOFError, OSError):
+            return
+        try:
+            reply = (True, _call(spec, names))
+        except Exception as exc:
+            reply = (False, f"{type(exc).__name__}: {exc}")
+        try:
+            conn.send(reply)
+        except OSError:
+            return  # the parent is gone; nobody wants the result
+        except Exception as exc:
+            # ``send`` pickles before it writes a byte, so anything that is
+            # not an I/O error is the value refusing to pickle.
+            conn.send((None, f"{type(exc).__name__}: {exc}"))
+
+
+class _Worker:
+    """One pool process and the parent's end of its pipe.  ``task`` is
+    ``(index, t_sent)`` while the process runs one and ``None`` while it
+    idles in ``recv`` — the whole answer to "what has started, since when,
+    and which process do I stop"."""
+
+    def __init__(self, siblings: Sequence["_Worker"]):
+        """Start the process; ``OSError`` when the OS refuses one."""
+        self.task: Optional[Tuple[int, float]] = None
+        self.conn, child_end = multiprocessing.Pipe()
+        self.proc = multiprocessing.Process(
+            target=_worker_main, daemon=True,
+            args=(child_end, [w.conn for w in siblings] + [self.conn]))
+        try:
+            self.proc.start()
+        except OSError:
+            self.conn.close()
+            raise
+        finally:
+            child_end.close()
+
+    def stop(self, grace_s: float = 0.0) -> Optional[int]:
+        """Hang up (an idle worker reads EOF and returns), give the process
+        ``grace_s`` to exit by itself, SIGKILL it if it has not, and reap
+        it.  Returns the exit code — read after the join, which sets it."""
+        self.conn.close()
+        self.proc.join(grace_s)
+        if self.proc.exitcode is None:
+            self.proc.kill()
+            self.proc.join(5)
+        return self.proc.exitcode
 
 
 def run_tasks(
@@ -286,243 +325,135 @@ def _run_serial(specs, indices, results, config, tel, cache, keys,
             break
 
 
-def _kill_pool(pool) -> int:
-    """Tear a pool down *hard*: SIGKILL workers, reap them, return count.
-
-    ``shutdown(wait=False)`` alone leaves abandoned (timed-out) workers
-    burning CPU until their tasks finish — and blocks interpreter exit on
-    the concurrent.futures atexit join.  ``_processes`` is a private but
-    long-stable attribute (3.8–3.13); when absent we fall back to a plain
-    shutdown.
-    """
-    procs = list(getattr(pool, "_processes", {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    killed = 0
-    for proc in procs:
-        if proc.is_alive():
-            proc.kill()
-            killed += 1
-    for proc in procs:
-        proc.join(timeout=5)
-    return killed
-
-
 def _run_pool(specs, indices, results, config, tel, cache, keys,
               names: Tuple[str, ...] = ()) -> List[int]:
-    """Run ``indices`` on a process pool; returns indices left for serial."""
-    try:
-        started_q = multiprocessing.SimpleQueue()
-        pool = futures.ProcessPoolExecutor(max_workers=config.parallel,
-                                           initializer=_worker_init,
-                                           initargs=(started_q,))
-    except (OSError, ValueError) as exc:
-        tel.degraded(f"cannot start process pool: {exc}")
-        return indices
-
+    """Run ``indices`` on worker processes; returns indices left for serial."""
     attempts = {i: 0 for i in indices}
-    inflight: Dict[futures.Future, tuple] = {}  # future -> (index, t_submit)
+    queue = deque(indices)  # not (or, after a backoff, not again) sent yet
     #: index -> monotonic deadline for a backoff-deferred resubmission.
     #: Retries never sleep on the dispatcher thread — an inline sleep would
-    #: stall collection of completed futures and inflate every other
-    #: inflight task's submission-measured timeout — they park here and the
-    #: wait loop resubmits them when their deadline passes.
+    #: stall collection of every other worker's reply — they park here and
+    #: the wait loop requeues them when their deadline passes.
     deferred: Dict[int, float] = {}
     leftovers: List[int] = []
-    #: Timed-out futures whose cancel() failed: their workers are still
-    #: burning CPU on results nobody wants.  Past a threshold the pool is
-    #: recycled (workers SIGKILLed, fresh pool, queued tasks resubmitted).
-    abandoned = 0
-    #: index -> times a queued-but-never-started future was timeout-cancelled
-    #: and put back with a fresh clock.  A task stuck behind hung workers
-    #: hasn't spent its own budget; bounded so a wedged pool that never
-    #: recycles still terminates instead of lapping forever.
-    queue_laps: Dict[int, int] = {}
-    #: ``(index, attempt)`` tokens reported by workers the moment they
-    #: begin executing a task.  ``Future.cancel()`` alone cannot tell a
-    #: running task from one prefetched into the executor's call queue
-    #: (both read RUNNING), so the watchdog consults this set before
-    #: charging anyone a timeout.
-    started: set = set()
-
-    def drain_started() -> None:
-        # Called every wait-loop iteration, timeout or no timeout: workers
-        # put a marker per task unconditionally, and an undrained
-        # SimpleQueue wedges every worker once the pipe buffer (~64KiB)
-        # fills — a put() blocks holding the queue's write lock.
-        while not started_q.empty():
-            started.add(started_q.get())
-
+    workers: List[_Worker] = []
+    timeout_s = config.task_timeout_s
     drain_deadline: Optional[float] = None
 
-    def dispatch(i: int) -> None:
-        """Hand task ``i`` to the pool under its current attempt number,
-        with a fresh submission clock."""
-        fut = pool.submit(_call, specs[i], names, (i, attempts[i]))
-        inflight[fut] = (i, time.monotonic())
+    def spawn() -> None:
+        try:
+            workers.append(_Worker(workers))
+        except OSError as exc:
+            if not workers:
+                tel.degraded(f"cannot start worker process: {exc}")
 
-    def submit(i: int) -> None:
-        attempts[i] += 1
-        tel.task_started(i, specs[i].label, attempts[i])
-        dispatch(i)
+    def replace(worker: _Worker, grace_s: float = 0.0) -> Optional[int]:
+        """Stop ``worker`` and put a fresh process in its slot; returns the
+        old one's exit code."""
+        code = worker.stop(grace_s)
+        workers.remove(worker)
+        spawn()
+        return code
+
+    def feed(worker: _Worker) -> None:
+        """Send idle ``worker`` the next queued task it can take."""
+        while queue:
+            i = queue[0]
+            try:
+                worker.conn.send((specs[i], names))
+            except OSError:
+                # Died while idle: no attempt was made, so none is charged;
+                # the task stays first in line for the next idle worker.
+                replace(worker)
+                return
+            except Exception:
+                # ``send`` pickles before it writes: no worker can ever
+                # take this spec, so it goes to the serial path unstarted.
+                tel.degraded(f"task#{i} {specs[i].label} not picklable")
+                leftovers.append(queue.popleft())
+                continue
+            worker.task = (queue.popleft(), time.monotonic())
+            attempts[i] += 1
+            tel.task_started(i, specs[i].label, attempts[i])
+            return
 
     def interrupt(i: int, signame: str) -> None:
         _mark_interrupted(results, i, specs[i].label, signame, tel,
                           attempts=attempts[i])
 
-    def record_failure(i: int, error: str, wall_s: float = 0.0) -> None:
+    def record_failure(i: int, error: str, wall_s: float) -> None:
         backoff = _retry_or_fail(results, tel, config, i, specs[i],
                                  attempts[i], error, wall_s)
         if backoff is not None:
             deferred[i] = time.monotonic() + backoff
 
     try:
-        for i in indices:
-            submit(i)
-        while inflight or deferred:
+        for _ in range(min(config.parallel, len(indices))):
+            spawn()
+        while queue or deferred or any(w.task for w in workers):
+            if not workers:  # the OS refused even one (replacement) process
+                leftovers.extend([*queue, *deferred])
+                break
             signame = shutdown.shutdown_requested()
             if signame:
-                # Drain: never start new work, cancel whatever is still
-                # queued, give running tasks a grace window to bank their
-                # results, then abandon the stragglers.
-                for i in list(deferred):
-                    del deferred[i]
+                # Drain: interrupt at once everything no worker holds, give
+                # running tasks a grace window to bank their results, then
+                # kill what is left — the deadline bounds shutdown time.
+                for i in [*queue, *deferred]:
                     interrupt(i, signame)
-                for fut, (i, _t) in list(inflight.items()):
-                    if fut.cancel():
-                        inflight.pop(fut)
-                        interrupt(i, signame)
+                queue.clear()
+                deferred.clear()
                 if drain_deadline is None:
                     drain_deadline = time.monotonic() + shutdown.DRAIN_GRACE_S
-                elif inflight and time.monotonic() > drain_deadline:
-                    for fut, (i, _t) in list(inflight.items()):
-                        if not fut.cancel():
-                            # Still running: its worker keeps grinding on a
-                            # result nobody wants.  Counting it routes the
-                            # finally block through _kill_pool, so the
-                            # grace deadline actually bounds shutdown time
-                            # instead of handing the wait to the
-                            # interpreter's atexit join.
-                            abandoned += 1
-                        inflight.pop(fut)
-                        interrupt(i, signame)
-                if not inflight:
+                elif time.monotonic() > drain_deadline:
+                    for worker in [w for w in workers if w.task]:
+                        worker.stop()
+                        interrupt(worker.task[0], signame)
+                        worker.task = None
+                if not any(w.task for w in workers):
                     break
-            wait_s = 0.1
-            if deferred:
-                next_due = min(deferred.values()) - time.monotonic()
-                wait_s = min(wait_s, max(0.0, next_due))
-            if inflight:
-                done, _ = futures.wait(set(inflight), timeout=wait_s,
-                                       return_when=futures.FIRST_COMPLETED)
             else:
-                done = set()
-                time.sleep(wait_s)
+                for worker in [w for w in workers if not w.task]:
+                    feed(worker)
+            next_due = min(deferred.values(), default=float("inf"))
+            wait_s = max(0.0, min(0.1, next_due - time.monotonic()))
+            busy = [w for w in workers if w.task]
+            ready = wait([w.conn for w in busy], wait_s)
             now = time.monotonic()
             for i in [j for j, due in deferred.items() if due <= now]:
                 del deferred[i]
                 tel.task_resubmitted(i, specs[i].label, attempts[i] + 1)
-                submit(i)
-            drain_started()
-            if config.task_timeout_s is not None:
-                for fut, (i, t_submit) in list(inflight.items()):
-                    if fut in done or now - t_submit <= config.task_timeout_s:
-                        continue
-                    if (i, attempts[i]) not in started \
-                            and queue_laps.get(i, 0) < _QUEUE_LAPS:
-                        # No worker ever began this task: it is stuck in
-                        # the executor's queue behind hung workers.  That
-                        # is the pool's fault, not the task's — don't
-                        # charge it the timeout.  If the cancel lands,
-                        # requeue it with a fresh clock; if it doesn't
-                        # (prefetched into the call queue, which marks the
-                        # future RUNNING), leave it for the recycle sweep
-                        # to pull back.
-                        queue_laps[i] = queue_laps.get(i, 0) + 1
-                        if fut.cancel():
-                            inflight.pop(fut)
-                            dispatch(i)
-                        else:
-                            # Still parked in the call queue: restart its
-                            # clock so each lap costs a full timeout, not
-                            # one watchdog sweep.
-                            inflight[fut] = (i, now)
-                        continue
-                    if not fut.cancel():  # already running: result abandoned
-                        abandoned += 1
-                    inflight.pop(fut)
-                    record_failure(
-                        i, f"timeout after {config.task_timeout_s:g}s",
-                        wall_s=now - t_submit)
-                if abandoned >= _recycle_after() \
-                        and not any((i, attempts[i]) in started
-                                    for i, _t in inflight.values()):
-                    # Reclaim the capacity the abandoned workers are
-                    # burning: nothing still inflight has actually started
-                    # (whatever their futures claim, no worker reported
-                    # them), so pull everything back, SIGKILL the pool,
-                    # and resubmit on a fresh one.
-                    requeue = []
-                    for fut, (i, _t_submit) in list(inflight.items()):
-                        fut.cancel()
-                        inflight.pop(fut)
-                        requeue.append(i)
-                    killed = _kill_pool(pool)
-                    tel.pool_recycled(killed=killed, abandoned=abandoned)
-                    abandoned = 0
+                queue.append(i)
+            for worker in busy:
+                i, t_sent = worker.task
+                if worker.conn in ready:
                     try:
-                        # Fresh marker queue with the fresh pool: a worker
-                        # SIGKILLed mid-put could leave the old queue's
-                        # write lock held forever.
-                        started_q = multiprocessing.SimpleQueue()
-                        pool = futures.ProcessPoolExecutor(
-                            max_workers=config.parallel,
-                            initializer=_worker_init,
-                            initargs=(started_q,))
-                    except (OSError, ValueError) as exc:
-                        tel.degraded(f"cannot restart process pool: {exc}")
-                        leftovers = [j for j in attempts
-                                     if results[j] is None]
-                        inflight.clear()
-                        deferred.clear()
-                        break
-                    for i in requeue:
-                        # Same attempt, fresh submission clock: the task
-                        # never ran on the dead pool, it just moves to the
-                        # new queue, so its timeout budget starts over.
-                        dispatch(i)
-            for fut in done:
-                if fut not in inflight:
+                        ok, body = worker.conn.recv()
+                        worker.task = None
+                    except (EOFError, OSError):
+                        code = replace(worker, grace_s=1.0)
+                        ok, body = False, f"worker died (exit {code})"
+                elif timeout_s is not None and now - t_sent > timeout_s:
+                    # Exactly the worker that earned it: killed and reaped
+                    # before the failure is recorded, slot refilled.
+                    replace(worker)
+                    ok, body = False, f"timeout after {timeout_s:g}s"
+                else:
                     continue
-                i, t_submit = inflight.pop(fut)
-                try:
-                    value, payloads = fut.result()
-                except BrokenProcessPool as exc:
-                    tel.degraded(f"worker pool broke: {exc}")
-                    leftovers = [j for j in attempts if results[j] is None]
-                    inflight.clear()
-                    deferred.clear()
-                    break
-                except futures.CancelledError:
-                    continue  # handled by the timeout branch above
-                except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    if _is_pickling_error(exc):
-                        # The pool can never run this task; hand it to the
-                        # serial path instead of burning retries.
-                        tel.degraded(
-                            f"task#{i} {specs[i].label} not picklable")
-                        leftovers.append(i)
-                    else:
-                        record_failure(i, error, wall_s=now - t_submit)
-                    continue
-                _complete(results, tel, cache, keys, i, specs[i], value,
-                          payloads, attempts[i], now - t_submit)
+                if ok:
+                    _complete(results, tel, cache, keys, i, specs[i], *body,
+                              attempts[i], now - t_sent)
+                elif ok is None:
+                    # The task ran but the pipe cannot carry its value: it
+                    # leaves the running set and reruns on the serial path.
+                    tel.degraded(f"task#{i} {specs[i].label} result not "
+                                 f"picklable ({body})", settles=True)
+                    leftovers.append(i)
+                else:
+                    record_failure(i, body, now - t_sent)
     finally:
-        if abandoned:
-            # Loop ended with workers still grinding on abandoned results;
-            # without the kill, the interpreter's atexit join would block
-            # on them.
-            tel.pool_recycled(killed=_kill_pool(pool), abandoned=abandoned)
-        else:
-            pool.shutdown(wait=False, cancel_futures=True)
+        # Every exit path reaps every process: idle workers hang up and
+        # exit, busy ones (only an exception leaves any) are killed.
+        for worker in workers:
+            worker.stop(0.0 if worker.task else 1.0)
     return leftovers

@@ -1,8 +1,8 @@
 """Task model: the unit a sweep decomposes into.
 
 A :class:`TaskSpec` is ``(top-level function, kwargs)`` — exactly the shape
-``ProcessPoolExecutor`` can ship to a worker (functions pickle by qualified
-name, kwargs by value).  A :class:`SweepPlan` is an ordered list of specs;
+that pickles to a worker process (functions pickle by qualified name,
+kwargs by value).  A :class:`SweepPlan` is an ordered list of specs;
 order is the contract that makes parallel execution bit-identical to serial:
 results are always reassembled by task index, never by completion time.
 

@@ -55,7 +55,7 @@ class Telemetry:
             "queued": 0, "running": 0, "done": 0, "failed": 0,
             "retries": 0, "deferred": 0, "resubmitted": 0,
             "cache_hits": 0, "cache_misses": 0,
-            "interrupted": 0, "recycles": 0,
+            "interrupted": 0,
         }
         from repro.obs.trace import TaskRecorder
         self.recorder = TaskRecorder.maybe(sweep)
@@ -157,15 +157,6 @@ class Telemetry:
             self.recorder.interrupted(index, label, signame)
         self.tick()
 
-    def pool_recycled(self, killed: int, abandoned: int) -> None:
-        """The worker pool was torn down to reclaim abandoned capacity."""
-        with self._lock:
-            self.counts["recycles"] += 1
-        self.emit("pool_recycled", killed=killed, abandoned=abandoned)
-        if self.progress:
-            self._write(f"\n[repro.runtime] recycled worker pool "
-                        f"({abandoned} abandoned, {killed} killed)\n")
-
     def cache_hit(self, index: int, label: str) -> None:
         self._task("cache_hit", index, label, "cache_hits", "done",
                    key=self._keys.get(index), cached=True)
@@ -176,7 +167,12 @@ class Telemetry:
     def cache_miss(self, index: int, label: str) -> None:
         self._task("cache_miss", index, label, "cache_misses")
 
-    def degraded(self, reason: str) -> None:
+    def degraded(self, reason: str, settles: bool = False) -> None:
+        """Work goes to the serial path; ``settles`` = it is one started
+        task, which leaves the running set until serial starts it again."""
+        if settles:
+            with self._lock:
+                self.counts["running"] = max(0, self.counts["running"] - 1)
         self.emit("degraded_to_serial", reason=reason)
         if self.progress:
             self._write(f"\n[repro.runtime] degrading to serial: {reason}\n")

@@ -69,6 +69,25 @@ def _assert_no_orphans():
     assert multiprocessing.active_children() == []
 
 
+def _pid_gone(pid) -> bool:
+    """True once ``pid`` is dead *and* reaped (a zombie still takes
+    signal 0)."""
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def _sleepers(tmp_path, tags):
+    """Specs that sleep "forever", each leaving its worker's pid in a file."""
+    pidfiles = [tmp_path / f"sleeper{t}.pid" for t in tags]
+    specs = [TaskSpec(pid_after, {"delay_s": 600, "pidfile": str(f)},
+                      label=f"sleeper[tag={t}]")
+             for t, f in zip(tags, pidfiles)]
+    return specs, pidfiles
+
+
 # -- sweep task functions (module scope: pool workers pickle by name) --------
 
 def square(x, seed=1):
@@ -90,6 +109,31 @@ def quick(tag=0):
     return {"tag": tag}
 
 
+def nap(delay_s, tag=0):
+    time.sleep(delay_s)
+    return {"tag": tag}
+
+
+def pid_after(delay_s=0.0, pidfile=None):
+    """The executing process's pid — left in ``pidfile`` before the nap."""
+    if pidfile:
+        pathlib.Path(pidfile).write_text(str(os.getpid()))
+    time.sleep(delay_s)
+    return os.getpid()
+
+
+def fail_once(marker):
+    path = pathlib.Path(marker)
+    if not path.exists():
+        path.write_text("attempted")
+        raise RuntimeError("transient failure")
+    return "recovered"
+
+
+def lock_value():
+    return threading.Lock()  # a value no pipe can carry
+
+
 def _specs(fn, values, key="x"):
     return [TaskSpec(fn, {key: v}, label=f"{fn.__name__}[{key}={v}]")
             for v in values]
@@ -108,6 +152,9 @@ class TestJournal:
         jr.event("task_queued", index=1, label="t1", key="k1")
         jr.event("task_queued", index=2, label="t2", key="k2")
         jr.event("task_started", index=0, label="t0", attempt=1)
+        # An event nobody emits since the pool stopped recycling: journals
+        # that hold one still fold — it never was a task state.
+        jr.event("pool_recycled", killed=2, abandoned=2)
         jr.event("task_done", index=0, label="t0", key="k0", cached=False)
         jr.event("task_failed", index=1, label="t1", error="boom",
                  attempts=3)
@@ -126,7 +173,8 @@ class TestJournal:
         # in file order, for readers that want more than the fold.
         assert [e["event"] for e in state.events] == [
             "meta", "task_queued", "task_queued", "task_queued",
-            "task_started", "task_done", "task_failed", "sweep"]
+            "task_started", "pool_recycled", "task_done", "task_failed",
+            "sweep"]
         assert all(isinstance(e["t"], float) for e in state.events)
         assert "total" not in state.meta and "total" not in state.summary()
         assert not hasattr(state, "total")
@@ -428,39 +476,36 @@ class TestEvictionLock:
 
 
 # ---------------------------------------------------------------------------
-# Pool recycle: abandoned timed-out workers are reclaimed
+# Timeouts and drains stop exactly the workers that earned it
 # ---------------------------------------------------------------------------
 
 class TestPoolRecycle:
     def test_timeout_abandonment_recycles_and_queue_completes(
-            self, monkeypatch):
-        monkeypatch.setenv("REPRO_RECYCLE_AFTER", "1")
+            self, tmp_path):
         tel = Telemetry("recycle", 4, progress=False)
-        specs = (_specs(sleep_forever, [0, 1], key="tag")
-                 + _specs(quick, [2, 3], key="tag"))
+        sleepers, pidfiles = _sleepers(tmp_path, [0, 1])
+        specs = sleepers + _specs(quick, [2, 3], key="tag")
         with runtime.using(cache_enabled=False, parallel=2, retries=0,
                            task_timeout_s=0.5, progress=False):
             results = run_tasks(specs, name="recycle", telemetry=tel)
-        assert tel.counts["recycles"] >= 1
+        # Each timed-out worker was killed and reaped, not left grinding.
+        assert all(_pid_gone(f.read_text()) for f in pidfiles)
         assert results[0].error and "timeout" in results[0].error
         assert results[1].error and "timeout" in results[1].error
         # The queued tasks never started (both workers were hung), so the
-        # watchdog must not charge them the sleepers' timeout: both finish
-        # on the fresh pool after the recycle — including the one the
-        # executor had prefetched into its call queue, whose future reads
-        # RUNNING and refuses cancellation.
+        # timeout — clocked from the moment a task is sent — is not theirs
+        # to pay: both finish on the fresh workers that took the slots.
         assert results[2].value == {"tag": 2}
         assert results[3].value == {"tag": 3}
         _assert_no_orphans()
 
-    def test_drain_deadline_kills_abandoned_pool(self, monkeypatch):
-        # A drain whose grace expires abandons still-running tasks; those
-        # count toward the abandoned total so the epilogue SIGKILLs the
-        # pool — otherwise the interpreter's atexit join would wait out
-        # the sleepers and the grace deadline would bound nothing.
+    def test_drain_deadline_kills_abandoned_pool(self, monkeypatch, tmp_path):
+        # A drain whose grace expires kills the workers still running, so
+        # the grace deadline bounds shutdown time — nobody waits out a
+        # sleeper, neither here nor at interpreter exit.
         monkeypatch.setattr(shutdown, "DRAIN_GRACE_S", 0.2)
         tel = Telemetry("drain", 2, progress=False)
-        specs = _specs(sleep_forever, [0, 1], key="tag")
+        specs, pidfiles = _sleepers(tmp_path, [0, 1])
 
         def request_once_workers_are_up():
             # Fire the drain only after both pool workers exist (plus a
@@ -484,14 +529,219 @@ class TestPoolRecycle:
             wall = time.monotonic() - t0
         trigger.join(timeout=35)
         assert all(r.interrupted for r in results)
-        assert tel.counts["recycles"] >= 1      # pool was hard-killed
+        assert all(_pid_gone(f.read_text()) for f in pidfiles)
         assert wall < 30                        # nobody waited out a sleeper
         _assert_no_orphans()
 
 
 # ---------------------------------------------------------------------------
-# Started-marker backpressure: sweeps larger than the pipe buffer
+# Pool faults are local: one task per worker, one pipe per worker
 # ---------------------------------------------------------------------------
+
+_KILLER_SCRIPT = """\
+import json, os, signal
+from repro import runtime
+from repro.runtime import TaskSpec, run_tasks
+
+def killer():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+def ident(x):
+    return x
+
+if __name__ == "__main__":
+    specs = [TaskSpec(killer, {}, label="killer")] + [
+        TaskSpec(ident, {"x": i}, label=f"t{i}") for i in range(5)]
+    with runtime.using(cache_enabled=False, parallel=2, retries=1,
+                       backoff_s=0.0, progress=False):
+        results = run_tasks(specs, name="killer")
+    print(json.dumps([[r.ok, r.error, r.attempts] for r in results]))
+"""
+
+
+class _DeathWatch(Telemetry):
+    """Notes, the moment a ``task_failed`` is emitted, whether the process
+    whose pid sits in ``pidfile`` is already dead and reaped."""
+
+    def __init__(self, pidfile, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pidfile = pidfile
+        self.gone_at_failure = []
+
+    def task_failed(self, index, label, error, attempts):
+        self.gone_at_failure.append(_pid_gone(self.pidfile.read_text()))
+        super().task_failed(index, label, error, attempts)
+
+
+class TestPoolFaults:
+    def test_worker_killer_fails_alone_and_the_parent_survives(
+            self, tmp_path):
+        # A task that takes its worker down (SIGKILL here; an OOM kill or
+        # a segfault reads the same) is that task's failure after
+        # ``retries + 1`` attempts, each on a pool worker — never a rerun
+        # inside the parent, which used to die with it (exit 137).
+        proc = _run_script(tmp_path, _KILLER_SCRIPT, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        killer, *rest = json.loads(proc.stdout)
+        assert killer == [False, "worker died (exit -9)", 2]
+        assert rest == [[True, None, 1]] * 5
+
+    def test_only_the_hung_task_pays_the_timeout(self, tmp_path):
+        # The clock starts when a task is sent to its worker, so the time
+        # healthy tasks spend queued behind a hung one is nobody's
+        # timeout; the hung worker is dead before its failure is recorded.
+        (hung,), (pidfile,) = _sleepers(tmp_path, [0])
+        specs = [hung] + [TaskSpec(nap, {"delay_s": 0.2, "tag": t},
+                                   label=f"nap[{t}]") for t in range(1, 17)]
+        tel = _DeathWatch(pidfile, "hung", len(specs), progress=False)
+        with runtime.using(cache_enabled=False, parallel=2, retries=0,
+                           task_timeout_s=0.5, progress=False):
+            results = run_tasks(specs, name="hung", telemetry=tel)
+            assert multiprocessing.active_children() == []
+        assert [r.index for r in results if not r.ok] == [0]
+        assert results[0].error == "timeout after 0.5s"
+        assert tel.gone_at_failure == [True]
+        assert [r.value["tag"] for r in results[1:]] == list(range(1, 17))
+
+    def test_raising_and_slow_tasks_on_a_timed_pool(self, tmp_path):
+        # Regression guard: a timeout that is set but not reached changes
+        # nothing — a raise still retries, a slow task still completes.
+        specs = [TaskSpec(fail_once, {"marker": str(tmp_path / "marker")},
+                          label="flaky"),
+                 TaskSpec(nap, {"delay_s": 0.4, "tag": 1}, label="slow")]
+        with runtime.using(cache_enabled=False, parallel=2, retries=1,
+                           backoff_s=0.0, task_timeout_s=5.0,
+                           progress=False):
+            flaky, slow = run_tasks(specs, name="timed")
+        assert flaky.value == "recovered" and flaky.attempts == 2
+        assert slow.value == {"tag": 1} and slow.attempts == 1
+        _assert_no_orphans()
+
+    def test_no_handoff_or_failure_leaves_the_running_set(self, tmp_path):
+        # Every way a started task stops being a worker's — done, retried,
+        # timed out, handed to the serial path because its value does not
+        # pickle — takes it out of ``running``; an unpicklable *spec* never
+        # enters it on the pool.
+        path = tmp_path / "run.journal.jsonl"
+        tel = Telemetry("mixed", 4, progress=False, journal=RunJournal(path))
+        specs = [TaskSpec(lambda: "inline", {}, label="lambda-spec"),
+                 TaskSpec(lock_value, {}, label="lock-value"),
+                 TaskSpec(fail_once, {"marker": str(tmp_path / "marker")},
+                          label="flaky"),
+                 TaskSpec(sleep_forever, {}, label="hung")]
+        with runtime.using(cache_enabled=False, parallel=2, retries=1,
+                           backoff_s=0.0, task_timeout_s=0.5,
+                           progress=False):
+            inline, lock, flaky, hung = run_tasks(specs, name="mixed",
+                                                  telemetry=tel)
+        tel.journal.close()
+        assert inline.value == "inline" and flaky.value == "recovered"
+        assert lock.ok and hung.error == "timeout after 0.5s"
+        assert tel.counts["running"] == 0
+        events = load_journal(path).events
+        assert events[-1]["event"] == "sweep_done"
+        assert events[-1]["running"] == 0
+        assert [e["event"] for e in events].count("degraded_to_serial") == 2
+        _assert_no_orphans()
+
+    def test_pooled_wall_s_is_run_time_not_queue_time(self):
+        specs = [TaskSpec(nap, {"delay_s": 0.1, "tag": t}, label=f"nap[{t}]")
+                 for t in range(12)]
+        with runtime.using(cache_enabled=False, parallel=0, progress=False):
+            serial = sum(r.wall_s for r in run_tasks(specs, name="wall"))
+        with runtime.using(cache_enabled=False, parallel=2, progress=False):
+            pooled = [r.wall_s for r in run_tasks(specs, name="wall")]
+        assert all(w < 0.2 for w in pooled), pooled
+        assert abs(sum(pooled) - serial) <= 0.25 * serial
+
+    def test_idle_worker_found_dead_is_replaced_at_no_charge(self, tmp_path):
+        busy_pid = tmp_path / "busy.pid"
+
+        class KillTheIdleWorker(Telemetry):
+            """On the first completion, SIGKILL the worker that just went
+            idle (the other one is busy and said so in ``busy_pid``)."""
+            killed = None
+
+            def task_done(self, index, label, wall_s, payloads=None):
+                super().task_done(index, label, wall_s, payloads)
+                if self.killed is None:
+                    (idle,) = [p for p in multiprocessing.active_children()
+                               if p.pid != int(busy_pid.read_text())]
+                    idle.kill()
+                    # Dead (pipe closed) but not reaped: that is the pool's.
+                    os.waitid(os.P_PID, idle.pid, os.WEXITED | os.WNOWAIT)
+                    self.killed = idle.pid
+
+        tel = KillTheIdleWorker("idle", 3, progress=False)
+        specs = [TaskSpec(pid_after, {"delay_s": 1.0,
+                                      "pidfile": str(busy_pid)}, label="busy"),
+                 TaskSpec(pid_after, {"delay_s": 0.2}, label="first"),
+                 TaskSpec(pid_after, {}, label="next")]
+        with runtime.using(cache_enabled=False, parallel=2, retries=0,
+                           progress=False):
+            results = run_tasks(specs, name="idle", telemetry=tel)
+        assert all(r.ok and r.attempts == 1 for r in results)
+        assert tel.counts["retries"] == 0 and tel.counts["failed"] == 0
+        assert results[1].value == tel.killed
+        assert results[2].value not in (tel.killed, results[0].value)
+        assert _pid_gone(tel.killed)
+        _assert_no_orphans()
+
+    def test_keyboard_interrupt_reaps_every_worker(self, tmp_path):
+        # The second signal of a drain surfaces as KeyboardInterrupt from
+        # inside the wait loop; busy workers are killed on the way out.
+        class SecondSignal(Telemetry):
+            def task_done(self, *args, **kwargs):
+                raise KeyboardInterrupt
+
+        (hung,), (pidfile,) = _sleepers(tmp_path, [0])
+        specs = [hung, TaskSpec(nap, {"delay_s": 0.3}, label="nap")]
+        tel = SecondSignal("ctrl-c", 2, progress=False)
+        with runtime.using(cache_enabled=False, parallel=2, progress=False):
+            with pytest.raises(KeyboardInterrupt):
+                run_tasks(specs, name="ctrl-c", telemetry=tel)
+        assert multiprocessing.active_children() == []
+        assert _pid_gone(pidfile.read_text())
+
+    def test_the_workarounds_are_gone_not_hidden(self, monkeypatch):
+        import inspect
+
+        from repro.runtime import scheduler
+        from repro.runtime.config import check_env
+
+        # The recycle knob is simply no longer read — even a hostile value.
+        monkeypatch.setenv("REPRO_RECYCLE_AFTER", "soon")
+        check_env()
+        assert not hasattr(Telemetry, "pool_recycled")
+        assert "recycles" not in Telemetry("t", 0, progress=False).counts
+        assert list(inspect.signature(scheduler._call).parameters) \
+            == ["spec", "names"]
+        probe = ("import sys, repro.cli; "
+                 "print('concurrent.futures' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+        assert proc.stdout.strip() == "False", proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# Sweeps far larger than a pipe buffer
+# ---------------------------------------------------------------------------
+
+def _run_script(tmp_path, source, timeout):
+    """Run ``source`` as ``__main__`` of a fresh interpreter (its task
+    functions pickle by that name): a wedge or a dead parent is a timeout
+    or an exit code here, not a hung or killed test suite."""
+    script = tmp_path / "sweep.py"
+    script.write_text(source)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    for var in ("REPRO_SELFCHAOS", "REPRO_SELFCHAOS_DIR",
+                "REPRO_JOURNAL", "REPRO_TRACE"):
+        env.pop(var, None)
+    return subprocess.run([sys.executable, str(script)], timeout=timeout,
+                          capture_output=True, text=True, env=env,
+                          cwd=str(REPO))
+
 
 _BACKPRESSURE_SCRIPT = """\
 from repro import runtime
@@ -514,21 +764,13 @@ if __name__ == "__main__":
 @pytest.mark.slow
 class TestStartedMarkerBackpressure:
     def test_untimed_sweep_past_pipe_buffer_completes(self, tmp_path):
-        # 4000 start markers ≈ 100KiB of pickled tokens, well past the
-        # ~64KiB pipe buffer.  The parent must drain the marker queue even
-        # with task_timeout_s unset (the default) — when it only drained
-        # under the timeout watchdog, a worker's put() eventually blocked
-        # holding the queue lock and the whole sweep wedged.  Run in a
-        # subprocess so a regression is a timeout, not a hung suite.
-        script = tmp_path / "sweep.py"
-        script.write_text(_BACKPRESSURE_SCRIPT)
-        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-        for var in ("REPRO_SELFCHAOS", "REPRO_SELFCHAOS_DIR",
-                    "REPRO_JOURNAL", "REPRO_TRACE"):
-            env.pop(var, None)
-        proc = subprocess.run([sys.executable, str(script)], timeout=300,
-                              capture_output=True, text=True, env=env,
-                              cwd=str(REPO))
+        # 4000 tasks move well past a pipe buffer (~64KiB) of specs and
+        # replies with task_timeout_s unset (the default).  A side channel
+        # the parent drained only under the timeout watchdog once wedged
+        # exactly this sweep; with one task in flight per pipe nothing can
+        # back up, and this keeps it so.  Run in a subprocess so a
+        # regression is a timeout, not a hung suite.
+        proc = _run_script(tmp_path, _BACKPRESSURE_SCRIPT, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert "OK 4000" in proc.stdout
 

@@ -330,7 +330,6 @@ class TestConfig:
         ("REPRO_TASK_TIMEOUT", "abc"),
         ("REPRO_TASK_TIMEOUT", "-5"),
         ("REPRO_CHAOS_SEED", "abc"),
-        ("REPRO_RECYCLE_AFTER", "soon"),
         ("REPRO_METRICS_INTERVAL_PS", "1ms"),
     ])
     def test_cli_reports_hostile_env_in_one_line_and_exits_2(
