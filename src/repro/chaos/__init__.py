@@ -13,13 +13,15 @@ Three ways in:
 
 *Ambient* — export ``REPRO_CHAOS=/path/to/plan.json`` and every
 :meth:`Network.finalize` in the process attaches the plan automatically
-(``REPRO_CHAOS_SEED`` overrides the plan's seed; ``REPRO_CHAOS_LOG=1``
-narrates actions on stderr).  This is how an unmodified experiment runs
-under fault injection.
+(the plan file carries its seed — ``repro chaos S --seed N --emit-plan
+FILE`` writes one with any seed; ``REPRO_CHAOS_LOG=1`` narrates actions on
+stderr).  This is how an unmodified experiment runs under fault injection.
 
-*Scenario harness* — ``python -m repro chaos <scenario>`` runs a canned
-fault scenario under the audit plane and reports recovery metrics; see
-:mod:`repro.chaos.scenarios`.
+*Scenario cell* — a scenario spec's ``chaos:`` section hands the plan to
+the matrix cell (:func:`repro.scenarios.cells.run_persistent`), which also
+measures recovery.  ``python -m repro chaos <scenario>`` runs the bundled
+``fabric_chaos_recovery`` spec's cells for one canned fault under the audit
+plane and gates on the result; see :mod:`repro.chaos.scenarios`.
 
 Injected drops are *budgeted*: the controller accounts every packet it eats
 per flow, the auditor subtracts those budgets, so an audited chaos run
@@ -47,7 +49,7 @@ from repro.chaos.plan import (
     SwitchBlackout,
     event_from_dict,
 )
-from repro.runtime.config import env_flag, env_number, env_text
+from repro.runtime.config import env_flag, env_text
 
 __all__ = [
     "ChaosController", "CreditMeterFault", "FaultEvent", "FaultPlan",
@@ -74,9 +76,6 @@ def _load_env_plan(path: str) -> FaultPlan:
         plan = FaultPlan.load(path)
         _plan_cache.clear()
         _plan_cache[key] = plan
-    seed_override = env_number("REPRO_CHAOS_SEED")
-    if seed_override is not None:
-        plan = plan.with_seed(seed_override)
     return plan
 
 

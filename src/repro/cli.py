@@ -39,7 +39,7 @@ import pathlib
 import sys
 from typing import Callable, Dict
 
-from repro.experiments import format_table
+from repro.experiments import ExperimentResult, format_table
 from repro import runtime
 from repro.resilience import journal as run_journal
 from repro.runtime import probes
@@ -150,6 +150,60 @@ def _parse_seeds(parser, raw):
     return seeds
 
 
+def _check_output_paths(args) -> None:
+    """Try every flag that names a file this invocation writes at its end
+    *now*: create the parent directory (as the journal writer does), open
+    the file for append, and remove it again if that created it — so an
+    unusable path is a one-line usage error before any work is done, not a
+    traceback after all of it."""
+    for flag in ("report_jsonl", "report_csv", "obs_jsonl", "trace", "jsonl",
+                 "csv", "prom", "pcap", "emit_plan"):
+        raw = getattr(args, flag, None)
+        if not raw:
+            continue
+        path = pathlib.Path(raw)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fresh = not path.exists()
+            path.open("a").close()
+            if fresh:
+                path.unlink()
+        except OSError as exc:
+            raise ConfigError(
+                f"--{flag.replace('_', '-')}={raw}: {exc}") from None
+
+
+def _load_scenario(parser, entry: str, sets, pin=None):
+    """The scenario ``entry`` names (a spec file or a bundled name) with the
+    ``--set PATH=VALUE`` items applied and each sweep axis in ``pin``
+    narrowed to that one value; :class:`~repro.scenarios.SpecError` if the
+    result does not validate."""
+    from repro import scenarios as sc
+    spec_path = sc.resolve_spec(entry)
+    scenario = sc.load(spec_path)
+    if not sets and not pin:
+        return scenario
+    data = scenario.to_dict()
+    for axis, value in (pin or {}).items():
+        data["sweep"][axis] = [value]
+    for key, value in _parse_sets(parser, sets, "PATH=VALUE"):
+        if isinstance(value, tuple):
+            value = list(value)
+        sc.schema.set_by_path(data, key, value)
+    return sc.Scenario.from_dict(data, source=f"{spec_path} (+overrides)",
+                                 base_dir=scenario.base_dir)
+
+
+def _chaos_scenario(parser, name: str, sets):
+    """``repro chaos NAME`` as a scenario: the bundled
+    ``fabric_chaos_recovery`` spec — the one home of the fabric, pairing,
+    timing and fault window — with its two sweep axes pinned to ExpressPass
+    and ``NAME``, so the cells it compiles to *are* that matrix's."""
+    return _load_scenario(parser, "fabric_chaos_recovery", sets,
+                          pin={"transport.protocol": "expresspass",
+                               "chaos.scenario": name})
+
+
 def _stored_argv(argv) -> list:
     """The argv a resume should replay: this invocation's, un-journaled.
 
@@ -204,7 +258,8 @@ def _activate_journal(args, argv):
     journal = run_journal.activate(path)
     journal.meta(argv=_stored_argv(argv), command=args.command,
                  name=getattr(args, "experiment", None)
-                 or getattr(args, "spec", "") or "",
+                 or getattr(args, "spec", None)
+                 or getattr(args, "scenario", ""),
                  generation=generation)
     return journal
 
@@ -225,17 +280,19 @@ def _runtime_overrides(args) -> dict:
 
     Shared by every sweep-running subcommand (each defines a subset of the
     flags).  The plane switches: ``profile``/``obs`` are ``run`` with their
-    plane forced on; profiling and metering want the simulations to
-    actually run — a cache-served sweep would observe nothing — so they
-    bypass the result cache; ``--obs-jsonl`` implies ``--metrics``; a trace
-    path may also come from ``REPRO_TRACE``.
+    plane forced on, ``chaos`` a matrix run with the audit plane forced on;
+    profiling, metering and the chaos gate want the simulations to
+    actually run — a cache-served sweep would observe nothing, and the gate
+    needs every task's verdict — so they bypass the result cache;
+    ``--obs-jsonl`` implies ``--metrics``; a trace path may also come from
+    ``REPRO_TRACE``.
     """
     overrides = {}
     for flag, field in (("parallel", "parallel"), ("retries", "retries"),
                         ("timeout", "task_timeout_s")):
         if getattr(args, flag, None) is not None:
             overrides[field] = getattr(args, flag)
-    if getattr(args, "audit", False):
+    if args.command == "chaos" or getattr(args, "audit", False):
         overrides["audit"] = True
     if args.command == "profile" or getattr(args, "profile", False):
         overrides["profile"] = True
@@ -244,7 +301,8 @@ def _runtime_overrides(args) -> dict:
         overrides["metrics"] = True
     if _trace_path(args):
         overrides["trace"] = True
-    if args.no_cache or "profile" in overrides or "metrics" in overrides:
+    if args.no_cache or args.command == "chaos" \
+            or "profile" in overrides or "metrics" in overrides:
         overrides["cache_enabled"] = False
     return overrides
 
@@ -271,6 +329,41 @@ def _observed(args, metrics_opts=None):
             runtime.using(**_runtime_overrides(args)) as config, \
             probes.session(config.probes, opts) as sess:
         yield sess
+
+
+def _print_matrix_report(args, report, merged: dict, stable: bool) -> None:
+    """``repro matrix``'s output: the report files its flags name, then the
+    ranked table (or ``--json``) on stdout.
+
+    Reports go to explicit file handles, never stdout: the JSONL/CSV
+    streams must stay clean of anything the surrounding environment
+    (activation hooks, warnings) may print.  Journaled runs write *stable*
+    reports (no cached/wall_s) so a resume's export is byte-identical to
+    the uninterrupted baseline's.
+    """
+    from repro import scenarios as sc
+    if args.report_jsonl:
+        n = sc.write_report_jsonl(args.report_jsonl, report, stable=stable)
+        print(f"wrote {n} report record(s) to {args.report_jsonl}",
+              file=sys.stderr)
+    if args.report_csv:
+        n = sc.write_report_csv(args.report_csv, report, stable=stable)
+        print(f"wrote {n} CSV row(s) to {args.report_csv}", file=sys.stderr)
+    if args.obs_jsonl:
+        from repro.obs import export as obs_export
+        n = obs_export.write_jsonl(args.obs_jsonl, merged["metrics"])
+        print(f"wrote {n} obs record(s) to {args.obs_jsonl}",
+              file=sys.stderr)
+    if args.json:
+        print(json.dumps({
+            "scenario": report.scenario, "compare": report.compare,
+            "objectives": report.objectives, "meta": report.meta,
+            "rows": report.rows, "groups": report.groups,
+            "ranking": [{"rank": i, "group": g, "score": s}
+                        for i, (g, s) in enumerate(report.ranking, 1)],
+        }, indent=2, default=str))
+    else:
+        print(sc.format_report(report))
 
 
 def _report_probes(merged: dict) -> int:
@@ -461,9 +554,10 @@ def _cli(argv=None) -> int:
                                      "REPRO_TRACE)")
     chaosp = sub.add_parser(
         "chaos",
-        help="run a fault-injection scenario on a k=4 fat tree under the "
-             "audit plane and report recovery metrics; exit 1 on a stalled "
-             "flow, an audit violation, or goodput recovery below 90%%")
+        help="run the ExpressPass cells of the bundled fabric_chaos_recovery "
+             "spec for one fault scenario under the audit plane and report "
+             "recovery metrics; exit 1 on a failed cell, a stalled flow, an "
+             "audit violation, or goodput recovery below 90%%")
     chaosp.add_argument("scenario",
                         help="scenario name (see 'chaos list'), or 'list'")
     chaosp.add_argument("--seed", type=int, default=1,
@@ -472,19 +566,19 @@ def _cli(argv=None) -> int:
                         help="run the scenario once per seed (overrides "
                              "--seed); seeds are swept via repro.runtime")
     chaosp.add_argument("--set", action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="override a scenario parameter, e.g. "
-                             "duration_ps or reconverge_delay_ps")
+                        metavar="PATH=VALUE",
+                        help="override a field of the fabric_chaos_recovery "
+                             "spec by dotted path (as 'matrix --set'), e.g. "
+                             "--set chaos.duration_ps=2000000000 or "
+                             "--set chaos.reconverge_delay_ps=100000000000")
     chaosp.add_argument("--json", action="store_true",
                         help="emit rows as JSON instead of a table")
-    chaosp.add_argument("--parallel", default=None, metavar="N",
-                        help="sweep seeds on N worker processes")
-    chaosp.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk result cache for this run")
+    _add_runtime_options(chaosp)
     chaosp.add_argument("--emit-plan", default=None, metavar="FILE",
                         help="write the scenario's fault plan as JSON to "
                              "FILE (usable via REPRO_CHAOS) and exit")
     args = parser.parse_args(argv)
+    _check_output_paths(args)
     # The runtime flags go through the range table their env twins do.
     for flag, knob in (("parallel", "REPRO_PARALLEL"),
                        ("retries", "REPRO_RETRIES"),
@@ -598,37 +692,53 @@ def _cli(argv=None) -> int:
         return 1 if bad else 0
 
     journal = None
-    if args.command in ("run", "profile", "obs", "matrix"):
+    if args.command in ("run", "profile", "obs", "matrix", "chaos"):
         try:
             journal = _activate_journal(args, argv)
         except (OSError, ValueError) as exc:
             print(f"{args.command}: {exc}", file=sys.stderr)
             return 1
 
-    if args.command == "matrix":
+    if args.command in ("matrix", "chaos"):
+        # ``chaos S`` is a matrix run — the bundled fabric_chaos_recovery
+        # spec narrowed to its ExpressPass x S cells — with its own table
+        # and a gate on the rows; everything between is shared.
         from repro import scenarios as sc
+        gated = args.command == "chaos"
+        if gated:
+            from repro.chaos import scenarios as chaos_scenarios
+            if args.scenario == "list":
+                for name in chaos_scenarios.SCENARIOS:
+                    print(name)
+                return 0
+            if args.scenario not in chaos_scenarios.SCENARIOS:
+                parser.error(
+                    f"unknown chaos scenario {args.scenario!r}; "
+                    f"try: {', '.join(chaos_scenarios.SCENARIOS)}")
         try:
-            spec_path = sc.resolve_spec(args.spec)
-            scenario = sc.load(spec_path)
-            if args.backend:
-                args.set.insert(0, f"backend={args.backend}")
-            if args.set:
-                data = scenario.to_dict()
-                for key, value in _parse_sets(parser, args.set, "PATH=VALUE"):
-                    if isinstance(value, tuple):
-                        value = list(value)
-                    sc.schema.set_by_path(data, key, value)
-                scenario = sc.Scenario.from_dict(
-                    data, source=f"{spec_path} (+overrides)",
-                    base_dir=scenario.base_dir)
+            if gated:
+                scenario = _chaos_scenario(parser, args.scenario, args.set)
+            else:
+                if args.backend:
+                    args.set.insert(0, f"backend={args.backend}")
+                scenario = _load_scenario(parser, args.spec, args.set)
         except sc.SpecError as exc:
             print(exc.render(), file=sys.stderr)
             return 1
+        if gated and args.emit_plan:
+            window = {key: value for key, value in scenario.chaos.items()
+                      if key != "scenario"}
+            chaos_scenarios.plan_for(args.scenario, seed=args.seed,
+                                     **window).save(args.emit_plan)
+            print(f"wrote fault plan for {args.scenario!r} to "
+                  f"{args.emit_plan}")
+            return 0
         seeds = _parse_seeds(parser, args.seeds)
         with _observed(args) as sess:
             try:
-                outcome = sc.run_matrix(scenario, seeds=seeds,
-                                        cell_filter=args.filter)
+                outcome = sc.run_matrix(
+                    scenario, seeds=seeds or ([args.seed] if gated else None),
+                    cell_filter=None if gated else args.filter)
             except sc.SpecError as exc:
                 print(exc.render(), file=sys.stderr)
                 return 1
@@ -636,82 +746,43 @@ def _cli(argv=None) -> int:
         if signame:
             # Drained: trace and journal are flushed, but a partial
             # report would be misleading — skip it and point at resume.
-            return _interrupted_exit(journal, signame, "matrix")
-        report = outcome.report
-        # Reports go to explicit file handles, never stdout: the JSONL/CSV
-        # streams must stay clean of anything the surrounding environment
-        # (activation hooks, warnings) may print.  Journaled runs write
-        # *stable* reports (no cached/wall_s) so a resume's export is
-        # byte-identical to the uninterrupted baseline's.
-        stable = journal is not None
-        if args.report_jsonl:
-            n = sc.write_report_jsonl(args.report_jsonl, report,
-                                      stable=stable)
-            print(f"wrote {n} report record(s) to {args.report_jsonl}",
-                  file=sys.stderr)
-        if args.report_csv:
-            n = sc.write_report_csv(args.report_csv, report, stable=stable)
-            print(f"wrote {n} CSV row(s) to {args.report_csv}",
-                  file=sys.stderr)
+            return _interrupted_exit(journal, signame, args.command)
         merged = {name: sess.merged(name) for name in sess.names}
-        if args.obs_jsonl:
-            from repro.obs import export as obs_export
-            n = obs_export.write_jsonl(args.obs_jsonl, merged["metrics"])
-            print(f"wrote {n} obs record(s) to {args.obs_jsonl}",
-                  file=sys.stderr)
-        if args.json:
-            print(json.dumps({
-                "scenario": report.scenario, "compare": report.compare,
-                "objectives": report.objectives, "meta": report.meta,
-                "rows": report.rows, "groups": report.groups,
-                "ranking": [{"rank": i, "group": g, "score": s}
-                            for i, (g, s) in enumerate(report.ranking, 1)],
-            }, indent=2, default=str))
+        if gated:
+            rows = []
+            for res in outcome.results:
+                if res.error is None:
+                    row = {"scenario": args.scenario, **res.value,
+                           "violations":
+                               len(res.probes["audit"]["violations"])}
+                    row["ok"] = chaos_scenarios.recovered(row)
+                    rows.append(row)
+            bad = sum(not row["ok"] for row in rows)
+            _print_result(ExperimentResult(
+                name=f"chaos: {args.scenario}",
+                columns=["scenario", "seed", "pre_gbps", "low_gbps",
+                         "post_gbps", "recovered_frac", "recovery_ms",
+                         "stalled", "violations", "rehashes", "recoveries",
+                         "ok"],
+                rows=rows,
+                meta={"ok": outcome.ok and not bad,
+                      "scenario": args.scenario}), args.json)
         else:
-            print(sc.format_report(report))
+            _print_matrix_report(args, outcome.report, merged,
+                                 stable=journal is not None)
         status = _report_probes(merged)
         if not outcome.ok:
             for res in outcome.failed:
-                print(f"matrix: FAILED cell {res.label}: {res.error}",
-                      file=sys.stderr)
+                print(f"{args.command}: FAILED cell {res.label}: "
+                      f"{res.error}", file=sys.stderr)
             status = 1
-        return status
-
-    if args.command == "chaos":
-        from repro.chaos import scenarios as chaos_scenarios
-        if args.scenario == "list":
-            for name in chaos_scenarios.SCENARIOS:
-                print(name)
-            return 0
-        if args.scenario not in chaos_scenarios.SCENARIOS:
-            parser.error(
-                f"unknown chaos scenario {args.scenario!r}; "
-                f"try: {', '.join(chaos_scenarios.SCENARIOS)}")
-        overrides = dict(_parse_sets(parser, args.set))
-        if args.emit_plan:
-            plan_kwargs = {k: overrides[k] for k in
-                           ("fault_ps", "duration_ps", "reconverge_delay_ps")
-                           if k in overrides}
-            plan = chaos_scenarios.plan_for(args.scenario, seed=args.seed,
-                                            **plan_kwargs)
-            plan.save(args.emit_plan)
-            print(f"wrote fault plan for {args.scenario!r} to "
-                  f"{args.emit_plan}")
-            return 0
-        seeds = _parse_seeds(parser, args.seeds)
-        with runtime.using(**_runtime_overrides(args)):
-            result = chaos_scenarios.run(scenario=args.scenario,
-                                         seed=args.seed, seeds=seeds,
-                                         **overrides)
-        _print_result(result, args.json)
-        if not result.meta["ok"]:
-            bad = [r for r in result.rows if not r["ok"]]
-            print(f"chaos: FAILED — {len(bad)} of {len(result.rows)} run(s) "
-                  f"stalled, violated an invariant, or recovered below "
+        if gated and bad:
+            print(f"chaos: FAILED — {bad} of {len(rows)} run(s) stalled, "
+                  f"violated an invariant, or recovered below "
                   f"{chaos_scenarios.RECOVERY_FRACTION:.0%} goodput",
                   file=sys.stderr)
-            return 1
-        return 0
+            status = 1
+        return status
 
     registry = _registry()
     if args.command == "list":

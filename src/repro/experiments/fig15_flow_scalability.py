@@ -107,16 +107,10 @@ def run(
         return ExperimentResult(name=_NAME, columns=COLUMNS, rows=rows)
     kwargs.pop("ep_params", None)
     kwargs["backend"] = backend
-    from repro.runtime import SweepError, run_tasks
-    from repro.scenarios.compiler import compile_scenario
-    from repro.scenarios.schema import Scenario
+    from repro.scenarios import Scenario, run_matrix
 
     spec = scenario_dict(protocols, flow_counts, **kwargs)
-    matrix = compile_scenario(Scenario.from_dict(spec, source="fig15"))
-    results = run_tasks(matrix.plan("fig15"))
-    failures = [r for r in results if r.error is not None]
-    if failures and len(failures) == len(results):
-        raise SweepError(failures)
-    rows = [{key: r.value[key] for key in COLUMNS}
-            for r in results if r.error is None]
+    outcome = run_matrix(Scenario.from_dict(spec, source="fig15"))
+    rows = [{key: value[key] for key in COLUMNS}
+            for value in outcome.values()]
     return ExperimentResult(name=_NAME, columns=COLUMNS, rows=rows)

@@ -98,22 +98,14 @@ def run(
             rows.extend(_bucket_rows(protocol, result.bucket_stats(),
                                      result.completed))
         return ExperimentResult(name=name, columns=COLUMNS, rows=rows)
-    from repro.runtime import SweepError, run_tasks
-    from repro.scenarios.compiler import compile_scenario
-    from repro.scenarios.schema import Scenario
+    from repro.scenarios import Scenario, run_matrix
 
     spec = scenario_dict(protocols, workload, load, n_flows, **kwargs)
     if ep_params is None:
         spec["transport"]["ep_profile"] = "default"
-    matrix = compile_scenario(Scenario.from_dict(spec, source="fig19"))
-    results = run_tasks(matrix.plan("fig19"))
-    failures = [r for r in results if r.error is not None]
-    if failures and len(failures) == len(results):
-        raise SweepError(failures)
+    outcome = run_matrix(Scenario.from_dict(spec, source="fig19"))
     rows = []
-    for res in results:
-        if res.error is not None:
-            continue
-        rows.extend(_bucket_rows(res.value["protocol"], res.value["buckets"],
-                                 res.value["completed"]))
+    for value in outcome.values():
+        rows.extend(_bucket_rows(value["protocol"], value["buckets"],
+                                 value["completed"]))
     return ExperimentResult(name=name, columns=COLUMNS, rows=rows)

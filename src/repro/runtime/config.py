@@ -57,7 +57,7 @@ code that runs before or without a config:
 ==========================  =====================================================
 
 Every ``REPRO_*`` read — these, and the observation planes' own
-(``REPRO_METRICS_INTERVAL_PS``, ``REPRO_CHAOS_SEED``) — goes through the
+(``REPRO_METRICS_INTERVAL_PS``, ``REPRO_CHAOS_LOG``) — goes through the
 three accessors below (:func:`env_number`, :func:`env_flag`,
 :func:`env_text`), so there is one truthiness rule and one answer to a
 hostile value: :class:`ConfigError`, naming the variable, the value and
@@ -92,7 +92,6 @@ _NUMBERS = {
     "REPRO_CACHE_MAX_BYTES": (int, 512 * 1024 * 1024, _NON_NEGATIVE),
     "REPRO_CACHE_MAX_ENTRIES": (int, 4096, _NON_NEGATIVE),
     "REPRO_METRICS_INTERVAL_PS": (int, None, _ANY),
-    "REPRO_CHAOS_SEED": (int, None, _ANY),
 }
 
 

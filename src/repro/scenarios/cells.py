@@ -154,6 +154,8 @@ def _persistent_row(protocol: str, n_flows: int, topology: str, seed: int,
                            if convergence_ps >= 0 else -1.0),
     }
     if chaos is not None:
+        from repro.chaos.scenarios import RECOVERY_FRACTION
+
         fault_ps = min(ev.t_ps for ev in chaos.plan.events)
         pre_bins = [gbps[i] for i in range(len(gbps))
                     if i * bin_ps >= warmup_ps
@@ -164,13 +166,14 @@ def _persistent_row(protocol: str, n_flows: int, topology: str, seed: int,
         low = min(fault_bins) if fault_bins else 0.0
         tail = gbps[-2:] if len(gbps) >= 2 else gbps
         post = sum(tail) / len(tail) if tail else 0.0
-        recovery_ps = _first_sustained(gbps, 0.9 * pre, fault_ps // bin_ps,
-                                       bin_ps)
+        recovery_ps = _first_sustained(gbps, RECOVERY_FRACTION * pre,
+                                       fault_ps // bin_ps, bin_ps)
         if recovery_ps >= 0:
             recovery_ps -= fault_ps
         row.update({
             "pre_gbps": round(pre, 3),
             "low_gbps": round(low, 3),
+            "post_gbps": round(post, 3),
             "recovered_frac": round(post / pre, 4) if pre > 0 else 0.0,
             "recovery_ms": (round(recovery_ps / MS, 3)
                             if recovery_ps >= 0 else -1.0),
@@ -200,9 +203,13 @@ def run_persistent(
 
     ``ep_params`` (an explicit parameter object) wins over ``ep_profile``
     (a named profile) — the spec path always uses the latter so kwargs stay
-    plain data.  With a ``chaos_plan``, goodput recovery is measured the
-    same way :mod:`repro.chaos.scenarios` does: pre-fault mean, fault-window
-    minimum, and time until goodput sustains 90 % of the pre-fault level.
+    plain data.  With a ``chaos_plan`` the row also carries the fault
+    recovery columns — this is the one harness behind ``repro chaos`` and
+    ``repro matrix fabric_chaos_recovery``: pre-fault mean, fault-window
+    minimum and last-two-bins goodput, time until goodput sustains
+    :data:`repro.chaos.scenarios.RECOVERY_FRACTION` of the pre-fault level,
+    flows that delivered nothing over the closing ``max(2 bins, 2 ms)``
+    (``stalled``), and the transports' path re-hash / watchdog counts.
     """
     from repro.experiments.runner import get_harness
     from repro.obs import trace as obs_trace
@@ -234,6 +241,13 @@ def run_persistent(
 
     for i in range(n_bins + 1):
         sim.schedule_at(i * bin_ps, _sample)
+    late: Dict[object, int] = {}
+    if chaos is not None:
+        # One more read-only sample, per flow this time: a flow that has
+        # delivered nothing between here and the horizon is stalled.
+        sim.schedule_at(max(0, horizon_ps - max(2 * bin_ps, 2 * MS)),
+                        lambda: late.update((f, f.bytes_delivered)
+                                            for f in flows))
     if tracer is not None:
         tracer.span("sim", "cell.build", track="phases",
                     t0=build_t0, t1=tracer.now_us(),
@@ -260,6 +274,14 @@ def run_persistent(
         protocol, n_flows, topology, seed, rates, capacity_bps,
         topo.net.max_data_queue_bytes(), topo.net.total_data_drops(),
         totals, bin_ps, warmup_ps, chaos)
+    if chaos is not None:
+        row["stalled"] = sum(1 for f in flows
+                             if f.bytes_delivered <= late[f])
+        row["rehashes"] = sum(f.path_rehashes for f in flows)
+        # The dead-path watchdog is ExpressPass's; window transports
+        # re-hash from their RTO handler and count no recoveries.
+        row["recoveries"] = sum(getattr(f, "path_recoveries", 0)
+                                for f in flows)
     if tracer is not None:
         tracer.span("sim", "cell.finalize", track="phases",
                     t0=fin_t0, t1=tracer.now_us(),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.runtime import run_tasks
+from repro.runtime import SweepError, run_tasks
 from repro.scenarios.compiler import (
     CompiledMatrix,
     cell_rows,
@@ -39,6 +39,15 @@ class MatrixOutcome:
     @property
     def failed(self) -> List:
         return [r for r in self.results if r.error is not None]
+
+    def values(self) -> List:
+        """The successful cells' values, in cell order — a partly failed
+        matrix still yields its good rows; one where *every* cell failed
+        has no result to shape and raises :class:`SweepError`."""
+        failed = self.failed
+        if failed and len(failed) == len(self.results):
+            raise SweepError(failed)
+        return [r.value for r in self.results if r.error is None]
 
 
 def run_matrix(scenario: Scenario,

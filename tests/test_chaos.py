@@ -7,7 +7,9 @@ restore, injected-drop ledger, unknown-node skips); the audit plane staying
 armed under an active plan (a genuine silent leak is still caught while
 chaos-injected drops pass clean); determinism (same plan + seed ⇒
 bit-identical packet traces, serial == parallel); the k=4 fat-tree
-link-flap recovery acceptance bar; and the chaos CLI surface.
+link-flap recovery acceptance bar; and the chaos CLI surface — all of the
+last three on the one harness there is, the scenario-matrix cell that
+``repro chaos`` and ``repro matrix fabric_chaos_recovery`` both run.
 """
 
 import json
@@ -15,8 +17,10 @@ import random
 
 import pytest
 
-from repro import ExpressPassFlow, ExpressPassParams, runtime
+from repro import ExpressPassFlow, ExpressPassParams, cli, obs, runtime
+from repro import scenarios as sc
 from repro.audit import NetworkAuditor
+from repro.audit.golden import trace_digest
 from repro.chaos import (
     ChaosController,
     CreditMeterFault,
@@ -29,7 +33,12 @@ from repro.chaos import (
     SwitchBlackout,
     event_from_dict,
 )
-from repro.chaos.scenarios import RECOVERY_FRACTION, SCENARIOS, run_point
+from repro.chaos.scenarios import (
+    RECOVERY_FRACTION,
+    SCENARIOS,
+    plan_for,
+    recovered,
+)
 from repro.cli import main as cli_main
 from repro.net.fault import LossInjector
 from repro.sim.engine import Simulator
@@ -38,16 +47,35 @@ from repro.topology.simple import dumbbell
 
 EP = dict(params=ExpressPassParams(rtt_hint_ps=40 * US))
 
-#: Scaled-down scenario config so harness tests stay seconds, not minutes.
-SMALL = dict(n_flows=4, horizon_ps=5 * MS, fault_ps=2 * MS,
-             duration_ps=1 * MS, warmup_ps=1 * MS, bin_ps=500 * US)
+#: Scaled-down cell config, as ``repro chaos --set`` items, so harness tests
+#: stay seconds, not minutes: 4 flows, horizon 5 ms (warmup 1 + measure 4),
+#: fault at 2 ms for 1 ms.
+SMALL = ["workload.n_flows=4", f"timing.warmup_ps={1 * MS}",
+         f"timing.measure_ps={4 * MS}", f"chaos.fault_ps={2 * MS}",
+         f"chaos.duration_ps={1 * MS}"]
+
+
+def _cells(scenario, seeds, sets=()):
+    """The cells ``repro chaos SCENARIO --seeds ... --set ...`` compiles."""
+    return sc.compile_scenario(cli._chaos_scenario(None, scenario, sets),
+                               seeds=seeds).cells
+
+
+def _run_cell(scenario, seed, sets=()):
+    """One audited chaos cell, in process, as the verb's row."""
+    from repro import audit
+    (cell,) = _cells(scenario, [seed], sets)
+    with audit.capture() as verdict:
+        row = cell.task.call()
+    row["violations"] = len(verdict.summary["violations"])
+    return row
 
 
 @pytest.fixture(autouse=True)
 def _no_ambient_chaos(monkeypatch):
     """These tests manage their own plans; an ambient REPRO_CHAOS (e.g. the
     CI chaos-smoke job) would auto-attach at Network.finalize and collide."""
-    for var in ("REPRO_CHAOS", "REPRO_CHAOS_SEED", "REPRO_CHAOS_LOG"):
+    for var in ("REPRO_CHAOS", "REPRO_CHAOS_LOG"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.delenv("REPRO_AUDIT", raising=False)
 
@@ -303,14 +331,17 @@ class TestAmbientActivation:
         sim.run(until=2 * MS)
         assert any("link down" in msg for _, msg in sim.chaos.applied)
 
-    def test_seed_override(self, tmp_path, monkeypatch):
+    def test_seed_knob_is_gone_the_plan_file_carries_the_seed(
+            self, tmp_path, monkeypatch):
+        from repro.runtime.config import check_env
         path = tmp_path / "plan.json"
         FaultPlan(name="env", seed=4).save(path)
         monkeypatch.setenv("REPRO_CHAOS", str(path))
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "99")
+        monkeypatch.setenv("REPRO_CHAOS_SEED", "abc")   # no longer read
+        check_env()
         sim = Simulator(seed=1)
-        topo = dumbbell(sim, n_pairs=1)
-        assert sim.chaos.plan.seed == 99
+        dumbbell(sim, n_pairs=1)
+        assert sim.chaos.plan.seed == 4
 
     def test_no_env_no_controller(self):
         sim = Simulator(seed=1)
@@ -322,42 +353,53 @@ class TestAmbientActivation:
 
 class TestDeterminism:
     def test_same_plan_same_seed_bit_identical(self):
-        first = run_point("loss-burst", seed=7, digest=True, **SMALL)
-        second = run_point("loss-burst", seed=7, digest=True, **SMALL)
-        assert first["trace_digest"] == second["trace_digest"]
+        def traced():
+            (cell,) = _cells("loss-burst", [7], SMALL)
+            with obs.capture(trace=True) as cap:
+                row = cell.task.call()
+            return row, trace_digest([r for reg in cap.registries
+                                      for t in reg.tracers
+                                      for r in t.records])
+        first, second = traced(), traced()
+        assert first[1] == second[1]
         assert first == second
 
     def test_serial_matches_parallel(self, tmp_path):
-        from repro.experiments.runner import run_sweep
-        points = [{"scenario": "link-flap", "seed": s} for s in (1, 2)]
-        common = dict(SMALL, digest=True)
-        with runtime.using(parallel=0, cache_enabled=False):
-            serial = run_sweep(run_point, points, common=common)
-        with runtime.using(parallel=2, cache_enabled=False):
-            parallel = run_sweep(run_point, points, common=common)
-        assert serial == parallel
+        scenario = cli._chaos_scenario(None, "link-flap", SMALL)
+
+        def sweep(parallel):
+            with runtime.using(parallel=parallel, cache_enabled=False,
+                               audit=True):
+                results = sc.run_matrix(scenario, seeds=[1, 2]).results
+            # The audit payload counts every event, transmit and enqueue of
+            # the run: as sharp a fingerprint of the wire as a digest.
+            return [(r.value, r.probes["audit"]) for r in results]
+        assert sweep(0) == sweep(2)
 
 
 # -- the acceptance bar: k=4 fat-tree link-flap recovery -------------------
 
 class TestRecoveryAcceptance:
     def test_link_flap_recovers_goodput(self):
-        row = run_point("link-flap", seed=1)
+        row = _run_cell("link-flap", seed=1)
         assert row["violations"] == 0
         assert row["stalled"] == 0
         # The fault must actually bite before recovery means anything.
         assert row["low_gbps"] < RECOVERY_FRACTION * row["pre_gbps"]
         assert row["recovery_ms"] >= 0
         assert row["recovered_frac"] >= RECOVERY_FRACTION
-        assert row["ok"]
+        assert recovered(row)
 
     def test_watchdog_recovers_without_routing(self):
         """Reconvergence slower than the run: flows must re-hash themselves
         off the dead path (transport watchdog, not routing)."""
         # All 8 flows so the flapped link is on someone's path at this seed
-        # (re-pinned when per-flow/per-host RNG streams changed trajectories).
-        row = run_point("link-flap", seed=5, reconverge_delay_ps=100 * MS,
-                        **dict(SMALL, n_flows=8))
+        # (re-pinned when per-flow/per-host RNG streams changed trajectories,
+        # and again, 5 -> 3, when the harness became the matrix cell, whose
+        # flows all start at t=0: of seeds 1-8 at this scale only 3 and 8
+        # fire the watchdog before the 1 ms flap is over).
+        row = _run_cell("link-flap", seed=3, sets=SMALL + [
+            "workload.n_flows=8", f"chaos.reconverge_delay_ps={100 * MS}"])
         assert row["recoveries"] > 0 and row["rehashes"] > 0
         assert row["stalled"] == 0
         assert row["violations"] == 0
@@ -367,7 +409,7 @@ class TestRecoveryAcceptance:
                                   "loss-burst", "credit-misconfig",
                                   "host-jitter"}
         with pytest.raises(ValueError, match="unknown chaos scenario"):
-            run_point("cosmic-rays", **SMALL)
+            plan_for("cosmic-rays")
 
 
 # -- CLI surface ------------------------------------------------------------
@@ -386,7 +428,101 @@ class TestChaosCLI:
     def test_emit_plan(self, tmp_path, capsys):
         path = tmp_path / "flap.json"
         assert cli_main(["chaos", "link-flap", "--seed", "3",
+                         "--set", f"chaos.duration_ps={2 * MS}",
                          "--emit-plan", str(path)]) == 0
         plan = FaultPlan.load(path)
         assert plan.name == "link-flap" and plan.seed == 3
-        assert any(ev.kind == "link_flap" for ev in plan.events)
+        # The window is the bundled spec's (fault at 6 ms), as --set edits it.
+        assert [(ev.kind, ev.t_ps, ev.down_ps) for ev in plan.events] == \
+            [("link_flap", 6 * MS, 2 * MS)]
+
+    def test_verb_compiles_the_bundled_specs_own_cells(self):
+        """Same task, not a similar one: no simulation, identities only."""
+        bundled = sc.compile_scenario(sc.load(sc.resolve_spec(
+            "fabric_chaos_recovery")), seeds=(1, 2))
+        for name in SCENARIOS:
+            theirs = bundled.filtered(f"protocol=expresspass scenario={name}")
+            mine = _cells(name, (1, 2))
+            assert len(mine) == 2
+            assert [c.task.identity for c in mine] == \
+                [c.task.identity for c in theirs.cells]
+            assert [c.label for c in mine] == [c.label for c in theirs.cells]
+
+    GOOD = dict(seed=1, pre_gbps=27.0, low_gbps=19.0, post_gbps=27.0,
+                recovered_frac=1.0, recovery_ms=1.0, stalled=0, rehashes=0,
+                recoveries=0)
+
+    @pytest.mark.parametrize("flaw,violations,status", [
+        ({}, 0, 0),
+        ({"stalled": 1}, 0, 1),
+        ({"recovery_ms": -1.0}, 0, 1),
+        ({"recovered_frac": 0.89}, 0, 1),
+        ({}, 1, 1),
+    ])
+    def test_gate_is_a_function_of_the_rows(self, flaw, violations, status,
+                                            monkeypatch, capsys):
+        from repro.runtime import TaskResult
+        row = dict(self.GOOD, **flaw)
+        assert recovered(dict(row, violations=violations)) is (status == 0)
+        verdict = {"runs": 1, "checks": {}, "ok": not violations,
+                   "violations": [{"invariant": "x", "subject": "y",
+                                   "time_ps": 0, "message": "z"}] * violations}
+        results = [TaskResult(0, "good", value=dict(self.GOOD),
+                              probes={"audit": {"runs": 1, "checks": {},
+                                                "violations": [], "ok": True}}),
+                   TaskResult(1, "flawed", value=row,
+                              probes={"audit": verdict})]
+
+        def fake_run_matrix(scenario, seeds=None, cell_filter=None):
+            from repro.runtime import probes
+            for res in results:
+                probes.bank(res.label, res.probes)
+            return sc.MatrixOutcome(matrix=None, results=results, report=None)
+        monkeypatch.setattr(sc, "run_matrix", fake_run_matrix)
+        assert cli_main(["chaos", "link-flap", "--seeds", "1,2",
+                         "--json"]) == status
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["ok"] for r in rows] == [True, status == 0]
+        assert rows[1]["violations"] == violations
+
+    @pytest.mark.parametrize("item,field", [
+        ("chaos.bogus=1", "chaos: "),
+        ("chaos.fault_ps=1000", "chaos.fault_ps: "),
+        ("chaos.duration_ps=abc", "chaos.duration_ps: "),
+    ])
+    def test_bad_set_is_a_field_addressed_line_before_any_task(
+            self, item, field, monkeypatch, capsys):
+        from repro.scenarios import matrix
+
+        def unreachable(plan):
+            raise AssertionError("a task was started")
+        monkeypatch.setattr(matrix, "run_tasks", unreachable)
+        assert cli_main(["chaos", "link-flap", "--set", item]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert field in err.splitlines()[0]
+
+    def test_verb_inherits_pool_and_journal(self, tmp_path, capsys):
+        from repro.resilience import journal as run_journal
+        log = tmp_path / "j.jsonl"
+        argv = ["chaos", "link-flap", "--seeds", "1,2", "--parallel", "2",
+                "--journal", str(log), "--json"]
+        for item in SMALL:
+            argv += ["--set", item]
+        assert cli_main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["seed"] for r in rows] == [1, 2]
+        assert all(r["ok"] and r["violations"] == 0 for r in rows)
+        events = [e["event"] for e in run_journal.load_journal(log).events]
+        assert events.count("task_done") == 2
+
+    def test_twin_harness_is_gone_not_hidden(self, capsys):
+        import inspect
+        from repro.chaos import scenarios as chaos_scenarios
+        from repro.scenarios import cells
+        assert not hasattr(chaos_scenarios, "run_point")
+        assert not hasattr(chaos_scenarios, "run")
+        assert "RECOVERY_FRACTION" in inspect.getsource(cells._persistent_row)
+        with pytest.raises(SystemExit):
+            cli_main(["chaos", "--help"])
+        assert "--retries" in capsys.readouterr().out

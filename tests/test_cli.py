@@ -236,3 +236,51 @@ class TestScenarioCli:
         assert err.splitlines()[-1] == (
             f"repro: error: --seeds expects comma-separated integers, "
             f"got {token!r}")
+
+
+class TestOutputPaths:
+    """Every flag that names an output file is checked before any work."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["matrix", "smoke_mini"], "--report-jsonl"),
+        (["matrix", "smoke_mini"], "--report-csv"),
+        (["matrix", "smoke_mini"], "--obs-jsonl"),
+        (["matrix", "smoke_mini"], "--trace"),
+        (["run", "fig12"], "--trace"),
+        (["obs", "fig12"], "--jsonl"),
+        (["obs", "fig12"], "--csv"),
+        (["obs", "fig12"], "--prom"),
+        (["obs", "fig12"], "--pcap"),
+        (["chaos", "link-flap"], "--emit-plan"),
+    ])
+    def test_unwritable_path_is_one_line_exit_2_before_the_first_task(
+            self, argv, flag, tmp_path, monkeypatch, capsys):
+        from repro.runtime import scheduler
+
+        def unreachable(*a, **k):
+            raise AssertionError("a task was started")
+        monkeypatch.setattr(scheduler, "_call", unreachable)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        dest = blocker / "out.dat"      # under a regular file: unwritable
+        journal = tmp_path / "j.jsonl"
+        assert main(argv + [flag, str(dest), "--journal", str(journal)]) == 2
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        assert out == "" and line.startswith(f"repro: {flag}={dest}: ")
+        assert not journal.exists()     # no meta, no task_queued
+
+    def test_missing_parent_directory_is_created(self, tmp_path, capsys):
+        from repro import scenarios
+
+        dest = tmp_path / "not" / "yet" / "report.jsonl"
+        assert main(["matrix", "fig15_flow_scalability", "--backend", "fluid",
+                     "--filter", "protocol=expresspass n_flows=4",
+                     "--report-jsonl", str(dest)]) == 0
+        assert scenarios.validate_report_jsonl(dest)["records"]["cell"] == 1
+
+    def test_probe_leaves_no_file_behind(self, tmp_path, capsys):
+        dest = tmp_path / "new" / "report.csv"
+        assert main(["matrix", "fig99_imaginary",
+                     "--report-csv", str(dest)]) == 1
+        assert dest.parent.is_dir() and not dest.exists()

@@ -329,7 +329,6 @@ class TestConfig:
     @pytest.mark.parametrize("name,value", [
         ("REPRO_TASK_TIMEOUT", "abc"),
         ("REPRO_TASK_TIMEOUT", "-5"),
-        ("REPRO_CHAOS_SEED", "abc"),
         ("REPRO_METRICS_INTERVAL_PS", "1ms"),
     ])
     def test_cli_reports_hostile_env_in_one_line_and_exits_2(

@@ -71,6 +71,16 @@ class TestRunMatrix:
             run_matrix(s, cell_filter="protocol=quic")
         assert exc.value.errors[0][0] == "<filter>"
 
+    def test_values_keeps_good_rows_and_refuses_an_all_failed_matrix(self):
+        from repro.runtime import SweepError, TaskResult
+        good, bad = TaskResult(0, "a", value={"x": 1}), \
+            TaskResult(1, "b", error="boom")
+        partly = scenarios.MatrixOutcome(None, [good, bad], None)
+        assert partly.values() == [{"x": 1}]
+        with pytest.raises(SweepError) as info:
+            scenarios.MatrixOutcome(None, [bad, bad], None).values()
+        assert len(info.value.failures) == 2
+
     def test_seeds_override_is_innermost(self):
         s = Scenario.from_dict(tiny_spec(name="tiny-seeds"))
         out = run_matrix(s, seeds=[3, 4], cell_filter="protocol=expresspass")
@@ -148,3 +158,11 @@ class TestChaosCells:
         assert row["pre_gbps"] > 0
         # recovered_frac is post/pre goodput, so it can overshoot 1.0 a bit.
         assert row["recovered_frac"] > 0.0
+        # The columns `repro chaos` gates on ride only on cells with a plan.
+        extra = {"post_gbps", "stalled", "rehashes", "recoveries"}
+        assert extra <= set(row)
+        assert row["stalled"] == 0
+        del spec["chaos"]
+        spec["timing"]["measure_ps"] = 2_000_000_000
+        plain = run_matrix(Scenario.from_dict(spec)).report.rows[0]
+        assert not extra & set(plain)
