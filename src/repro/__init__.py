@@ -16,60 +16,26 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced table and figure.
 """
 
-from repro.sim import Simulator
-from repro.sim.units import GBPS, KB, MB, MS, NS, PS, SEC, US
-from repro.core import (
-    CreditFeedbackControl,
-    ExpressPassFlow,
-    ExpressPassParams,
-    ReceiverState,
-    SenderState,
-    max_credit_rate_cps,
-)
-from repro.transport import (
-    CubicFlow,
-    DcqcnFlow,
-    DctcpFlow,
-    DxFlow,
-    Flow,
-    HullFlow,
-    IdealFlow,
-    OracleRateController,
-    RcpFlow,
-    RenoFlow,
-    TimelyFlow,
-    install_dcqcn_marking,
-    install_phantom_queues,
-    install_rcp,
-)
-from repro.topology import (
-    LinkSpec,
-    Network,
-    dumbbell,
-    fat_tree,
-    multi_bottleneck,
-    oversubscribed_clos,
-    parking_lot,
-    single_switch,
-)
-from repro.metrics import (
-    FctStats,
-    fct_stats_by_bucket,
-    jain_index,
-    percentile,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Simulator",
-    "PS", "NS", "US", "MS", "SEC", "KB", "MB", "GBPS",
-    "ExpressPassFlow", "ExpressPassParams", "CreditFeedbackControl",
-    "max_credit_rate_cps", "SenderState", "ReceiverState",
-    "Flow", "RenoFlow", "CubicFlow", "DctcpFlow", "HullFlow", "DxFlow",
-    "RcpFlow", "IdealFlow", "OracleRateController", "DcqcnFlow", "TimelyFlow",
-    "install_rcp", "install_phantom_queues", "install_dcqcn_marking",
-    "Network", "LinkSpec", "dumbbell", "single_switch", "parking_lot",
-    "multi_bottleneck", "fat_tree", "oversubscribed_clos",
-    "jain_index", "percentile", "FctStats", "fct_stats_by_bucket",
-]
+#: Home module -> the public names it defines, imported on first access.
+_HOMES = {
+    "repro.sim.engine": ("Simulator",),
+    "repro.sim.units": ("PS", "NS", "US", "MS", "SEC", "KB", "MB", "GBPS"),
+    "repro.core": (
+        "ExpressPassFlow", "ExpressPassParams", "CreditFeedbackControl",
+        "max_credit_rate_cps", "SenderState", "ReceiverState"),
+    "repro.transport": (
+        "Flow", "RenoFlow", "CubicFlow", "DctcpFlow", "HullFlow", "DxFlow",
+        "RcpFlow", "IdealFlow", "OracleRateController", "DcqcnFlow",
+        "TimelyFlow", "install_rcp", "install_phantom_queues",
+        "install_dcqcn_marking"),
+    "repro.topology": (
+        "Network", "LinkSpec", "dumbbell", "single_switch", "parking_lot",
+        "multi_bottleneck", "fat_tree", "oversubscribed_clos"),
+    "repro.metrics": (
+        "jain_index", "percentile", "FctStats", "fct_stats_by_bucket"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _HOMES)

@@ -39,7 +39,6 @@ import pathlib
 import sys
 from typing import Callable, Dict
 
-from repro.experiments import ExperimentResult, format_table
 from repro import runtime
 from repro.resilience import journal as run_journal
 from repro.runtime import probes
@@ -239,6 +238,7 @@ def _print_result(result, as_json: bool) -> None:
         print(json.dumps({"name": result.name, "rows": result.rows,
                           "meta": result.meta}, indent=2, default=str))
     else:
+        from repro.experiments.table import format_table
         print(format_table(result))
 
 
@@ -749,6 +749,7 @@ def _cli(argv=None) -> int:
             return _interrupted_exit(journal, signame, args.command)
         merged = {name: sess.merged(name) for name in sess.names}
         if gated:
+            from repro.experiments.table import ExperimentResult
             rows = []
             for res in outcome.results:
                 if res.error is None:

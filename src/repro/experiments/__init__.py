@@ -8,25 +8,13 @@ for the scaling substitution); pass larger parameters to approach paper
 scale.
 """
 
-from repro.experiments.runner import (
-    PROTOCOLS,
-    ExperimentResult,
-    ProtocolHarness,
-    format_table,
-    get_harness,
-)
+from repro._lazy import lazy_exports
 
-from repro.experiments import (  # noqa: F401  (re-exported experiment modules)
-    ablations,
-    rdma_comparison,
-)
-
-__all__ = [
-    "ExperimentResult",
-    "ProtocolHarness",
-    "PROTOCOLS",
-    "get_harness",
-    "format_table",
-    "ablations",
-    "rdma_comparison",
-]
+_HOMES = {
+    "repro.experiments.table": ("ExperimentResult", "format_table"),
+    "repro.vocab": ("PROTOCOLS",),
+    "repro.experiments.runner": ("ProtocolHarness", "get_harness"),
+    "repro.experiments.ablations": ("ablations",),
+    "repro.experiments.rdma_comparison": ("rdma_comparison",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _HOMES)

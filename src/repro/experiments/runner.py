@@ -11,10 +11,11 @@ topologies and arrival sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core import ExpressPassFlow, ExpressPassParams
+from repro.experiments.table import ExperimentResult, format_table  # noqa: F401
 from repro.runtime import SweepError, SweepPlan, run_tasks
 from repro.net.host import Host
 from repro.sim.engine import Simulator
@@ -37,42 +38,7 @@ from repro.transport import (
     install_rcp,
 )
 from repro.transport.dctcp import dctcp_gain, dctcp_marking_threshold_bytes
-
-
-@dataclass
-class ExperimentResult:
-    """A reproduced table/figure: named rows ready for printing."""
-
-    name: str
-    columns: List[str]
-    rows: List[dict]
-    meta: dict = field(default_factory=dict)
-
-    def column(self, key: str) -> list:
-        return [row.get(key) for row in self.rows]
-
-
-def format_table(result: ExperimentResult, float_fmt: str = "{:.4g}") -> str:
-    """Render an ExperimentResult as an aligned text table."""
-    def fmt(value) -> str:
-        if isinstance(value, float):
-            return float_fmt.format(value)
-        return str(value)
-
-    header = result.columns
-    body = [[fmt(row.get(col, "")) for col in header] for row in result.rows]
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = [
-        "== " + result.name + " ==",
-        "  ".join(h.ljust(w) for h, w in zip(header, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for r in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-    return "\n".join(lines)
+from repro.vocab import PROTOCOLS
 
 
 def run_sweep(
@@ -140,21 +106,6 @@ class ProtocolHarness:
         kwargs = dict(self._flow_kwargs)
         kwargs.update(overrides)
         return self._flow_factory(src, dst, size_bytes, start_ps, **kwargs)
-
-
-PROTOCOLS = (
-    "expresspass",
-    "expresspass-naive",
-    "dctcp",
-    "rcp",
-    "hull",
-    "dx",
-    "reno",
-    "cubic",
-    "ideal",
-    "dcqcn",   # RDMA baselines (§8): run over a PFC lossless fabric
-    "timely",
-)
 
 
 def get_harness(

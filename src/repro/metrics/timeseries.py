@@ -12,10 +12,12 @@ interval is not silently dropped.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.sim.engine import Simulator
 from repro.sim.units import SEC
+
+if TYPE_CHECKING:  # fluid cells fold rows with repro.metrics, engine-free
+    from repro.sim.engine import Simulator
 
 
 class QueueSampler:

@@ -209,8 +209,8 @@ class MetricsRegistry:
         if reg is None:
             reg = cls(sim, snapshot_interval_ps)
             sim.metrics = reg
-            from repro import obs
-            obs._note_registry(reg)
+            from repro.obs import plane
+            plane._note_registry(reg)
         return reg
 
     # -- named instruments --------------------------------------------------

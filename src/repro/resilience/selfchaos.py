@@ -38,7 +38,6 @@ import hashlib
 import os
 import re
 import signal
-import tempfile
 import time
 from typing import List, Optional, Tuple
 
@@ -70,6 +69,8 @@ def _marker_dir() -> str:
     explicit = os.environ.get(ENV_DIR)
     if explicit:
         return explicit
+    import tempfile
+
     tag = hashlib.sha1(os.environ.get(ENV_VAR, "").encode()).hexdigest()[:10]
     return os.path.join(tempfile.gettempdir(), f"repro-selfchaos-{tag}")
 

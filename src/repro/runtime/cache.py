@@ -25,7 +25,7 @@ import json
 import os
 import pathlib
 import pickle
-import tempfile
+import sys
 import time
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
@@ -36,16 +36,33 @@ _SENTINEL = object()
 
 
 @functools.lru_cache(maxsize=None)
-def _package_fingerprint() -> str:
-    """Hash of all repro package sources (computed once per process)."""
+def _package_root() -> str:
     import repro
 
-    root = pathlib.Path(repro.__file__).parent
+    return os.path.dirname(repro.__file__)
+
+
+def _tree_fingerprint(root: str) -> str:
+    """Hash of every ``.py`` file under ``root`` — its path relative to
+    ``root``, then its bytes — in path-component order.  An exact content
+    hash: no mtime or size shortcut, so any source edit changes it."""
+    sources = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+        sources += [os.path.join(dirpath, name) for name in filenames
+                    if name.endswith(".py")]
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        digest.update(str(path.relative_to(root)).encode())
-        digest.update(path.read_bytes())
+    for path in sorted(sources, key=lambda p: p.split(os.sep)):
+        digest.update(path[len(root) + 1:].encode())
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
     return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _package_fingerprint() -> str:
+    """Hash of all repro package sources (computed once per process)."""
+    return _tree_fingerprint(_package_root())
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,15 +79,13 @@ def code_fingerprint(fn: Optional[Callable] = None) -> str:
     """Fingerprint of the code a task's result depends on."""
     parts = [_package_fingerprint()]
     if fn is not None:
-        import repro
-        import sys
-
         module = sys.modules.get(getattr(fn, "__module__", ""), None)
         module_file = getattr(module, "__file__", None)
-        if module_file:
-            pkg_root = str(pathlib.Path(repro.__file__).parent)
-            if not str(pathlib.Path(module_file)).startswith(pkg_root):
-                parts.append(_module_fingerprint(module_file))
+        # Inside the package means below its directory: a sibling such as
+        # ``src/repro_ext/`` shares the prefix but none of the fingerprint.
+        if module_file and not os.path.normpath(module_file).startswith(
+                _package_root() + os.sep):
+            parts.append(_module_fingerprint(module_file))
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
@@ -124,6 +139,8 @@ class ResultCache:
         """A temp file in the cache directory.  The directory is made when
         it is found missing — a cache's first write, or removed under a
         running sweep — not re-asserted with a ``mkdir`` per entry."""
+        import tempfile
+
         try:
             return tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         except FileNotFoundError:

@@ -29,12 +29,10 @@ serially inside its worker rather than forking a nested pool.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.resilience import selfchaos
@@ -163,6 +161,8 @@ class _Worker:
 
     def __init__(self, siblings: Sequence["_Worker"]):
         """Start the process; ``OSError`` when the OS refuses one."""
+        import multiprocessing
+
         self.task: Optional[Tuple[int, float]] = None
         self.conn, child_end = multiprocessing.Pipe()
         self.proc = multiprocessing.Process(
@@ -328,6 +328,8 @@ def _run_serial(specs, indices, results, config, tel, cache, keys,
 def _run_pool(specs, indices, results, config, tel, cache, keys,
               names: Tuple[str, ...] = ()) -> List[int]:
     """Run ``indices`` on worker processes; returns indices left for serial."""
+    from multiprocessing.connection import wait
+
     attempts = {i: 0 for i in indices}
     queue = deque(indices)  # not (or, after a backoff, not again) sent yet
     #: index -> monotonic deadline for a backoff-deferred resubmission.

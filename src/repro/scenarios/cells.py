@@ -14,39 +14,34 @@ families; its dumbbell branch is *the* implementation behind
 makes the spec-compiled fig15 path bit-identical to the hand-written one.
 ``run_poisson`` wraps :func:`repro.experiments.realistic.run_realistic`
 (Fig 18–21 / Table 3 machinery) and flattens the result to a plain dict.
+
+Compiling a matrix *names* these functions; only a cache miss *calls* one.
+So the module's top level imports the units and nothing else, and each
+function imports the simulator half it drives when it runs (DESIGN §16) —
+a fully cached ``repro matrix`` never loads the packet engine.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core import ExpressPassParams
-from repro.core.params import REALISTIC_WORKLOAD_PARAMS
-from repro.metrics import jain_index
-from repro.metrics.fct import FctStats
-from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, MS, SEC, US
-from repro.topology import (
-    LinkSpec,
-    dumbbell,
-    fat_tree,
-    multi_bottleneck,
-    parking_lot,
-    single_switch,
-)
 
-#: ExpressPass parameter profiles selectable from a spec.
-EP_PROFILES: Dict[str, Optional[ExpressPassParams]] = {
-    "default": None,
-    "realistic": REALISTIC_WORKLOAD_PARAMS,
-}
+if TYPE_CHECKING:
+    from repro.core import ExpressPassParams
+    from repro.sim.engine import Simulator
+    from repro.topology import LinkSpec
 
 
 def resolve_ep_profile(profile: str) -> Optional[ExpressPassParams]:
-    if profile not in EP_PROFILES:
+    """The ExpressPass parameter profile a spec selects by name."""
+    from repro.core.params import REALISTIC_WORKLOAD_PARAMS
+
+    profiles = {"default": None, "realistic": REALISTIC_WORKLOAD_PARAMS}
+    if profile not in profiles:
         raise ValueError(f"unknown ep_profile {profile!r}; "
-                         f"choose from {sorted(EP_PROFILES)}")
-    return EP_PROFILES[profile]
+                         f"choose from {sorted(profiles)}")
+    return profiles[profile]
 
 
 def _attach_chaos(sim: Simulator, net, chaos_plan: Optional[dict]):
@@ -73,6 +68,9 @@ def _persistent_fabric(sim: Simulator, topology: str, n_flows: int,
     the sum of chain links; star and fat tree: the sum of per-pair edge
     capacity, since no single link is shared).
     """
+    from repro.topology import (
+        dumbbell, fat_tree, multi_bottleneck, parking_lot, single_switch)
+
     rate = spec.rate_bps
     if topology == "dumbbell":
         topo = dumbbell(sim, n_pairs=n_flows, bottleneck=spec)
@@ -135,6 +133,8 @@ def _persistent_row(protocol: str, n_flows: int, topology: str, seed: int,
     """Fold raw measurements (per-flow rates in flow-creation order, the
     per-bin delivered-byte totals, the cell's ChaosController or ``None``)
     into the cell's result row."""
+    from repro.metrics.fairness import jain_index
+
     gbps = _goodput_gbps(totals, bin_ps)
     steady = sum(rates) / 1e9
     threshold = 0.9 * (steady if steady > 0 else float("inf"))
@@ -213,6 +213,8 @@ def run_persistent(
     """
     from repro.experiments.runner import get_harness
     from repro.obs import trace as obs_trace
+    from repro.sim.engine import Simulator
+    from repro.topology import LinkSpec
     tracer = obs_trace.emit_target()
 
     build_t0 = tracer.now_us() if tracer is not None else 0.0
@@ -309,6 +311,7 @@ def run_poisson(
     so the fig19 table and the matrix report both read off one shape.
     """
     from repro.experiments.realistic import run_realistic
+    from repro.metrics.fct import FctStats
     from repro.obs import trace as obs_trace
     tracer = obs_trace.emit_target()
     run_t0 = tracer.now_us() if tracer is not None else 0.0

@@ -169,7 +169,7 @@ def build_report(scenario_name: str, rows: List[dict],
 
 def format_report(report: MatrixReport, float_fmt: str = "{:.4g}") -> str:
     """The ranked comparison as an aligned text table."""
-    from repro.experiments.runner import ExperimentResult, format_table
+    from repro.experiments.table import ExperimentResult, format_table
 
     key = _short(report.compare)
     columns = ["rank", key, "cells"]

@@ -13,10 +13,10 @@ normalized form (defaults filled, sections ordered), and
 ``Scenario.from_dict(s.to_dict()) == s`` — the round-trip the test suite
 pins.
 
-Vocabularies are imported from the subsystems that own them: transports from
-:data:`repro.experiments.runner.PROTOCOLS`, workload distributions from
-:data:`repro.workloads.WORKLOADS`, named fault scenarios from
-:data:`repro.chaos.scenarios.SCENARIOS` — a new transport or chaos scenario
+Vocabularies are not restated here: transports and workload distributions
+come from :mod:`repro.vocab` (the stdlib-only leaf their implementing modules
+re-export), named fault scenarios from :data:`repro.chaos.scenarios.SCENARIOS`
+once a spec has a ``chaos`` section — a new transport or chaos scenario
 becomes sweepable with no schema change.
 """
 
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sim.units import GBPS, MS, SEC, US
+from repro.vocab import DISTRIBUTIONS, PROTOCOLS
 
 #: The one schema version this loader understands.
 SCHEMA = "repro.scenarios/v1"
@@ -256,8 +257,6 @@ def _validate_topology(chk: _Check, data: dict) -> dict:
 
 
 def _validate_workload(chk: _Check, data: dict, topology: dict) -> dict:
-    from repro.workloads import WORKLOADS
-
     wl = _require_map(chk, data.get("workload"), "workload")
     kind = wl.get("kind", "persistent")
     if kind not in WORKLOAD_KINDS:
@@ -292,10 +291,10 @@ def _validate_workload(chk: _Check, data: dict, topology: dict) -> dict:
                  "poisson workloads run on the oversubscribed Clos; set "
                  "topology.kind: clos")
     dist = wl.get("distribution", "web_search")
-    if dist not in WORKLOADS:
+    if dist not in DISTRIBUTIONS:
         chk.fail("workload.distribution",
                  f"unknown distribution {dist!r}; "
-                 f"choose from {sorted(WORKLOADS)}")
+                 f"choose from {sorted(DISTRIBUTIONS)}")
     load = wl.get("load", 0.6)
     if isinstance(load, bool) or not isinstance(load, (int, float)) \
             or not 0 < load <= 1:
@@ -309,8 +308,6 @@ def _validate_workload(chk: _Check, data: dict, topology: dict) -> dict:
 
 
 def _validate_transport(chk: _Check, data: dict) -> dict:
-    from repro.experiments.runner import PROTOCOLS
-
     tr = _require_map(chk, data.get("transport"), "transport")
     _unknown_keys(chk, tr, ("protocol", "ep_profile"), "transport")
     protocol = tr.get("protocol", "expresspass")
@@ -343,12 +340,12 @@ def _validate_timing(chk: _Check, data: dict, workload_kind: str) -> dict:
 
 def _validate_chaos(chk: _Check, data: dict, topology: dict,
                     base_dir: Optional[pathlib.Path]) -> Optional[dict]:
-    from repro.chaos.plan import event_from_dict
-    from repro.chaos.scenarios import SCENARIOS
-
     raw = data.get("chaos")
     if raw is None:
         return None
+    from repro.chaos.plan import event_from_dict
+    from repro.chaos.scenarios import SCENARIOS
+
     chaos = _require_map(chk, raw, "chaos")
     modes = [m for m in ("scenario", "plan", "events") if m in chaos]
     if len(modes) != 1:

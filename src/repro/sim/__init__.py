@@ -6,37 +6,12 @@ seeded random streams.  Everything else in :mod:`repro` (links, switches,
 transports) is built on top of it.
 """
 
-from repro.sim.engine import Event, Simulator
-from repro.sim.units import (
-    GBPS,
-    KB,
-    MB,
-    MS,
-    NS,
-    PS,
-    SEC,
-    US,
-    bits_to_ps,
-    fmt_time,
-    ps_to_seconds,
-    seconds_to_ps,
-    tx_time_ps,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "Simulator",
-    "PS",
-    "NS",
-    "US",
-    "MS",
-    "SEC",
-    "KB",
-    "MB",
-    "GBPS",
-    "bits_to_ps",
-    "tx_time_ps",
-    "ps_to_seconds",
-    "seconds_to_ps",
-    "fmt_time",
-]
+_HOMES = {
+    "repro.sim.engine": ("Event", "Simulator"),
+    "repro.sim.units": (
+        "PS", "NS", "US", "MS", "SEC", "KB", "MB", "GBPS", "bits_to_ps",
+        "tx_time_ps", "ps_to_seconds", "seconds_to_ps", "fmt_time"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _HOMES)

@@ -1,0 +1,146 @@
+"""Import budget (DESIGN.md §16): a verb imports what it executes.
+
+Each check runs in a fresh interpreter — ``sys.modules`` of the test
+process says nothing, the suite has long since imported everything — with
+a ``sys.meta_path`` spy that notes, for every module, who asked for it
+first.  A failure therefore reads ``repro.sim.engine (imported by
+repro.scenarios.cells)``: the module that broke the budget *and* the line
+of the import graph to cut.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+#: Runs ``BODY`` under the spy, then writes what got loaded to ``OUT``.
+_CHILD = r"""
+import json, sys
+
+pulled = {}
+
+class _Spy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_globals.get(
+                "__name__", "").startswith("importlib"):
+            frame = frame.f_back
+        pulled.setdefault(
+            name, frame.f_globals.get("__name__", "?") if frame else "?")
+        return None
+
+sys.meta_path.insert(0, _Spy)
+out = None
+BODY
+with open(sys.argv[1], "w") as fh:
+    json.dump({"loaded": sorted(sys.modules), "pulled": pulled, "out": out},
+              fh)
+"""
+
+#: ``cli.main(argv)`` with stdout captured into ``out``.
+_MAIN = """
+import contextlib, io
+from repro import cli
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    rc = cli.main(sys.argv[2:])
+out = {"rc": rc, "stdout": buf.getvalue()}
+"""
+
+#: What no warm path may load: the packet simulator and the worker pool.
+SIMULATOR = ("repro.sim.engine", "repro.net", "repro.experiments.runner",
+             "multiprocessing")
+
+
+def _env(tmp_path) -> dict:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    return dict(env, PYTHONPATH=str(REPO / "src"),
+                REPRO_CACHE_DIR=str(tmp_path / "cache"), REPRO_PROGRESS="0")
+
+
+def _spy(tmp_path, body: str, *argv: str) -> dict:
+    out = tmp_path / "modules.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD.replace("BODY", body), str(out), *argv],
+        capture_output=True, text=True, env=_env(tmp_path), cwd=str(REPO),
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(out.read_text())
+
+
+def _assert_not_loaded(doc: dict, forbidden, what: str) -> None:
+    offenders = [
+        f"{mod} (imported by {doc['pulled'].get(mod, '?')})"
+        for mod in doc["loaded"]
+        if any(mod == root or mod.startswith(root + ".")
+               for root in forbidden)]
+    assert not offenders, f"{what} loaded " + ", ".join(offenders)
+
+
+def _spec(tmp_path, backend: str) -> str:
+    path = tmp_path / f"budget_{backend}.json"
+    path.write_text(json.dumps({
+        "schema": "repro.scenarios/v1",
+        "name": f"budget_{backend}",
+        "backend": backend,
+        "topology": {"kind": "dumbbell", "rate_bps": 10_000_000_000},
+        "workload": {"kind": "persistent", "n_flows": 2},
+        "timing": {"warmup_ps": 200_000_000, "measure_ps": 300_000_000,
+                   "bin_ps": 100_000_000},
+        "seeds": [1],
+        "sweep": {"transport.protocol": ["expresspass", "dctcp"]},
+        "report": {"compare": "transport.protocol"},
+    }))
+    return str(path)
+
+
+def test_importing_the_cli_stays_inside_the_front_end(tmp_path):
+    doc = _spy(tmp_path, "import repro.cli")
+    ours = [m for m in doc["loaded"] if m == "repro" or m.startswith("repro.")]
+    assert len(ours) <= 20, f"import repro.cli loaded {len(ours)}: {ours}"
+    _assert_not_loaded(
+        doc, ("repro.sim.engine", "repro.net", "repro.transport",
+              "repro.topology", "repro.core", "repro.experiments",
+              "repro.chaos", "multiprocessing"), "import repro.cli")
+
+
+@pytest.mark.parametrize("backend", ["fluid", "packet"])
+def test_fully_cached_matrix_never_loads_the_simulator(tmp_path, backend):
+    spec = _spec(tmp_path, backend)
+    prime = subprocess.run(
+        [sys.executable, "-m", "repro", "matrix", spec],
+        capture_output=True, text=True, env=_env(tmp_path), cwd=str(REPO),
+        timeout=300)
+    assert prime.returncode == 0, prime.stderr
+    doc = _spy(tmp_path, _MAIN, "matrix", spec, "--json",
+               "--report-jsonl", str(tmp_path / "report.jsonl"),
+               "--report-csv", str(tmp_path / "report.csv"))
+    assert doc["out"]["rc"] == 0
+    meta = json.loads(doc["out"]["stdout"])["meta"]
+    assert meta["cached"] == meta["cells"] == 2, meta
+    _assert_not_loaded(doc, SIMULATOR, f"cached {backend} matrix")
+
+
+def test_fluid_cells_execute_without_the_packet_engine(tmp_path):
+    doc = _spy(tmp_path, _MAIN, "matrix", _spec(tmp_path, "fluid"),
+               "--no-cache", "--json")
+    assert doc["out"]["rc"] == 0
+    meta = json.loads(doc["out"]["stdout"])["meta"]
+    assert meta["cached"] == 0 and meta["failed"] == 0, meta
+    _assert_not_loaded(doc, SIMULATOR, "serial fluid matrix")
+
+
+def test_scenarios_validate_never_loads_the_simulator(tmp_path):
+    doc = _spy(tmp_path, _MAIN, "scenarios", "validate",
+               _spec(tmp_path, "packet"))
+    assert doc["out"]["rc"] == 0, doc["out"]
+    _assert_not_loaded(doc, SIMULATOR + ("repro.chaos",),
+                       "scenarios validate")

@@ -117,6 +117,63 @@ class TestResultCache:
         assert (cache.key_for(TaskSpec(cube, {"x": 1}))
                 == cache.key_for(TaskSpec(cube, {"x": 1})))
 
+    def test_sibling_of_the_package_is_fingerprinted(self, tmp_path,
+                                                     monkeypatch):
+        # ``src/repro_ext`` shares a string prefix with ``src/repro`` but is
+        # not inside it: its source is in neither the package hash nor —
+        # with a prefix match — the module hash, so edits never invalidated.
+        import importlib.util
+        import sys
+        from repro.runtime import cache as cache_mod
+
+        monkeypatch.setattr(cache_mod, "_package_root",
+                            lambda: str(tmp_path / "src" / "repro"))
+        monkeypatch.setattr(cache_mod, "_package_fingerprint",
+                            lambda: "the package, unchanged")
+        source = tmp_path / "src" / "repro_ext" / "tasks.py"
+        source.parent.mkdir(parents=True)
+        source.write_text("def task(x):\n    return x + 1\n")
+        spec = importlib.util.spec_from_file_location("repro_ext.tasks",
+                                                      source)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setitem(sys.modules, "repro_ext.tasks", module)
+
+        cache = ResultCache(tmp_path / "cache")
+        before = cache.key_for(TaskSpec(module.task, {"x": 1}))
+        source.write_text("def task(x):\n    return x + 2\n")
+        cache_mod._module_fingerprint.cache_clear()
+        assert cache.key_for(TaskSpec(module.task, {"x": 1})) != before
+
+    def test_package_fingerprint_is_an_exact_content_hash(self, tmp_path):
+        import hashlib
+        import os
+        import shutil
+        import repro
+        from repro.runtime import cache as cache_mod
+
+        def reference(root: pathlib.Path) -> str:
+            digest = hashlib.sha256()
+            for path in sorted(root.rglob("*.py")):
+                digest.update(str(path.relative_to(root)).encode())
+                digest.update(path.read_bytes())
+            return digest.hexdigest()
+
+        copy = tmp_path / "repro"
+        shutil.copytree(pathlib.Path(repro.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        pristine = cache_mod._tree_fingerprint(str(copy))
+        assert pristine == reference(copy) == cache_mod._package_fingerprint()
+        # One byte, same size, same mtime: only reading the file can tell.
+        victim = copy / "sim" / "units.py"
+        stat = victim.stat()
+        blob = bytearray(victim.read_bytes())
+        blob[-2] ^= 1
+        victim.write_bytes(bytes(blob))
+        os.utime(victim, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        edited = cache_mod._tree_fingerprint(str(copy))
+        assert edited != pristine and edited == reference(copy)
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache.key_for(TaskSpec(cube, {"x": 3}))
