@@ -33,30 +33,22 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Optional
 
-from repro.chaos.controller import ChaosController
-from repro.chaos.gilbert import GilbertElliott
-from repro.chaos.plan import (
-    CreditMeterFault,
-    FaultEvent,
-    FaultPlan,
-    HostJitterFault,
-    LinkDown,
-    LinkFlap,
-    LinkUp,
-    LossBurst,
-    SwitchBlackout,
-    event_from_dict,
-)
+from repro._lazy import lazy_exports
 from repro.runtime.config import env_flag, env_text
 
-__all__ = [
-    "ChaosController", "CreditMeterFault", "FaultEvent", "FaultPlan",
-    "GilbertElliott", "HostJitterFault", "LinkDown", "LinkFlap", "LinkUp",
-    "LossBurst", "SwitchBlackout", "event_from_dict", "is_active",
-    "maybe_attach",
-]
+#: The controller (→ ``repro.net`` → the engine) is imported on first use,
+#: not to list or validate scenarios (DESIGN §16); the hooks' home is here.
+_HOMES = {
+    "repro.chaos.controller": ("ChaosController",),
+    "repro.chaos.gilbert": ("GilbertElliott",),
+    "repro.chaos.plan": (
+        "CreditMeterFault", "FaultEvent", "FaultPlan", "HostJitterFault",
+        "LinkDown", "LinkFlap", "LinkUp", "LossBurst", "SwitchBlackout",
+        "event_from_dict"),
+    "repro.chaos": ("is_active", "maybe_attach"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _HOMES)
 
 #: Plan cache for the ambient path keyed on (path, mtime_ns): a sweep of N
 #: tasks in one process parses the JSON once, while an edited plan file is
@@ -69,7 +61,9 @@ def is_active() -> bool:
     return env_text("REPRO_CHAOS") is not None
 
 
-def _load_env_plan(path: str) -> FaultPlan:
+def _load_env_plan(path: str):
+    from repro.chaos.plan import FaultPlan
+
     key = (path, os.stat(path).st_mtime_ns)
     plan = _plan_cache.get(key)
     if plan is None:
@@ -79,7 +73,7 @@ def _load_env_plan(path: str) -> FaultPlan:
     return plan
 
 
-def maybe_attach(net) -> Optional[ChaosController]:
+def maybe_attach(net):
     """Attach the ambient fault plan to ``net`` if one is configured.
 
     Called by :meth:`repro.topology.network.Network.finalize`.  Reuses the
@@ -92,6 +86,8 @@ def maybe_attach(net) -> Optional[ChaosController]:
     controller = net.sim.chaos
     if controller is not None:
         return controller.attach_network(net)
+    from repro.chaos.controller import ChaosController
+
     plan = _load_env_plan(path)
     log = sys.stderr if env_flag("REPRO_CHAOS_LOG") else None
     return ChaosController(net.sim, net, plan, log=log)

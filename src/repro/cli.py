@@ -135,12 +135,10 @@ def _parse_sets(parser, items, shape: str = "KEY=VALUE") -> list:
 
 def _parse_seeds(parser, raw):
     """``--seeds S1,S2,...`` as a list of ints (``None`` when not given)."""
-    if not raw:
+    if raw is None:
         return None
-    seeds = []
-    for token in raw.split(","):
-        if not token:
-            continue
+    seeds = []  # nothing but commas: the whole text is the bad token
+    for token in [t for t in raw.split(",") if t] or [raw]:
         try:
             seeds.append(int(token))
         except ValueError:
@@ -628,6 +626,7 @@ def _cli(argv=None) -> int:
             print(f"total size: {stats['total_bytes'] / 1e6:.2f} MB"
                   f" (cap {stats['max_bytes'] / 1e6:.0f} MB)")
             print(f"torn entries pruned:    {stats['torn_pruned']}")
+            print(f"orphaned temp files:    {stats['orphan_tmp']}")
             print(f"eviction scans skipped: "
                   f"{stats['eviction_scans_skipped']}")
         else:

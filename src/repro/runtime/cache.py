@@ -10,10 +10,11 @@ correctness over cleverness, and a cold rerun of the CI-scale sweeps is
 cheap compared to debugging a stale-cache artefact.
 
 Entries are single pickle files ``<key>.pkl`` holding ``{"value", "task",
-"elapsed_s"}``, written atomically (temp file + rename) so a crashed or
-parallel writer can never leave a torn entry.  LRU state is the file mtime:
-hits re-touch the file, and eviction (size or entry-count cap, whichever
-trips first) removes oldest-touched entries.
+"elapsed_s"}``, written atomically (``<key>.<pid>.tmp`` + rename) so a
+crashed or parallel writer can never leave a torn entry — only a temp file,
+swept by a later eviction scan.  LRU state is the file mtime: hits re-touch
+the file, and eviction (size or entry-count cap, whichever trips first)
+removes oldest-touched entries.
 """
 
 from __future__ import annotations
@@ -135,17 +136,20 @@ class ResultCache:
     def _path(self, key: str) -> pathlib.Path:
         return self.directory / f"{key}.pkl"
 
-    def _mkstemp(self) -> Tuple[int, str]:
-        """A temp file in the cache directory.  The directory is made when
-        it is found missing — a cache's first write, or removed under a
-        running sweep — not re-asserted with a ``mkdir`` per entry."""
-        import tempfile
-
+    def _open_tmp(self, name: str) -> Tuple[int, str]:
+        """``<name>.<pid>.tmp``, created exclusively.  The directory is made
+        when it is found missing — a cache's first write, or removed under
+        a running sweep — not re-asserted with a ``mkdir`` per entry; a file
+        already there bears this pid, so it is a dead namesake's orphan."""
+        tmp = os.path.join(self.directory, f"{name}.{os.getpid()}.tmp")
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
         try:
-            return tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            return os.open(tmp, flags, 0o600), tmp
         except FileNotFoundError:
             self.directory.mkdir(parents=True, exist_ok=True)
-            return tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        except FileExistsError:
+            os.unlink(tmp)
+        return os.open(tmp, flags, 0o600), tmp
 
     # -- get / put ----------------------------------------------------------
 
@@ -188,7 +192,7 @@ class ResultCache:
             # Crash-mid-write simulation: a torn blob still lands on disk
             # (atomically, ironically) so get() must prune it as corrupt.
             blob = blob[:max(1, len(blob) // 3)]
-        fd, tmp = self._mkstemp()
+        fd, tmp = self._open_tmp(key)
         try:
             with os.fdopen(fd, "wb") as fh:
                 if selfchaos.armed() and selfchaos.fire("cache:enospc"):
@@ -242,7 +246,7 @@ class ResultCache:
         for key in self._COUNTER_KEYS:
             totals[key] += self._unflushed[key]
         try:
-            fd, tmp = self._mkstemp()
+            fd, tmp = self._open_tmp("counters.json")
             with os.fdopen(fd, "w") as fh:
                 json.dump(totals, fh, sort_keys=True)
             os.replace(tmp, self._counters_path())
@@ -317,15 +321,15 @@ class ResultCache:
 
     # -- hygiene ------------------------------------------------------------
 
-    def _entries(self) -> List[Tuple[str, float, int]]:
-        """``(path, mtime, size)`` of every entry, in directory order —
-        one ``scandir`` pass (pathlib's glob + a ``Path.stat()`` per entry
-        cost more in Python than the syscalls they wrap)."""
+    def _entries(self, suffix: str = ".pkl") -> List[Tuple[str, float, int]]:
+        """``(path, mtime, size)`` of every entry (``".tmp"``: every temp
+        file), in directory order — one ``scandir`` pass (pathlib's glob +
+        a ``Path.stat()`` per entry cost more than the syscalls they wrap)."""
         out = []
         try:
             with os.scandir(self.directory) as scan:
                 for entry in scan:
-                    if not entry.name.endswith(".pkl"):
+                    if not entry.name.endswith(suffix):
                         continue
                     try:
                         st = entry.stat()
@@ -336,8 +340,16 @@ class ResultCache:
             return []  # no directory yet (or not a directory): no entries
         return out
 
+    def _orphan_tmp(self) -> List[str]:
+        """Temp files older than ``_LOCK_STALE_S``: their writer was killed
+        between the open and the rename (a live one takes milliseconds)."""
+        cutoff = time.time() - self._LOCK_STALE_S
+        return [path for path, mtime, _ in self._entries(".tmp")
+                if mtime < cutoff]
+
     def evict(self) -> int:
-        """Drop least-recently-used entries past the size/count caps.
+        """Drop orphaned temp files and the least-recently-used entries
+        past the size/count caps.
 
         Holds the cross-process eviction lock; when another run's scan is
         in progress the call is skipped (``eviction_lock_busy`` counter) —
@@ -347,6 +359,9 @@ class ResultCache:
             if not acquired:
                 self._bump("eviction_lock_busy")
                 return 0
+            for path in self._orphan_tmp():
+                with contextlib.suppress(OSError):
+                    os.unlink(path)
             entries = sorted(self._entries(), key=lambda e: e[1])  # oldest 1st
             total = sum(size for _, _, size in entries)
             removed = 0
@@ -369,11 +384,13 @@ class ResultCache:
             "total_bytes": sum(size for _, _, size in entries),
             "max_bytes": self.max_bytes,
             "max_entries": self.max_entries,
+            "orphan_tmp": len(self._orphan_tmp()),
             **self.counters(),
         }
 
     def clear(self) -> int:
-        """Remove every entry; returns how many were deleted.
+        """Remove every entry (and orphaned temp file — a fresh one is a
+        concurrent writer's); returns how many entries were deleted.
 
         Unlike :meth:`evict`, clearing proceeds even when the eviction
         lock is busy — an explicit ``repro cache clear`` outranks a
@@ -387,4 +404,7 @@ class ResultCache:
                 removed += 1
             except OSError:
                 pass
+        for path in self._orphan_tmp():
+            with contextlib.suppress(OSError):
+                os.unlink(path)
         return removed

@@ -26,17 +26,18 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime import SweepPlan, TaskSpec
 from repro.scenarios import cells
-from repro.scenarios.schema import Scenario, SpecError, get_by_path
+from repro.scenarios.schema import (
+    Scenario, SpecError, _Check, get_by_path, validate_seeds)
 
 
 @dataclass(frozen=True)
 class Cell:
-    """One point of the expanded matrix: a task plus its coordinates.
+    """One point of the expanded matrix: a report row's coordinates plus
+    the task that computes it (cells may share one: DESIGN §12).
 
     ``axes`` is the ordered ``(axis, value)`` tuple that locates the cell in
     the cross-product (sweep axes first, then ``("seed", s)``); ``label`` is
-    the human-readable form used by progress display, ``--filter``, and the
-    report.
+    the human-readable form used by ``--filter`` and the report.
     """
 
     index: int
@@ -61,10 +62,30 @@ class CompiledMatrix:
     def __len__(self) -> int:
         return len(self.cells)
 
+    def slots(self) -> List[int]:
+        """Each cell's position in :meth:`plan`: cells holding the same
+        task *object* share one — the compiler shares by construction, no
+        task renderings are compared."""
+        seen: Dict[int, int] = {}
+        return [seen.setdefault(id(c.task), len(seen)) for c in self.cells]
+
     def plan(self, name: Optional[str] = None) -> SweepPlan:
-        """The runtime sweep plan (order == cell order == spec order)."""
-        return SweepPlan(name or self.scenario.name,
-                         tuple(c.task for c in self.cells))
+        """The runtime sweep plan: each distinct task once, in the order
+        of its first cell (== spec order)."""
+        tasks = {id(c.task): c.task for c in self.cells}
+        return SweepPlan(name or self.scenario.name, tuple(tasks.values()))
+
+    def cell_results(self, results) -> list:
+        """``run_tasks(self.plan())`` output fanned out to one result per
+        cell: the cell's label, and the cell's seed in a value that records
+        one (a shared task ran without).  ``index`` stays the task's."""
+        out = []
+        for cell, slot in zip(self.cells, self.slots()):
+            value = results[slot].value
+            if isinstance(value, dict) and "seed" in value:
+                value = {**value, "seed": cell.seed}
+            out.append(replace(results[slot], label=cell.label, value=value))
+        return out
 
     def filtered(self, expr: str) -> "CompiledMatrix":
         """Cells whose label matches ``expr`` (see :func:`match_cell`)."""
@@ -127,7 +148,9 @@ def _lower_chaos(name: str, chaos: Dict[str, Any], seed: int,
 
 
 def _lower_cell(scenario: Scenario, seed: int) -> TaskSpec:
-    """One fully-resolved scenario + seed → a picklable TaskSpec."""
+    """One fully-resolved scenario + seed → a picklable TaskSpec.  A cell
+    function whose row is the same for every seed (today exactly ``backend:
+    fluid``) is not passed one: its seed replicas are one task."""
     topo, wl, tr = scenario.topology, scenario.workload, scenario.transport
     timing = scenario.timing
     chaos_plan = (None if scenario.chaos is None else
@@ -149,12 +172,12 @@ def _lower_cell(scenario: Scenario, seed: int) -> TaskSpec:
         if topo["params"]:
             kwargs["topo_params"] = dict(topo["params"])
         if scenario.backend == "fluid":
-            # Same kwargs, different cell function: the fluid task keys
-            # differ from the packet task's only through the function
-            # reference, so packet fingerprints are untouched by the
-            # backend field's existence.  Validation guarantees no chaos
-            # plan reaches a fluid cell.
+            # The packet cell's kwargs minus the seed (no RNG reaches
+            # ``FluidNetwork``), on a different cell function: packet
+            # fingerprints are untouched by the backend field's existence.
+            # Validation guarantees no chaos plan reaches a fluid cell.
             from repro.sim.fluid import cells as fluid_cells
+            del kwargs["seed"]
             return TaskSpec(fluid_cells.run_fluid, kwargs)
         if chaos_plan is not None:
             kwargs["chaos_plan"] = chaos_plan
@@ -202,14 +225,16 @@ def compile_scenario(scenario: Scenario,
                      seeds: Optional[Sequence[int]] = None) -> CompiledMatrix:
     """Expand sweep axes × seeds into an ordered, validated cell list.
 
-    ``seeds`` overrides the spec's seed list (the ``--seeds`` flag).  Raises
+    ``seeds`` overrides the spec's seed list (the ``--seeds`` flag) and
+    passes the same check, its errors addressed ``--seeds``.  Raises
     :class:`SpecError` if any full axis combination is invalid or a named
     chaos fault misses the measurement window.
     """
-    seed_list = tuple(seeds) if seeds else scenario.seeds
-    if not seed_list:
-        raise SpecError(("seeds", "need at least one seed"),
-                        source=scenario.name)
+    seed_list = scenario.seeds
+    if seeds:
+        chk = _Check(scenario.name)
+        seed_list = validate_seeds(chk, list(seeds), "--seeds")
+        chk.raise_if_failed()
     axes = scenario.sweep
     base = scenario.to_dict()
     base.pop("sweep", None)
@@ -240,15 +265,20 @@ def compile_scenario(scenario: Scenario,
 
     out: List[Cell] = []
     for coords, variant in variants:
+        parts = [f"{_short(a)}={v}" for a, v in coords]
+        task = None
         for seed in seed_list:
-            parts = [f"{_short(a)}={v}" for a, v in coords]
-            parts.append(f"seed={seed}")
-            label = f"{scenario.name}[{' '.join(parts)}]"
-            # Relabel the task with the cell label so progress, telemetry
-            # and trace spans name cells by their coordinates rather than
-            # by the shared cell function.  Labels are display-only:
-            # ``TaskSpec.identity`` (and thus cache keys) ignore them.
-            task = replace(_lower_cell(variant, seed), label=label)
+            label = f"{scenario.name}[{' '.join(parts + [f'seed={seed}'])}]"
+            # Tasks are labelled by their coordinates so progress, telemetry
+            # and trace spans name them by science axes rather than by the
+            # cell function.  Labels are display-only: ``TaskSpec.identity``
+            # (and thus cache keys) ignore them.  A task lowered without a
+            # seed is lowered once, labelled without the ``seed=`` part,
+            # and held by every seed replica of the cell.
+            if task is None or "seed" in task.kwargs:
+                task = _lower_cell(variant, seed)
+                task = replace(task, label=label if "seed" in task.kwargs
+                               else f"{scenario.name}[{' '.join(parts)}]")
             out.append(Cell(index=len(out), label=label,
                             axes=coords + (("seed", seed),), seed=seed,
                             task=task))
@@ -272,11 +302,13 @@ def cell_rows(matrix: CompiledMatrix, results) -> List[dict]:
     """Join runtime results back onto cells as flat report rows.
 
     ``results`` is the ordered :func:`repro.runtime.run_tasks` output for
-    ``matrix.plan()``.  Failed cells keep their coordinates with an
-    ``error`` string instead of metrics.
+    ``matrix.plan()``; a shared task's shows on each of its cells' rows
+    (coordinates, ``seed`` included, are the cell's).  Failed cells keep
+    their coordinates with an ``error`` string instead of metrics.
     """
     rows: List[dict] = []
-    for cell, res in zip(matrix.cells, results):
+    for cell, slot in zip(matrix.cells, matrix.slots()):
+        res = results[slot]
         row: Dict[str, Any] = {"cell": cell.label}
         for axis, value in cell.axes:
             row[_short(axis)] = value

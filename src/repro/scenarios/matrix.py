@@ -28,7 +28,7 @@ class MatrixOutcome:
     """A finished matrix run: the cells, their results, and the report."""
 
     matrix: CompiledMatrix
-    results: List  # ordered repro.runtime.TaskResult list
+    results: List  # one repro.runtime.TaskResult per cell, in cell order
     report: MatrixReport
 
     @property
@@ -71,15 +71,19 @@ def run_matrix(scenario: Scenario,
     from repro.obs import trace as obs_trace
     tracer = obs_trace.emit_target()
     if tracer is not None:
-        # Annotate before the sweep: the runtime recorder merges each
-        # cell's spec axes into its task span as it finishes.
+        # Annotate before the sweep: the runtime recorder merges the spec
+        # axes a task was lowered from (the seed only where the task takes
+        # one) into its span as it finishes.
         for cell in matrix.cells:
-            tracer.annotate(cell.label, dict(cell.axes, seed=cell.seed))
-    results = run_tasks(matrix.plan())
+            tracer.annotate(cell.task.label, {
+                axis: value for axis, value in cell.axes
+                if axis != "seed" or "seed" in cell.task.kwargs})
+    task_results = run_tasks(matrix.plan())
+    results = matrix.cell_results(task_results)
     if tracer is not None:
-        # One cell-layer span per cell, linked to its scheduler task span
-        # (same interval — the cell layer re-keys the timeline by science
-        # axes rather than execution order).
+        # One cell-layer span per cell, linked to its (possibly shared)
+        # scheduler task span (same interval — the cell layer re-keys the
+        # timeline by science axes rather than execution order).
         for cell, result in zip(matrix.cells, results):
             interval = tracer.task_spans.get(result.index)
             t_now = tracer.now_us()
@@ -92,11 +96,11 @@ def run_matrix(scenario: Scenario,
             tracer.span("cell", cell.label, track=f"cell/{cell.index}",
                         t0=t0, t1=t1, args=args,
                         link=interval["id"] if interval else None)
-    rows = cell_rows(matrix, results)
+    rows = cell_rows(matrix, task_results)
     meta = {
         "cells": len(results),
         "cached": sum(1 for r in results if r.cached),
-        "wall_s": round(sum(r.wall_s for r in results), 3),
+        "wall_s": round(sum(r.wall_s for r in task_results), 3),
     }
     spec_report = scenario.report or {}
     coords = [axis for axis, _v in matrix.cells[0].axes] if matrix.cells \

@@ -449,30 +449,33 @@ def _validate_backend(chk: _Check, data: dict, workload: dict,
     return backend
 
 
-def _validate_seeds(chk: _Check, data: dict) -> Tuple[int, ...]:
-    seeds = data.get("seeds", [1])
+def validate_seeds(chk: _Check, seeds: Any,
+                   fld: str = "seeds") -> Tuple[int, ...]:
+    """The spec's ``seeds`` — or, as ``fld="--seeds"``, its override."""
     if isinstance(seeds, bool) or isinstance(seeds, int):
         seeds = [seeds]
     if not isinstance(seeds, (list, tuple)) or not seeds:
-        chk.fail("seeds", f"expected a non-empty list of integers, "
-                          f"got {seeds!r}")
+        chk.fail(fld, f"expected a non-empty list of integers, "
+                      f"got {seeds!r}")
         return (1,)
     out = []
     for i, s in enumerate(seeds):
         if isinstance(s, bool) or not isinstance(s, int):
-            chk.fail(f"seeds[{i}]", f"expected an integer, got {s!r}")
+            chk.fail(f"{fld}[{i}]", f"expected an integer, got {s!r}")
             continue
         out.append(s)
     if len(set(out)) != len(out):
-        chk.fail("seeds", f"duplicate seeds in {out}")
+        chk.fail(fld, f"duplicate seeds in {out}")
     return tuple(out) or (1,)
 
 
-def _validate_sweep(chk: _Check, data: dict, source: str, base: dict,
+def _validate_sweep(chk: _Check, data: dict, source: str,
                     base_dir: Optional[pathlib.Path],
                     ) -> Tuple[Tuple[str, Tuple[Any, ...]], ...]:
     sweep = _require_map(chk, data.get("sweep"), "sweep")
     axes: List[Tuple[str, Tuple[Any, ...]]] = []
+    plain = {key: value for key, value in data.items()
+             if key not in ("sweep", "report")}
     for axis, values in sweep.items():
         if axis in ("seed", "seeds"):
             chk.fail(f"sweep.{axis}",
@@ -489,16 +492,21 @@ def _validate_sweep(chk: _Check, data: dict, source: str, base: dict,
             continue
         # Every axis value must produce a valid scenario on its own; the
         # compiler re-validates full combinations, but a bad value should be
-        # a load-time lint, not a compile-time surprise.
+        # a load-time lint, not a compile-time surprise.  What the spec
+        # gets wrong whatever the value (``chk`` has it already: every
+        # other section is validated before this one) is not filed again.
         for i, value in enumerate(values):
-            trial = _deep_copy(base)
-            trial.pop("sweep", None)
+            if value in values[:i]:
+                chk.fail(f"sweep.{axis}", f"duplicate value {value!r}")
+                continue
+            trial = _deep_copy(plain)
             set_by_path(trial, axis, value)
             try:
                 _validate(trial, source, base_dir=base_dir)
             except SpecError as exc:
-                for _fld, msg in exc.errors:
-                    chk.fail(f"sweep.{axis}[{i}]", msg)
+                for fld, msg in exc.errors:
+                    if (fld, msg) not in chk.errors:
+                        chk.fail(f"sweep.{axis}[{i}]", f"{fld}: {msg}")
         axes.append((axis, tuple(values)))
     return tuple(axes)
 
@@ -588,8 +596,8 @@ def _validate(data: Any, source: str,
     timing = _validate_timing(chk, data, workload["kind"])
     chaos = _validate_chaos(chk, data, topology, base_dir)
     backend = _validate_backend(chk, data, workload, chaos)
-    seeds = _validate_seeds(chk, data)
-    sweep = _validate_sweep(chk, data, source, data, base_dir)
+    seeds = validate_seeds(chk, data.get("seeds", [1]))
+    sweep = _validate_sweep(chk, data, source, base_dir)
     report = _validate_report(chk, data, sweep)
     chk.raise_if_failed()
     return Scenario(name=name, description=description, tags=tuple(tags),

@@ -225,6 +225,8 @@ class TestScenarioCli:
     @pytest.mark.parametrize("argv,token", [
         (["matrix", "smoke_mini", "--seeds", "x"], "x"),
         (["chaos", "link-flap", "--seeds", "1,y"], "y"),
+        (["matrix", "smoke_mini", "--seeds", ","], ","),
+        (["matrix", "smoke_mini", "--seeds", ""], ""),
     ])
     def test_bad_seeds_is_a_usage_error_naming_the_token(self, argv, token,
                                                          capsys):
@@ -236,6 +238,15 @@ class TestScenarioCli:
         assert err.splitlines()[-1] == (
             f"repro: error: --seeds expects comma-separated integers, "
             f"got {token!r}")
+
+
+    def test_a_replicate_listed_twice_is_refused_not_counted_twice(
+            self, capsys):
+        assert main(["matrix", "smoke_mini", "--seeds", "1,1"]) == 1
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        assert out == "" and line.endswith(
+            "--seeds: duplicate seeds in [1, 1]")
 
 
 class TestOutputPaths:

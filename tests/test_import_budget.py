@@ -130,12 +130,15 @@ def test_fully_cached_matrix_never_loads_the_simulator(tmp_path, backend):
 
 
 def test_fluid_cells_execute_without_the_packet_engine(tmp_path):
-    doc = _spy(tmp_path, _MAIN, "matrix", _spec(tmp_path, "fluid"),
-               "--no-cache", "--json")
+    """Cold cache, so the miss path — compute, then write the entry —
+    runs: it needs neither the packet engine nor ``tempfile`` (and the
+    ``random``/``bz2``/``lzma`` it drags in) to create one file."""
+    doc = _spy(tmp_path, _MAIN, "matrix", _spec(tmp_path, "fluid"), "--json")
     assert doc["out"]["rc"] == 0
     meta = json.loads(doc["out"]["stdout"])["meta"]
     assert meta["cached"] == 0 and meta["failed"] == 0, meta
-    _assert_not_loaded(doc, SIMULATOR, "serial fluid matrix")
+    assert len(list((tmp_path / "cache").glob("*.pkl"))) == 2
+    _assert_not_loaded(doc, SIMULATOR + ("tempfile",), "serial fluid matrix")
 
 
 def test_scenarios_validate_never_loads_the_simulator(tmp_path):
@@ -144,3 +147,19 @@ def test_scenarios_validate_never_loads_the_simulator(tmp_path):
     assert doc["out"]["rc"] == 0, doc["out"]
     _assert_not_loaded(doc, SIMULATOR + ("repro.chaos",),
                        "scenarios validate")
+
+
+@pytest.mark.parametrize("argv", [
+    ("scenarios", "list"),
+    ("chaos", "list"),
+    ("scenarios", "validate",
+     str(REPO / "scenarios" / "fabric_chaos_recovery.yaml")),
+], ids=lambda argv: "-".join(argv[:2]))
+def test_naming_chaos_scenarios_never_loads_the_controller(tmp_path, argv):
+    """Listing or validating a ``chaos`` section needs the plan vocabulary,
+    not ``chaos.controller`` → ``repro.net`` → the engine."""
+    doc = _spy(tmp_path, _MAIN, *argv)
+    assert doc["out"]["rc"] == 0, doc["out"]
+    assert "repro.chaos" in doc["loaded"]
+    _assert_not_loaded(doc, SIMULATOR + ("repro.chaos.controller",),
+                       " ".join(argv[:2]))

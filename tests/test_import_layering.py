@@ -30,7 +30,8 @@ SUBPACKAGES = sorted(p.name for p in PACKAGE.iterdir()
 TOP_MODULES = sorted(p.stem for p in PACKAGE.glob("*.py")
                      if p.stem not in ("__init__", "__main__"))
 
-FACADES = ("repro", "repro.sim", "repro.experiments", "repro.obs")
+FACADES = ("repro", "repro.sim", "repro.experiments", "repro.obs",
+           "repro.chaos")
 
 _WALK = """
 import importlib, pkgutil, sys

@@ -9,6 +9,7 @@ planes it ran under.  The per-plane files (``test_audit.py``,
 pairwise checks; this is the only place all sixteen subsets meet.
 """
 
+import io
 import itertools
 import json
 
@@ -80,6 +81,40 @@ def test_any_subset_of_planes_is_observation_only(subset, parallel, plain):
         assert sess.merged(name)["runs"] == len(results)
     if "audit" in subset:
         assert sess.merged("audit")["ok"]
+
+
+#: Seed replicas of a fluid cell share one task (DESIGN §12): 6 rows, 2 tasks.
+FLUID_REPLICAS = {
+    "schema": "repro.scenarios/v1", "name": "neutral_fluid",
+    "backend": "fluid", "topology": {"kind": "dumbbell"},
+    "workload": {"kind": "persistent", "n_flows": 2},
+    "timing": {"warmup_ps": 2_000_000_000, "measure_ps": 2_000_000_000},
+    "seeds": [1, 2, 3],
+    "sweep": {"transport.protocol": ["expresspass", "dctcp"]},
+}
+
+
+def _fluid_rows(subset, parallel) -> bytes:
+    from repro.scenarios import Scenario, run_matrix, write_report_jsonl
+
+    switches = {name: name in subset for name in PLANES}
+    with probes.session(subset), \
+            runtime.using(progress=False, retries=0, cache_enabled=False,
+                          parallel=parallel, **switches):
+        outcome = run_matrix(Scenario.from_dict(FLUID_REPLICAS))
+    assert outcome.ok and len(outcome.results) == 6
+    for result in outcome.results:      # each cell shows its task's payloads
+        assert set(result.probes) == set(subset)
+    out = io.StringIO()
+    write_report_jsonl(out, outcome.report, stable=True)
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("parallel", [0, 2])
+@pytest.mark.parametrize("subset", SUBSETS, ids=lambda s: "+".join(s) or "off")
+def test_any_subset_of_planes_leaves_shared_fluid_tasks_alone(subset,
+                                                              parallel):
+    assert _fluid_rows(subset, parallel) == _fluid_rows((), 0)
 
 
 @pytest.mark.parametrize("subset", [(), PLANES], ids=["off", "all"])

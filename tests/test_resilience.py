@@ -913,6 +913,32 @@ class TestKillResumeEndToEnd:
 
     def test_parent_sigkill_then_resume_is_byte_identical(self, tmp_path,
                                                           spec_path):
+        self._kill_then_resume(tmp_path, spec_path)
+
+    def test_parent_sigkill_between_shared_fluid_tasks_resumes(self,
+                                                               tmp_path):
+        """Seed replicas share a task: the kill after the first *task*
+        leaves three rows computed and three to go."""
+        path = tmp_path / "fluid.json"
+        path.write_text(json.dumps({
+            "schema": "repro.scenarios/v1", "name": "resilience_fluid",
+            "backend": "fluid", "topology": {"kind": "dumbbell"},
+            "workload": {"kind": "persistent", "n_flows": 2},
+            "timing": {"warmup_ps": 2_000_000_000,
+                       "measure_ps": 2_000_000_000},
+            "seeds": [1, 2, 3],
+            "sweep": {"transport.protocol": ["expresspass", "dctcp"]}}))
+        state = self._kill_then_resume(tmp_path, str(path))
+        queued = [e for e in state.events if e["event"] == "task_queued"]
+        assert [e["label"] for e in queued] == [
+            "resilience_fluid[protocol=expresspass]",
+            "resilience_fluid[protocol=dctcp]"] * 2     # two generations
+        cells = [json.loads(line) for line in
+                 (tmp_path / "resumed.jsonl").read_text().splitlines()]
+        assert [c["seed"] for c in cells if c["record"] == "cell"] == \
+            [1, 2, 3] * 2
+
+    def _kill_then_resume(self, tmp_path, spec_path):
         baseline = tmp_path / "baseline.jsonl"
         resumed = tmp_path / "resumed.jsonl"
         journal = tmp_path / "run.journal.jsonl"
@@ -934,6 +960,7 @@ class TestKillResumeEndToEnd:
         state = load_journal(journal)
         assert state.generation == 1
         assert not state.unfinished()
+        return state
 
     def test_worker_sigkill_recovers_within_the_run(self, tmp_path,
                                                     spec_path):

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import pathlib
+import time
 
 import pytest
 
@@ -331,6 +333,38 @@ class TestResultCache:
         assert stats["total_bytes"] == (tmp_path / f"{key}.pkl").stat().st_size
         assert cache.clear() == 1
         assert (tmp_path / "stray.tmp").exists()
+
+    def test_a_killed_writers_temp_file_is_swept_once_stale(self, tmp_path):
+        """A writer killed between the open and the rename left its temp
+        file forever: no scan counted it, evicted it or cleared it."""
+        cache = ResultCache(tmp_path)
+        key = cache.key_for(TaskSpec(cube, {"x": 1}))
+        assert cache.put(key, "value")
+        assert [p.name for p in tmp_path.glob("*.tmp")] == []
+        orphan, legacy, live = (tmp_path / f"{key}.4242.tmp",
+                                tmp_path / "tmpab12cd34.tmp",
+                                tmp_path / f"{'0' * 64}.4243.tmp")
+        for path in (orphan, legacy, live):
+            path.write_bytes(b"half a write")
+        aged = time.time() - ResultCache._LOCK_STALE_S - 1
+        os.utime(orphan, (aged, aged))
+        os.utime(legacy, (aged, aged))
+        assert cache.stats()["orphan_tmp"] == 2
+        assert cache.evict() == 0           # entries evicted: none
+        assert not orphan.exists() and not legacy.exists()
+        assert live.exists()                # a concurrent writer's
+        assert cache.stats()["orphan_tmp"] == 0
+        os.utime(live, (aged, aged))
+        assert cache.clear() == 1
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_a_dead_namesakes_temp_file_does_not_block_the_write(
+            self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache.key_for(TaskSpec(cube, {"x": 2}))
+        (tmp_path / f"{key}.{os.getpid()}.tmp").write_bytes(b"half")
+        assert cache.put(key, 8) and cache.get(key) == (True, 8)
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_key_for_takes_the_identity_it_is_given(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -124,6 +124,9 @@ class TestValidation:
         ("sweep-bad-value",
          lambda d: {**d, "sweep": {"transport.protocol": ["quic"]}},
          "sweep.transport.protocol[0]"),
+        ("sweep-dup-value",
+         lambda d: {**d, "sweep": {"workload.n_flows": [2, 3, 2]}},
+         "sweep.workload.n_flows"),
         ("report-compare",
          lambda d: {**d, "report": {"compare": "workload.burstiness"}},
          "report.compare"),
@@ -163,6 +166,36 @@ class TestValidation:
         fields = [fld for fld, _msg in exc.value.errors]
         assert expected[name] in fields, \
             f"{name}: expected field {expected[name]!r} in {fields}"
+
+    def test_one_mistake_outside_the_sweep_is_one_line(self):
+        """Each axis value used to re-report the whole spec's errors under
+        its own index, inner field dropped: this spec printed nine lines."""
+        bad = base_spec(seeds=[1, 1], sweep={
+            "transport.protocol": ["expresspass", "dctcp", "rcp", "dx"],
+            "workload.n_flows": [2, 3, 4, 5]})
+        with pytest.raises(SpecError) as exc:
+            Scenario.from_dict(bad)
+        assert exc.value.errors == [("seeds", "duplicate seeds in [1, 1]")]
+
+    def test_an_axis_values_own_error_names_its_index_and_inner_field(self):
+        bad = base_spec(seeds=[1, 1], sweep={
+            "workload.n_flows": [2, 3, 4, 0],
+            "transport.protocol": ["expresspass", "quic"]})
+        with pytest.raises(SpecError) as exc:
+            Scenario.from_dict(bad)
+        fields = [fld for fld, _msg in exc.value.errors]
+        assert fields == ["seeds", "sweep.workload.n_flows[3]",
+                          "sweep.transport.protocol[1]"]
+        assert exc.value.errors[1][1].startswith("workload.n_flows: ")
+        assert exc.value.errors[2][1].startswith(
+            "transport.protocol: unknown")
+
+    def test_duplicate_axis_value_names_the_value(self):
+        with pytest.raises(SpecError) as exc:
+            Scenario.from_dict(base_spec(sweep={
+                "workload.n_flows": [2, 2]}))
+        assert exc.value.errors == [
+            ("sweep.workload.n_flows", "duplicate value 2")]
 
     def test_all_errors_collected_at_once(self):
         bad = base_spec(schema=None, name="",
@@ -284,6 +317,14 @@ class TestCompiler:
         k2 = [cache.key_for(c.task) for c in m2.cells]
         assert k1 == k2
         assert len(set(k1)) == len(k1)  # every cell distinct
+
+    @pytest.mark.parametrize("seeds,field", [
+        ([1, 1], "--seeds"), ([1, "x"], "--seeds[1]"), ([True], "--seeds[0]")])
+    def test_seeds_override_passes_the_spec_seed_check(self, seeds, field):
+        s = Scenario.from_dict(base_spec())
+        with pytest.raises(SpecError) as exc:
+            compile_scenario(s, seeds=seeds)
+        assert [fld for fld, _msg in exc.value.errors] == [field]
 
     def test_seeds_override(self):
         s = Scenario.from_dict(base_spec(seeds=[1]))

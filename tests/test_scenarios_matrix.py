@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
 import pytest
 
-from repro import scenarios
+from repro import runtime, scenarios
+from repro.runtime.cache import code_fingerprint
 from repro.scenarios import Scenario, SpecError, run_matrix
+from repro.sim.fluid.cells import run_fluid as _RUN_FLUID
 
 # Short windows keep these under a few seconds each while still running the
 # real simulator end to end.
@@ -166,3 +169,165 @@ class TestChaosCells:
         spec["timing"]["measure_ps"] = 2_000_000_000
         plain = run_matrix(Scenario.from_dict(spec)).report.rows[0]
         assert not extra & set(plain)
+
+
+# -- cells vs tasks (DESIGN §12) ----------------------------------------------
+#
+# ``tests/golden/fluid_matrix_rows.json`` was dumped at the last commit that
+# ran every seed replica of a fluid cell as its own task (PR 12's method:
+# frozen data, never regenerated): the stable rows of ``replica_spec("fluid")``
+# and the SHA-256 of three of ``replica_spec("packet")``'s task identities.
+
+_REPLICAS = json.loads((pathlib.Path(__file__).parent / "golden"
+                        / "fluid_matrix_rows.json").read_text())
+
+
+def replica_spec(backend: str, **over) -> dict:
+    """3 seeds x 4 axis points."""
+    spec = tiny_spec(name="replicas", backend=backend, seeds=[1, 2, 3],
+                     sweep={"transport.protocol": ["expresspass", "dctcp"],
+                            "workload.n_flows": [2, 3]})
+    del spec["transport"], spec["report"]
+    spec.update(over)
+    return spec
+
+
+def _stable(rows):
+    return [{k: v for k, v in row.items() if k not in ("cached", "wall_s")}
+            for row in rows]
+
+
+class TestCellsVsTasks:
+    def test_fluid_replicas_share_one_task_and_rows_are_the_parents(self):
+        scenario = Scenario.from_dict(replica_spec("fluid"))
+        matrix = scenarios.compile_scenario(scenario)
+        plan = matrix.plan()
+        assert (len(matrix), len(plan)) == (12, 4)
+        assert [t.label for t in plan] == [
+            "replicas[protocol=expresspass n_flows=2]",
+            "replicas[protocol=expresspass n_flows=3]",
+            "replicas[protocol=dctcp n_flows=2]",
+            "replicas[protocol=dctcp n_flows=3]"]
+        assert all("seed" not in t.kwargs for t in plan)
+        assert matrix.slots() == [i // 3 for i in range(12)]
+        assert all(cell.task is plan.tasks[slot]
+                   for cell, slot in zip(matrix.cells, matrix.slots()))
+        with runtime.using(cache_enabled=False):
+            out = run_matrix(scenario)
+        assert _stable(out.report.rows) == _REPLICAS["rows"]
+        assert [r.label for r in out.results] == \
+            [c.label for c in matrix.cells]
+        assert [v["seed"] for v in out.values()] == [1, 2, 3] * 4
+        assert out.report.meta["cells"] == 12
+
+    def test_packet_cells_stay_one_task_each_with_the_parents_identity(self):
+        matrix = scenarios.compile_scenario(
+            Scenario.from_dict(replica_spec("packet")))
+        plan = matrix.plan()
+        assert len(matrix) == len(plan) == 12
+        assert [t.label for t in plan] == [c.label for c in matrix.cells]
+        assert all(t.kwargs["seed"] == c.seed
+                   for t, c in zip(plan, matrix.cells))
+        by_label = {c.label: c.task for c in matrix.cells}
+        cache = runtime.ResultCache("unused")
+        for label, digest in _REPLICAS["packet_identity_sha256"].items():
+            task = by_label[label]
+            assert hashlib.sha256(
+                task.identity.encode()).hexdigest() == digest
+            # The key is that identity plus the source tree's hash (which
+            # every edit moves, so only the identity can be pinned).
+            assert cache.key_for(task) == hashlib.sha256(
+                (task.identity + "\n" + code_fingerprint(task.fn)).encode()
+            ).hexdigest()
+
+    def test_a_backend_axis_shares_only_its_fluid_half(self):
+        spec = replica_spec("packet", seeds=[1, 2], sweep={
+            "backend": ["fluid", "packet"],
+            "transport.protocol": ["expresspass", "dctcp"]})
+        matrix = scenarios.compile_scenario(Scenario.from_dict(spec))
+        assert matrix.slots() == [0, 0, 1, 1, 2, 3, 4, 5]
+        assert [("seed" in t.kwargs) for t in matrix.plan()] == \
+            [False, False, True, True, True, True]
+
+    def test_cold_then_warm_writes_and_reads_one_entry_per_task(self,
+                                                                tmp_path):
+        scenario = Scenario.from_dict(replica_spec("fluid"))
+        with runtime.using(cache_dir=tmp_path / "cache"):
+            cold = run_matrix(scenario)
+            assert len(list((tmp_path / "cache").glob("*.pkl"))) == 4
+            warm = run_matrix(scenario)
+        assert cold.report.meta["cached"] == 0
+        assert all(row["cached"] for row in warm.report.rows)
+        assert (warm.report.meta["cells"], warm.report.meta["cached"]) == \
+            (12, 12)
+        assert _stable(warm.report.rows) == _REPLICAS["rows"]
+        # meta.wall_s sums tasks, not rows: 4 terms, not 12.
+        assert cold.report.meta["wall_s"] == round(sum(
+            row["wall_s"] for row in cold.report.rows[::3]), 3)
+
+    def test_a_failed_shared_task_fails_each_of_its_cells(self, monkeypatch):
+        from repro.sim.fluid import cells as fluid_cells
+
+        monkeypatch.setattr(fluid_cells, "run_fluid", _no_dctcp)
+        with runtime.using(cache_enabled=False, retries=0):
+            out = run_matrix(Scenario.from_dict(replica_spec("fluid")))
+        assert not out.ok
+        assert [r.label for r in out.failed] == [
+            f"replicas[protocol=dctcp n_flows={n} seed={s}]"
+            for n in (2, 3) for s in (1, 2, 3)]
+        assert {r.error for r in out.failed} == {"RuntimeError: no dctcp"}
+        assert [row.get("error") for row in out.report.rows] == \
+            [None] * 6 + ["RuntimeError: no dctcp"] * 6
+        assert out.report.meta["failed"] == 6
+        assert [v["seed"] for v in out.values()] == [1, 2, 3] * 2
+
+    def test_filtering_one_seed_runs_each_task_once(self):
+        scenario = Scenario.from_dict(replica_spec("fluid"))
+        matrix = scenarios.compile_scenario(scenario).filtered("seed=2")
+        assert (len(matrix), len(matrix.plan())) == (4, 4)
+        with runtime.using(cache_enabled=False):
+            out = run_matrix(scenario, cell_filter="seed=2")
+        assert _stable(out.report.rows) == _REPLICAS["rows"][1::3]
+
+    def test_fig15_on_the_fluid_backend_reports_the_seed_it_was_given(
+            self, monkeypatch, capsys):
+        from repro.cli import main
+
+        outcomes = []
+        monkeypatch.setattr(
+            scenarios, "run_matrix",
+            lambda *a, **k: outcomes.append(run_matrix(*a, **k))
+            or outcomes[-1])
+        assert main(["run", "fig15", "--backend", "fluid", "--no-cache",
+                     "--set", "seed=7", "--set", "flow_counts=2,4"]) == 0
+        capsys.readouterr()
+        (out,) = outcomes
+        assert len(out.results) == 6
+        assert {v["seed"] for v in out.values()} == {7}
+        assert {row["seed"] for row in out.report.rows} == {7}
+
+    def test_traced_cells_link_to_their_shared_task_span(self):
+        from repro.obs import trace as obs_trace
+
+        obs_trace.reset()
+        try:
+            with obs_trace.tracing() as tracer, \
+                    runtime.using(cache_enabled=False):
+                run_matrix(Scenario.from_dict(replica_spec("fluid")))
+        finally:
+            obs_trace.reset()
+        spans = [r for r in tracer.records if r["record"] == "span"]
+        tasks = {r["id"]: r for r in spans if r["layer"] == "runtime"
+                 and r["name"].startswith("replicas[")}
+        cells = [r for r in spans if r["layer"] == "cell"]
+        assert (len(tasks), len(cells)) == (4, 12)
+        assert [list(tasks).index(c["link"]) for c in cells] == \
+            [i // 3 for i in range(12)]
+        assert all("seed" not in t["args"] for t in tasks.values())
+        assert [c["args"]["seed"] for c in cells] == [1, 2, 3] * 4
+
+
+def _no_dctcp(**kwargs):
+    if kwargs["protocol"] == "dctcp":
+        raise RuntimeError("no dctcp")
+    return _RUN_FLUID(**kwargs)
