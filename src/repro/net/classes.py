@@ -29,7 +29,7 @@ class ClassifiedCreditQueues:
     """Per-class carved credit queues with strict-priority or WDRR drain."""
 
     def __init__(self, weights: Dict[int, float], capacity_pkts: int = 8,
-                 strict_priority: bool = False):
+                 strict_priority: bool = False, birth_ps: int = 0):
         if not weights:
             raise ValueError("need at least one credit class")
         if any(w <= 0 for w in weights.values()):
@@ -37,7 +37,7 @@ class ClassifiedCreditQueues:
         self.weights = dict(weights)
         self.strict_priority = strict_priority
         self.queues: Dict[int, CreditQueue] = {
-            cls: CreditQueue(capacity_pkts) for cls in weights
+            cls: CreditQueue(capacity_pkts, birth_ps) for cls in weights
         }
         # Deficit counters for WDRR, in bytes.
         self._deficit: Dict[int, float] = {cls: 0.0 for cls in weights}
@@ -138,9 +138,15 @@ def install_credit_classes(port: Port, weights: Dict[int, float],
                            strict_priority: bool = False) -> ClassifiedCreditQueues:
     """Swap ``port``'s credit queue for classified queues; returns them.
 
-    The port's transmitter only uses ``head``/``enqueue``/``dequeue``, so the
-    classified implementation is a drop-in replacement.
+    The port's transmitter only uses ``head``/``enqueue``/``dequeue``/
+    ``bytes``, so the classified implementation is a drop-in replacement.
+    The classes observe time from now (the port may be mid-run); credits
+    waiting in the replaced queue would vanish uncounted, so it must be empty.
     """
-    classified = ClassifiedCreditQueues(weights, capacity_pkts, strict_priority)
+    if len(port.credit_queue):
+        raise ValueError(f"{port.name}: cannot install credit classes over "
+                         f"{len(port.credit_queue)} waiting credit(s)")
+    classified = ClassifiedCreditQueues(weights, capacity_pkts, strict_priority,
+                                        birth_ps=port.sim.now)
     port.credit_queue = classified
     return classified

@@ -140,4 +140,5 @@ class Host(Node):
 
     def send(self, pkt: Packet) -> bool:
         """Hand ``pkt`` to the NIC for transmission."""
-        return self.nic.send(pkt)
+        # The cached slot; the property raises if not single-homed.
+        return (self._nic or self.nic).send(pkt)

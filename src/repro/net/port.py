@@ -22,14 +22,23 @@ golden traces do not move when a no-op hook forces the checked path.
 "The line goes idle" is usually not an event.  A transmission that starts
 with every queue empty does not schedule its completion: the port reserves
 the completion's tie-break key, notes when the line frees (``_free_at``),
-and ``_try_send`` — the only reader of ``_busy`` — decides on the next
+and ``_line_free`` — the only reader of ``_busy`` — decides on the next
 arrival whether that position has already passed (the line is free) or is
-still ahead of the entry being dispatched (the completion is pushed under
-the reserved key, popping exactly where an eagerly scheduled one would).
-Credit-scheduled data arrives paced at an idle port, so most completions
-are never pushed; transmit sequences, statistics and RNG draws are
-bit-identical to scheduling every one (``tests/test_lazy_completion.py``
-keeps that eager port as the oracle).
+still ahead of the entry being dispatched (``_try_send`` then pushes the
+completion under the reserved key, popping exactly where an eagerly
+scheduled one would).
+
+Nor is a packet that finds the line free and nothing waiting queued:
+``_try_send`` would dequeue that very packet before ``send`` returns, so
+unless something observes the queue in between (any attachment but an RCP
+controller, or classified credit queues) ``send`` *cuts through* — one
+``pass_through`` call leaves the queue's statistics, marks and RNG as
+enqueue-then-dequeue would, and the packet goes on the wire.
+Credit-scheduled data arrives paced at an idle port, so most hops cut
+through and most completions are never pushed; transmit sequences,
+statistics and RNG draws are bit-identical to queueing every packet and
+scheduling every completion (``tests/test_lazy_completion.py`` keeps that
+eager port as the oracle).
 """
 
 from __future__ import annotations
@@ -57,6 +66,9 @@ _F_PAUSED = 1 << 5
 _F_ON_TRANSMIT = 1 << 6
 _F_ON_ENQUEUE = 1 << 7
 _F_LOWPRIO = 1 << 8
+#: Every bit but RCP's: something observes the queue between a packet's
+#: enqueue and its dequeue, so ``send`` may not cut through.
+_F_OBSERVED = ~_F_RCP
 
 
 class PortStats:
@@ -129,7 +141,7 @@ class Port:
         #: True from a transmission's start until its completion is known to
         #: have passed.  While ``_tx_key`` is not None that completion is
         #: *deferred*: not in the heap, only its position ``(_free_at,
-        #: _tx_key)`` is held (see :meth:`_try_send`).
+        #: _tx_key)`` is held (see :meth:`_line_free`).
         self._busy = False
         self._free_at = 0
         self._tx_key = None
@@ -325,25 +337,58 @@ class Port:
     # -- ingress side of the egress object ----------------------------------
     def send(self, pkt: Packet) -> bool:
         """Enqueue ``pkt`` for transmission; returns False if it was dropped."""
-        if self._flags:
+        flags = self._flags
+        if flags & _F_OBSERVED or pkt.low_priority:
+            # (The first low-priority packet must create its queue.)
             return self._send_checked(pkt)
-        # Fast path: port is up, unpaused, and has no attachments.
-        now = self.sim.now
-        if pkt.is_credit:
-            ok = self.credit_queue.enqueue(pkt, now)
-            if not ok and pkt.flow is not None:
-                pkt.flow.on_credit_dropped(pkt, self)
-        elif pkt.low_priority:
-            # First low-priority packet creates the queue (and sets its
-            # flag), so route through the checked path.
-            return self._send_checked(pkt)
+        # At most an RCP controller is attached; its arrival stamp never
+        # looks at the queue.
+        sim = self.sim
+        now = sim.now
+        credit = pkt.is_credit
+        data_queue = self.data_queue
+        credit_queue = self.credit_queue
+        if credit:
+            queue = credit_queue
         else:
-            ok = self.data_queue.enqueue(pkt, now)
-            if not ok and pkt.flow is not None:
-                pkt.flow.on_data_dropped(pkt, self)
-        if ok:
+            queue = data_queue
+            if flags:
+                self._rcp_controller.on_arrival(pkt, now)
+        if (not data_queue.bytes and not credit_queue.bytes
+                and type(credit_queue) is CreditQueue and self._line_free()
+                and (not credit
+                     or self.credit_bucket.try_consume(pkt.wire_bytes, now))):
+            # Cut-through: _try_send would dequeue this very packet in this
+            # call.  Start the transmission as _transmit does with every
+            # queue empty (the deferred completion's key, then the
+            # delivery's).  A credit short of tokens queues instead; trying
+            # the meter again at the same instant changes nothing.
+            if queue.pass_through(pkt, now):
+                self._busy = True
+                wire = pkt.wire_bytes
+                tx = self._tx_cache.get(wire)
+                if tx is None:
+                    tx = self._tx_cache[wire] = tx_time_ps(wire, self.rate_bps)
+                stats = self.stats
+                if credit:
+                    stats.credit_bytes_sent += wire
+                    stats.credit_pkts_sent += 1
+                else:
+                    stats.data_bytes_sent += wire
+                    stats.data_pkts_sent += 1
+                stats.busy_ps += tx
+                self._tx_key = sim.reserve_key()
+                self._free_at = now + tx
+                sim.schedule_unref(tx + self.prop_delay_ps, self.peer.receive,
+                                   pkt, self)
+                return True
+        elif queue.enqueue(pkt, now):
             self._try_send()
-        return ok
+            return True
+        flow = pkt.flow
+        if flow is not None:
+            (flow.on_credit_dropped if credit else flow.on_data_dropped)(pkt, self)
+        return False
 
     def _send_checked(self, pkt: Packet) -> bool:
         """The fully-checked send path: attachments, PFC, faults, hooks."""
@@ -385,24 +430,31 @@ class Port:
         return ok
 
     # -- transmitter ---------------------------------------------------------
-    def _try_send(self) -> None:
+    def _line_free(self) -> bool:
+        """Is the line free at the entry being dispatched?  The one reader
+        of ``_busy``: a deferred completion (``_tx_key`` set) is settled
+        here — had it been scheduled, would it already have fired?"""
         if self._busy:
             key = self._tx_key
             if key is None:
-                return  # the completion is in the heap and will call back
-            # Deferred completion.  Had it been scheduled, would it already
-            # have fired?  Compare its position with the entry being
-            # dispatched; if it is still ahead, materialise it there — under
-            # the reserved key, so it pops exactly where the eager one would
-            # — and let it call back.  Otherwise the line is free.
+                return False  # the completion is in the heap
             sim = self.sim
             free_at = self._free_at
             now = sim.now
             if now < free_at or (now == free_at and sim.dispatch_key < key):
-                self._tx_key = None
-                sim.push_reserved(free_at, key, self._tx_done)
-                return
+                return False
             self._busy = False
+        return True
+
+    def _try_send(self) -> None:
+        if not self._line_free():
+            key = self._tx_key
+            if key is not None:
+                # Still ahead: materialise it under the reserved key, so it
+                # pops exactly where the eager one would, and calls back.
+                self._tx_key = None
+                self.sim.push_reserved(self._free_at, key, self._tx_done)
+            return  # the completion is in the heap and will call back
         if self._flags:
             return self._try_send_checked()
         now = self.sim.now
@@ -484,13 +536,13 @@ class Port:
         # A completion only matters if something waits for the line.  With
         # all queues empty it is not scheduled: its tie-break key is reserved
         # (consuming the sequence number the event would have) and
-        # _try_send, the only reader of _busy, settles it on the next
+        # _line_free, the only reader of _busy, settles it on the next
         # arrival.  Queues may be replaced (net/classes.py), so ask through
-        # the protocol, never a queue's internals.
+        # the protocol (``bytes``), never a queue's internals.
         sim = self.sim
         lowprio = self._lowprio_queue
-        if (len(self.data_queue) or len(self.credit_queue)
-                or (lowprio is not None and len(lowprio))):
+        if (self.data_queue.bytes or self.credit_queue.bytes
+                or (lowprio is not None and lowprio.bytes)):
             self._tx_key = None
             sim.schedule_unref(tx, self._tx_done)
         else:

@@ -115,6 +115,8 @@ class _QueueStats:
     queue created mid-run (e.g. a port's lazily-built low-priority queue)
     must pass its creation time, or its average would be diluted by the
     pre-birth interval it never observed.
+    The owning queue updates the fields inline (twice per packet per hop:
+    a method here would be the hot path's most frequent frame).
     """
 
     __slots__ = ("enqueued", "dropped", "ecn_marked", "max_bytes", "max_pkts",
@@ -131,15 +133,6 @@ class _QueueStats:
         self._last_change_ps = birth_ps
         self._last_bytes = 0
         self._birth_ps = birth_ps
-
-    def record(self, now_ps: int, cur_bytes: int, cur_pkts: int) -> None:
-        self._integral_byte_ps += self._last_bytes * (now_ps - self._last_change_ps)
-        self._last_change_ps = now_ps
-        self._last_bytes = cur_bytes
-        if cur_bytes > self.max_bytes:
-            self.max_bytes = cur_bytes
-        if cur_pkts > self.max_pkts:
-            self.max_pkts = cur_pkts
 
     def average_bytes(self, now_ps: int) -> float:
         """Time-weighted average occupancy over the window [birth, now]."""
@@ -194,39 +187,76 @@ class DataQueue:
     def __len__(self) -> int:
         return len(self._q)
 
-    def enqueue(self, pkt: Packet, now_ps: int) -> bool:
-        """Append ``pkt``; returns False (and counts a drop) on overflow."""
-        if self.bytes + pkt.wire_bytes > self.capacity_bytes:
-            self.stats.dropped += 1
-            return False
-        self._q.append(pkt)
-        self.bytes += pkt.wire_bytes
-        self.stats.enqueued += 1
-        if pkt.ecn_capable:
-            if (self.ecn_threshold_bytes is not None
-                    and self.bytes > self.ecn_threshold_bytes):
+    def _mark(self, pkt: Packet, occupancy: int) -> None:
+        """ECN-mark an ECN-capable arrival that brings the queue to
+        ``occupancy`` bytes (itself included)."""
+        if (self.ecn_threshold_bytes is not None
+                and occupancy > self.ecn_threshold_bytes):
+            pkt.ecn_marked = True
+            self.stats.ecn_marked += 1
+        elif self._red_kmin is not None and occupancy > self._red_kmin:
+            if occupancy >= self._red_kmax:
                 pkt.ecn_marked = True
                 self.stats.ecn_marked += 1
-            elif self._red_kmin is not None and self.bytes > self._red_kmin:
-                if self.bytes >= self._red_kmax:
+            else:
+                frac = (occupancy - self._red_kmin) / (
+                    self._red_kmax - self._red_kmin)
+                if self._red_rng.random() < frac * self._red_pmax:
                     pkt.ecn_marked = True
                     self.stats.ecn_marked += 1
-                else:
-                    frac = (self.bytes - self._red_kmin) / (
-                        self._red_kmax - self._red_kmin)
-                    if self._red_rng.random() < frac * self._red_pmax:
-                        pkt.ecn_marked = True
-                        self.stats.ecn_marked += 1
-        self.stats.record(now_ps, self.bytes, len(self._q))
+
+    def enqueue(self, pkt: Packet, now_ps: int) -> bool:
+        """Append ``pkt``; returns False (and counts a drop) on overflow."""
+        stats = self.stats
+        occupancy = self.bytes + pkt.wire_bytes
+        if occupancy > self.capacity_bytes:
+            stats.dropped += 1
+            return False
+        q = self._q
+        q.append(pkt)
+        stats.enqueued += 1
+        if pkt.ecn_capable:
+            self._mark(pkt, occupancy)
+        stats._integral_byte_ps += stats._last_bytes * (now_ps - stats._last_change_ps)
+        stats._last_change_ps = now_ps
+        self.bytes = stats._last_bytes = occupancy
+        if occupancy > stats.max_bytes:
+            stats.max_bytes = occupancy
+        if len(q) > stats.max_pkts:
+            stats.max_pkts = len(q)
         return True
 
     def dequeue(self, now_ps: int) -> Optional[Packet]:
-        if not self._q:
+        q = self._q
+        if not q:
             return None
-        pkt = self._q.popleft()
-        self.bytes -= pkt.wire_bytes
-        self.stats.record(now_ps, self.bytes, len(self._q))
+        pkt = q.popleft()
+        stats = self.stats
+        stats._integral_byte_ps += stats._last_bytes * (now_ps - stats._last_change_ps)
+        stats._last_change_ps = now_ps
+        self.bytes = stats._last_bytes = self.bytes - pkt.wire_bytes
         return pkt
+
+    def pass_through(self, pkt: Packet, now_ps: int) -> bool:
+        """Account for ``pkt`` entering and at once leaving an *empty* queue:
+        exactly what :meth:`enqueue` then :meth:`dequeue` at one instant
+        leave behind (drop, marks and RNG draw at an occupancy of the packet
+        alone, maxima, last-change time; the integral gains ``0 * dt``
+        twice), without touching the deque.  Returns False on a drop."""
+        stats = self.stats
+        wire = pkt.wire_bytes
+        if wire > self.capacity_bytes:
+            stats.dropped += 1
+            return False
+        stats.enqueued += 1
+        if pkt.ecn_capable:
+            self._mark(pkt, wire)
+        stats._last_change_ps = now_ps
+        if wire > stats.max_bytes:
+            stats.max_bytes = wire
+        if not stats.max_pkts:
+            stats.max_pkts = 1
+        return True
 
 
 class CreditQueue:
@@ -251,25 +281,47 @@ class CreditQueue:
         return len(self._q)
 
     def enqueue(self, pkt: Packet, now_ps: int) -> bool:
-        if len(self._q) >= self.capacity_pkts:
-            self.stats.dropped += 1
+        q = self._q
+        stats = self.stats
+        if len(q) >= self.capacity_pkts:
+            stats.dropped += 1
             return False
-        self._q.append(pkt)
-        self.bytes += pkt.wire_bytes
-        self.stats.enqueued += 1
-        self.stats.record(now_ps, self.bytes, len(self._q))
+        q.append(pkt)
+        stats.enqueued += 1
+        stats._integral_byte_ps += stats._last_bytes * (now_ps - stats._last_change_ps)
+        stats._last_change_ps = now_ps
+        self.bytes = stats._last_bytes = occupancy = self.bytes + pkt.wire_bytes
+        if occupancy > stats.max_bytes:
+            stats.max_bytes = occupancy
+        if len(q) > stats.max_pkts:
+            stats.max_pkts = len(q)
         return True
 
     def head(self) -> Optional[Packet]:
         return self._q[0] if self._q else None
 
     def dequeue(self, now_ps: int) -> Optional[Packet]:
-        if not self._q:
+        q = self._q
+        if not q:
             return None
-        pkt = self._q.popleft()
-        self.bytes -= pkt.wire_bytes
-        self.stats.record(now_ps, self.bytes, len(self._q))
+        pkt = q.popleft()
+        stats = self.stats
+        stats._integral_byte_ps += stats._last_bytes * (now_ps - stats._last_change_ps)
+        stats._last_change_ps = now_ps
+        self.bytes = stats._last_bytes = self.bytes - pkt.wire_bytes
         return pkt
+
+    def pass_through(self, pkt: Packet, now_ps: int) -> bool:
+        """:meth:`DataQueue.pass_through` for credits.  An empty credit
+        queue never overflows (``capacity_pkts >= 1``), so always True."""
+        stats = self.stats
+        stats.enqueued += 1
+        stats._last_change_ps = now_ps
+        if pkt.wire_bytes > stats.max_bytes:
+            stats.max_bytes = pkt.wire_bytes
+        if not stats.max_pkts:
+            stats.max_pkts = 1
+        return True
 
 
 class PhantomQueue:

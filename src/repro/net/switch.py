@@ -6,6 +6,7 @@ from typing import Dict, List
 
 from repro.net.node import Node
 from repro.net.packet import Packet
+from repro.net.routing import symmetric_flow_hash
 from repro.sim.engine import Simulator
 
 
@@ -37,6 +38,11 @@ class Switch(Node):
             raise RuntimeError(f"{self.name}: no route to host {pkt.dst}")
         if len(candidates) == 1:
             next_hop = candidates[0]
-        else:
+        elif pkt.flow is not None:
             next_hop = candidates[pkt.flow.path_hash(pkt) % len(candidates)]
+        else:
+            # Flow-less (probes, background chatter): hash the endpoints,
+            # direction-independently, so a probe and its reply share a path.
+            next_hop = candidates[symmetric_flow_hash(pkt.src, pkt.dst, 0, 0)
+                                  % len(candidates)]
         self.ports[next_hop].send(pkt)

@@ -20,15 +20,20 @@ monkeypatch them to exercise the edges of the one path.
     the heap at ~``(1 + COMPACT_RATIO) x live`` entries no matter how many
     timers are cancelled.
 
-Two more have no threshold.  Events nobody can cancel
+Four more have no threshold.  Events nobody can cancel
 (:meth:`Simulator.schedule_unref`: wire deliveries, transmit completions)
-are plain heap tuples — no Event object is built for them.  And a port
-whose queues are empty when it starts transmitting does not schedule its
-transmit completion at all: it reserves the completion's tie-break key and
-pushes the event only if a packet arrives before that position passes
+are plain heap tuples — no Event object is built for them.  A port whose
+queues are empty when it starts transmitting does not schedule its transmit
+completion at all: it reserves the completion's tie-break key and pushes
+the event only if a packet arrives before that position passes
 (:mod:`repro.net.port`), so every surviving event pops exactly where it
 always did while ``events_processed`` no longer counts completions nobody
-waited for.
+waited for.  A packet that finds the line free and nothing waiting is not
+queued either: ``Port.send`` accounts for the visit with one
+``pass_through`` call and transmits in place, unless an attachment
+observes the queue in between.  And a timer that is re-armed far more often
+than it fires (:class:`repro.sim.engine.Timer`, the transports' RTO) keeps
+one heap entry instead of pushing and cancelling one per arm.
 
 Ports precompute a flags word over their optional attachments
 (``phantom``/``rcp_controller``/``pfc``/hooks/...) and take a branch-free

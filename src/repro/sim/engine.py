@@ -24,7 +24,7 @@ tuple ``(time, key, None, fn, args)``: nobody can hold or cancel such an
 entry, so no Event is built for it.  Keys are unique, so entry comparisons
 never reach the third element.
 
-A caller may also *reserve* a key (:meth:`Simulator.reserve_key`) and push
+A caller may also *reserve* a key (:attr:`Simulator.reserve_key`) and push
 its event later, or never (:meth:`Simulator.push_reserved`): the entry then
 pops exactly where one scheduled at reservation time would have.  To let
 such a caller tell whether its reserved position has already been passed,
@@ -99,6 +99,71 @@ class Event:
         return f"<Event t={self.time} {getattr(self.fn, '__qualname__', self.fn)} {state}>"
 
 
+class Timer:
+    """A re-armable one-shot timer: fires ``fn()`` exactly where
+    ``event.cancel(); event = sim.schedule(delay, fn)`` would, without a
+    heap push (and a cancelled entry) per arm.
+
+    :meth:`arm` takes the key ``schedule`` would, so every other event keeps
+    its sequence number, notes ``(deadline, key)`` and pushes an entry only
+    if none of its own waits at or before the deadline.  An entry whose
+    deadline has moved on pops early (one extra event, no other trace) and
+    re-pushes itself under the noted key; the entry at the deadline calls
+    ``fn`` itself, so profilers see the owner's callback.  One live entry
+    while armed, none otherwise: :meth:`Simulator.pending` and the clock
+    after a drain do not change.
+    """
+
+    __slots__ = ("sim", "fn", "_event", "_deadline", "_key")
+
+    def __init__(self, sim: "Simulator", fn: Callable[[], Any]):
+        self.sim = sim
+        self.fn = fn
+        #: Our heap entry.  The run loop clears its ``.sim`` as it pops it,
+        #: which is how the timer learns it has fired.
+        self._event: Optional[Event] = None
+        self._deadline = self._key = 0
+
+    @property
+    def armed(self) -> bool:
+        """True from :meth:`arm` until the timer fires or is disarmed."""
+        event = self._event
+        return event is not None and event.sim is not None
+
+    def arm(self, delay: int) -> None:
+        """(Re)start the timer: fire ``delay`` picoseconds from now."""
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        sim = self.sim
+        event = self._event
+        if event is not None and event.sim is not None:
+            deadline = sim.now + delay
+            if event.time <= deadline:
+                self._deadline = deadline
+                self._key = sim.reserve_key()
+                event.fn = self._move
+                return
+            event.cancel()
+        self._event = sim.schedule(delay, self.fn)
+
+    def disarm(self) -> None:
+        """Stop the timer.  Safe whether or not it is armed."""
+        event = self._event
+        if event is not None:
+            self._event = None
+            event.cancel()
+
+    def _move(self) -> None:
+        """Our entry popped ahead of a deadline set after it was pushed: put
+        it back at ``(deadline, key)``, which is still ahead of the entry
+        being dispatched (a later time, or the same with a newer key)."""
+        event = self._event
+        event.time = self._deadline
+        event.fn = self.fn
+        event.sim = self.sim
+        _heappush(self.sim._heap, (event.time, self._key, event))
+
+
 class Simulator:
     """Event loop with an integer-picosecond clock.
 
@@ -108,7 +173,7 @@ class Simulator:
         Master seed.  All named RNG streams derive from it.
     """
 
-    #: Compares above every key :meth:`reserve_key` hands out.
+    #: Compares above every key :attr:`reserve_key` hands out.
     _KEY_END = _NO_LIMIT
 
     def __init__(self, seed: int = 0):
@@ -118,6 +183,12 @@ class Simulator:
         #: Tie-break sequence for same-picosecond events; a C-level counter
         #: is cheaper per event than ``self._seq += 1``.
         self._seq = count(1)
+        #: ``reserve_key()`` takes the tie-break key (a plain sequence
+        #: number) a ``schedule*`` call made now would get, without pushing
+        #: anything; see :meth:`push_reserved`.  It is the counter's own
+        #: ``__next__``: ports call it once per transmission, and a C call
+        #: costs no Python frame.
+        self.reserve_key: Callable[[], int] = self._seq.__next__
         self._rngs: Dict[str, random.Random] = {}
         self._rng_stream_seeds: Dict[int, str] = {}
         self.events_processed: int = 0
@@ -251,15 +322,9 @@ class Simulator:
         _heappush(self._heap,
                   (self.now + delay, next(self._seq), None, fn, args))
 
-    def reserve_key(self) -> int:
-        """Take the tie-break key (a plain sequence number) a ``schedule*``
-        call made now would get, without pushing anything; see
-        :meth:`push_reserved`."""
-        return next(self._seq)
-
     def push_reserved(self, time: int, key: int, fn: Callable[..., Any],
                       *args: Any) -> None:
-        """Push a fire-and-forget event under a key from :meth:`reserve_key`.
+        """Push a fire-and-forget event under a key from :attr:`reserve_key`.
 
         It pops exactly where an event scheduled for ``time`` at reservation
         time would have.  The caller must know ``(time, key)`` is still ahead

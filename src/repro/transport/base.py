@@ -29,6 +29,7 @@ from repro.net.packet import (
     data_packet,
 )
 from repro.net.routing import asymmetric_flow_hash, symmetric_flow_hash
+from repro.sim.engine import Timer
 from repro.sim.units import MS, SEC, US, tx_time_ps
 
 class Flow:
@@ -217,7 +218,7 @@ class WindowFlow(Flow):
         self._cum_acked = -1  # highest cumulatively ACKed segment
         self._dupacks = 0
         self._recover_seq = -1  # fast-recovery guard
-        self._rto_event = None
+        self._rto = Timer(self.sim, self._on_rto)
         self._min_rto_ps = min_rto_ps
         self._rto_streak = 0    # consecutive RTOs without ACK progress
         self._rto_backoff = 1   # integer multiplier; 1 until an RTO fires
@@ -261,8 +262,7 @@ class WindowFlow(Flow):
         """Abort the flow (used when tearing an experiment down)."""
         super().stop()
         self._stopped = True
-        if self._rto_event is not None:
-            self._rto_event.cancel()
+        self._rto.disarm()
         if self._pacing_event is not None:
             self._pacing_event.cancel()
 
@@ -322,7 +322,7 @@ class WindowFlow(Flow):
         if retransmit:
             self.retransmissions += 1
         self.src.send(pkt)
-        self._arm_rto()
+        self._rto.arm(self._current_rto_ps())
 
     # -- RTO ------------------------------------------------------------------
     def _current_rto_ps(self) -> int:
@@ -334,18 +334,7 @@ class WindowFlow(Flow):
         # loss-free runs are bit-identical to the pre-backoff engine.
         return base * self._rto_backoff
 
-    def _arm_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-        self._rto_event = self.sim.schedule(self._current_rto_ps(), self._on_rto)
-
-    def _disarm_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
-
     def _on_rto(self) -> None:
-        self._rto_event = None
         if self._stopped or self.completed:
             return
         if self._inflight() <= 0:
@@ -364,7 +353,7 @@ class WindowFlow(Flow):
         self._recover_seq = -1
         self.cc_on_timeout()
         self._maybe_send()
-        self._arm_rto()
+        self._rto.arm(self._current_rto_ps())
 
     # -- receiver ---------------------------------------------------------------
     def _at_receiver(self, pkt: Packet) -> None:
@@ -430,9 +419,9 @@ class WindowFlow(Flow):
                 self._round_rtt_sum = 0.0
                 self._round_end_seq = self._next_seq
             if self._inflight() > 0:
-                self._arm_rto()
+                self._rto.arm(self._current_rto_ps())
             else:
-                self._disarm_rto()
+                self._rto.disarm()
         else:
             self._dupacks += 1
             if pkt.ecn_echo:
@@ -443,7 +432,7 @@ class WindowFlow(Flow):
                 self.cc_on_dupack_loss()
                 self._emit_segment(self._cum_acked + 1, retransmit=True)
         if self.total_segments is not None and self._cum_acked + 1 >= self.total_segments:
-            self._disarm_rto()
+            self._rto.disarm()
             return
         self._maybe_send()
 
@@ -483,7 +472,7 @@ class RateFlow(Flow):
         self._dupacks = 0
         self._recover_seq = -1
         self._min_rto_ps = min_rto_ps
-        self._rto_event = None
+        self._rto = Timer(self.sim, self._on_rto)
         self._rto_streak = 0
         self._rto_backoff = 1
         self._send_event = None
@@ -507,9 +496,9 @@ class RateFlow(Flow):
     def stop(self) -> None:
         super().stop()
         self._stopped = True
-        for event in (self._rto_event, self._send_event):
-            if event is not None:
-                event.cancel()
+        self._rto.disarm()
+        if self._send_event is not None:
+            self._send_event.cancel()
 
     def _segment_payload(self, seq: int) -> int:
         if self.size_bytes is None or self.total_segments is None:
@@ -546,7 +535,7 @@ class RateFlow(Flow):
         # The RTO guards the oldest unacknowledged segment: arm only when no
         # timer is pending — re-arming per send would let a fast sender
         # starve its own loss recovery.
-        if self._rto_event is None:
+        if not self._rto.armed:
             self._arm_rto()
         if self.rate_bps > 0:
             gap = int((payload + 38) * 8 * SEC / self.rate_bps)
@@ -563,13 +552,9 @@ class RateFlow(Flow):
             self._schedule_send(max(gap, 1))
 
     def _arm_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-        self._rto_event = self.sim.schedule(
-            self._min_rto_ps * 4 * self._rto_backoff, self._on_rto)
+        self._rto.arm(self._min_rto_ps * 4 * self._rto_backoff)
 
     def _on_rto(self) -> None:
-        self._rto_event = None
         if self._stopped or self.completed:
             return
         if self._next_seq > self._cum_acked + 1:
@@ -653,9 +638,8 @@ class RateFlow(Flow):
                 self._recover_seq = -1
             if self._next_seq > self._cum_acked + 1:
                 self._arm_rto()  # restart for the next-oldest segment
-            elif self._rto_event is not None:
-                self._rto_event.cancel()
-                self._rto_event = None
+            else:
+                self._rto.disarm()
         elif pkt.ack == self._cum_acked and self._next_seq > self._cum_acked + 1:
             self._dupacks += 1
             if self._dupacks == 3 and self._cum_acked + 1 > self._recover_seq:
@@ -671,5 +655,4 @@ class RateFlow(Flow):
                 self._arm_rto()
         self.cc_on_ack(pkt)
         if self.total_segments is not None and self._cum_acked + 1 >= self.total_segments:
-            if self._rto_event is not None:
-                self._rto_event.cancel()
+            self._rto.disarm()

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import perf
 from repro.perf.profile import Profiler
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, Timer
 
 
 class TestScheduling:
@@ -347,3 +347,121 @@ def test_same_timestamp_fifo_survives_compaction(monkeypatch):
     assert sim._cancelled < 10      # a compaction really reaped entries
     sim.run()
     assert fired == list(range(8))
+
+
+# -- Timer vs the cancel(); schedule() pair it replaces -------------------------
+
+class _EagerTimer:
+    """What ``transport/base.py`` did by hand before :class:`Timer`: every
+    arm cancels the pending event and schedules a new one."""
+
+    def __init__(self, sim, fn):
+        self.sim, self.fn, self.event = sim, fn, None
+
+    @property
+    def armed(self):
+        return self.event is not None
+
+    def arm(self, delay):
+        if self.event is not None:
+            self.event.cancel()
+        self.event = self.sim.schedule(delay, self._fire)
+
+    def disarm(self):
+        if self.event is not None:
+            self.event.cancel()
+            self.event = None
+
+    def _fire(self):
+        self.event = None
+        self.fn()
+
+
+#: Few values, so deadlines and foreign events collide to the picosecond and
+#: a new deadline lands before, on and after the entry already waiting.
+_TICKS = st.sampled_from([0, 1, 5, 10, 20])
+
+_timer_ops = st.lists(
+    st.tuples(st.sampled_from(["arm"] * 4 + ["disarm", "foreign", "foreign"]),
+              st.tuples(_TICKS, _TICKS),    # when: the sum of two ticks
+              st.integers(0, 1),            # which timer
+              _TICKS,                       # delay
+              st.booleans()),               # applied from outside the loop?
+    min_size=1, max_size=24)
+
+
+def _drive_timers(timer_cls, ops, refires, mode):
+    """Run ``ops`` against two ``timer_cls`` timers; return everything an
+    observer could see."""
+    sim = Simulator(seed=0)
+    log = []
+    refire = iter(refires)
+    timers = []
+
+    def fired(which):
+        log.append((sim.now, sim.dispatch_key, f"t{which}"))
+        delay = next(refire, None)   # like _on_rto: maybe re-arm from within
+        if delay is not None:
+            timers[which].arm(delay)
+
+    timers.extend(timer_cls(sim, lambda which=which: fired(which))
+                  for which in range(2))
+
+    def apply(kind, which, delay):
+        if kind == "arm":
+            timers[which].arm(delay)
+        elif kind == "disarm":
+            timers[which].disarm()
+        else:
+            log.append((sim.now, sim.dispatch_key, "foreign",
+                        tuple(t.armed for t in timers)))
+            sim.schedule_unref(delay, log.append, (delay, "child"))
+
+    between = {}
+    for kind, (a, b), which, delay, external in ops:
+        if external and mode == "slices":
+            between.setdefault(a + b, []).append((kind, which, delay))
+        else:
+            sim.schedule_at(a + b, apply, kind, which, delay)
+    seen = []
+    if mode == "slices":
+        for at in sorted({a + b for _, (a, b), _, _, _ in ops}):
+            sim.run(until=at)
+            for op in between.get(at, ()):
+                apply(*op)
+            seen.append((sim.now, sim.pending()))
+    elif mode == "steps":
+        while sim.run(max_events=1):
+            pass
+    sim.run()
+    return log, seen, sim.now, sim.pending(), next(sim._seq)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_timer_ops, st.lists(st.one_of(st.none(), _TICKS), max_size=6),
+       st.sampled_from(["single", "slices", "steps"]))
+def test_timer_fires_exactly_where_cancel_and_schedule_would(
+        ops, refires, mode):
+    assert _drive_timers(Timer, ops, refires, mode) == \
+        _drive_timers(_EagerTimer, ops, refires, mode)
+
+
+def test_rearming_a_timer_pushes_nothing_while_an_earlier_entry_waits(sim):
+    fired = []
+    timer = Timer(sim, lambda: fired.append(sim.now))
+    timer.arm(100)
+    for now in (10, 20, 30):                 # three "ACKs" push the deadline
+        sim.schedule_at(now, timer.arm, 100)
+    assert len(sim._heap) == 4
+    sim.run(until=30)
+    assert len(sim._heap) == 1 and sim._cancelled == 0 and timer.armed
+    assert sim.run() == 2                    # the early pop, then the fire
+    assert fired == [130] and not timer.armed and sim.pending() == 0
+    timer.arm(50)
+    timer.arm(20)                            # earlier: the entry is replaced
+    assert sim.pending() == 1 and sim._cancelled == 1
+    timer.disarm()
+    timer.disarm()
+    assert sim.pending() == 0 and sim.run() == 0 and fired == [130]
+    with pytest.raises(ValueError):
+        timer.arm(-1)

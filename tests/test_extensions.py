@@ -74,6 +74,31 @@ class TestClassifiedCreditQueues:
         assert len(q) == 2
         assert q.bytes == 168
 
+    def test_classes_installed_mid_run_observe_time_from_then(self):
+        sim = Simulator(seed=1)
+        topo = small_dumbbell(sim)
+        sim.run(until=1 * MS)
+        port = topo.bottleneck_rev
+        classified = install_credit_classes(port, weights={0: 1})
+        queue = classified.queues[0]
+        queue.enqueue(credit(0), sim.now)   # 84 B waits from now on
+        sim.run(until=2 * MS)
+        # Averaged over the 1 ms it has existed, not diluted over [0, 2 ms].
+        assert queue.stats.average_bytes(sim.now) == 84.0
+
+    def test_install_refuses_to_discard_waiting_credits(self):
+        sim = Simulator(seed=1)
+        topo = small_dumbbell(sim)
+        port = topo.bottleneck_rev
+        for seq in range(3):                # burst of 2, so one credit waits
+            port.send(credit_packet(topo.receivers[0].id, topo.senders[0].id,
+                                    None, seq))
+        assert len(port.credit_queue) > 0
+        with pytest.raises(ValueError, match=port.name):
+            install_credit_classes(port, weights={0: 3, 1: 1})
+        sim.run()                           # drained: now it may be swapped
+        install_credit_classes(port, weights={0: 3, 1: 1})
+
     def test_install_on_port_end_to_end(self):
         """Two flows with 3:1 credit weights share a bottleneck ~3:1."""
         sim = Simulator(seed=1)

@@ -1,14 +1,18 @@
-"""Deferred transmit completions against an eager oracle.
+"""Deferred transmit completions and cut-through against an eager oracle.
 
 A :class:`~repro.net.port.Port` whose queues are empty when it starts
 transmitting does not schedule its ``_tx_done``: it reserves the event's
 tie-break key and pushes it only if a packet arrives before that position
-passes.  The claim is *exactness* — every surviving event pops where it
-always did — so the reference implementation lives here, not in ``src/``:
-:class:`EagerPort` schedules every completion, as the port did before, and
-the tests drive identical traffic through both and require identical
-transmit sequences, statistics and RNG state, with strictly fewer events
-on the lazy side.
+passes.  And a packet that finds the line free and nothing waiting is not
+queued at all: ``send`` accounts for the visit and puts it on the wire.
+The claim is *exactness* — every surviving event pops where it always did,
+every statistic and RNG draw is the queued path's — so the reference
+implementation lives here, not in ``src/``: :class:`EagerPort` queues every
+packet and schedules every completion, as the port did before either
+elision (it overrides the whole send → transmit path, so nothing the real
+port learns to skip can leak into it), and the tests drive identical
+traffic through both and require identical transmit sequences, statistics
+and RNG state, with strictly fewer events on the lazy side.
 """
 
 from itertools import count
@@ -34,9 +38,51 @@ CREDIT_TX = tx_time_ps(84, RATE)
 
 
 class EagerPort(Port):
-    """The oracle: every transmission schedules its completion event."""
+    """The oracle: every packet is queued, then dequeued by ``_try_send``;
+    every transmission schedules its completion event.  ``_send_checked``
+    and ``_try_send_checked`` (the attachment paths, which the real port
+    does not shortcut) are inherited."""
 
     __slots__ = ()
+
+    def send(self, pkt):
+        if self._flags:
+            return self._send_checked(pkt)
+        now = self.sim.now
+        if pkt.is_credit:
+            ok = self.credit_queue.enqueue(pkt, now)
+            if not ok and pkt.flow is not None:
+                pkt.flow.on_credit_dropped(pkt, self)
+        elif pkt.low_priority:
+            return self._send_checked(pkt)
+        else:
+            ok = self.data_queue.enqueue(pkt, now)
+            if not ok and pkt.flow is not None:
+                pkt.flow.on_data_dropped(pkt, self)
+        if ok:
+            self._try_send()
+        return ok
+
+    def _try_send(self):
+        if self._busy:
+            return  # the completion is in the heap and will call back
+        if self._flags:
+            return self._try_send_checked()
+        now = self.sim.now
+        head = self.credit_queue.head()
+        if head is not None and self.credit_bucket.try_consume(
+                head.wire_bytes, now):
+            self._transmit(self.credit_queue.dequeue(now))
+            return
+        pkt = self.data_queue.dequeue(now)
+        if pkt is not None:
+            self._transmit(pkt)
+            return
+        if head is not None:
+            wait = self.credit_bucket.time_until(head.wire_bytes, now)
+            if self._wake_event is not None:
+                self._wake_event.cancel()
+            self._wake_event = self.sim.schedule(max(wait, 1), self._wake)
 
     def _transmit(self, pkt):
         if self._on_transmit is not None:
@@ -78,12 +124,11 @@ class Relay(Node):
     def receive(self, pkt, from_port):
         fabric = self.fabric
         fabric.log.setdefault(from_port.name, []).append(
-            (self.sim.now, pkt.seq))
+            (self.sim.now, pkt.seq, pkt.ecn_marked))
         if pkt.dst != self.id:
             self.forward(pkt)
         elif pkt.is_credit and self.rng.random() < 0.75:
-            self.forward(data_packet(self.id, pkt.src, None, 1500,
-                                     seq=next(fabric.labels)))
+            self.forward(fabric.data(self.id, pkt.src))
 
     def forward(self, pkt):
         n = len(self.fabric.nodes)
@@ -91,33 +136,75 @@ class Relay(Node):
         self.ports[(self.id + step) % n].send(pkt)
 
 
+class RcpStamp:
+    """Stands in for an RCP controller (the one attachment a cut-through
+    port may carry): logs each arrival it is shown."""
+
+    def __init__(self, fabric, port):
+        # Not in ``fabric.log``: ``drive`` counts that as deliveries.
+        self.seen = fabric.stamped.setdefault(port.name, [])
+
+    def on_arrival(self, pkt, now_ps):
+        self.seen.append((now_ps, pkt.seq))
+
+
+#: Marking set-ups chosen around one packet's wire size (1538 B), because a
+#: pass-through is marked against an occupancy of the packet alone.
+MARKING = {
+    "ecn-low": dict(ecn=1000),             # marks even a lone packet
+    "ecn-high": dict(ecn=2 * 1538),        # marks only behind a backlog
+    "red-draw": dict(red=(500, 3 * 1538)),   # a lone packet draws the RNG
+    "red-all": dict(red=(500, 1538)),      # a lone packet is at kmax: no draw
+    "red-high": dict(red=(1538, 4 * 1538)),  # a lone packet is not above kmin
+}
+
+
 class Fabric:
     """``n`` relays in a ring, equal link rates, ``port_cls`` egress ports."""
 
-    def __init__(self, port_cls, n, prop_delay_ps, classified, hooked, pfc):
+    def __init__(self, port_cls, n, prop_delay_ps, classified, hooked, pfc,
+                 rcp=False, marking=None, tight_port=None, tokens=None):
         self.sim = Simulator(seed=7)
         self.log = {}
+        self.stamped = {}
         self.labels = count()
         self.nodes = [Relay(self, i) for i in range(n)]
         self.ports = []
+        mark = MARKING.get(marking, {})
         for a, b in sorted({tuple(sorted((i, (i + 1) % n)))
                             for i in range(n)}):
             for src, dst in ((a, b), (b, a)):
+                # ``tight_port`` cannot hold one data packet: the drop path.
+                tight = len(self.ports) == tight_port
                 port = port_cls(self.sim, self.nodes[src], self.nodes[dst],
                                 RATE, prop_delay_ps,
-                                data_capacity_bytes=4 * 1538,
-                                credit_capacity_pkts=4)
+                                data_capacity_bytes=1000 if tight else 4 * 1538,
+                                credit_capacity_pkts=4,
+                                ecn_threshold_bytes=mark.get("ecn"))
+                if "red" in mark:
+                    port.data_queue.set_red_marking(*mark["red"], 0.5,
+                                                    self.sim.rng("red"))
+                if tokens is not None:  # a short or exactly sufficient bucket
+                    port.credit_bucket.tokens = tokens
                 self.nodes[src].attach_port(port)
                 self.ports.append(port)
         if classified:
             install_credit_classes(self.ports[0], {0: 1, 1: 1},
                                    capacity_pkts=4)
+        if rcp:  # even ports: the flags word is nonzero, cut-through stays
+            for port in self.ports[0::2]:
+                port.rcp_controller = RcpStamp(self, port)
         if hooked:  # odd ports leave the flags-zero fast path
             for port in self.ports[1::2]:
                 port.on_transmit = lambda pkt: None
         if pfc:
             install_pfc(self.sim, self.ports,
                         xoff_bytes=2 * 1538, xon_bytes=1538)
+
+    def data(self, src, dst):
+        label = next(self.labels)
+        return data_packet(src, dst, None, 1500, seq=label,
+                           ecn_capable=bool(label % 3))
 
     # -- the traffic script ---------------------------------------------------
     def apply(self, action):
@@ -129,12 +216,13 @@ class Fabric:
             if src == dst:
                 dst = (dst + 1) % n
             for _ in range(extra if kind != "lowprio" else 1):
-                label = next(self.labels)
                 if kind == "credits":
-                    pkt = credit_packet(src, dst, None, label)
+                    label = next(self.labels)
+                    pkt = credit_packet(src, dst, None, label,
+                                        wire_bytes=84 if label % 2 else 92)
                     pkt.seq = label
                 else:
-                    pkt = data_packet(src, dst, None, 1500, seq=label)
+                    pkt = self.data(src, dst)
                     pkt.low_priority = kind == "lowprio"
                 self.nodes[src].forward(pkt)
         elif kind == "down":
@@ -190,12 +278,14 @@ class Fabric:
             if queues is not None:  # ClassifiedCreditQueues
                 return {cls: stats_of(q) for cls, q in queues.items()}
             return ({f: getattr(queue.stats, f)
-                     for f in _QueueStats.__slots__}, len(queue))
+                     for f in _QueueStats.__slots__}, len(queue),
+                    queue.stats.average_bytes(self.sim.now))
 
         return {
             "now": self.sim.now,
             "labels": next(self.labels),
             "log": self.log,
+            "stamped": self.stamped,
             "ports": {
                 port.name: (
                     {f: getattr(port.stats, f) for f in PortStats.__slots__},
@@ -235,6 +325,12 @@ fabrics = st.fixed_dictionaries({
     "classified": st.booleans(),
     "hooked": st.booleans(),
     "pfc": st.booleans(),
+    "rcp": st.booleans(),
+    "marking": st.sampled_from([None, *MARKING]),
+    "tight_port": st.sampled_from([None, None, 0, 1]),
+    # 184 is the full burst; 84 / 92 cover exactly one credit, 83 falls one
+    # byte short of any, 0 makes every first credit wait for the meter.
+    "tokens": st.sampled_from([None, None, 0, 83, 84, 92]),
 })
 
 
@@ -360,6 +456,22 @@ def test_max_events_stop_keeps_the_dispatch_position(port_cls):
     assert len(port.data_queue) == 1 and port.stats.data_pkts_sent == 1
     sim.run()
     assert sink.arrivals == BACK_TO_BACK
+
+
+@pytest.mark.parametrize("port_cls", [Port, EagerPort])
+def test_completion_precedes_its_own_delivery_on_a_zero_delay_wire(port_cls):
+    """Keys are taken in transmit order — the completion's, then the
+    delivery's — on the cut-through path too: with no propagation delay
+    both fall on one instant, and the next packet must already be on the
+    wire when the first one lands."""
+    sim, port, sink = _wire(port_cls, prop_delay_ps=0)
+    sent_on_arrival = []
+    sink.receive = lambda pkt, from_port: sent_on_arrival.append(
+        (pkt.seq, port.stats.data_pkts_sent))
+    sim.schedule_at(DATA_TX, port.send, _data(1))  # key 1: queues behind 0
+    port.send(_data(0))  # completion (DATA_TX, key 2), delivery (DATA_TX, 3)
+    sim.run()
+    assert sent_on_arrival == [(0, 2), (1, 2)]
 
 
 def test_classified_credit_queue_on_a_port_that_defers_completions():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.packet import Packet, PacketKind
+from repro.net.packet import Packet, PacketKind, data_packet
 from repro.net.routing import asymmetric_flow_hash, symmetric_flow_hash
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, US
@@ -105,6 +105,22 @@ class TestPathSymmetry:
             a, b = rng.sample(range(len(hosts)), 2)
             data_hops, credit_hops = _trace_paths(clos, hosts[a], hosts[b])
             assert data_hops == list(reversed(credit_hops))
+
+    def test_flowless_packets_cross_ecmp_switches_on_a_shared_path(self):
+        """A probe with no flow has no ``path_hash`` to ask: switches hash
+        its endpoints, direction-independently (this crashed with
+        AttributeError at any switch with more than one next hop)."""
+        sim = Simulator(seed=3)
+        ft = fat_tree(sim, k=4)
+        a, b = ft.hosts[0], ft.hosts[-1]    # inter-pod: two ECMP stages
+        probe = data_packet(a.id, b.id, None, 1000, seq=0)
+        reply = data_packet(b.id, a.id, None, 1000, seq=0)
+        probe.hops, reply.hops = [], []
+        assert a.send(probe) and b.send(reply)
+        sim.run()
+        assert probe.hops[-1] == b.id and reply.hops[-1] == a.id
+        assert len(probe.hops) == 6         # 5 switches, then the host
+        assert probe.hops[:-1] == list(reversed(reply.hops[:-1]))
 
     def test_asymmetric_mode_can_split_paths(self):
         # With direction-dependent hashing, at least one inter-pod pair takes

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.fault import LossInjector
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, MS, SEC, US
 from repro.topology import LinkSpec, dumbbell
@@ -167,3 +168,33 @@ class TestRateFlow:
         assert flow.completed
         nic = topo.senders[0].nic
         assert nic.data_queue.stats.dropped == 0
+
+
+def test_lossy_dumbbell_recovers_exactly_as_it_did_with_eager_rto_events():
+    """Pins loss recovery across the move from ``cancel(); schedule()``
+    pairs to :class:`repro.sim.engine.Timer`: random and periodic loss
+    (dupacks, partial ACKs) plus a 30 ms blackout in which RTOs actually
+    fire, back off 2-4-8-16 ms and re-hash the path.  The values were dumped
+    at the last commit that scheduled one event per arm; they depend on
+    every RTO firing at its exact ``(time, key)``."""
+    sim = Simulator(seed=3)
+    topo = small_dumbbell(sim, n_pairs=3, data_capacity_bytes=6 * 1538)
+    flows = [
+        FixedWindowFlow(topo.senders[0], topo.receivers[0], 400_000),
+        FixedWindowFlow(topo.senders[1], topo.receivers[1], 250_000,
+                        start_ps=50 * US),
+        RateFlow(topo.senders[2], topo.receivers[2], 300_000,
+                 initial_rate_bps=6 * GBPS),
+    ]
+    LossInjector(topo.bottleneck_fwd, probability=0.02)
+    LossInjector(topo.bottleneck_rev, every_nth=11)
+    sim.schedule_at(300 * US, setattr, topo.bottleneck_fwd, "up", False)
+    sim.schedule_at(30 * MS, setattr, topo.bottleneck_fwd, "up", True)
+    sim.run(until=SEC)
+    assert [(f.retransmissions, f.finish_ps, f.path_rehashes, f.data_drops)
+            for f in flows] == [
+        (146, 55_327_322_108, 1, 49),
+        (112, 48_875_278_908, 1, 44),
+        (78, 114_205_509_246, 1, 70),
+    ]
+    assert sim.pending() == 0    # every timer disarmed, nothing left behind
