@@ -6,6 +6,13 @@ a ``sys.meta_path`` spy that notes, for every module, who asked for it
 first.  A failure therefore reads ``repro.sim.engine (imported by
 repro.scenarios.cells)``: the module that broke the budget *and* the line
 of the import graph to cut.
+
+The child starts with ``-S``: ``site`` runs every ``.pth`` file in
+site-packages before the spy exists, and such a hook may import stdlib
+modules the program never asks for (certifi's CA hook, where installed,
+pulls in ``tempfile``).  The child then appends the site directories to
+``sys.path`` itself — without their ``.pth`` files — so third-party
+packages (PyYAML) stay importable, and records what start-up loaded.
 """
 
 from __future__ import annotations
@@ -22,8 +29,11 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 #: Runs ``BODY`` under the spy, then writes what got loaded to ``OUT``.
 _CHILD = r"""
-import json, sys
+import json, os, site, sys
 
+sys.path += [d for d in ([site.getusersitepackages()]
+                         if site.check_enableusersite() else [])
+             + site.getsitepackages() if os.path.isdir(d)]
 pulled = {}
 
 class _Spy:
@@ -31,18 +41,19 @@ class _Spy:
     def find_spec(name, path=None, target=None):
         frame = sys._getframe(1)
         while frame is not None and frame.f_globals.get(
-                "__name__", "").startswith("importlib"):
+                "__name__", "").startswith(("importlib", "_frozen_importlib")):
             frame = frame.f_back
         pulled.setdefault(
             name, frame.f_globals.get("__name__", "?") if frame else "?")
         return None
 
 sys.meta_path.insert(0, _Spy)
+startup = sorted(sys.modules)
 out = None
 BODY
 with open(sys.argv[1], "w") as fh:
-    json.dump({"loaded": sorted(sys.modules), "pulled": pulled, "out": out},
-              fh)
+    json.dump({"loaded": sorted(sys.modules), "startup": startup,
+               "pulled": pulled, "out": out}, fh)
 """
 
 #: ``cli.main(argv)`` with stdout captured into ``out``.
@@ -59,6 +70,11 @@ out = {"rc": rc, "stdout": buf.getvalue()}
 SIMULATOR = ("repro.sim.engine", "repro.net", "repro.experiments.runner",
              "multiprocessing")
 
+#: What ``import repro.cli`` may not load: everything behind the front end.
+FRONT_END_ONLY = ("repro.sim.engine", "repro.net", "repro.transport",
+                  "repro.topology", "repro.core", "repro.experiments",
+                  "repro.chaos", "multiprocessing")
+
 
 def _env(tmp_path) -> dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
@@ -69,19 +85,24 @@ def _env(tmp_path) -> dict:
 def _spy(tmp_path, body: str, *argv: str) -> dict:
     out = tmp_path / "modules.json"
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD.replace("BODY", body), str(out), *argv],
+        [sys.executable, "-S", "-c", _CHILD.replace("BODY", body), str(out),
+         *argv],
         capture_output=True, text=True, env=_env(tmp_path), cwd=str(REPO),
         timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(out.read_text())
 
 
+def _under(mod: str, roots) -> bool:
+    return any(mod == root or mod.startswith(root + ".") for root in roots)
+
+
 def _assert_not_loaded(doc: dict, forbidden, what: str) -> None:
     offenders = [
+        f"{mod} (loaded at interpreter start-up, before the program ran)"
+        if mod in doc["startup"] else
         f"{mod} (imported by {doc['pulled'].get(mod, '?')})"
-        for mod in doc["loaded"]
-        if any(mod == root or mod.startswith(root + ".")
-               for root in forbidden)]
+        for mod in doc["loaded"] if _under(mod, forbidden)]
     assert not offenders, f"{what} loaded " + ", ".join(offenders)
 
 
@@ -102,14 +123,24 @@ def _spec(tmp_path, backend: str) -> str:
     return str(path)
 
 
+def test_the_spy_names_the_importer_and_start_up_preloads_nothing(tmp_path):
+    """The harness can still fail: a real import is caught and blamed on
+    its importer, and start-up under ``-S`` loads no forbidden root — so
+    no budget check below passes or fails on what ``site`` did."""
+    doc = _spy(tmp_path, "import tempfile")
+    with pytest.raises(AssertionError,
+                       match=r"tempfile \(imported by __main__\)"):
+        _assert_not_loaded(doc, ("tempfile",), "import tempfile")
+    preloaded = [m for m in doc["startup"]
+                 if _under(m, SIMULATOR + ("tempfile",) + FRONT_END_ONLY)]
+    assert not preloaded, f"interpreter start-up loaded {preloaded}"
+
+
 def test_importing_the_cli_stays_inside_the_front_end(tmp_path):
     doc = _spy(tmp_path, "import repro.cli")
     ours = [m for m in doc["loaded"] if m == "repro" or m.startswith("repro.")]
     assert len(ours) <= 20, f"import repro.cli loaded {len(ours)}: {ours}"
-    _assert_not_loaded(
-        doc, ("repro.sim.engine", "repro.net", "repro.transport",
-              "repro.topology", "repro.core", "repro.experiments",
-              "repro.chaos", "multiprocessing"), "import repro.cli")
+    _assert_not_loaded(doc, FRONT_END_ONLY, "import repro.cli")
 
 
 @pytest.mark.parametrize("backend", ["fluid", "packet"])
