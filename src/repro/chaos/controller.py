@@ -1,13 +1,13 @@
 """The chaos controller: compiles a FaultPlan onto the event heap and
-executes it against live networks.
+executes it against one live network.
 
 One controller serves one :class:`~repro.sim.engine.Simulator` (it installs
 itself as ``sim.chaos``, mirroring ``sim.auditor`` / ``sim.metrics``) and
-any number of attached networks.  At construction it expands the plan's
+the one network it is built with.  At construction it expands the plan's
 timeline and schedules every primitive action; at fire time it resolves
-node names against the attached networks — events naming nodes that do not
-exist are counted in :attr:`skipped`, not fatal, so one plan can run
-against many topologies.
+node names against that network — events naming nodes that do not exist
+are counted in :attr:`skipped`, not fatal, so one plan can run against
+many topologies.
 
 Responsibilities beyond flipping state:
 
@@ -17,21 +17,21 @@ Responsibilities beyond flipping state:
   conservation checks, so an *injected* drop is not a violation while a
   *real* silent leak still is.
 * **Routing-convergence delay.**  Topology changes do not reroute
-  immediately: one coalesced reconvergence per network fires
+  immediately: one coalesced reconvergence fires
   ``plan.reconverge_delay_ps`` after the latest change — the blackhole
   window real fabrics exhibit.
 * **Path-symmetry excuses.**  Links a fault touched are recorded in
   :attr:`affected_links` (both orientations); the auditor skips them when
   comparing credit and data paths.
-* **Observability.**  Each applied fault becomes a ``repro.obs`` event and
-  bumps chaos counters when metrics are attached; with a log sink every
-  action is narrated as it fires.
+* **Observability.**  Each applied fault is recorded in :attr:`applied`,
+  and becomes a ``repro.obs`` event and bumps chaos counters when metrics
+  are attached.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.chaos.gilbert import GilbertElliott
 from repro.chaos.plan import FaultPlan, LossBurst
@@ -66,15 +66,14 @@ class _BurstFilter:
 class ChaosController:
     """Executes one :class:`FaultPlan` against a simulation."""
 
-    def __init__(self, sim, net, plan: FaultPlan, log=None):
-        existing = sim.chaos
-        if existing is not None and existing is not self:
+    def __init__(self, sim, net, plan: FaultPlan):
+        if sim.chaos is not None:
             raise RuntimeError("simulator already has a chaos controller attached")
         self.sim = sim
+        self.net = net
         self.plan = plan
-        self.log = log
-        self._nets: List[object] = []
-        self._nodes: Dict[str, Tuple[object, object]] = {}  # name -> (net, node)
+        self._nodes: Dict[str, object] = {
+            node.name: node for node in net.nodes.values()}
         #: Per-fid injected-drop budgets the auditor consumes.
         self._injected_credit: Dict[int, int] = {}
         self._injected_data: Dict[int, int] = {}
@@ -90,44 +89,32 @@ class ChaosController:
         self.topology_changed = False
         #: (t_ps, description) for every action actually applied.
         self.applied: List[Tuple[int, str]] = []
-        #: Actions that referenced nodes absent from every attached network.
+        #: Actions that referenced nodes absent from the network.
         self.skipped = 0
         self._active_bursts: Dict[Tuple[int, str], Tuple[object, _BurstFilter]] = {}
         self._saved_rates: Dict[int, Tuple[object, int]] = {}   # id(port) -> (port, bps)
         self._saved_delays: Dict[int, Tuple[object, object]] = {}  # id(host) -> (host, model)
-        self._reconverge_events: Dict[int, object] = {}  # id(net) -> Event
+        self._reconverge_event = None
         sim.chaos = self
-        self.attach_network(net)
         now = sim.now
         for t_ps, op, event, idx in plan.timeline():
             sim.schedule_at(max(t_ps, now), self._fire, op, event, idx)
-
-    # -- attachment ----------------------------------------------------------
-    def attach_network(self, net) -> "ChaosController":
-        if all(net is not existing for existing in self._nets):
-            self._nets.append(net)
-            for node in net.nodes.values():
-                self._nodes[node.name] = (net, node)
-        return self
 
     # -- action dispatch -----------------------------------------------------
     def _fire(self, op: str, event, idx: int) -> None:
         getattr(self, "_op_" + op)(event, idx)
 
     def _resolve(self, name: str):
-        """(net, node) for ``name``, or (None, None) + a skip if unknown."""
-        entry = self._nodes.get(name)
-        if entry is None:
+        """The node named ``name``, or None + a skip if unknown."""
+        node = self._nodes.get(name)
+        if node is None:
             self.skipped += 1
-            self._note(f"skip: no node named {name!r} in any attached network")
-            return None, None
-        return entry
+            self._note(f"skip: no node named {name!r} in the network")
+        return node
 
     def _note(self, message: str) -> None:
         now = self.sim.now
         self.applied.append((now, message))
-        if self.log is not None:
-            print(f"[chaos t={now}ps] {message}", file=self.log)
         metrics = self.sim.metrics
         if metrics is not None:
             metrics.counter("chaos.actions").inc()
@@ -137,69 +124,67 @@ class ChaosController:
         self.affected_links.add((a.id, b.id))
         self.affected_links.add((b.id, a.id))
 
-    def _schedule_reconverge(self, net) -> None:
-        """(Re)start the per-network routing-convergence timer: routing
-        notices the *latest* change ``reconverge_delay_ps`` after it."""
+    def _schedule_reconverge(self) -> None:
+        """(Re)start the routing-convergence timer: routing notices the
+        *latest* change ``reconverge_delay_ps`` after it."""
         self.topology_changed = True
-        key = id(net)
-        pending = self._reconverge_events.get(key)
-        if pending is not None:
-            pending.cancel()
-        self._reconverge_events[key] = self.sim.schedule(
-            self.plan.reconverge_delay_ps, self._do_reconverge, net)
+        if self._reconverge_event is not None:
+            self._reconverge_event.cancel()
+        self._reconverge_event = self.sim.schedule(
+            self.plan.reconverge_delay_ps, self._do_reconverge)
 
-    def _do_reconverge(self, net) -> None:
-        self._reconverge_events.pop(id(net), None)
-        net.reconverge()
+    def _do_reconverge(self) -> None:
+        self._reconverge_event = None
+        self.net.reconverge()
         self._note("routing reconverged")
 
     # -- link faults ---------------------------------------------------------
     def _op_link_down(self, ev, idx: int) -> None:
-        net, a = self._resolve(ev.a)
-        _, b = self._resolve(ev.b)
+        a = self._resolve(ev.a)
+        b = self._resolve(ev.b)
         if a is None or b is None:
             return
         direction = getattr(ev, "direction", "both")
-        net.set_link_state(a, b, up=False, direction=direction)
+        self.net.set_link_state(a, b, up=False, direction=direction)
         self._mark_link(a, b)
         self._note(f"link down {ev.a}<->{ev.b} ({direction})")
-        self._schedule_reconverge(net)
+        self._schedule_reconverge()
 
     def _op_link_up(self, ev, idx: int) -> None:
-        net, a = self._resolve(ev.a)
-        _, b = self._resolve(ev.b)
+        a = self._resolve(ev.a)
+        b = self._resolve(ev.b)
         if a is None or b is None:
             return
-        net.set_link_state(a, b, up=True)
+        self.net.set_link_state(a, b, up=True)
         self._mark_link(a, b)
         self._note(f"link up {ev.a}<->{ev.b}")
-        self._schedule_reconverge(net)
+        self._schedule_reconverge()
 
     def _op_switch_down(self, ev, idx: int) -> None:
-        net, node = self._resolve(ev.node)
+        node = self._resolve(ev.node)
         if node is None:
             return
         for peer_id in node.ports:
-            peer = net.nodes[peer_id]
-            net.set_link_state(node, peer, up=False)
+            peer = self.net.nodes[peer_id]
+            self.net.set_link_state(node, peer, up=False)
             self._mark_link(node, peer)
         self._note(f"switch blackout {ev.node} ({len(node.ports)} links)")
-        self._schedule_reconverge(net)
+        self._schedule_reconverge()
 
     def _op_switch_up(self, ev, idx: int) -> None:
-        net, node = self._resolve(ev.node)
+        node = self._resolve(ev.node)
         if node is None:
             return
         for peer_id in node.ports:
-            peer = net.nodes[peer_id]
-            net.set_link_state(node, peer, up=True)
+            peer = self.net.nodes[peer_id]
+            self.net.set_link_state(node, peer, up=True)
         self._note(f"switch recovered {ev.node}")
-        self._schedule_reconverge(net)
+        self._schedule_reconverge()
 
     # -- loss episodes -------------------------------------------------------
     def _burst_targets(self, ev: LossBurst):
-        _, a = self._resolve(ev.a)
-        _, b = self._resolve(ev.b)
+        a = self._resolve(ev.a)
+        b = self._resolve(ev.b)
         if a is None or b is None:
             return ()
         targets = []
@@ -239,8 +224,8 @@ class ChaosController:
 
     # -- credit-meter misconfiguration --------------------------------------
     def _op_meter_set(self, ev, idx: int) -> None:
-        net, a = self._resolve(ev.a)
-        _, b = self._resolve(ev.b)
+        a = self._resolve(ev.a)
+        b = self._resolve(ev.b)
         if a is None or b is None:
             return
         port = a.ports.get(b.id)
@@ -257,8 +242,8 @@ class ChaosController:
                    f"-> {new_rate / 1e9:.3f} Gbps")
 
     def _op_meter_restore(self, ev, idx: int) -> None:
-        _, a = self._resolve(ev.a)
-        _, b = self._resolve(ev.b)
+        a = self._resolve(ev.a)
+        b = self._resolve(ev.b)
         if a is None or b is None:
             return
         port = a.ports.get(b.id)
@@ -283,7 +268,7 @@ class ChaosController:
 
     # -- host jitter ---------------------------------------------------------
     def _op_jitter_set(self, ev, idx: int) -> None:
-        _, host = self._resolve(ev.host)
+        host = self._resolve(ev.host)
         if host is None:
             return
         # Delay models may be shared across hosts: spike a per-host copy
@@ -295,7 +280,7 @@ class ChaosController:
         self._note(f"host jitter x{ev.factor:g} on {ev.host}")
 
     def _op_jitter_restore(self, ev, idx: int) -> None:
-        _, host = self._resolve(ev.host)
+        host = self._resolve(ev.host)
         if host is None:
             return
         saved = self._saved_delays.pop(id(host), None)

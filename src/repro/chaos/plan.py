@@ -6,8 +6,8 @@ episode*) expand into primitive actions via :meth:`FaultPlan.timeline`,
 which the :class:`~repro.chaos.controller.ChaosController` compiles onto
 the simulator's event heap before the run starts.  Everything is plain
 data: ``to_json``/``from_json`` round-trip exactly, so a plan can live in a
-file, ride an environment variable (``REPRO_CHAOS=plan.json``), or be
-hashed into a sweep cache key.
+file that a scenario spec names (``chaos.plan``), and is hashed by content
+into the cell's cache key.
 
 Determinism contract: the same (plan, seed) pair always produces the same
 fault timeline *and* the same stochastic drop decisions — loss episodes

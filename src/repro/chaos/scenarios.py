@@ -82,6 +82,7 @@ SCENARIOS = ("link-flap", "switch-blackout", "loss-burst",
 def plan_for(scenario: str, seed: int = 1, fault_ps: int = 6 * MS,
              duration_ps: int = 4 * MS,
              reconverge_delay_ps: int = 200 * US) -> FaultPlan:
-    """The scenario's fault plan, standalone — e.g. to save for REPRO_CHAOS."""
+    """The scenario's fault plan, standalone — e.g. to save for a spec's
+    ``chaos.plan``."""
     return _fabric_plan(scenario, seed, fault_ps, duration_ps,
                         reconverge_delay_ps)

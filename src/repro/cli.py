@@ -574,7 +574,7 @@ def _cli(argv=None) -> int:
     _add_runtime_options(chaosp)
     chaosp.add_argument("--emit-plan", default=None, metavar="FILE",
                         help="write the scenario's fault plan as JSON to "
-                             "FILE (usable via REPRO_CHAOS) and exit")
+                             "FILE (for a spec's chaos.plan) and exit")
     args = parser.parse_args(argv)
     _check_output_paths(args)
     # The runtime flags go through the range table their env twins do.

@@ -89,9 +89,6 @@ def run_realistic(
     topo = oversubscribed_clos(sim, edge=edge, core=core)
     if chaos_plan is not None:
         from repro.chaos import ChaosController, FaultPlan
-        if sim.chaos is not None:
-            raise RuntimeError("chaos_plan conflicts with an ambient "
-                               "REPRO_CHAOS plan; unset one of them")
         ChaosController(sim, topo.net, FaultPlan.from_dict(chaos_plan))
     harness.install(sim, topo.net)
 

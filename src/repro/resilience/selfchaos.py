@@ -41,6 +41,8 @@ import signal
 import time
 from typing import List, Optional, Tuple
 
+from repro.runtime.config import env_text
+
 ENV_VAR = "REPRO_SELFCHAOS"
 ENV_DIR = "REPRO_SELFCHAOS_DIR"
 
@@ -50,13 +52,13 @@ POINTS = ("task:kill", "parent:kill", "parent:int", "cache:torn",
 
 
 def armed() -> bool:
-    return bool(os.environ.get(ENV_VAR))
+    return env_text(ENV_VAR) is not None
 
 
 def directives() -> List[Tuple[str, Optional[str]]]:
     """``REPRO_SELFCHAOS`` split into ``(point, arg or None)`` pairs."""
     out = []
-    for raw in os.environ.get(ENV_VAR, "").split(","):
+    for raw in (env_text(ENV_VAR) or "").split(","):
         raw = raw.strip()
         if not raw:
             continue
@@ -66,12 +68,12 @@ def directives() -> List[Tuple[str, Optional[str]]]:
 
 
 def _marker_dir() -> str:
-    explicit = os.environ.get(ENV_DIR)
+    explicit = env_text(ENV_DIR)
     if explicit:
         return explicit
     import tempfile
 
-    tag = hashlib.sha1(os.environ.get(ENV_VAR, "").encode()).hexdigest()[:10]
+    tag = hashlib.sha1((env_text(ENV_VAR) or "").encode()).hexdigest()[:10]
     return os.path.join(tempfile.gettempdir(), f"repro-selfchaos-{tag}")
 
 

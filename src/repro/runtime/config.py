@@ -56,12 +56,13 @@ code that runs before or without a config:
                             the directive string)
 ==========================  =====================================================
 
-Every ``REPRO_*`` read — these, and the observation planes' own
-(``REPRO_METRICS_INTERVAL_PS``, ``REPRO_CHAOS_LOG``) — goes through the
-three accessors below (:func:`env_number`, :func:`env_flag`,
-:func:`env_text`), so there is one truthiness rule and one answer to a
-hostile value: :class:`ConfigError`, naming the variable, the value and
-the accepted range, which the CLI prints as a single line (exit 2).
+Every ``REPRO_*`` read — these, the metrics plane's
+``REPRO_METRICS_INTERVAL_PS`` and the scenario library's
+``REPRO_SCENARIOS_DIR`` — goes through the three accessors below
+(:func:`env_number`, :func:`env_flag`, :func:`env_text`), so there is one
+truthiness rule and one answer to a hostile value: :class:`ConfigError`,
+naming the variable, the value and the accepted range, which the CLI
+prints as a single line (exit 2).
 """
 
 from __future__ import annotations
@@ -125,9 +126,20 @@ def parse_number(name: str, raw: str, flag: Optional[str] = None):
     return value
 
 
+#: Every on/off knob (:func:`env_flag`), parsed up front by :func:`check_env`.
+_FLAGS = ("REPRO_NO_CACHE", "REPRO_PROGRESS", "REPRO_AUDIT", "REPRO_PROFILE",
+          "REPRO_METRICS")
+
+
 def env_flag(name: str, environ=None) -> bool:
-    """True when the on/off knob ``name`` is set to ``1`` or ``true``."""
-    return _raw(name, environ) in ("1", "true")
+    """True when the on/off knob ``name`` is set to ``1`` or ``true``;
+    :class:`ConfigError` when it holds anything but those or ``0``/``false``."""
+    raw = _raw(name, environ)
+    if raw in (None, "", "0", "false"):
+        return False
+    if raw in ("1", "true"):
+        return True
+    raise ConfigError(f"{name}={raw!r}: expected 0/1/true/false")
 
 
 def env_text(name: str, environ=None) -> Optional[str]:
@@ -136,12 +148,14 @@ def env_text(name: str, environ=None) -> Optional[str]:
 
 
 def check_env() -> None:
-    """Parse every numeric knob now, so a hostile value fails the CLI up
-    front rather than deep inside the first task that happens to read it —
-    and reject a ``REPRO_SELFCHAOS`` directive that names no injection
-    point, which would otherwise silently never fire."""
+    """Parse every numeric and on/off knob now, so a hostile value fails
+    the CLI up front rather than deep inside the first task that happens to
+    read it — and reject a ``REPRO_SELFCHAOS`` directive that names no
+    injection point, which would otherwise silently never fire."""
     for name in _NUMBERS:
         env_number(name)
+    for name in _FLAGS:
+        env_flag(name)
     raw = env_text("REPRO_SELFCHAOS")
     if raw:
         from repro.resilience import selfchaos

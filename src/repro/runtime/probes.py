@@ -41,9 +41,8 @@ _PLANES = {
 }
 
 #: Modules whose ``maybe_attach(net)`` wires an active plane into a freshly
-#: finalized network.  The fault-injection plane acts rather than observes,
-#: so it is no probe, but it attaches the same way.
-_NETWORK_PLANES = ("repro.audit", "repro.obs", "repro.chaos")
+#: finalized network.
+_NETWORK_PLANES = ("repro.audit", "repro.obs")
 
 
 def get(name: str):

@@ -50,10 +50,6 @@ def _attach_chaos(sim: Simulator, net, chaos_plan: Optional[dict]):
         return None
     from repro.chaos import ChaosController, FaultPlan
 
-    if sim.chaos is not None:
-        raise RuntimeError(
-            "scenario cells build their own fault plan; unset REPRO_CHAOS "
-            "to run a spec with a chaos section")
     return ChaosController(sim, net, FaultPlan.from_dict(chaos_plan))
 
 

@@ -22,10 +22,10 @@ private spec collections).
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from typing import Iterator, List, Optional, Tuple
 
+from repro.runtime.config import env_text
 from repro.scenarios.schema import Scenario, SpecError
 
 _SPEC_SUFFIXES = (".yaml", ".yml", ".json")
@@ -112,7 +112,7 @@ def lint(path) -> List[Tuple[str, str]]:
 
 def library_dir() -> pathlib.Path:
     """The bundled spec directory (``REPRO_SCENARIOS_DIR`` overrides)."""
-    env = os.environ.get("REPRO_SCENARIOS_DIR")
+    env = env_text("REPRO_SCENARIOS_DIR")
     if env:
         return pathlib.Path(env)
     # src/repro/scenarios/loader.py -> repo root is three levels up from

@@ -72,11 +72,9 @@ def _run_cell(scenario, seed, sets=()):
 
 
 @pytest.fixture(autouse=True)
-def _no_ambient_chaos(monkeypatch):
-    """These tests manage their own plans; an ambient REPRO_CHAOS (e.g. the
-    CI chaos-smoke job) would auto-attach at Network.finalize and collide."""
-    for var in ("REPRO_CHAOS", "REPRO_CHAOS_LOG"):
-        monkeypatch.delenv(var, raising=False)
+def _no_ambient_audit(monkeypatch):
+    """Tests that audit open their own capture; an ambient REPRO_AUDIT
+    would attach a second auditor at Network.finalize."""
     monkeypatch.delenv("REPRO_AUDIT", raising=False)
 
 
@@ -314,39 +312,6 @@ class TestChaosController:
         ChaosController(sim, topo.net, plan)
         with pytest.raises(RuntimeError):
             ChaosController(sim, topo.net, plan)
-
-
-# -- ambient activation (REPRO_CHAOS) --------------------------------------
-
-class TestAmbientActivation:
-    def test_finalize_attaches_env_plan(self, tmp_path, monkeypatch):
-        path = tmp_path / "plan.json"
-        FaultPlan(name="env", seed=4, events=(
-            LinkDown(t_ps=1 * MS, a="L", b="R"),)).save(path)
-        monkeypatch.setenv("REPRO_CHAOS", str(path))
-        sim = Simulator(seed=1)
-        topo = dumbbell(sim, n_pairs=1)  # finalize() runs inside
-        assert sim.chaos is not None
-        assert sim.chaos.plan.name == "env"
-        sim.run(until=2 * MS)
-        assert any("link down" in msg for _, msg in sim.chaos.applied)
-
-    def test_seed_knob_is_gone_the_plan_file_carries_the_seed(
-            self, tmp_path, monkeypatch):
-        from repro.runtime.config import check_env
-        path = tmp_path / "plan.json"
-        FaultPlan(name="env", seed=4).save(path)
-        monkeypatch.setenv("REPRO_CHAOS", str(path))
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "abc")   # no longer read
-        check_env()
-        sim = Simulator(seed=1)
-        dumbbell(sim, n_pairs=1)
-        assert sim.chaos.plan.seed == 4
-
-    def test_no_env_no_controller(self):
-        sim = Simulator(seed=1)
-        dumbbell(sim, n_pairs=1)
-        assert sim.chaos is None
 
 
 # -- determinism ------------------------------------------------------------

@@ -413,14 +413,18 @@ class TestConfig:
         for name in ("REPRO_AUDIT", "REPRO_PROFILE", "REPRO_METRICS"):
             field = name[len("REPRO_"):].lower()
             for raw, on in (("1", True), ("true", True), ("0", False),
-                            ("yes", False), ("", False)):
+                            ("false", False), ("", False)):
                 cfg = RuntimeConfig.from_env({name: raw})
                 assert getattr(cfg, field) is on, (name, raw)
+            with pytest.raises(ConfigError) as err:
+                RuntimeConfig.from_env({name: "yes"})
+            assert str(err.value) == f"{name}='yes': expected 0/1/true/false"
 
     @pytest.mark.parametrize("name,value", [
         ("REPRO_TASK_TIMEOUT", "abc"),
         ("REPRO_TASK_TIMEOUT", "-5"),
         ("REPRO_METRICS_INTERVAL_PS", "1ms"),
+        ("REPRO_AUDIT", "yes"),
     ])
     def test_cli_reports_hostile_env_in_one_line_and_exits_2(
             self, name, value, monkeypatch, capsys):

@@ -128,4 +128,4 @@ class TestKnobCensus:
         documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|",
                                     (root / "README.md").read_text(), re.M))
         assert documented == used
-        assert len(documented) == 21
+        assert len(documented) == 19
