@@ -59,7 +59,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Report how sweeps executed: worker count and cache state."""
     cfg = runtime.get_config()
     line = f"repro.runtime: parallel={cfg.parallel}"
-    if cfg.cache_enabled:
+    if cfg.use_cache:
         cache = runtime.ResultCache(cfg.resolved_cache_dir(),
                                     cfg.max_cache_bytes, cfg.max_cache_entries)
         stats = cache.stats()

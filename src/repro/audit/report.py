@@ -153,5 +153,5 @@ def _format_checks(checks: Dict[str, int]) -> str:
         # when it starts transmitting schedules no completion event.
         text += (f"; events exclude elided transmit completions "
                  f"(at most one per transmit, <= {checks['transmits']}; "
-                 f"`repro profile` counts them)")
+                 f"`repro run --profile` counts them)")
     return text

@@ -8,10 +8,10 @@ Usage::
     python -m repro run fig15 --parallel 4            # sweep on 4 workers
     python -m repro run fig15 --seed 3 --no-cache     # replicate across seeds
     python -m repro run table1 --json
-    python -m repro profile fig10                     # where do events go?
+    python -m repro run fig10 --profile               # where do events go?
     python -m repro run fig15 --profile --parallel 4  # profile the workers too
     python -m repro run fig13 --metrics               # obs summary on stderr
-    python -m repro obs fig13 --jsonl run.jsonl --csv run.csv --dashboard
+    python -m repro run fig13 --obs-jsonl run.jsonl   # ... and as repro.obs.v1
     python -m repro run fig10 --trace trace.jsonl     # where did the time go?
     python -m repro trace summarize trace.jsonl
     python -m repro cache stats
@@ -147,18 +147,38 @@ def _parse_seeds(parser, raw):
     return seeds
 
 
-def _check_output_paths(args) -> None:
-    """Try every flag that names a file this invocation writes at its end
-    *now*: create the parent directory (as the journal writer does), open
-    the file for append, and remove it again if that created it — so an
-    unusable path is a one-line usage error before any work is done, not a
-    traceback after all of it."""
-    for flag in ("report_jsonl", "report_csv", "obs_jsonl", "trace", "jsonl",
-                 "csv", "prom", "pcap", "emit_plan"):
+#: The verbs that run sweeps, and so write the journal and the trace.
+_SWEEP_VERBS = ("run", "matrix", "chaos")
+
+
+def _output_paths(args):
+    """``(source, raw, path)`` for every file this invocation writes:
+    the report/export flags, the journal and the trace wherever they come
+    from (flag, else ``REPRO_*``), and the trace's Perfetto sibling."""
+    for flag in ("report_jsonl", "report_csv", "obs_jsonl", "emit_plan"):
         raw = getattr(args, flag, None)
-        if not raw:
-            continue
-        path = pathlib.Path(raw)
+        if raw:
+            yield f"--{flag.replace('_', '-')}", raw, raw
+    if args.command not in _SWEEP_VERBS:
+        return
+    for flag, knob in (("journal", "REPRO_JOURNAL"), ("trace", "REPRO_TRACE")):
+        raw = getattr(args, flag, None)
+        source = f"--{flag}" if raw else knob
+        raw = raw or env_text(knob)
+        if raw:
+            yield source, raw, raw
+            if flag == "trace":
+                yield source, raw, f"{raw}.perfetto.json"
+
+
+def _check_output_paths(args) -> None:
+    """Try every file this invocation writes *now*: create the parent
+    directory (as the journal writer does), open the file for append, and
+    remove it again if that created it — so an unusable path is a one-line
+    usage error before any work is done, not a traceback (or a silently
+    missing journal) after all of it."""
+    for source, raw, target in _output_paths(args):
+        path = pathlib.Path(target)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fresh = not path.exists()
@@ -166,8 +186,7 @@ def _check_output_paths(args) -> None:
             if fresh:
                 path.unlink()
         except OSError as exc:
-            raise ConfigError(
-                f"--{flag.replace('_', '-')}={raw}: {exc}") from None
+            raise ConfigError(f"{source}={raw}: {exc}") from None
 
 
 def _load_scenario(parser, entry: str, sets, pin=None):
@@ -277,11 +296,9 @@ def _runtime_overrides(args) -> dict:
     """The ``RuntimeConfig`` fields this invocation's flags override.
 
     Shared by every sweep-running subcommand (each defines a subset of the
-    flags).  The plane switches: ``profile``/``obs`` are ``run`` with their
-    plane forced on, ``chaos`` a matrix run with the audit plane forced on;
-    profiling, metering and the chaos gate want the simulations to
-    actually run — a cache-served sweep would observe nothing, and the gate
-    needs every task's verdict — so they bypass the result cache;
+    flags).  ``chaos`` is a matrix run with the audit plane forced on, and
+    its gate needs every task's verdict, so it bypasses the result cache
+    (profiling and metering do too, by :attr:`RuntimeConfig.use_cache`);
     ``--obs-jsonl`` implies ``--metrics``; a trace path may also come from
     ``REPRO_TRACE``.
     """
@@ -292,15 +309,13 @@ def _runtime_overrides(args) -> dict:
             overrides[field] = getattr(args, flag)
     if args.command == "chaos" or getattr(args, "audit", False):
         overrides["audit"] = True
-    if args.command == "profile" or getattr(args, "profile", False):
+    if getattr(args, "profile", False):
         overrides["profile"] = True
-    if args.command == "obs" or getattr(args, "metrics", False) \
-            or getattr(args, "obs_jsonl", None):
+    if getattr(args, "metrics", False) or getattr(args, "obs_jsonl", None):
         overrides["metrics"] = True
     if _trace_path(args):
         overrides["trace"] = True
-    if args.no_cache or args.command == "chaos" \
-            or "profile" in overrides or "metrics" in overrides:
+    if args.no_cache or args.command == "chaos":
         overrides["cache_enabled"] = False
     return overrides
 
@@ -310,7 +325,7 @@ def _trace_path(args):
 
 
 @contextlib.contextmanager
-def _observed(args, metrics_opts=None):
+def _observed(args):
     """The scope a ``run``/``matrix`` invocation executes in: drain-on-signal
     handlers, the flags' runtime config, and one probe session over every
     plane that config enables.
@@ -321,12 +336,21 @@ def _observed(args, metrics_opts=None):
     capture nesting ensures the two sources never double count.  Yields the
     session; read it after the block.
     """
-    opts = {"trace": {"path": _trace_path(args)},
-            "metrics": metrics_opts or {}}
+    opts = {"trace": {"path": _trace_path(args)}}
     with graceful_shutdown(), \
             runtime.using(**_runtime_overrides(args)) as config, \
             probes.session(config.probes, opts) as sess:
         yield sess
+
+
+def _write_obs_jsonl(args, merged: dict) -> None:
+    """``--obs-jsonl FILE`` (``run`` and ``matrix``): the merged metrics
+    summary as the ``repro.obs.v1`` JSONL stream."""
+    if args.obs_jsonl:
+        from repro.obs import export as obs_export
+        n = obs_export.write_jsonl(args.obs_jsonl, merged["metrics"])
+        print(f"wrote {n} obs record(s) to {args.obs_jsonl}",
+              file=sys.stderr)
 
 
 def _print_matrix_report(args, report, merged: dict, stable: bool) -> None:
@@ -347,11 +371,7 @@ def _print_matrix_report(args, report, merged: dict, stable: bool) -> None:
     if args.report_csv:
         n = sc.write_report_csv(args.report_csv, report, stable=stable)
         print(f"wrote {n} CSV row(s) to {args.report_csv}", file=sys.stderr)
-    if args.obs_jsonl:
-        from repro.obs import export as obs_export
-        n = obs_export.write_jsonl(args.obs_jsonl, merged["metrics"])
-        print(f"wrote {n} obs record(s) to {args.obs_jsonl}",
-              file=sys.stderr)
+    _write_obs_jsonl(args, merged)
     if args.json:
         print(json.dumps({
             "scenario": report.scenario, "compare": report.compare,
@@ -436,18 +456,28 @@ def _cli(argv=None) -> int:
                             "an interrupted or killed campaign with "
                             "'repro resume FILE' (default REPRO_JOURNAL)")
 
-    def _add_run_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("experiment", help="experiment id, e.g. fig10 or table1")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a run(...) keyword argument")
-        p.add_argument("--json", action="store_true",
-                       help="emit rows as JSON instead of a table")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the experiment's seed (where accepted)")
-        _add_runtime_options(p)
+    def _add_metrics_options(p: argparse.ArgumentParser) -> None:
+        """The metrics plane's flags, shared by ``run`` and ``matrix``."""
+        p.add_argument("--metrics", action="store_true",
+                       help="collect repro.obs metrics (counters, time "
+                            "series, flow spans) in every simulation and "
+                            "print a summary to stderr (disables the cache: "
+                            "cached results carry no metrics)")
+        p.add_argument("--obs-jsonl", default=None, metavar="FILE",
+                       help="export the merged obs summary as JSONL "
+                            "(schema repro.obs.v1) to FILE; implies "
+                            "--metrics")
 
     runp = sub.add_parser("run", help="run one experiment and print its table")
-    _add_run_options(runp)
+    runp.add_argument("experiment", help="experiment id, e.g. fig10 or table1")
+    runp.add_argument("--set", action="append", default=[],
+                      metavar="KEY=VALUE",
+                      help="override a run(...) keyword argument")
+    runp.add_argument("--json", action="store_true",
+                      help="emit rows as JSON instead of a table")
+    runp.add_argument("--seed", type=int, default=None,
+                      help="override the experiment's seed (where accepted)")
+    _add_runtime_options(runp)
     runp.add_argument("--backend", choices=("packet", "fluid"), default=None,
                       help="engine backend for experiments with a fluid "
                            "trend mode (fig15/fig16/fig18); 'fluid' trades "
@@ -455,36 +485,9 @@ def _cli(argv=None) -> int:
     runp.add_argument("--profile", action="store_true",
                       help="profile the simulation event loop "
                            "(repro.perf.profile) and print a per-subsystem "
-                           "report to stderr")
-    runp.add_argument("--metrics", action="store_true",
-                      help="collect repro.obs metrics (counters, time "
-                           "series, flow spans) and print a summary to "
-                           "stderr")
-    profp = sub.add_parser(
-        "profile",
-        help="run one experiment under the event-loop profiler "
-             "(same options as run; report goes to stderr)")
-    _add_run_options(profp)
-    obsp = sub.add_parser(
-        "obs",
-        help="run one experiment under the repro.obs metrics plane "
-             "(same options as run, plus exporters)")
-    _add_run_options(obsp)
-    obsp.add_argument("--jsonl", default=None, metavar="FILE",
-                      help="export the metrics summary as a JSONL event "
-                           "stream to FILE")
-    obsp.add_argument("--csv", default=None, metavar="FILE",
-                      help="export collected time series as long-format CSV "
-                           "to FILE")
-    obsp.add_argument("--prom", default=None, metavar="FILE",
-                      help="export counters/gauges/histograms as Prometheus "
-                           "text to FILE")
-    obsp.add_argument("--pcap", default=None, metavar="FILE",
-                      help="trace every port and dump the packet records as "
-                           "pcap-lite JSONL to FILE")
-    obsp.add_argument("--dashboard", action="store_true",
-                      help="render live sparkline panels to stderr while "
-                           "the simulation runs")
+                           "report to stderr (disables the cache: cached "
+                           "results run no simulation)")
+    _add_metrics_options(runp)
     matrixp = sub.add_parser(
         "matrix",
         help="compile a scenario spec (YAML/JSON) and run its full "
@@ -518,14 +521,7 @@ def _cli(argv=None) -> int:
     matrixp.add_argument("--report-csv", default=None, metavar="FILE",
                          help="write the per-cell rows as wide CSV to FILE")
     _add_runtime_options(matrixp)
-    matrixp.add_argument("--metrics", action="store_true",
-                         help="collect repro.obs metrics in every cell and "
-                              "print a summary to stderr (disables the "
-                              "cache: cached results carry no metrics)")
-    matrixp.add_argument("--obs-jsonl", default=None, metavar="FILE",
-                         help="export the merged obs summary as JSONL "
-                              "(schema repro.obs.v1) to FILE; implies "
-                              "--metrics")
+    _add_metrics_options(matrixp)
     resumep = sub.add_parser(
         "resume",
         help="re-invoke an interrupted campaign from its run journal: "
@@ -635,21 +631,31 @@ def _cli(argv=None) -> int:
         return 0
 
     if args.command == "trace":
+        import warnings
         from repro.obs import trace as obs_trace
-        try:
-            if args.action == "validate":
-                info = obs_trace.validate_jsonl(args.path)
-                counts = ", ".join(f"{k}={v}" for k, v
-                                   in sorted(info["records"].items()))
-                print(f"{args.path}: OK ({info['lines']} line(s); {counts})")
-                return 0
-            data = obs_trace.load_jsonl(args.path)
-            print(obs_trace.format_summary(obs_trace.summarize(
-                data["records"])))
-            return 0
-        except (OSError, ValueError) as exc:
-            print(f"trace: {exc}", file=sys.stderr)
+        read = (obs_trace.validate_jsonl if args.action == "validate"
+                else obs_trace.load_jsonl)
+        # The reader's torn-line warning is a notice to the user here, not
+        # a warning about a source line.
+        with warnings.catch_warnings(record=True) as notices:
+            warnings.simplefilter("always")
+            try:
+                got = read(args.path)
+            except (OSError, ValueError) as exc:
+                got = exc
+        for notice in notices:
+            print(f"trace: {notice.message}", file=sys.stderr)
+        if isinstance(got, Exception):
+            print(f"trace: {got}", file=sys.stderr)
             return 1
+        if args.action == "validate":
+            counts = ", ".join(f"{k}={v}" for k, v
+                               in sorted(got["records"].items()))
+            print(f"{args.path}: OK ({got['lines']} line(s); {counts})")
+        else:
+            print(obs_trace.format_summary(obs_trace.summarize(
+                got["records"])))
+        return 0
 
     if args.command == "scenarios":
         from repro import scenarios as sc
@@ -691,7 +697,7 @@ def _cli(argv=None) -> int:
         return 1 if bad else 0
 
     journal = None
-    if args.command in ("run", "profile", "obs", "matrix", "chaos"):
+    if args.command in _SWEEP_VERBS:
         try:
             journal = _activate_journal(args, argv)
         except (OSError, ValueError) as exc:
@@ -812,11 +818,7 @@ def _cli(argv=None) -> int:
             print(f"note: {args.experiment} is analytic and takes no seed; "
                   f"ignoring --seed", file=sys.stderr)
 
-    metrics_opts = None
-    if args.command == "obs":
-        metrics_opts = {"dashboard": sys.stderr if args.dashboard else None,
-                        "trace": bool(args.pcap)}
-    with _observed(args, metrics_opts) as sess:
+    with _observed(args) as sess:
         try:
             result = fn(**overrides)
         except runtime.SweepError:
@@ -833,24 +835,7 @@ def _cli(argv=None) -> int:
                                  args.experiment)
     _print_result(result, args.json)
     merged = {name: sess.merged(name) for name in sess.names}
-    if args.command == "obs":
-        from repro.obs import export as obs_export
-        if args.jsonl:
-            n = obs_export.write_jsonl(args.jsonl, merged["metrics"])
-            print(f"wrote {n} JSONL record(s) to {args.jsonl}",
-                  file=sys.stderr)
-        if args.csv:
-            n = obs_export.write_csv(args.csv, merged["metrics"])
-            print(f"wrote {n} CSV row(s) to {args.csv}", file=sys.stderr)
-        if args.prom:
-            obs_export.write_prometheus(args.prom, merged["metrics"])
-            print(f"wrote Prometheus text to {args.prom}", file=sys.stderr)
-        if args.pcap:
-            tracers = [t for reg in sess.outer["metrics"].registries
-                       for t in reg.tracers]
-            n = obs_export.dump_traces(args.pcap, tracers)
-            print(f"wrote {n} packet record(s) to {args.pcap}",
-                  file=sys.stderr)
+    _write_obs_jsonl(args, merged)
     return _report_probes(merged)
 
 

@@ -45,7 +45,7 @@ def run(
 
     # Time series come from the shared observability plane: the samplers are
     # registry-built, so the same values land in registry series (and hence
-    # any exporter / dashboard) as in the rows below.
+    # the --obs-jsonl export) as in the rows below.
     reg = MetricsRegistry.attach(sim)
     sampler = reg.sample_throughput(flows, sample_ps)
     qseries = reg.sample_queue(topo.bottleneck_fwd, sample_ps,

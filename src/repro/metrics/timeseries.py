@@ -5,7 +5,7 @@ Both samplers are :mod:`repro.obs`-aware: constructed through the registry's
 factories (:meth:`MetricsRegistry.sample_queue` /
 :meth:`~MetricsRegistry.sample_throughput`) they mirror every reading into a
 named registry :class:`~repro.obs.registry.Series`, so the same values flow
-to the exporters and dashboard that the experiment reads locally.  ``stop()``
+to the ``--obs-jsonl`` export that the experiment reads locally.  ``stop()``
 is idempotent and captures one final sample at stop time so the last partial
 interval is not silently dropped.
 """

@@ -1,4 +1,4 @@
-"""repro.obs — unified metrics, flow-span tracing, and exporters.
+"""repro.obs — unified metrics, flow-span tracing, and one export format.
 
 One observability plane for every simulation run.  Three layers:
 
@@ -13,15 +13,14 @@ data → stop → completion, plus credit round-trip samples).
 snapshot events and takes a single ``is None`` branch per instrumentation
 point, so golden traces stay bit-identical.  Turn it on explicitly
 (:meth:`MetricsRegistry.attach`), ambiently (:func:`capture`, used by
-``repro run --metrics`` / ``repro obs``), or process-wide
+``repro run``/``repro matrix --metrics``), or process-wide
 (``REPRO_METRICS=1``).  Inside an active scope every
 :meth:`Network.finalize` wires the network into the simulator's registry
 automatically via :func:`maybe_attach`.
 
-*Export* — :mod:`repro.obs.export` writes the registry summary as a JSONL
-event stream, CSV time series, or Prometheus text, and dumps
-:class:`~repro.net.trace.PortTracer` records as pcap-lite JSONL; the
-:mod:`repro.obs.dashboard` renders live sparkline panels during long runs.
+*Export* — :mod:`repro.obs.export` writes the registry summary as one
+JSONL record stream (schema ``repro.obs.v1``; ``--obs-jsonl FILE`` on
+``run`` and ``matrix``), with a loader and a validator.
 
 Captures nest like :mod:`repro.audit`'s: through the :data:`PROBE` this
 module exports (:mod:`repro.runtime.probes`) the :mod:`repro.runtime`
@@ -34,8 +33,9 @@ A fourth, orthogonal plane lives in :mod:`repro.obs.trace`: cross-layer
 *causal* tracing (wall-clock and sim-clock spans across the runtime
 scheduler, matrix cells, and sim phases), activated by
 ``--trace``/``REPRO_TRACE`` and exported as validated JSONL plus
-Chrome/Perfetto JSON.  Metrics aggregate *what* the simulation did; the
-trace shows *where the wall-clock time went* doing it.
+Chrome/Perfetto JSON.  Its runtime layer is recorded from the same task
+events the run journal writes.  Metrics aggregate *what* the simulation
+did; the trace shows *where the wall-clock time went* doing it.
 """
 
 from repro._lazy import lazy_exports

@@ -1,30 +1,26 @@
-"""Exporters for :mod:`repro.obs` summaries: JSONL, CSV, Prometheus, pcap-lite.
+"""The one export format of :mod:`repro.obs` summaries: a JSONL record
+stream (schema ``repro.obs.v1``), written by ``repro run``/``repro matrix
+--obs-jsonl FILE``.
 
-All exporters read the plain-dict *summary* shape produced by
-:meth:`MetricsRegistry.summary` / :func:`merge_summaries`, so they work
+The writer reads the plain-dict *summary* shape produced by
+:meth:`MetricsRegistry.summary` / :func:`merge_summaries`, so it works
 identically on an in-process registry and on summaries shipped back from
-parallel sweep workers.  Every writer has a loader that round-trips exactly
-(``load_jsonl(write_jsonl(s)) == s`` for counters/histograms/series), and a
-``validate_*`` schema check used by CI's obs-smoke job.
-
-The pcap-lite dump serializes :class:`~repro.net.trace.PortTracer` records
-(one JSON object per packet, tagged with the port name) so a trace captured
-under ``repro obs --pcap`` can be reloaded and diffed outside golden tests.
+parallel sweep workers.  The loader round-trips exactly
+(``load_jsonl(write_jsonl(s)) == s`` for counters/histograms/series), and
+:func:`validate_jsonl` is the schema check CI runs on a written file.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 #: Schema tag written to (and checked in) every JSONL export.
 SCHEMA = "repro.obs.v1"
 
 _RECORD_KINDS = ("meta", "counter", "gauge", "histogram", "series", "span",
-                 "event", "pkt")
+                 "event")
 
-
-# -- JSONL event stream -------------------------------------------------------
 
 def write_jsonl(path, summary: dict) -> int:
     """Write ``summary`` as one JSON object per line; returns line count."""
@@ -152,167 +148,3 @@ def validate_jsonl(path) -> dict:
     if counts.get("meta", 0) != 1:
         raise ValueError(f"{path}: expected exactly one meta record")
     return {"lines": lines, "records": counts}
-
-
-# -- CSV time series ----------------------------------------------------------
-
-CSV_HEADER = "series,time_ps,value"
-
-
-def write_csv(path, summary: dict) -> int:
-    """Long-format time series (``series,time_ps,value``); returns row count.
-
-    Long format keeps series with different cadences exact — a wide table
-    would need resampling.  ``repr`` of a float round-trips exactly in
-    Python 3, so ``load_csv`` reconstructs identical values.
-    """
-    rows = 0
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for name, data in sorted(summary.get("series", {}).items()):
-            for t, v in zip(data["times_ps"], data["values"]):
-                fh.write(f"{name},{t},{v!r}\n")
-                rows += 1
-    return rows
-
-
-def load_csv(path) -> Dict[str, dict]:
-    """Reassemble ``{name: {"times_ps": [...], "values": [...]}}``."""
-    out: Dict[str, dict] = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: bad CSV header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            name, t, v = line.rsplit(",", 2)
-            series = out.setdefault(name, {"times_ps": [], "values": []})
-            series["times_ps"].append(int(t))
-            value = float(v)
-            series["values"].append(int(value) if value.is_integer()
-                                    and "." not in v and "e" not in v
-                                    else value)
-    return out
-
-
-def validate_csv(path) -> dict:
-    """Schema-check a CSV export; raises ``ValueError`` on any violation."""
-    rows = 0
-    last_t: Dict[str, int] = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: bad CSV header {header!r}")
-        for lineno, line in enumerate(fh, 2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.rsplit(",", 2)
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns")
-            name, t, v = parts
-            try:
-                t = int(t)
-                float(v)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad row: {exc}") from exc
-            if name in last_t and t < last_t[name]:
-                raise ValueError(
-                    f"{path}:{lineno}: series {name!r} times not sorted")
-            last_t[name] = t
-            rows += 1
-    return {"rows": rows, "series": len(last_t)}
-
-
-# -- Prometheus text summary --------------------------------------------------
-
-def _prom_name(name: str) -> str:
-    return "repro_" + "".join(
-        ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-
-
-def prometheus_text(summary: dict) -> str:
-    """Prometheus text exposition of counters, gauges, and histograms."""
-    lines: List[str] = []
-    for name, value in sorted(summary.get("counters", {}).items()):
-        metric = _prom_name(name)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value}")
-    for name, value in sorted(summary.get("gauges", {}).items()):
-        metric = _prom_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {value}")
-    for name, data in sorted(summary.get("histograms", {}).items()):
-        metric = _prom_name(name)
-        lines.append(f"# TYPE {metric} histogram")
-        cum = 0
-        for b in sorted(int(k) for k in (data.get("buckets") or {})):
-            cum += data["buckets"][str(b)]
-            le = 0 if b == 0 else (1 << b) - 1
-            lines.append(f'{metric}_bucket{{le="{le}"}} {cum}')
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {data.get("count", 0)}')
-        lines.append(f"{metric}_sum {data.get('sum', 0)}")
-        lines.append(f"{metric}_count {data.get('count', 0)}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_prometheus(text: str) -> Dict[str, float]:
-    """Parse sample lines back into ``{metric: value}`` (buckets included,
-    keyed as ``name_bucket{le="..."}``).  Integer-valued samples come back
-    as ints so counter round-trips are exact."""
-    out: Dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        metric, _, value = line.rpartition(" ")
-        try:
-            out[metric] = int(value)
-        except ValueError:
-            out[metric] = float(value)
-    return out
-
-
-def write_prometheus(path, summary: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(prometheus_text(summary))
-
-
-# -- pcap-lite (PortTracer dump) ----------------------------------------------
-
-def dump_traces(path, tracers: Sequence) -> int:
-    """Dump every tracer's records as JSONL ``pkt`` lines; returns count."""
-    n = 0
-    with open(path, "w") as fh:
-        for tracer in tracers:
-            port = tracer.port.name
-            for r in tracer.records:
-                fh.write(json.dumps({
-                    "record": "pkt", "port": port, "time_ps": r.time_ps,
-                    "kind": r.kind, "src": r.src, "dst": r.dst, "seq": r.seq,
-                    "credit_seq": r.credit_seq, "wire_bytes": r.wire_bytes,
-                }) + "\n")
-                n += 1
-    return n
-
-
-def load_traces(path) -> Dict[str, list]:
-    """Reload a :func:`dump_traces` file as ``{port: [TraceRecord, ...]}``."""
-    from repro.net.trace import TraceRecord
-
-    out: Dict[str, list] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("record") != "pkt":
-                raise ValueError(f"{path}: unexpected record {rec!r}")
-            out.setdefault(rec["port"], []).append(TraceRecord(
-                time_ps=rec["time_ps"], kind=rec["kind"], src=rec["src"],
-                dst=rec["dst"], seq=rec["seq"], credit_seq=rec["credit_seq"],
-                wire_bytes=rec["wire_bytes"]))
-    return out

@@ -17,8 +17,6 @@ from repro.runtime.config import env_flag, env_number
 _capture_depth = 0
 #: Live registries claimed by the open captures, oldest scope first.
 _captured: List[MetricsRegistry] = []
-#: Options of the innermost open capture (dashboard stream, tracing flag).
-_opts: List[dict] = []
 
 
 def is_active() -> bool:
@@ -37,8 +35,7 @@ def maybe_attach(net) -> Optional[MetricsRegistry]:
 
     Called by :meth:`repro.topology.network.Network.finalize`.  Reuses the
     simulator's existing registry so multi-network simulations share one
-    summary, starts periodic snapshots on first attach, and honours the
-    innermost capture's dashboard/trace options.
+    summary, and starts periodic snapshots on first attach.
     """
     if not is_active():
         return None
@@ -48,13 +45,7 @@ def maybe_attach(net) -> Optional[MetricsRegistry]:
         reg = MetricsRegistry.attach(net.sim,
                                      snapshot_interval_ps=default_interval_ps())
     reg.attach_network(net)
-    opts = _opts[-1] if _opts else {}
-    if opts.get("trace"):
-        reg.trace_network(net)
     if fresh:
-        if opts.get("dashboard") is not None:
-            from repro.obs.dashboard import Dashboard
-            Dashboard(reg, opts["dashboard"])
         reg.start_snapshots()
     return reg
 
@@ -67,12 +58,8 @@ def _note_registry(reg: MetricsRegistry) -> None:
 
 class capture:
     """Capture scope over every registry attached inside it (and not
-    claimed by a scope nested deeper).
-
-    ``opts`` (``dashboard=<stream>``, ``trace=True``) apply to registries
-    created inside this scope.  After exit, ``.summary`` holds the merged
-    summary dict and ``.registries`` the finalized registries (for e.g.
-    pcap-lite export of their tracers).
+    claimed by a scope nested deeper).  After exit, ``.summary`` holds
+    the merged summary dict.
     """
 
     #: The merged summary, once the scope has closed (``payload`` is the
@@ -80,14 +67,9 @@ class capture:
     summary: Optional[dict] = None
     payload: Optional[dict] = None
 
-    def __init__(self, **opts):
-        self._capture_opts = opts
-        self.registries: List[MetricsRegistry] = []
-
     def __enter__(self) -> "capture":
         global _capture_depth
         _capture_depth += 1
-        _opts.append(self._capture_opts)
         self._marker = len(_captured)
         return self
 
@@ -96,10 +78,8 @@ class capture:
         scoped = _captured[self._marker:]
         del _captured[self._marker:]
         _capture_depth = max(0, _capture_depth - 1)
-        _opts.pop()
         self.summary = self.payload = merge_summaries(
             [r.summary() for r in scoped])
-        self.registries = scoped
         return False
 
 

@@ -184,7 +184,6 @@ class MetricsRegistry:
         self.events: List[tuple] = []
         self.spans: List = []
         self.ports: List = []
-        self.tracers: List = []
         #: Bumped directly by ports when only credits wait and the token
         #: bucket is short (the transmitter sleep branch).
         self.credit_throttled = 0
@@ -192,8 +191,6 @@ class MetricsRegistry:
                                      if snapshot_interval_ps is None
                                      else snapshot_interval_ps)
         self.snapshots_taken = 0
-        #: Optional hook fired after each snapshot (the dashboard chains it).
-        self.on_snapshot: Optional[Callable] = None
         self._snapshot_sources: List[tuple] = []  # (Series, callable)
         self._snapshot_event = None
         self._samplers: List = []
@@ -282,16 +279,6 @@ class MetricsRegistry:
                             lambda: sum(p.stats.credit_pkts_sent
                                         for p in ports))
 
-    def trace_network(self, net, keep: Optional[int] = None) -> None:
-        """Attach a :class:`~repro.net.trace.PortTracer` to every port of
-        ``net`` (the pcap-lite exporter reads ``self.tracers``)."""
-        from repro.net.trace import PortTracer
-
-        traced = {t.port for t in self.tracers}
-        for port in net.ports:
-            if port not in traced:
-                self.tracers.append(PortTracer(port, keep=keep))
-
     # -- sampler factories (the repro.metrics.timeseries migration) ---------
     def sample_queue(self, port, interval_ps: int, name: Optional[str] = None):
         """A :class:`QueueSampler` whose readings mirror into a registry
@@ -342,9 +329,6 @@ class MetricsRegistry:
             times.append(now)
             series.values.append(fn())
         self.snapshots_taken += 1
-        cb = self.on_snapshot
-        if cb is not None:
-            cb(self)
 
     # -- finalize ------------------------------------------------------------
     def finalize(self) -> "MetricsRegistry":

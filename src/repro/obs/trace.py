@@ -349,17 +349,23 @@ def tracing(max_records: int = MAX_RECORDS):
 # ---------------------------------------------------------------------------
 
 class TaskRecorder:
-    """Turns scheduler/telemetry callbacks into runtime-layer spans.
+    """Turns the run journal's task events into runtime-layer spans.
 
-    One parent span per task on track ``task/<index>`` (queued -> final,
-    carrying outcome/attempts/cache state plus any annotated matrix axes),
-    child attempt spans on the same track, worker-lane spans on
-    ``worker/<pid>`` when the executing process reported its window, and
-    instant events for retry backoff (``deferred`` / ``resubmitted``).
-    Worker sim records ship on ``TaskResult.trace`` and are stitched in
-    under ``t<index>.``-prefixed tracks, so a cell's engine/phase spans
-    stay attributable to their task.
+    :class:`~repro.runtime.telemetry.Telemetry` hands every task event it
+    journals — ``(event, index, label, fields)``, the journal's own names
+    and fields — to :meth:`record`.  One parent span per task on track
+    ``task/<index>`` (queued -> final, carrying outcome/attempts/cache
+    state plus any annotated matrix axes), child attempt spans on the same
+    track, worker-lane spans on ``worker/<pid>`` when the executing process
+    reported its window, and instant events for retry backoff
+    (``deferred`` / ``resubmitted``).  Worker sim records ride with
+    ``task_done`` and are stitched in under ``t<index>.``-prefixed tracks,
+    so a cell's engine/phase spans stay attributable to their task.
     """
+
+    #: Events that close a task's span, with the outcome they record.
+    _OUTCOMES = {"task_done": "done", "cache_hit": "cache-hit",
+                 "task_failed": "failed", "task_interrupted": "interrupted"}
 
     def __init__(self, tracer: Tracer, sweep: str):
         self.tracer = tracer
@@ -371,69 +377,51 @@ class TaskRecorder:
         tracer = emit_target()
         return None if tracer is None else cls(tracer, sweep)
 
-    def _track(self, index: int) -> str:
-        return f"task/{index}"
-
-    def queued(self, index: int, label: str) -> None:
-        self._state[index] = {"label": label,
-                              "queued": self.tracer.now_us(),
-                              "t0": None, "attempt": 0, "blob": None}
-
-    def started(self, index: int, label: str, attempt: int) -> None:
-        st = self._state.setdefault(index, {"label": label,
-                                            "queued": self.tracer.now_us(),
-                                            "blob": None})
-        st["t0"] = self.tracer.now_us()
-        st["attempt"] = attempt
-
-    def retry(self, index: int, label: str, attempt: int,
-              error: str) -> None:
-        st = self._state.get(index)
-        if st is None or st.get("t0") is None:
-            return
-        self.tracer.span("runtime", "attempt", track=self._track(index),
-                         t0=st["t0"], t1=self.tracer.now_us(),
-                         args={"attempt": attempt, "outcome": "retry",
-                               "error": error})
-
-    def deferred(self, index: int, label: str, backoff_s: float) -> None:
-        self.tracer.event("runtime", "deferred", track=self._track(index),
-                          t=self.tracer.now_us(),
-                          args={"backoff_s": round(backoff_s, 6)})
-
-    def resubmitted(self, index: int, label: str, attempt: int) -> None:
-        self.tracer.event("runtime", "resubmitted",
-                          track=self._track(index),
-                          t=self.tracer.now_us(), args={"attempt": attempt})
-
-    def task_blob(self, index: int, blob: Optional[dict]) -> None:
-        """Bank the executing process's report (pid, run window, records)."""
-        st = self._state.get(index)
-        if st is not None:
-            st["blob"] = blob
-
-    def done(self, index: int, label: str, cached: bool = False) -> None:
-        self._finish(index, label, "cache-hit" if cached else "done")
-
-    def failed(self, index: int, label: str, error: str,
-               attempts: int) -> None:
-        self._finish(index, label, "failed", error=error)
-
-    def interrupted(self, index: int, label: str,
-                    signame: str = "SIGINT") -> None:
-        """A task cut short by a graceful-shutdown drain."""
-        self._finish(index, label, "interrupted",
-                     error=f"interrupted ({signame})")
+    def record(self, event: str, index: int, label: str, fields: dict,
+               blob: Optional[dict] = None) -> None:
+        """Fold one journaled task event into the trace; ``blob`` is the
+        executing process's report (pid, run window, records) that rides
+        with ``task_done``.  Events with no runtime span (``cache_miss``)
+        are ignored."""
+        tracer = self.tracer
+        track = f"task/{index}"
+        if event == "task_queued":
+            self._state[index] = {"queued": tracer.now_us(), "t0": None,
+                                  "attempt": 0}
+        elif event == "task_started":
+            st = self._state.setdefault(index, {"queued": tracer.now_us()})
+            st["t0"] = tracer.now_us()
+            st["attempt"] = fields["attempt"]
+        elif event == "task_retry":
+            st = self._state.get(index)
+            if st is not None and st.get("t0") is not None:
+                tracer.span("runtime", "attempt", track=track,
+                            t0=st["t0"], t1=tracer.now_us(),
+                            args={"attempt": fields["attempt"],
+                                  "outcome": "retry",
+                                  "error": fields["error"]})
+        elif event == "task_deferred":
+            tracer.event("runtime", "deferred", track=track,
+                         t=tracer.now_us(),
+                         args={"backoff_s": fields["backoff_s"]})
+        elif event == "task_resubmitted":
+            tracer.event("runtime", "resubmitted", track=track,
+                         t=tracer.now_us(),
+                         args={"attempt": fields["attempt"]})
+        elif event in self._OUTCOMES:
+            error = fields.get("error")
+            if event == "task_interrupted":
+                error = f"interrupted ({fields['signal']})"
+            self._finish(index, label, self._OUTCOMES[event], error, blob)
 
     def _finish(self, index: int, label: str, outcome: str,
-                error: Optional[str] = None) -> None:
+                error: Optional[str], blob: Optional[dict]) -> None:
         tracer = self.tracer
         st = self._state.pop(index, None)
         if st is None:
             return
         now = tracer.now_us()
-        track = self._track(index)
-        blob = st.get("blob")
+        track = f"task/{index}"
         if blob is not None:
             # The executing process (a pool worker, or this one when
             # serial) reported its actual run window: a worker-lane span
@@ -524,7 +512,8 @@ def load_jsonl(path) -> dict:
     """Load a trace file: ``{"meta": {...}, "records": [...], "torn": n}``.
 
     A torn *final* line is skipped with a warning and counted in ``torn``
-    (see :func:`_records`); garbage anywhere else still raises.
+    (see :func:`_records`); garbage anywhere else still raises, and so
+    does a file with no ``meta`` header (it is not a trace).
     """
     meta = None
     records: List[dict] = []
@@ -536,7 +525,9 @@ def load_jsonl(path) -> dict:
             meta = rec
         else:
             records.append(rec)
-    return {"meta": meta or {}, "records": records, "torn": torn}
+    if meta is None or meta.get("schema") != SCHEMA:
+        raise ValueError(f"{path}: missing meta/schema header ({SCHEMA})")
+    return {"meta": meta, "records": records, "torn": torn}
 
 
 def validate_jsonl(path) -> dict:

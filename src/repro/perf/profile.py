@@ -9,8 +9,8 @@ profiler only observes.
 
 Three ways in:
 
-* ``python -m repro profile fig10`` (or ``run fig10 --profile``) prints the
-  experiment's table as usual plus a profile report on stderr.
+* ``python -m repro run fig10 --profile`` prints the experiment's table
+  as usual plus a profile report on stderr.
 * ``REPRO_PROFILE=1`` / ``RuntimeConfig(profile=True)`` makes every sweep
   task profile its own simulations — in its worker process when parallel —
   and ship a plain-dict summary back on ``TaskResult.probes["profile"]``

@@ -26,9 +26,12 @@ Environment variables (all optional) seed the defaults:
                             carry per-run audit summaries
 ``REPRO_PROFILE``           "1" profiles every sweep task
                             (:mod:`repro.perf.profile`); task results then
-                            carry per-run profile summaries
+                            carry per-run profile summaries (and bypass the
+                            result cache, as ``--profile`` does)
 ``REPRO_METRICS``           "1" meters every sweep task (:mod:`repro.obs`);
                             task results then carry per-run metrics summaries
+                            (and bypass the result cache, as ``--metrics``
+                            does)
 ``REPRO_TRACE``             path for a cross-layer trace
                             (:mod:`repro.obs.trace`): JSONL at the path
                             plus Perfetto-loadable ``<path>.perfetto.json``.
@@ -182,7 +185,9 @@ class RuntimeConfig:
 
     #: Worker processes.  0 or 1 runs tasks serially in-process.
     parallel: int = 0
-    cache_enabled: bool = True
+    #: True/False force the result cache on/off; None = on unless a plane
+    #: that observes the simulations themselves is on (see ``use_cache``).
+    cache_enabled: Optional[bool] = None
     cache_dir: Optional[pathlib.Path] = None  # None -> default_cache_dir()
     #: Additional attempts after the first failure (so 2 -> up to 3 calls).
     retries: int = 2
@@ -214,7 +219,8 @@ class RuntimeConfig:
         cache_dir = env_text("REPRO_CACHE_DIR", environ)
         return cls(
             parallel=env_number("REPRO_PARALLEL", environ),
-            cache_enabled=not env_flag("REPRO_NO_CACHE", environ),
+            cache_enabled=(False if env_flag("REPRO_NO_CACHE", environ)
+                           else None),
             cache_dir=pathlib.Path(cache_dir) if cache_dir else None,
             retries=env_number("REPRO_RETRIES", environ),
             task_timeout_s=env_number("REPRO_TASK_TIMEOUT", environ),
@@ -230,6 +236,17 @@ class RuntimeConfig:
 
     def resolved_cache_dir(self) -> pathlib.Path:
         return self.cache_dir or default_cache_dir()
+
+    @property
+    def use_cache(self) -> bool:
+        """Whether sweeps read and write the result cache.  Unless
+        ``cache_enabled`` forces it, yes — but not while profiling or
+        metering, which observe the simulations themselves: a cache-served
+        task runs none, so it would observe nothing.  One rule for the
+        flags and the ``REPRO_*`` knobs alike."""
+        if self.cache_enabled is not None:
+            return self.cache_enabled
+        return not (self.profile or self.metrics)
 
     @property
     def probes(self) -> tuple:

@@ -88,8 +88,6 @@ class Session:
         self.names = tuple(names)
         #: ``(label, {name: payload})``: the outer capture's, then tasks'.
         self.banked: List[Tuple[str, Dict[str, dict]]] = []
-        #: ``{name: handle}`` of the session's own outer captures.
-        self.outer: dict = {}
 
     def merged(self, name: str) -> dict:
         """Everything banked for ``name``, folded by its probe's merge."""
@@ -116,7 +114,6 @@ def session(names: Sequence[str],
     _SESSIONS.append(sess)
     try:
         with capture(sess.names, opts) as outer:
-            sess.outer = outer
             yield sess
         if outer:
             sess.banked.insert(0, ("", {name: handle.payload

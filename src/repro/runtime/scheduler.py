@@ -206,7 +206,7 @@ def run_tasks(
     names = probes.enabled(config)
 
     cache = None
-    if config.cache_enabled:
+    if config.use_cache:
         cache = ResultCache(config.resolved_cache_dir(),
                             config.max_cache_bytes, config.max_cache_entries)
 

@@ -11,12 +11,12 @@ one-line summary at the end — task counts, failures, cache hit rate, wall
 time — prints whenever the ticker is enabled.
 
 Telemetry is the single lifecycle funnel: the scheduler reports each task
-transition here once, and it fans out to two sinks — the crash-safe run
-journal (:mod:`repro.resilience.journal`: the one log of every event,
-which ``repro resume`` folds to a task frontier); and the runtime layer of
-``repro.obs.trace`` (when a tracer is active, a
-:class:`~repro.obs.trace.TaskRecorder` turns every state change into
-task / attempt / worker-lane spans).
+transition here once, as one journal event, and that event goes to two
+sinks — the crash-safe run journal (:mod:`repro.resilience.journal`: the
+one log of every event, which ``repro resume`` folds to a task frontier);
+and, when a tracer is active, the runtime layer of ``repro.obs.trace``
+(:meth:`~repro.obs.trace.TaskRecorder.record` turns the same event names
+and fields into task / attempt / worker-lane spans).
 With a sink off its forwarding is one ``is None`` check per event.
 """
 
@@ -75,15 +75,20 @@ class Telemetry:
             self.journal.event(event, **fields)
 
     def _task(self, event: str, index: int, label: str, *bump: str,
-              settles: bool = False, **fields) -> None:
+              settles: bool = False, blob: Optional[dict] = None,
+              **fields) -> None:
         """One task transition into the counters (``bump``; ``settles`` =
-        the task left the running set) and the run journal."""
+        the task left the running set), the run journal, and — the same
+        ``(event, index, label, fields)`` — the trace recorder, which also
+        takes the executing process's trace ``blob`` of a ``task_done``."""
         with self._lock:
             if settles:
                 self.counts["running"] = max(0, self.counts["running"] - 1)
             for name in bump:
                 self.counts[name] += 1
         self.emit(event, index=index, label=label, **fields)
+        if self.recorder is not None:
+            self.recorder.record(event, index, label, fields, blob)
 
     def task_queued(self, index: int, label: str,
                     key: Optional[str] = None) -> None:
@@ -91,13 +96,9 @@ class Telemetry:
         caching is on), journaled so a resume can find its result."""
         self._keys[index] = key
         self._task("task_queued", index, label, "queued", key=key)
-        if self.recorder is not None:
-            self.recorder.queued(index, label)
 
     def task_started(self, index: int, label: str, attempt: int) -> None:
         self._task("task_started", index, label, "running", attempt=attempt)
-        if self.recorder is not None:
-            self.recorder.started(index, label, attempt)
         self.tick()
 
     def task_done(self, index: int, label: str, wall_s: float,
@@ -107,45 +108,34 @@ class Telemetry:
         :mod:`~repro.runtime.probes` session — and, for the trace, handed
         to the recorder to stitch under this task's span."""
         self._task("task_done", index, label, "done", settles=True,
+                   blob=(payloads or {}).get("trace"),
                    key=self._keys.get(index), wall_s=round(wall_s, 6),
                    cached=False)
         if payloads:
             probes.bank(label, payloads)
-        if self.recorder is not None:
-            if payloads:
-                self.recorder.task_blob(index, payloads.get("trace"))
-            self.recorder.done(index, label)
         self.tick()
 
     def task_failed(self, index: int, label: str, error: str,
                     attempts: int) -> None:
         self._task("task_failed", index, label, "failed", settles=True,
                    error=error, attempts=attempts)
-        if self.recorder is not None:
-            self.recorder.failed(index, label, error, attempts)
         self.tick()
 
     def task_retry(self, index: int, label: str, attempt: int,
                    error: str) -> None:
         self._task("task_retry", index, label, "retries", settles=True,
                    attempt=attempt, error=error)
-        if self.recorder is not None:
-            self.recorder.retry(index, label, attempt, error)
 
     def task_deferred(self, index: int, label: str, backoff_s: float) -> None:
         """A retry parked for ``backoff_s`` before resubmission."""
         self._task("task_deferred", index, label, "deferred",
                    backoff_s=round(backoff_s, 6),
                    due_t=round(time.time() + backoff_s, 6))
-        if self.recorder is not None:
-            self.recorder.deferred(index, label, backoff_s)
 
     def task_resubmitted(self, index: int, label: str, attempt: int) -> None:
         """A backoff-deferred task re-entering the pool/serial loop."""
         self._task("task_resubmitted", index, label, "resubmitted",
                    attempt=attempt)
-        if self.recorder is not None:
-            self.recorder.resubmitted(index, label, attempt)
 
     def task_interrupted(self, index: int, label: str,
                          signame: str = "SIGINT") -> None:
@@ -153,15 +143,11 @@ class Telemetry:
         its in-flight result was abandoned)."""
         self._task("task_interrupted", index, label, "interrupted",
                    signal=signame)
-        if self.recorder is not None:
-            self.recorder.interrupted(index, label, signame)
         self.tick()
 
     def cache_hit(self, index: int, label: str) -> None:
         self._task("cache_hit", index, label, "cache_hits", "done",
                    key=self._keys.get(index), cached=True)
-        if self.recorder is not None:
-            self.recorder.done(index, label, cached=True)
         self.tick()
 
     def cache_miss(self, index: int, label: str) -> None:

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro import ExpressPassFlow, ExpressPassParams, cli, obs, runtime
+from repro import ExpressPassFlow, ExpressPassParams, cli, runtime
 from repro import scenarios as sc
 from repro.audit import NetworkAuditor
 from repro.audit.golden import trace_digest
@@ -41,8 +41,10 @@ from repro.chaos.scenarios import (
 )
 from repro.cli import main as cli_main
 from repro.net.fault import LossInjector
+from repro.net.trace import PortTracer
 from repro.sim.engine import Simulator
 from repro.sim.units import MS, SEC, US
+from repro.topology.network import Network
 from repro.topology.simple import dumbbell
 
 EP = dict(params=ExpressPassParams(rtt_hint_ps=40 * US))
@@ -317,14 +319,22 @@ class TestChaosController:
 # -- determinism ------------------------------------------------------------
 
 class TestDeterminism:
-    def test_same_plan_same_seed_bit_identical(self):
+    def test_same_plan_same_seed_bit_identical(self, monkeypatch):
+        tracers = []
+        finalize = Network.finalize
+
+        def finalize_traced(net):
+            finalize(net)
+            tracers.extend(PortTracer(port) for port in net.ports)
+        monkeypatch.setattr(Network, "finalize", finalize_traced)
+
         def traced():
+            tracers.clear()
             (cell,) = _cells("loss-burst", [7], SMALL)
-            with obs.capture(trace=True) as cap:
-                row = cell.task.call()
-            return row, trace_digest([r for reg in cap.registries
-                                      for t in reg.tracers
-                                      for r in t.records])
+            row = cell.task.call()
+            records = [r for t in tracers for r in t.records]
+            assert records
+            return row, trace_digest(records)
         first, second = traced(), traced()
         assert first[1] == second[1]
         assert first == second

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -250,7 +251,17 @@ class TestScenarioCli:
 
 
 class TestOutputPaths:
-    """Every flag that names an output file is checked before any work."""
+    """Every file an invocation writes is checked before any work: the
+    flags that name one, and the journal and trace (with its Perfetto
+    sibling) wherever their paths come from."""
+
+    @staticmethod
+    def _no_tasks(monkeypatch):
+        from repro.runtime import scheduler
+
+        def unreachable(*a, **k):
+            raise AssertionError("a task was started")
+        monkeypatch.setattr(scheduler, "_call", unreachable)
 
     @pytest.mark.parametrize("argv,flag", [
         (["matrix", "smoke_mini"], "--report-jsonl"),
@@ -258,28 +269,54 @@ class TestOutputPaths:
         (["matrix", "smoke_mini"], "--obs-jsonl"),
         (["matrix", "smoke_mini"], "--trace"),
         (["run", "fig12"], "--trace"),
-        (["obs", "fig12"], "--jsonl"),
-        (["obs", "fig12"], "--csv"),
-        (["obs", "fig12"], "--prom"),
-        (["obs", "fig12"], "--pcap"),
+        (["run", "fig12"], "--obs-jsonl"),
         (["chaos", "link-flap"], "--emit-plan"),
+        (["chaos", "link-flap"], "--trace"),
+        (["matrix", "smoke_mini"], "--journal"),
+        (["run", "fig12"], "--journal"),
     ])
     def test_unwritable_path_is_one_line_exit_2_before_the_first_task(
             self, argv, flag, tmp_path, monkeypatch, capsys):
-        from repro.runtime import scheduler
-
-        def unreachable(*a, **k):
-            raise AssertionError("a task was started")
-        monkeypatch.setattr(scheduler, "_call", unreachable)
+        self._no_tasks(monkeypatch)
         blocker = tmp_path / "a-file"
         blocker.write_text("")
         dest = blocker / "out.dat"      # under a regular file: unwritable
         journal = tmp_path / "j.jsonl"
-        assert main(argv + [flag, str(dest), "--journal", str(journal)]) == 2
+        extra = [] if flag == "--journal" else ["--journal", str(journal)]
+        assert main(argv + [flag, str(dest)] + extra) == 2
         out, err = capsys.readouterr()
         (line,) = err.splitlines()
         assert out == "" and line.startswith(f"repro: {flag}={dest}: ")
         assert not journal.exists()     # no meta, no task_queued
+
+    @pytest.mark.parametrize("source,name,case", [
+        ("env", "REPRO_TRACE", "under-a-file"),
+        ("env", "REPRO_JOURNAL", "under-a-file"),
+        ("flag", "--trace", "perfetto-is-a-dir"),
+        ("env", "REPRO_TRACE", "perfetto-is-a-dir"),
+    ])
+    def test_env_and_derived_paths_are_checked_up_front(
+            self, source, name, case, tmp_path, monkeypatch, capsys):
+        self._no_tasks(monkeypatch)
+        if case == "under-a-file":
+            blocker = tmp_path / "afile"
+            blocker.write_text("")
+            dest = blocker / "out.jsonl"
+        else:
+            dest = tmp_path / "t.jsonl"
+            (tmp_path / "t.jsonl.perfetto.json").mkdir()
+        argv = ["matrix", "smoke_mini"]
+        if source == "env":
+            monkeypatch.setenv(name, str(dest))
+        else:
+            argv += [name, str(dest)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        assert out == "" and line.startswith(f"repro: {name}={dest}: ")
+        if case == "perfetto-is-a-dir":
+            assert "perfetto.json" in line
+        assert not dest.exists()
 
     def test_missing_parent_directory_is_created(self, tmp_path, capsys):
         from repro import scenarios
@@ -295,3 +332,37 @@ class TestOutputPaths:
         assert main(["matrix", "fig99_imaginary",
                      "--report-csv", str(dest)]) == 1
         assert dest.parent.is_dir() and not dest.exists()
+
+
+class TestVerbs:
+    @pytest.mark.parametrize("verb", ["obs", "profile"])
+    def test_removed_verbs_are_invalid_choices(self, verb, capsys):
+        """``repro run X --obs-jsonl F`` / ``--profile`` replace them."""
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "fig12"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("knob,counted", [
+        ("REPRO_METRICS", r"across (\d+) run\(s\)"),
+        ("REPRO_PROFILE", r"across (\d+) simulator\(s\)"),
+    ])
+    def test_a_plane_knob_observes_every_cell_on_a_warm_cache(
+            self, knob, counted, tmp_path, monkeypatch, capsys):
+        """Switched on from the environment, profiling and metering bypass
+        the result cache exactly as their flags do."""
+        from repro.runtime import config
+
+        # The suite pins a config for every test; a knob only reaches the
+        # CLI through the environment when no config is active.
+        monkeypatch.setattr(config, "_ACTIVE", None)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["matrix", "smoke_mini", "--set", "workload.n_flows=1"]
+        assert main(argv) == 0                           # cold: fills it
+        assert "cached: 0" in capsys.readouterr().out
+        monkeypatch.setenv(knob, "1")
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert "cached: 0" in out
+        # Every one of the 4 cells ran at least one observed simulation.
+        assert int(re.search(counted, err).group(1)) >= 4, err

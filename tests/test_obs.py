@@ -3,12 +3,12 @@
 Covers: metric primitives (log-bucketed histogram, counters, series merge
 algebra); FlowSpan lifecycle ordering on a real ExpressPass run; final
 counters agreeing exactly with port/flow state; metrics being observation-
-only (metered flow outcomes identical to unmetered); the exporters
-round-tripping counters/series/histograms exactly and their validators
-rejecting malformed files; PortTracer JSONL round-trip; sampler stop
-semantics (idempotent, final sample); the ambient capture / REPRO_METRICS
-activation paths; the sweep scheduler shipping summaries on
-``TaskResult.probes["metrics"]``; the dashboard rendering; and the ``repro obs`` CLI.
+only (metered flow outcomes identical to unmetered); the JSONL export
+round-tripping counters/series/histograms exactly and its validator
+rejecting malformed files; sampler stop semantics (idempotent, final
+sample); the ambient capture / REPRO_METRICS activation paths; the sweep
+scheduler shipping summaries on ``TaskResult.probes["metrics"]``; and the
+``repro run --metrics`` / ``--obs-jsonl`` CLI.
 """
 
 import json
@@ -20,7 +20,6 @@ from repro import runtime
 from repro import obs as obs_mod
 from repro.core import ExpressPassFlow, ExpressPassParams
 from repro.metrics.timeseries import FlowThroughputSampler, QueueSampler
-from repro.net.trace import PortTracer
 from repro.obs import (
     Histogram,
     MetricsRegistry,
@@ -41,7 +40,7 @@ EP = dict(params=ExpressPassParams(rtt_hint_ps=40 * US))
 @pytest.fixture(autouse=True)
 def _isolate_ambient_metrics(monkeypatch):
     """These tests manage their own registries; an ambient REPRO_METRICS=1
-    (e.g. the obs-smoke CI job) would auto-attach at Network.finalize()
+    (e.g. a metered CI run) would auto-attach at Network.finalize()
     and collide.  Activation-path tests set the variable back explicitly."""
     monkeypatch.delenv("REPRO_METRICS", raising=False)
     monkeypatch.delenv("REPRO_METRICS_INTERVAL_PS", raising=False)
@@ -306,59 +305,6 @@ class TestExporters:
         with pytest.raises(ValueError, match="int >= 0"):
             export.validate_jsonl(path)
 
-    def test_csv_round_trip(self, tmp_path, summary):
-        path = tmp_path / "run.csv"
-        rows = export.write_csv(path, summary)
-        assert rows == sum(len(s["times_ps"])
-                           for s in summary["series"].values())
-        assert export.validate_csv(path)["rows"] == rows
-        assert export.load_csv(path) == summary["series"]
-
-    def test_csv_validator_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n")
-        with pytest.raises(ValueError, match="header"):
-            export.validate_csv(path)
-
-    def test_prometheus_round_trip(self, tmp_path, summary):
-        path = tmp_path / "run.prom"
-        export.write_prometheus(path, summary)
-        parsed = export.parse_prometheus(path.read_text())
-        for name, value in summary["counters"].items():
-            assert parsed["repro_" + name.replace(".", "_")] == value
-        fct = summary["histograms"]["flow.fct_ps"]
-        assert parsed["repro_flow_fct_ps_count"] == fct["count"]
-        assert parsed["repro_flow_fct_ps_sum"] == fct["sum"]
-        assert parsed['repro_flow_fct_ps_bucket{le="+Inf"}'] == fct["count"]
-
-
-class TestTraceExport:
-    def _traced_run(self):
-        sim = Simulator(seed=5)
-        topo = small_dumbbell(sim)
-        tracer = PortTracer(topo.bottleneck_fwd)
-        ExpressPassFlow(topo.senders[0], topo.receivers[0], 30_000, **EP)
-        sim.run()
-        return tracer
-
-    def test_dump_traces_round_trip(self, tmp_path):
-        tracer = self._traced_run()
-        path = tmp_path / "pcap.jsonl"
-        n = export.dump_traces(path, [tracer])
-        assert n == len(tracer.records)
-        loaded = export.load_traces(path)
-        assert loaded[tracer.port.name] == tracer.records
-
-    def test_capture_trace_option(self):
-        with capture(trace=True) as cap:
-            sim = Simulator(seed=5)
-            topo = small_dumbbell(sim)
-            ExpressPassFlow(topo.senders[0], topo.receivers[0], 30_000, **EP)
-            sim.run()
-        tracers = [t for reg in cap.registries for t in reg.tracers]
-        assert len(tracers) == len(topo.net.ports)
-        assert sum(len(t.records) for t in tracers) > 0
-
 
 # -- sampler lifecycle (satellite) -------------------------------------------
 
@@ -491,7 +437,7 @@ class TestSchedulerIntegration:
 
     def test_metrics_off_plain_sweep(self):
         # metrics=False explicitly: the suite may run under REPRO_METRICS=1
-        # (the obs-smoke CI job), which the session config would inherit.
+        # (a metered CI run), which the session config would inherit.
         specs = [TaskSpec(fn=_sweep_point, kwargs={"seed": 5}, label="s")]
         with runtime.using(cache_enabled=False, progress=False, retries=0,
                            parallel=0, metrics=False):
@@ -511,103 +457,9 @@ class TestSchedulerIntegration:
         assert results[0].value == serial
 
 
-# -- dashboard ---------------------------------------------------------------
-
-class TestDashboard:
-    def _render_run(self, size=None, **dash_kwargs):
-        import io
-        import itertools
-        from repro.obs.dashboard import Dashboard
-
-        out = io.StringIO()
-        clock = itertools.count()
-        with capture():
-            sim = Simulator(seed=1)
-            topo = small_dumbbell(sim)
-            dash = Dashboard(sim.metrics, out, min_interval_s=0,
-                             clock=lambda: next(clock), **dash_kwargs)
-            flow = ExpressPassFlow(topo.senders[0], topo.receivers[0], size,
-                                   **EP)
-            if size is None:
-                sim.schedule(5 * MS, flow.stop)
-                sim.run(until=5 * MS)
-            else:
-                sim.run()
-        return dash, out.getvalue()
-
-    def test_renders_panels(self):
-        dash, text = self._render_run()
-        assert dash.renders > 0
-        assert "repro.obs" in text
-        assert "tx rate (Gbps)" in text
-        assert "queue.data.bytes.max" in text
-        assert "credit_throttled=" in text
-
-    def test_fct_panel_after_completion(self):
-        dash, _ = self._render_run(size=120_000)
-        text = dash.render()  # final state: flow completed
-        assert "FCT n=1" in text
-
-    def test_ascii_only(self):
-        dash, text = self._render_run(ascii_only=True)
-        assert "█" not in text
-
-    def test_wall_clock_throttling(self):
-        import io
-        from repro.obs.dashboard import Dashboard
-
-        out = io.StringIO()
-        with capture():
-            sim = Simulator(seed=1)
-            topo = small_dumbbell(sim)
-            # frozen clock: only the first snapshot may render
-            dash = Dashboard(sim.metrics, out, min_interval_s=10.0,
-                             clock=lambda: 0.0)
-            flow = ExpressPassFlow(topo.senders[0], topo.receivers[0], None,
-                                   **EP)
-            sim.schedule(5 * MS, flow.stop)
-            sim.run(until=5 * MS)
-        assert dash.renders == 1
-
-    def test_close_restores_hook(self, sim):
-        from repro.obs.dashboard import Dashboard
-        import io
-
-        reg = MetricsRegistry.attach(sim)
-        prev = lambda r: None
-        reg.on_snapshot = prev
-        dash = Dashboard(reg, io.StringIO())
-        assert reg.on_snapshot != prev
-        dash.close()
-        assert reg.on_snapshot is prev
-
-
 # -- CLI ---------------------------------------------------------------------
 
 class TestCli:
-    def test_obs_subcommand_exports(self, tmp_path, capsys):
-        from repro.cli import main
-
-        jsonl = tmp_path / "m.jsonl"
-        csv = tmp_path / "m.csv"
-        prom = tmp_path / "m.prom"
-        pcap = tmp_path / "m.pcap"
-        rc = main(["obs", "fig13",
-                   "--set", "n_flows=2", "--set", "stagger_ps=2000000000",
-                   "--set", "sample_ps=1000000000",
-                   "--jsonl", str(jsonl), "--csv", str(csv),
-                   "--prom", str(prom), "--pcap", str(pcap)])
-        assert rc == 0
-        assert export.validate_jsonl(jsonl)["records"]["counter"] > 0
-        assert export.validate_csv(csv)["series"] > 0
-        parsed = export.parse_prometheus(prom.read_text())
-        loaded = export.load_jsonl(jsonl)
-        for name, value in loaded["counters"].items():
-            assert parsed["repro_" + name.replace(".", "_")] == value
-        assert len(export.load_traces(pcap)) > 0
-        err = capsys.readouterr().err
-        assert "repro.obs" in err
-
     def test_run_metrics_flag(self, capsys):
         from repro.cli import main
 
@@ -617,3 +469,16 @@ class TestCli:
         assert rc == 0
         err = capsys.readouterr().err
         assert "repro.obs" in err and "flow(s)" in err
+
+    def test_run_obs_jsonl_exports(self, tmp_path, capsys):
+        from repro.cli import main
+
+        jsonl = tmp_path / "m.jsonl"
+        rc = main(["run", "fig13", "--obs-jsonl", str(jsonl),
+                   "--set", "n_flows=2", "--set", "stagger_ps=2000000000",
+                   "--set", "sample_ps=1000000000"])
+        assert rc == 0
+        assert export.validate_jsonl(jsonl)["records"]["counter"] > 0
+        assert export.load_jsonl(jsonl)["flows"] == 2
+        err = capsys.readouterr().err
+        assert "repro.obs" in err and f"obs record(s) to {jsonl}" in err

@@ -18,6 +18,7 @@ can pickle them, exactly as in ``test_runtime.py``.
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -425,4 +426,14 @@ class TestCli:
         assert main(["trace", "validate", str(missing)]) == 1
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
-        assert main(["trace", "validate", str(bad)]) == 1
+        for verb in ("validate", "summarize"):
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # no raw UserWarning leaks
+                assert main(["trace", verb, str(bad)]) == 1
+            out, err = capsys.readouterr()
+            # The torn-line notice and the refusal, one plain line each.
+            assert out == "" and len(err.splitlines()) == 2
+            assert all(line.startswith("trace: ")
+                       for line in err.splitlines())
+            assert "meta" in err.splitlines()[-1]
