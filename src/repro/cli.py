@@ -296,11 +296,11 @@ def _runtime_overrides(args) -> dict:
     """The ``RuntimeConfig`` fields this invocation's flags override.
 
     Shared by every sweep-running subcommand (each defines a subset of the
-    flags).  ``chaos`` is a matrix run with the audit plane forced on, and
-    its gate needs every task's verdict, so it bypasses the result cache
-    (profiling and metering do too, by :attr:`RuntimeConfig.use_cache`);
-    ``--obs-jsonl`` implies ``--metrics``; a trace path may also come from
-    ``REPRO_TRACE``.
+    flags).  ``chaos`` is a matrix run with the audit plane forced on, so,
+    like every audited, profiled or metered run, it bypasses the result
+    cache (:attr:`RuntimeConfig.use_cache`) and its gate sees every task's
+    verdict; ``--obs-jsonl`` implies ``--metrics``; a trace path may also
+    come from ``REPRO_TRACE``.
     """
     overrides = {}
     for flag, field in (("parallel", "parallel"), ("retries", "retries"),
@@ -315,7 +315,7 @@ def _runtime_overrides(args) -> dict:
         overrides["metrics"] = True
     if _trace_path(args):
         overrides["trace"] = True
-    if args.no_cache or args.command == "chaos":
+    if args.no_cache:
         overrides["cache_enabled"] = False
     return overrides
 

@@ -93,7 +93,12 @@ class ExpressPassFlow(Flow):
         self.receiver_state = ReceiverState.IDLE
         self.credits_sent = 0
         self._credit_seq = 0
-        self._credit_sent_ts = {}
+        # The crediting state — the per-flow stream, each credit's send
+        # time, the loss epochs — exists only while the receiver credits
+        # (``_start_crediting`` .. ``_stop_crediting``): a churn cell then
+        # holds it for its live receivers, not for every flow that ran.
+        self._rng = None
+        self._credit_sent_ts = None
         self._expected_echo = 0
         self._rcv_expected_data = 0
         self._pacer_event = None
@@ -105,7 +110,7 @@ class ExpressPassFlow(Flow):
         # [start_seq, end_seq, dropped, closed_at_ps]; an epoch resolves once
         # every credit below end_seq has been echoed by data or counted as
         # dropped via an echo gap — the paper's exact #dropped/#sent.
-        self._epochs = deque()
+        self._epochs = None
         self._epoch_start_seq = 0
         # Credits sent before the last rate *decrease* reflect the old rate;
         # reacting to them again would double-cut (classic control lag), so
@@ -118,10 +123,6 @@ class ExpressPassFlow(Flow):
         # reconvergence, misrouted ECMP bucket) sustains 100 % loss.
         self._dead_updates = 0
         self.path_recoveries = 0
-        # Per-flow stream (credit-size and pacing jitter): keyed by flow id
-        # so a flow's draws are independent of every other flow's activity:
-        # adding or removing another flow never moves this one's trajectory.
-        self._rng = self.sim.rng_for("expresspass", self.fid)
 
     # ------------------------------------------------------------------ sender
     def begin(self) -> None:
@@ -273,6 +274,12 @@ class ExpressPassFlow(Flow):
 
     def _start_crediting(self) -> None:
         self._set_receiver_state(ReceiverState.CREDIT_SENDING)
+        # Per-flow stream (credit-size and pacing jitter): keyed by flow id
+        # so a flow's draws are independent of every other flow's activity:
+        # adding or removing another flow never moves this one's trajectory.
+        self._rng = self.sim.rng_for("expresspass", self.fid)
+        self._credit_sent_ts = {}
+        self._epochs = deque()
         self._epoch_opened_ps = self.sim.now
         self._pace_credit()
         self._update_event = self.sim.schedule(
@@ -280,12 +287,15 @@ class ExpressPassFlow(Flow):
         )
 
     def _stop_crediting(self) -> None:
+        """``STOPPED`` is terminal: no credit is sent or resolved again, so
+        the crediting state goes with the timers."""
         self._set_receiver_state(ReceiverState.STOPPED)
         for event in (self._pacer_event, self._update_event):
             if event is not None:
                 event.cancel()
         self._pacer_event = None
         self._update_event = None
+        self._rng = self._credit_sent_ts = self._epochs = None
 
     def _update_period_ps(self) -> int:
         if self._srtt_ps is not None:
@@ -330,8 +340,9 @@ class ExpressPassFlow(Flow):
 
     def _receive_data(self, pkt: Packet) -> None:
         # -- credit-loss accounting from the echoed credit sequence ------
+        # (only while crediting: a stopped receiver resolves no credit)
         echo = pkt.credit_seq
-        if echo >= self._expected_echo:
+        if echo >= self._expected_echo and self._credit_sent_ts is not None:
             if echo > self._expected_echo:
                 self._attribute_drops(self._expected_echo, echo)
                 for lost in range(self._expected_echo, echo):
@@ -472,7 +483,7 @@ class ExpressPassFlow(Flow):
         self._stop_timer = self._request_timer = None
         self._pacer_event = self._update_event = None
         if self.receiver_state == ReceiverState.CREDIT_SENDING:
-            self._set_receiver_state(ReceiverState.STOPPED)
+            self._stop_crediting()
 
     # ---------------------------------------------------------------- metrics
     @property

@@ -23,7 +23,8 @@ Environment variables (all optional) seed the defaults:
 ``REPRO_CACHE_MAX_ENTRIES`` cache entry cap before LRU eviction (default 4096)
 ``REPRO_AUDIT``             "1" runs every sweep task under the runtime
                             verifier (:mod:`repro.audit`); task results then
-                            carry per-run audit summaries
+                            carry per-run audit summaries (and bypass the
+                            result cache, as ``--audit`` does)
 ``REPRO_PROFILE``           "1" profiles every sweep task
                             (:mod:`repro.perf.profile`); task results then
                             carry per-run profile summaries (and bypass the
@@ -240,13 +241,14 @@ class RuntimeConfig:
     @property
     def use_cache(self) -> bool:
         """Whether sweeps read and write the result cache.  Unless
-        ``cache_enabled`` forces it, yes — but not while profiling or
-        metering, which observe the simulations themselves: a cache-served
-        task runs none, so it would observe nothing.  One rule for the
-        flags and the ``REPRO_*`` knobs alike."""
+        ``cache_enabled`` forces it, yes — but not while auditing,
+        profiling or metering, which observe the simulations themselves: a
+        cache-served task runs none, so it would observe nothing (an audit
+        of a warm cache would pass having checked nothing).  One rule for
+        the flags and the ``REPRO_*`` knobs alike."""
         if self.cache_enabled is not None:
             return self.cache_enabled
-        return not (self.profile or self.metrics)
+        return not (self.audit or self.profile or self.metrics)
 
     @property
     def probes(self) -> tuple:

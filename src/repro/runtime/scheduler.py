@@ -29,7 +29,9 @@ serially inside its worker rather than forking a nested pool.
 
 from __future__ import annotations
 
+import gc
 import os
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -92,15 +94,35 @@ def _call(spec: TaskSpec, names: Tuple[str, ...] = ()) -> tuple:
     whichever process executes the task, so parallel workers observe their
     own simulations and ship plain-dict payloads back; with no probe
     enabled the task is a bare ``spec.call()``.
+
+    A task that constructed a packet :class:`~repro.sim.engine.Simulator`
+    ends with one ``gc.collect()``: a finished simulation is one web of
+    cycles (flows, ports, hosts and events all point back at it) that
+    reference counting never frees, and without the collect a sweep's
+    cells pile up until the interpreter exits.  The engine counts its
+    constructions; reading the count through ``sys.modules`` keeps this
+    module from importing it, and a fluid task or a cache hit — which
+    builds no simulator — pays nothing.  ``python -m repro`` freezes its
+    start-up objects, so the collect walks only what the run allocated.
     """
     if _IN_POOL_WORKER and selfchaos.armed() \
             and selfchaos.fire("task:kill", label=spec.label):
         selfchaos.kill_self()
-    if not names:
-        return spec.call(), {}
-    with probes.capture(names) as handles:
-        value = spec.call()
-    return value, {name: handle.payload for name, handle in handles.items()}
+    built = _simulators_created()
+    if names:
+        with probes.capture(names) as handles:
+            value = spec.call()
+        payloads = {name: handle.payload for name, handle in handles.items()}
+    else:
+        value, payloads = spec.call(), {}
+    if _simulators_created() != built:
+        gc.collect()
+    return value, payloads
+
+
+def _simulators_created() -> int:
+    engine = sys.modules.get("repro.sim.engine")
+    return 0 if engine is None else engine.simulators_created
 
 
 def _worker_init() -> None:

@@ -65,6 +65,11 @@ _NO_LIMIT = 1 << 63
 #: install their own hook.  ``None`` (the default) costs one ``is None``.
 on_simulator_created: Optional[Callable[["Simulator"], None]] = None
 
+#: How many :class:`Simulator` objects this process has constructed.  The
+#: sweep scheduler reads it through ``sys.modules`` (never importing this
+#: module) to tell a task that built a simulation from one that did not.
+simulators_created = 0
+
 
 class Event:
     """A scheduled callback.  Returned by :meth:`Simulator.schedule`."""
@@ -177,6 +182,8 @@ class Simulator:
     _KEY_END = _NO_LIMIT
 
     def __init__(self, seed: int = 0):
+        global simulators_created
+        simulators_created += 1
         self.now: int = 0
         self.seed = seed
         self._heap: List[tuple] = []

@@ -81,7 +81,7 @@ class TestCli:
     def test_parallel_run_matches_serial_and_caches(self, capsys, tmp_path):
         from repro import runtime
 
-        with runtime.using(cache_dir=tmp_path):
+        with runtime.using(cache_dir=tmp_path, cache_enabled=True):
             assert main(self.FIG15_TINY + ["--json"]) == 0
             serial = capsys.readouterr().out
             assert main(self.FIG15_TINY + ["--json", "--parallel", "2"]) == 0
@@ -344,13 +344,17 @@ class TestVerbs:
         assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("knob,counted", [
+        ("--audit", r"(\d+) audited run\(s\)"),
+        ("REPRO_AUDIT", r"(\d+) audited run\(s\)"),
         ("REPRO_METRICS", r"across (\d+) run\(s\)"),
         ("REPRO_PROFILE", r"across (\d+) simulator\(s\)"),
     ])
     def test_a_plane_knob_observes_every_cell_on_a_warm_cache(
             self, knob, counted, tmp_path, monkeypatch, capsys):
-        """Switched on from the environment, profiling and metering bypass
-        the result cache exactly as their flags do."""
+        """Switched on from the environment, auditing, profiling and
+        metering bypass the result cache exactly as their flags do — and
+        ``--audit`` does: a warm audited run served from the cache would
+        pass having checked nothing."""
         from repro.runtime import config
 
         # The suite pins a config for every test; a knob only reaches the
@@ -360,7 +364,10 @@ class TestVerbs:
         argv = ["matrix", "smoke_mini", "--set", "workload.n_flows=1"]
         assert main(argv) == 0                           # cold: fills it
         assert "cached: 0" in capsys.readouterr().out
-        monkeypatch.setenv(knob, "1")
+        if knob.startswith("--"):
+            argv.append(knob)
+        else:
+            monkeypatch.setenv(knob, "1")
         assert main(argv) == 0
         out, err = capsys.readouterr()
         assert "cached: 0" in out

@@ -10,6 +10,7 @@ from repro.core import (
     max_credit_rate_cps,
 )
 from repro.metrics import jain_index
+from repro.net.packet import data_packet
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS, MS, SEC, US
 
@@ -51,6 +52,48 @@ class TestLifecycle:
                         params=PARAMS)
         sim.run(until=SEC)
         assert sim.pending() == 0
+
+    def test_receiver_holds_crediting_state_only_while_crediting(self, sim):
+        """The stream, the credit send times and the loss epochs exist from
+        CREDIT_REQUEST to CREDIT_STOP and no longer: STOPPED is terminal."""
+        crediting = ("_rng", "_credit_sent_ts", "_epochs")
+        topo = small_dumbbell(sim)
+        flow = ExpressPassFlow(topo.senders[0], topo.receivers[0], 500_000,
+                               params=PARAMS)
+        assert [getattr(flow, a) for a in crediting] == [None] * 3
+        sim.run(until=100 * US)
+        assert flow.receiver_state == ReceiverState.CREDIT_SENDING
+        assert all(getattr(flow, a) is not None for a in crediting)
+        sim.run(until=SEC)
+        assert flow.completed
+        assert flow.receiver_state == ReceiverState.STOPPED
+        assert [getattr(flow, a) for a in crediting] == [None] * 3
+
+    def test_stopping_a_crediting_receiver_drops_its_state(self, sim):
+        topo = small_dumbbell(sim)
+        flow = ExpressPassFlow(topo.senders[0], topo.receivers[0], None,
+                               params=PARAMS)
+        sim.run(until=MS)
+        flow.stop()
+        assert flow.receiver_state == ReceiverState.STOPPED
+        assert flow._rng is flow._credit_sent_ts is flow._epochs is None
+        sim.run(until=2 * MS)  # in-flight data still lands without raising
+
+    def test_late_data_echo_after_credit_stop_is_ignored(self, sim):
+        """A credited segment that reaches a stopped receiver (a duplicate
+        after a go-back-N rewind) resolves no credit and does not raise."""
+        topo = small_dumbbell(sim)
+        flow = ExpressPassFlow(topo.senders[0], topo.receivers[0], 100_000,
+                               params=PARAMS)
+        sim.run(until=SEC)
+        assert flow.receiver_state == ReceiverState.STOPPED
+        echo = flow._expected_echo
+        flow.src.send(data_packet(flow.src.id, flow.dst.id, flow,
+                                  payload_bytes=flow.MSS, seq=0,
+                                  credit_seq=echo + 3))
+        sim.run(until=2 * SEC)
+        assert flow._expected_echo == echo
+        assert flow.bytes_delivered == 100_000
 
     def test_single_packet_flow(self, sim):
         topo = small_dumbbell(sim)

@@ -517,7 +517,8 @@ class TestScheduler:
 
     def test_cached_rerun_hits_100_percent(self, tmp_path):
         plan = SweepPlan.from_grid(cube, [{"x": i} for i in range(4)])
-        with runtime.using(parallel=0, cache_dir=tmp_path):
+        with runtime.using(parallel=0, cache_dir=tmp_path,
+                           cache_enabled=True):
             first = run_tasks(plan)
             tel = Telemetry("rerun", len(plan), progress=False)
             second = run_tasks(plan, telemetry=tel)
@@ -542,7 +543,8 @@ class TestScheduler:
 
         monkeypatch.setattr(task_module, "task_id", counting)
         plan = SweepPlan.from_grid(cube, [{"x": i} for i in range(5)])
-        with runtime.using(parallel=parallel, cache_dir=tmp_path):
+        with runtime.using(parallel=parallel, cache_dir=tmp_path,
+                           cache_enabled=True):
             results = run_tasks(plan)
         assert all(r.ok and not r.cached for r in results)
         assert sorted(rendered) == list(range(5))

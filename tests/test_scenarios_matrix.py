@@ -58,9 +58,10 @@ class TestRunMatrix:
         spec = tiny_spec(name="tiny-cache",
                          topology={"kind": "dumbbell",
                                    "prop_delay_ps": 5_000_000})
-        first = run_matrix(Scenario.from_dict(spec))
-        assert not any(r.cached for r in first.results)
-        second = run_matrix(Scenario.from_dict(spec))
+        with runtime.using(cache_enabled=True):
+            first = run_matrix(Scenario.from_dict(spec))
+            assert not any(r.cached for r in first.results)
+            second = run_matrix(Scenario.from_dict(spec))
         assert all(r.cached for r in second.results)
         assert [r.value for r in second.results] == \
             [r.value for r in first.results]
@@ -252,7 +253,7 @@ class TestCellsVsTasks:
     def test_cold_then_warm_writes_and_reads_one_entry_per_task(self,
                                                                 tmp_path):
         scenario = Scenario.from_dict(replica_spec("fluid"))
-        with runtime.using(cache_dir=tmp_path / "cache"):
+        with runtime.using(cache_dir=tmp_path / "cache", cache_enabled=True):
             cold = run_matrix(scenario)
             assert len(list((tmp_path / "cache").glob("*.pkl"))) == 4
             warm = run_matrix(scenario)

@@ -311,7 +311,7 @@ class TestTaskRecording:
 
     def test_cache_hit_outcome_and_annotations(self, tmp_path):
         spec = TaskSpec(square, {"x": 9}, label="annotated")
-        with using(parallel=0, cache_dir=tmp_path):
+        with using(parallel=0, cache_dir=tmp_path, cache_enabled=True):
             run_tasks([spec])  # warm, untraced
             with trace.tracing() as t:
                 t.annotate("annotated", {"protocol": "expresspass"})
