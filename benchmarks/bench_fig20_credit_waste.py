@@ -14,7 +14,7 @@ def test_fig20_credit_waste(once):
         fig20_credit_waste.run,
         workloads=("data_mining", "web_server"),
         speeds_gbps=(10, 40),
-        alphas=(1 / 2, 1 / 16),
+        profiles=("default", "realistic"),  # alpha = w_init = 1/2, 1/16
         load=0.6,
         n_flows=scaled(250),
         size_cap_bytes=10_000_000,

@@ -20,7 +20,8 @@ Usage::
 ``--set key=value`` overrides a keyword argument of the experiment's
 ``run`` function; values are parsed as ints, floats, comma-separated tuples,
 or protocol-name tuples as appropriate (best effort: int, then float, then
-comma-split, then string).
+comma-split, then string); one value for a tuple-valued parameter is a
+1-tuple, and a key the function does not take is a usage error.
 
 Sweep execution policy — worker count, result cache, retry budget, per-task
 timeout — is handled by :mod:`repro.runtime`; the ``run``
@@ -51,61 +52,44 @@ from repro.resilience.signals import (
 )
 
 
-def _registry() -> Dict[str, Callable]:
-    from repro.experiments import (
-        fig01_queue_buildup,
-        fig02_naive_convergence,
-        fig06_jitter,
-        fig08_initial_rate,
-        fig09_credit_queue,
-        fig10_parking_lot,
-        fig11_multibottleneck,
-        fig12_steady_state,
-        fig13_convergence_behavior,
-        fig14_host_jitter,
-        fig15_flow_scalability,
-        fig16_link_speed_convergence,
-        fig17_shuffle,
-        fig18_param_sensitivity,
-        fig19_realistic_fct,
-        fig20_credit_waste,
-        fig21_speedup,
-        table1_buffer_bounds,
-        table3_queue_occupancy,
-        ablations,
-        incast_closed_loop,
-        rdma_comparison,
-        summary,
-    )
+#: ``repro run NAME`` → the ``module:function`` under ``repro.experiments``
+#: it calls.  Only the module a run names is imported (DESIGN §16).
+_EXPERIMENTS: Dict[str, str] = {
+    "summary": "summary:run",
+    "rdma": "rdma_comparison:run",
+    "incast": "incast_closed_loop:run",
+    "ablate-symmetry": "ablations:run_symmetry_ablation",
+    "ablate-burst": "ablations:run_opportunistic_ablation",
+    "fig1": "fig01_queue_buildup:run",
+    "fig2": "fig02_naive_convergence:run",
+    "fig5": "table1_buffer_bounds:run_fig5",
+    "fig6": "fig06_jitter:run",
+    "fig8": "fig08_initial_rate:run",
+    "fig9": "fig09_credit_queue:run",
+    "fig10": "fig10_parking_lot:run",
+    "fig11": "fig11_multibottleneck:run",
+    "fig12": "fig12_steady_state:run",
+    "fig13": "fig13_convergence_behavior:run",
+    "fig14a": "fig14_host_jitter:run_host_delay",
+    "fig14b": "fig14_host_jitter:run_inter_credit_gap",
+    "fig15": "fig15_flow_scalability:run",
+    "fig16": "fig16_link_speed_convergence:run",
+    "fig17": "fig17_shuffle:run",
+    "fig18": "fig18_param_sensitivity:run",
+    "fig19": "fig19_realistic_fct:run",
+    "fig20": "fig20_credit_waste:run",
+    "fig21": "fig21_speedup:run",
+    "table1": "table1_buffer_bounds:run",
+    "table3": "table3_queue_occupancy:run",
+}
 
-    return {
-        "summary": summary.run,
-        "rdma": rdma_comparison.run,
-        "incast": incast_closed_loop.run,
-        "ablate-symmetry": ablations.run_symmetry_ablation,
-        "ablate-burst": ablations.run_opportunistic_ablation,
-        "fig1": fig01_queue_buildup.run,
-        "fig2": fig02_naive_convergence.run,
-        "fig5": table1_buffer_bounds.run_fig5,
-        "fig6": fig06_jitter.run,
-        "fig8": fig08_initial_rate.run,
-        "fig9": fig09_credit_queue.run,
-        "fig10": fig10_parking_lot.run,
-        "fig11": fig11_multibottleneck.run,
-        "fig12": fig12_steady_state.run,
-        "fig13": fig13_convergence_behavior.run,
-        "fig14a": fig14_host_jitter.run_host_delay,
-        "fig14b": fig14_host_jitter.run_inter_credit_gap,
-        "fig15": fig15_flow_scalability.run,
-        "fig16": fig16_link_speed_convergence.run,
-        "fig17": fig17_shuffle.run,
-        "fig18": fig18_param_sensitivity.run,
-        "fig19": fig19_realistic_fct.run,
-        "fig20": fig20_credit_waste.run,
-        "fig21": fig21_speedup.run,
-        "table1": table1_buffer_bounds.run,
-        "table3": table3_queue_occupancy.run,
-    }
+
+def _experiment(name: str) -> Callable:
+    """Import the one experiment module ``name`` lives in; its function."""
+    from importlib import import_module
+
+    module, _, attr = _EXPERIMENTS[name].partition(":")
+    return getattr(import_module(f"repro.experiments.{module}"), attr)
 
 
 def _parse_value(raw: str):
@@ -790,29 +774,38 @@ def _cli(argv=None) -> int:
             status = 1
         return status
 
-    registry = _registry()
     if args.command == "list":
-        for name in sorted(registry, key=lambda n: (len(n), n)):
-            doc = (sys.modules[registry[name].__module__].__doc__ or "")
+        for name in sorted(_EXPERIMENTS, key=lambda n: (len(n), n)):
+            doc = sys.modules[_experiment(name).__module__].__doc__ or ""
             summary = doc.strip().splitlines()[0] if doc else ""
             print(f"{name:8s} {summary}")
         return 0
 
-    if args.experiment not in registry:
+    if args.experiment not in _EXPERIMENTS:
         parser.error(f"unknown experiment {args.experiment!r}; "
-                     f"try: {', '.join(sorted(registry))}")
-    overrides = dict(_parse_sets(parser, args.set))
+                     f"try: {', '.join(sorted(_EXPERIMENTS))}")
+    fn = _experiment(args.experiment)
+    params = inspect.signature(fn).parameters
+    open_ended = any(p.kind == p.VAR_KEYWORD for p in params.values())
+    overrides = {}
+    for key, value in _parse_sets(parser, args.set):
+        param = params.get(key)
+        if param is None and not open_ended:
+            raise ConfigError(
+                f"--set {key}: {args.experiment} has no parameter {key!r}; "
+                f"try: {', '.join(params)}")
+        if (param is not None and isinstance(param.default, tuple)
+                and not isinstance(value, tuple)):
+            value = (value,)  # one value of a tuple-valued parameter
+        overrides[key] = value
 
-    fn = registry[args.experiment]
     if getattr(args, "backend", None):
-        if "backend" not in inspect.signature(fn).parameters:
+        if "backend" not in params:
             parser.error(f"{args.experiment} has no fluid trend mode; "
                          f"--backend applies to fig15, fig16, and fig18")
         overrides["backend"] = args.backend
     if args.seed is not None:
-        params = inspect.signature(fn).parameters
-        if ("seed" in params
-                or any(p.kind == p.VAR_KEYWORD for p in params.values())):
+        if "seed" in params or open_ended:
             overrides["seed"] = args.seed
         else:
             print(f"note: {args.experiment} is analytic and takes no seed; "
@@ -827,6 +820,14 @@ def _cli(argv=None) -> int:
             if not shutdown_requested():
                 raise
             result = None
+        except ValueError as exc:
+            # A spec-compiled figure refusing its spec, as ``matrix`` does.
+            # Only a run that built a spec has loaded the schema module.
+            schema = sys.modules.get("repro.scenarios.schema")
+            if schema is None or not isinstance(exc, schema.SpecError):
+                raise
+            print(exc.render(), file=sys.stderr)
+            return 1
     signame = shutdown_requested()
     if signame or result is None:
         # A drained run may still hold partial rows; printing them would

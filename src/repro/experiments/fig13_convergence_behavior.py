@@ -8,9 +8,6 @@ near-empty queue; DCTCP shows larger queue and noisier shares.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core import ExpressPassParams
 from repro.experiments.runner import ExperimentResult, get_harness
 from repro.obs import MetricsRegistry
 from repro.sim.engine import Simulator
@@ -25,12 +22,11 @@ def run(
     rate_bps: int = 10 * GBPS,
     seed: int = 1,
     sample_ps: int = 10 * MS,
-    ep_params: Optional[ExpressPassParams] = None,
 ) -> ExperimentResult:
     """Each flow i runs [i*stagger, (2*n - 1 - i)*stagger)."""
     sim = Simulator(seed=seed)
     base_rtt = 30 * US
-    harness = get_harness(protocol, rate_bps, base_rtt, ep_params)
+    harness = get_harness(protocol, rate_bps, base_rtt)
     spec = harness.adapt_link(LinkSpec(rate_bps=rate_bps, prop_delay_ps=4 * US))
     topo = dumbbell(sim, n_pairs=n_flows, bottleneck=spec)
     harness.install(sim, topo.net)

@@ -3,42 +3,52 @@
 Credit waste grows as the average flow size shrinks (Web Server worst) and
 as the BDP grows (40 G worse than 10 G); dropping α to 1/16 roughly halves
 it.  The ratio is measured at senders: wasted / (wasted + used).
+
+The paper's two settings, α = w_init ∈ {1/2, 1/16}, are the ``default`` and
+``realistic`` ExpressPass profiles; each row is one ExpressPass cell of the
+Fig 19 Clos/Poisson spec, swept over workload × link speed × profile.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
-from repro.core import ExpressPassParams
-from repro.experiments.realistic import run_realistic
-from repro.experiments.runner import ExperimentResult
-from repro.sim.units import GBPS
+from repro.experiments.fig19_realistic_fct import run_cells
+from repro.experiments.table import ExperimentResult
+from repro.sim.units import GBPS, SEC
 
 
 def run(
     workloads: Sequence[str] = ("data_mining", "web_search",
                                 "cache_follower", "web_server"),
     speeds_gbps: Sequence[int] = (10, 40),
-    alphas: Sequence[float] = (1 / 2, 1 / 16),
+    profiles: Sequence[str] = ("default", "realistic"),
     load: float = 0.6,
     n_flows: int = 800,
-    **kwargs,
+    size_cap_bytes: Optional[int] = 20_000_000,
+    drain_ps: int = SEC,
+    seed: int = 1,
 ) -> ExperimentResult:
+    from repro.core.params import ExpressPassParams
+    from repro.scenarios.cells import resolve_ep_profile
+
+    gbps_of = {gbps * GBPS: gbps for gbps in speeds_gbps}
+    cells = run_cells(
+        name="fig20", protocols=("expresspass",), load=load, n_flows=n_flows,
+        size_cap_bytes=size_cap_bytes, drain_ps=drain_ps, seed=seed,
+        sweep={"workload.distribution": workloads,
+               "topology.rate_bps": list(gbps_of),
+               "transport.ep_profile": profiles})
     rows = []
-    for workload in workloads:
-        for gbps in speeds_gbps:
-            for alpha in alphas:
-                params = ExpressPassParams().with_alpha(alpha, alpha)
-                result = run_realistic(
-                    "expresspass", workload, load, n_flows,
-                    rate_bps=gbps * GBPS, ep_params=params, **kwargs,
-                )
-                rows.append({
-                    "workload": workload,
-                    "rate_gbps": gbps,
-                    "alpha": f"1/{round(1 / alpha)}",
-                    "credit_waste": result.credit_waste_ratio,
-                })
+    for axes, value in cells:
+        params = (resolve_ep_profile(axes["transport.ep_profile"])
+                  or ExpressPassParams())
+        rows.append({
+            "workload": value["workload"],
+            "rate_gbps": gbps_of[axes["topology.rate_bps"]],
+            "alpha": f"1/{round(1 / params.initial_rate_fraction)}",
+            "credit_waste": value["credit_waste_ratio"],
+        })
     return ExperimentResult(
         name=f"Fig 20 credit-waste ratio (load {load})",
         columns=["workload", "rate_gbps", "alpha", "credit_waste"],

@@ -51,11 +51,13 @@ def run_sweep(
 ) -> List[Any]:
     """Run ``fn(**common, **point)`` for every point of a parameter grid.
 
-    This is the experiments' doorway into :mod:`repro.runtime`: execution
+    The doorway into :mod:`repro.runtime` for the hand-written sweeps that
+    are not yet scenario specs — today fig16 and fig18 (the spec-compiled
+    figures go through :func:`repro.scenarios.run_matrix`).  Execution
     policy (worker count, result cache, retries, ticker) comes from the
-    active runtime config, so ``python -m repro run fig15 --parallel 4`` and
-    ``REPRO_PARALLEL=4 pytest benchmarks/`` parallelise every adopter with
-    no experiment-side changes.  ``fn`` must be a module-level function and
+    active runtime config, so ``python -m repro run fig16 --parallel 4`` and
+    ``REPRO_PARALLEL=4 pytest benchmarks/`` parallelise both with no
+    experiment-side changes.  ``fn`` must be a module-level function and
     each point must carry everything the task needs (including its seed) —
     that is what makes tasks picklable, cacheable, and order-independent.
 

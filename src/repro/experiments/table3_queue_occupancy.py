@@ -5,45 +5,42 @@ property of the topology — flat in load — while every reactive scheme's
 queue grows with load; RCP pegs the queue capacity; DCTCP sits near its
 marking threshold; DX and HULL stay low but load-sensitive.
 
-The averages reported are for the busiest port (time-weighted).
+The averages reported are for the busiest port (time-weighted).  Each row
+is one cell of the Fig 19 Clos/Poisson spec, swept over workload × load ×
+protocol.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core import ExpressPassParams
-from repro.core.params import REALISTIC_WORKLOAD_PARAMS
-from repro.experiments.realistic import run_realistic
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.fig19_realistic_fct import PROTOCOLS, run_cells
+from repro.experiments.table import ExperimentResult
+from repro.sim.units import GBPS, SEC
+
+COLUMNS = ["workload", "load", "protocol", "avg_queue_kb", "max_queue_kb",
+           "data_drops"]
 
 
 def run(
-    protocols: Sequence[str] = ("expresspass", "rcp", "dctcp", "dx", "hull"),
+    protocols: Sequence[str] = PROTOCOLS,
     workloads: Sequence[str] = ("web_search",),
     loads: Sequence[float] = (0.2, 0.4, 0.6),
     n_flows: int = 800,
-    ep_params: Optional[ExpressPassParams] = REALISTIC_WORKLOAD_PARAMS,
-    **kwargs,
+    ep_profile: str = "realistic",
+    rate_bps: int = 10 * GBPS,
+    size_cap_bytes: Optional[int] = 20_000_000,
+    drain_ps: int = SEC,
+    seed: int = 1,
 ) -> ExperimentResult:
-    rows = []
-    for workload in workloads:
-        for load in loads:
-            for protocol in protocols:
-                params = ep_params if protocol.startswith("expresspass") else None
-                result = run_realistic(protocol, workload, load, n_flows,
-                                       ep_params=params, **kwargs)
-                rows.append({
-                    "workload": workload,
-                    "load": load,
-                    "protocol": protocol,
-                    "avg_queue_kb": result.avg_queue_kb,
-                    "max_queue_kb": result.max_queue_kb,
-                    "data_drops": result.data_drops,
-                })
+    cells = run_cells(
+        name="table3", protocols=protocols, n_flows=n_flows,
+        ep_profile=ep_profile, rate_bps=rate_bps,
+        size_cap_bytes=size_cap_bytes, drain_ps=drain_ps, seed=seed,
+        sweep={"workload.distribution": workloads, "workload.load": loads,
+               "transport.protocol": protocols})
     return ExperimentResult(
         name="Table 3 average/maximum queue occupancy",
-        columns=["workload", "load", "protocol", "avg_queue_kb",
-                 "max_queue_kb", "data_drops"],
-        rows=rows,
+        columns=COLUMNS,
+        rows=[{key: value[key] for key in COLUMNS} for _axes, value in cells],
     )

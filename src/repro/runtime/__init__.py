@@ -13,7 +13,8 @@ Policy (worker count, cache on/off, retry budget) comes from
 the active :class:`RuntimeConfig` — set by CLI flags (``python -m repro run
 fig15 --parallel 4``), environment variables (``REPRO_PARALLEL=4 pytest
 benchmarks/``), or :func:`configure`/:func:`using` in code.  Experiments
-stay policy-free: they call :func:`repro.experiments.runner.run_sweep`.
+stay policy-free: they call :func:`repro.scenarios.run_matrix` (or,
+for the remaining hand-written sweeps, :func:`repro.experiments.runner.run_sweep`).
 
 Determinism is the invariant everything else is built around: each task
 seeds its own ``Simulator``, so serial, parallel, and cached executions of

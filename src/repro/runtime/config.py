@@ -4,7 +4,8 @@ A single :class:`RuntimeConfig` travels (implicitly, via :func:`get_config`)
 from the entry point that knows the user's wishes — the CLI flags, benchmark
 environment variables, or a test — down to :func:`repro.runtime.run_tasks`.
 Experiments never take ``parallel=``/``cache=`` keyword arguments themselves;
-they call ``run_sweep()`` and inherit whatever the active configuration says.
+they call ``run_matrix()`` or ``run_sweep()`` and inherit whatever the active
+configuration says.
 That keeps every ``run()`` signature about the *science* (flow counts, link
 speeds, seeds) while execution policy stays in one place.
 

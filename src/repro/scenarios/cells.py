@@ -9,11 +9,11 @@ reloads.
 
 ``run_persistent`` generalizes Fig 15's measurement (long-running pairs,
 steady-window utilization/fairness/queue) across all five concrete topology
-families; its dumbbell branch is *the* implementation behind
-:func:`repro.experiments.fig15_flow_scalability.run_point`, which is what
-makes the spec-compiled fig15 path bit-identical to the hand-written one.
-``run_poisson`` wraps :func:`repro.experiments.realistic.run_realistic`
-(Fig 18–21 / Table 3 machinery) and flattens the result to a plain dict.
+families; its dumbbell branch is Fig 15's exact construction, which is what
+keeps the spec-compiled fig15 rows bit-identical to the deleted
+hand-written sweep's.  ``run_poisson`` wraps
+:func:`repro.experiments.realistic.run_realistic` (the Fig 19–21 / Table 3
+cell; Fig 18 calls it directly) and flattens the result to a plain dict.
 
 Compiling a matrix *names* these functions; only a cache miss *calls* one.
 So the module's top level imports the units and nothing else, and each
@@ -192,17 +192,14 @@ def run_persistent(
     bin_ps: int = 500 * US,
     seed: int = 1,
     ep_profile: str = "default",
-    ep_params: Optional[ExpressPassParams] = None,
     chaos_plan: Optional[dict] = None,
 ) -> dict:
     """One persistent-flow cell: long-running pairs, steady-window metrics.
 
-    ``ep_params`` (an explicit parameter object) wins over ``ep_profile``
-    (a named profile) — the spec path always uses the latter so kwargs stay
-    plain data.  With a ``chaos_plan`` the row also carries the fault
-    recovery columns — this is the one harness behind ``repro chaos`` and
-    ``repro matrix fabric_chaos_recovery``: pre-fault mean, fault-window
-    minimum and last-two-bins goodput, time until goodput sustains
+    With a ``chaos_plan`` the row also carries the fault recovery
+    columns — this is the one harness behind ``repro chaos`` and ``repro
+    matrix fabric_chaos_recovery``: pre-fault mean, fault-window minimum
+    and last-two-bins goodput, time until goodput sustains
     :data:`repro.chaos.scenarios.RECOVERY_FRACTION` of the pre-fault level,
     flows that delivered nothing over the closing ``max(2 bins, 2 ms)``
     (``stalled``), and the transports' path re-hash / watchdog counts.
@@ -214,8 +211,7 @@ def run_persistent(
     tracer = obs_trace.emit_target()
 
     build_t0 = tracer.now_us() if tracer is not None else 0.0
-    params = ep_params if ep_params is not None \
-        else resolve_ep_profile(ep_profile)
+    params = resolve_ep_profile(ep_profile)
     sim = Simulator(seed=seed)
     base_rtt = 30 * US
     harness = get_harness(protocol, rate_bps, base_rtt, params)

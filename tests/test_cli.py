@@ -59,6 +59,40 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["run", "table1", "--set", "oops"])
 
+    @pytest.mark.parametrize("argv, line", [
+        (["run", "fig19", "--set", "load=1.5"],
+         "workload.load: load must be in (0, 1], got 1.5"),
+        (["run", "table3", "--set", "loads=0.2,1.5"],
+         "workload.load: load must be in (0, 1], got 1.5"),
+        (["run", "fig20", "--set", "profiles=bogus"],
+         "transport.ep_profile"),
+    ], ids=["fig19-load", "table3-loads", "fig20-profile"])
+    def test_a_refused_spec_is_its_rendered_error_exit_1(self, argv, line,
+                                                         capsys):
+        """A spec-compiled figure refuses a bad value as ``matrix`` does:
+        the field-addressed error, exit 1, no traceback."""
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert line in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fig", ["table3", "fig15", "fig12"])
+    def test_a_key_the_run_function_lacks_is_a_usage_error(self, fig,
+                                                           capsys):
+        assert main(["run", fig, "--set", "bogus=1"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"repro: --set bogus: {fig} has no parameter")
+
+    def test_one_value_of_a_tuple_parameter_is_a_1_tuple(self, capsys):
+        """``flow_counts=4`` is ``(4,)``, and ``protocols=expresspass`` is
+        one protocol, not eleven one-letter ones."""
+        assert main(["run", "fig15", "--set", "protocols=expresspass",
+                     "--set", "flow_counts=4", "--set", "warmup_ps=2000000000",
+                     "--set", "measure_ps=2000000000", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(r["protocol"], r["flows"]) for r in rows] == \
+            [("expresspass", 4)]
+
     def test_seed_override_plumbed(self, capsys):
         assert main(["run", "fig14a", "--seed", "3",
                      "--set", "samples=2000"]) == 0

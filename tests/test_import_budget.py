@@ -143,21 +143,34 @@ def test_importing_the_cli_stays_inside_the_front_end(tmp_path):
     _assert_not_loaded(doc, FRONT_END_ONLY, "import repro.cli")
 
 
-@pytest.mark.parametrize("backend", ["fluid", "packet"])
-def test_fully_cached_matrix_never_loads_the_simulator(tmp_path, backend):
-    spec = _spec(tmp_path, backend)
+#: ``repro run fig19`` at a few milliseconds of simulated time per cell.
+_FIG19 = ("run", "fig19", "--set", "protocols=expresspass,dctcp",
+          "--set", "n_flows=5", "--set", "drain_ps=5000000000")
+
+
+@pytest.mark.parametrize("case", ["fluid", "packet", "run-fig19"])
+def test_fully_cached_matrix_never_loads_the_simulator(tmp_path, case):
+    """A warm ``repro matrix`` on either backend, and a warm ``repro run``
+    of a spec-compiled figure (which imports that figure's module and no
+    other experiment), are cache reads: no engine, no pool."""
+    argv = _FIG19 if case == "run-fig19" else ("matrix", _spec(tmp_path, case))
     prime = subprocess.run(
-        [sys.executable, "-m", "repro", "matrix", spec],
+        [sys.executable, "-m", "repro", *argv],
         capture_output=True, text=True, env=_env(tmp_path), cwd=str(REPO),
         timeout=300)
     assert prime.returncode == 0, prime.stderr
-    doc = _spy(tmp_path, _MAIN, "matrix", spec, "--json",
-               "--report-jsonl", str(tmp_path / "report.jsonl"),
-               "--report-csv", str(tmp_path / "report.csv"))
-    assert doc["out"]["rc"] == 0
-    meta = json.loads(doc["out"]["stdout"])["meta"]
-    assert meta["cached"] == meta["cells"] == 2, meta
-    _assert_not_loaded(doc, SIMULATOR, f"cached {backend} matrix")
+    if case == "run-fig19":
+        doc = _spy(tmp_path, _MAIN, *argv, "--json")
+        assert doc["out"]["rc"] == 0
+        assert json.loads(doc["out"]["stdout"])["rows"]
+    else:
+        doc = _spy(tmp_path, _MAIN, *argv, "--json",
+                   "--report-jsonl", str(tmp_path / "report.jsonl"),
+                   "--report-csv", str(tmp_path / "report.csv"))
+        assert doc["out"]["rc"] == 0
+        meta = json.loads(doc["out"]["stdout"])["meta"]
+        assert meta["cached"] == meta["cells"] == 2, meta
+    _assert_not_loaded(doc, SIMULATOR, f"cached {case}")
 
 
 def test_fluid_cells_execute_without_the_packet_engine(tmp_path):

@@ -16,8 +16,8 @@ import time
 import pytest
 
 from repro import runtime
+from repro.cli import _experiment
 from repro.resilience import journal as run_journal
-from repro.experiments import fig15_flow_scalability
 from repro.experiments.runner import run_sweep
 from repro.runtime import (
     ResultCache,
@@ -73,8 +73,17 @@ def fails_after(delay_s):
     raise ValueError("boom after sleeping")
 
 
-FIG15_KWARGS = dict(protocols=("expresspass",), flow_counts=(2, 3),
-                    warmup_ps=2 * MS, measure_ps=2 * MS)
+#: Each spec-compiled figure at a scale of a few cells of a second or less.
+_CLOS = dict(n_flows=20, drain_ps=50 * MS)
+TINY_FIGURES = {
+    "fig15": dict(protocols=("expresspass",), flow_counts=(2, 3),
+                  warmup_ps=2 * MS, measure_ps=2 * MS),
+    "table3": dict(protocols=("expresspass", "dctcp"),
+                   workloads=("web_server",), loads=(0.2,), **_CLOS),
+    "fig20": dict(workloads=("web_server",), speeds_gbps=(10,),
+                  profiles=("default", "realistic"), **_CLOS),
+    "fig21": dict(protocols=("expresspass",), workload="web_server", **_CLOS),
+}
 
 
 class TestStableRepr:
@@ -686,11 +695,15 @@ class TestRunSweep:
 class TestExperimentDeterminism:
     """The acceptance criterion: serial == parallel == cached, bit-identical."""
 
-    def test_fig15_serial_parallel_cached_identical(self, tmp_path):
+    @pytest.mark.parametrize("fig", sorted(TINY_FIGURES))
+    def test_serial_parallel_cached_identical(self, fig, tmp_path):
+        run = _experiment(fig)
+        kwargs = TINY_FIGURES[fig]
         with runtime.using(parallel=0, cache_dir=tmp_path / "serial"):
-            serial = fig15_flow_scalability.run(**FIG15_KWARGS)
+            serial = run(**kwargs)
+        assert serial.rows
         with runtime.using(parallel=2, cache_dir=tmp_path / "par"):
-            parallel = fig15_flow_scalability.run(**FIG15_KWARGS)
+            parallel = run(**kwargs)
         assert serial.rows == parallel.rows
         # Bit-identical, not merely approximately equal: json renders every
         # float with its exact shortest repr, so equal strings means equal
@@ -700,8 +713,9 @@ class TestExperimentDeterminism:
                 == json.dumps(parallel.rows, sort_keys=True))
         # Warm rerun out of the parallel run's cache.
         with runtime.using(parallel=0, cache_dir=tmp_path / "par"):
-            cached = fig15_flow_scalability.run(**FIG15_KWARGS)
-        assert cached.rows == serial.rows
+            cached = run(**kwargs)
+        assert (json.dumps(cached.rows, sort_keys=True)
+                == json.dumps(serial.rows, sort_keys=True))
 
     def test_summary_runs_through_runtime(self, tmp_path):
         from repro.experiments import summary

@@ -93,14 +93,19 @@ class TestRunMatrix:
 
 def _legacy_rows(fig: str, case: str) -> dict:
     """Rows the hand-written runners produced at the commit that deleted
-    them (``tests/golden/fig1{5,9}_legacy_rows.json``).  Frozen data: a
-    mismatch means the spec path drifted — never regenerate these."""
+    them (``tests/golden/{fig15,fig19,table3,fig20,fig21}_legacy_rows.json``).
+    Frozen data: a mismatch means the spec path drifted — never regenerate
+    these."""
     path = pathlib.Path(__file__).parent / "golden" / f"{fig}_legacy_rows.json"
     return json.loads(path.read_text())[case]
 
 
+#: The Clos/Poisson pins' scale (each golden file records its kwargs).
+_CLOS = dict(n_flows=20, drain_ps=50_000_000_000)
+
+
 class TestBitIdentity:
-    """The spec-compiled fig15/fig19 runners must reproduce the deleted
+    """The spec-compiled figure runners must reproduce the deleted
     hand-written path exactly — same floats, same row order."""
 
     def test_fig15_spec_matches_legacy(self):
@@ -112,19 +117,6 @@ class TestBitIdentity:
         assert res.columns == legacy["columns"]
         assert res.rows == legacy["rows"]
 
-    def test_fig15_explicit_ep_params_falls_back_to_legacy(self):
-        """An explicit params object bypasses the spec compiler (specs name
-        profiles only) yet lands on the same cell runner and rows."""
-        from repro.core.params import ExpressPassParams
-        from repro.experiments import fig15_flow_scalability as f15
-
-        legacy = _legacy_rows("fig15", "w_init_0.125")
-        res = f15.run(protocols=("expresspass",), flow_counts=(2,),
-                      warmup_ps=_WARM, measure_ps=_MEAS,
-                      ep_params=ExpressPassParams(w_init=0.125))
-        assert res.columns == legacy["columns"]
-        assert res.rows == legacy["rows"]
-
     def test_fig19_spec_matches_legacy(self):
         from repro.experiments import fig19_realistic_fct as f19
 
@@ -133,6 +125,48 @@ class TestBitIdentity:
                       drain_ps=50_000_000_000)
         assert res.columns == legacy["columns"]
         assert res.rows == legacy["rows"]
+
+    def test_table3_spec_matches_legacy(self):
+        from repro.experiments import table3_queue_occupancy as t3
+
+        legacy = _legacy_rows("table3", "default")
+        res = t3.run(protocols=("expresspass", "dctcp"),
+                     workloads=("web_server", "data_mining"),
+                     loads=(0.2, 0.6), **_CLOS)
+        assert res.columns == legacy["columns"]
+        assert res.rows == legacy["rows"]
+
+    def test_fig20_spec_matches_legacy(self):
+        """The legacy α = w_init ∈ {1/2, 1/16} loop is the default/realistic
+        profile pair; the ``alpha`` column is derived from the profile."""
+        from repro.experiments import fig20_credit_waste as f20
+
+        legacy = _legacy_rows("fig20", "default")
+        res = f20.run(workloads=("data_mining", "web_server"),
+                      speeds_gbps=(10, 40),
+                      profiles=("default", "realistic"), **_CLOS)
+        assert res.columns == legacy["columns"]
+        assert res.rows == legacy["rows"]
+
+    def test_fig21_spec_matches_legacy(self):
+        """Every column is exact except the speed-up itself.  The legacy
+        loop divided the buckets' mean FCT in seconds; the pivot divides
+        the cells' ``avg_fct_ms`` (the same mean × 1e3, rounded once more),
+        so a quotient may land one ulp away — at the default web_search
+        workload with ``n_flows=30``, one of six does."""
+        from repro.experiments import fig21_speedup as f21
+
+        legacy = _legacy_rows("fig21", "default")
+        res = f21.run(protocols=("expresspass", "dctcp"),
+                      workload="web_server", n_flows=30,
+                      drain_ps=_CLOS["drain_ps"])
+        assert res.columns == legacy["columns"]
+        assert len(res.rows) == len(legacy["rows"])
+        for row, old in zip(res.rows, legacy["rows"]):
+            assert (row["protocol"], row["bucket"]) == \
+                (old["protocol"], old["bucket"])
+            assert row["speedup_avg_fct"] == \
+                pytest.approx(old["speedup_avg_fct"], rel=1e-12)
 
 
 class TestChaosCells:

@@ -7,6 +7,8 @@ Specs tagged ``smoke`` additionally get their cheapest cell executed.
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 pytest.importorskip("yaml")
@@ -28,6 +30,20 @@ def test_library_is_nonempty():
     assert "smoke_mini" in stems
     assert "fig15_flow_scalability" in stems
     assert "fig19_realistic_fct" in stems
+
+
+@pytest.mark.parametrize("figure", ["fig15_flow_scalability",
+                                    "fig19_realistic_fct"])
+def test_bundled_figure_spec_is_its_scenario_dict(figure):
+    """The bundled spec says it is the twin of its figure module's
+    ``scenario_dict()``: both compile to the same tasks."""
+    module = importlib.import_module(f"repro.experiments.{figure}")
+    bundled = scenarios.compile_scenario(
+        scenarios.load(scenarios.resolve_spec(figure)))
+    built = scenarios.compile_scenario(
+        scenarios.Scenario.from_dict(module.scenario_dict()))
+    assert [c.fingerprint for c in bundled.cells] == \
+        [c.fingerprint for c in built.cells]
 
 
 def test_spec_lints_clean(spec_path):
