@@ -1,16 +1,28 @@
-"""PEP 562 re-exports for the package facades (DESIGN §16).
+"""What the package imports cheaply (DESIGN §16).
 
-A facade keeps one ``{home module: names}`` table and binds ``__all__,
-__getattr__, __dir__ = lazy_exports(globals(), _HOMES)``: importing the
-package imports none of its halves, the first ``facade.name`` (or ``from
-facade import name``) imports that name's home and caches the object in
-the facade's namespace, so every later access is a plain attribute.
+PEP 562 re-exports for the package facades: a facade keeps one ``{home
+module: names}`` table and binds ``__all__, __getattr__, __dir__ =
+lazy_exports(globals(), _HOMES)``: importing the package imports none of
+its halves, the first ``facade.name`` (or ``from facade import name``)
+imports that name's home and caches the object in the facade's namespace,
+so every later access is a plain attribute.
+
+:func:`blake2b` is the one hash of the result cache's keys and of the
+simulator's stream seeds, taken from the builtin ``_blake2`` module:
+``hashlib.blake2b`` is the same function, but ``import hashlib`` also loads
+OpenSSL.  Every ``repro`` import loads this module first, so the choice
+costs no module of its own.
 """
 
 from __future__ import annotations
 
 import importlib
 from typing import Callable, Dict, List, Sequence, Tuple
+
+try:
+    from _blake2 import blake2b
+except ImportError:  # pragma: no cover - an interpreter built without it
+    from hashlib import blake2b
 
 
 def lazy_exports(namespace: dict, homes: Dict[str, Sequence[str]],

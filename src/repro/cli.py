@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
 import json
 import pathlib
 import sys
@@ -90,6 +89,15 @@ def _experiment(name: str) -> Callable:
 
     module, _, attr = _EXPERIMENTS[name].partition(":")
     return getattr(import_module(f"repro.experiments.{module}"), attr)
+
+
+def _summary(name: str) -> str:
+    """First line of the docstring of ``name``'s module, read from its
+    source: listing the experiments imports none of them."""
+    module = _EXPERIMENTS[name].partition(":")[0]
+    path = pathlib.Path(__file__).with_name("experiments") / f"{module}.py"
+    doc = path.read_text(encoding="utf-8").split('"""', 2)[1]
+    return doc.strip().splitlines()[0]
 
 
 def _parse_value(raw: str):
@@ -776,15 +784,15 @@ def _cli(argv=None) -> int:
 
     if args.command == "list":
         for name in sorted(_EXPERIMENTS, key=lambda n: (len(n), n)):
-            doc = sys.modules[_experiment(name).__module__].__doc__ or ""
-            summary = doc.strip().splitlines()[0] if doc else ""
-            print(f"{name:8s} {summary}")
+            print(f"{name:8s} {_summary(name)}")
         return 0
 
     if args.experiment not in _EXPERIMENTS:
         parser.error(f"unknown experiment {args.experiment!r}; "
                      f"try: {', '.join(sorted(_EXPERIMENTS))}")
     fn = _experiment(args.experiment)
+    import inspect  # the ``--set`` check is its only use
+
     params = inspect.signature(fn).parameters
     open_ended = any(p.kind == p.VAR_KEYWORD for p in params.values())
     overrides = {}

@@ -465,8 +465,6 @@ class ExpressPassFlow(Flow):
         self._loss_cutoff_seq = self._credit_seq
         self._expected_echo = self._credit_seq
         self._credit_sent_ts.clear()
-        if self.obs_span is not None:
-            self.obs_span.mark("path_recovery", self.sim.now)
         metrics = self.sim.metrics
         if metrics is not None:
             metrics.counter("transport.path_recoveries").inc()

@@ -5,18 +5,18 @@ Stdlib-only (DESIGN §16): printing a stored result needs no simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 
-@dataclass
 class ExperimentResult:
     """A reproduced table/figure: named rows ready for printing."""
 
-    name: str
-    columns: List[str]
-    rows: List[dict]
-    meta: dict = field(default_factory=dict)
+    def __init__(self, name: str, columns: List[str], rows: List[dict],
+                 meta: Optional[dict] = None):
+        self.name = name
+        self.columns = columns
+        self.rows = rows
+        self.meta = {} if meta is None else meta
 
     def column(self, key: str) -> list:
         return [row.get(key) for row in self.rows]

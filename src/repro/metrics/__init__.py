@@ -1,27 +1,16 @@
-"""Measurement utilities: fairness, FCT statistics, time series, convergence."""
+"""Measurement utilities: fairness, FCT statistics, time series, convergence.
 
-from repro.metrics.fairness import jain_index
-from repro.metrics.fct import (
-    FctStats,
-    SIZE_BUCKETS,
-    bucket_of,
-    fct_stats_by_bucket,
-    percentile,
-)
-from repro.metrics.timeseries import (
-    FlowThroughputSampler,
-    QueueSampler,
-    convergence_time_ps,
-)
+A lazy facade (DESIGN §16): a cell that only needs :func:`jain_index`
+imports :mod:`repro.metrics.fairness` and not the FCT record type.
+"""
 
-__all__ = [
-    "jain_index",
-    "percentile",
-    "FctStats",
-    "SIZE_BUCKETS",
-    "bucket_of",
-    "fct_stats_by_bucket",
-    "QueueSampler",
-    "FlowThroughputSampler",
-    "convergence_time_ps",
-]
+from repro._lazy import lazy_exports
+
+_HOMES = {
+    "repro.metrics.fairness": ("jain_index",),
+    "repro.metrics.fct": ("percentile", "FctStats", "SIZE_BUCKETS",
+                          "bucket_of", "fct_stats_by_bucket"),
+    "repro.metrics.timeseries": ("QueueSampler", "FlowThroughputSampler",
+                                 "convergence_time_ps"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _HOMES)

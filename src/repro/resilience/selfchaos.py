@@ -34,7 +34,6 @@ cost is one env lookup.  A directive naming a point outside
 from __future__ import annotations
 
 import errno
-import hashlib
 import os
 import re
 import signal
@@ -71,6 +70,7 @@ def _marker_dir() -> str:
     explicit = env_text(ENV_DIR)
     if explicit:
         return explicit
+    import hashlib
     import tempfile
 
     tag = hashlib.sha1((env_text(ENV_VAR) or "").encode()).hexdigest()[:10]

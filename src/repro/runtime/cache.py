@@ -1,6 +1,6 @@
 """Content-addressed on-disk result cache for experiment tasks.
 
-Key = SHA-256 over ``(task identity, code fingerprint)`` where the task
+Key = BLAKE2b-256 over ``(task identity, code fingerprint)`` where the task
 identity is the function's qualified name plus a canonical rendering of its
 kwargs (:func:`repro.runtime.task.task_id` — the seed is part of the kwargs),
 and the code fingerprint hashes every ``.py`` source file of the ``repro``
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import json
 import os
 import pathlib
@@ -30,6 +29,7 @@ import sys
 import time
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
+from repro._lazy import blake2b
 from repro.resilience import selfchaos
 from repro.runtime.task import TaskSpec
 
@@ -52,7 +52,7 @@ def _tree_fingerprint(root: str) -> str:
         dirnames[:] = [d for d in dirnames if d != "__pycache__"]
         sources += [os.path.join(dirpath, name) for name in filenames
                     if name.endswith(".py")]
-    digest = hashlib.sha256()
+    digest = blake2b(digest_size=32)
     for path in sorted(sources, key=lambda p: p.split(os.sep)):
         digest.update(path[len(root) + 1:].encode())
         with open(path, "rb") as fh:
@@ -68,7 +68,7 @@ def _package_fingerprint() -> str:
 
 @functools.lru_cache(maxsize=None)
 def _module_fingerprint(module_file: str) -> str:
-    digest = hashlib.sha256()
+    digest = blake2b(digest_size=32)
     try:
         digest.update(pathlib.Path(module_file).read_bytes())
     except OSError:
@@ -87,7 +87,7 @@ def code_fingerprint(fn: Optional[Callable] = None) -> str:
         if module_file and not os.path.normpath(module_file).startswith(
                 _package_root() + os.sep):
             parts.append(_module_fingerprint(module_file))
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()
+    return blake2b("|".join(parts).encode(), digest_size=32).hexdigest()
 
 
 class ResultCache:
@@ -131,7 +131,7 @@ class ResultCache:
         if identity is None:
             identity = spec.identity
         payload = identity + "\n" + code_fingerprint(spec.fn)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return blake2b(payload.encode(), digest_size=32).hexdigest()
 
     def _path(self, key: str) -> pathlib.Path:
         return self.directory / f"{key}.pkl"

@@ -75,7 +75,6 @@ from __future__ import annotations
 import contextlib
 import os
 import pathlib
-from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 
@@ -181,40 +180,64 @@ def default_cache_dir() -> pathlib.Path:
     return base / "repro-expresspass"
 
 
-@dataclass(frozen=True)
 class RuntimeConfig:
-    """Execution policy for one or more sweeps.  Immutable; use ``replace``."""
+    """Execution policy for one or more sweeps.  Treat as immutable; derive
+    a variant with :meth:`replace`."""
 
-    #: Worker processes.  0 or 1 runs tasks serially in-process.
-    parallel: int = 0
-    #: True/False force the result cache on/off; None = on unless a plane
-    #: that observes the simulations themselves is on (see ``use_cache``).
-    cache_enabled: Optional[bool] = None
-    cache_dir: Optional[pathlib.Path] = None  # None -> default_cache_dir()
-    #: Additional attempts after the first failure (so 2 -> up to 3 calls).
-    retries: int = 2
-    #: Sleep between attempts, doubled each retry (kept tiny: tasks are
-    #: deterministic, so backoff only matters for resource exhaustion).
-    backoff_s: float = 0.05
-    #: Per-task limit (seconds) from its start on a worker; None = unlimited.
-    task_timeout_s: Optional[float] = None
-    #: True/False force the stderr ticker; None = only when stderr is a tty.
-    progress: Optional[bool] = None
-    max_cache_bytes: int = 512 * 1024 * 1024
-    max_cache_entries: int = 4096
-    #: Run every task under :mod:`repro.audit` (observation-only invariant
-    #: checking); audit summaries ride on the TaskResults.
-    audit: bool = False
-    #: Profile every task's simulations (:mod:`repro.perf.profile`);
-    #: profile summaries ride on the TaskResults.
-    profile: bool = False
-    #: Meter every task's simulations (:mod:`repro.obs` counters, series,
-    #: flow spans); metrics summaries ride on the TaskResults.
-    metrics: bool = False
-    #: Capture cross-layer spans (:mod:`repro.obs.trace`) for every task.
-    #: Observation-only execution policy: the tracer touches no RNG, event
-    #: heap, or fingerprint, so results are bit-identical either way.
-    trace: bool = False
+    def __init__(self, parallel: int = 0,
+                 cache_enabled: Optional[bool] = None,
+                 cache_dir: Optional[pathlib.Path] = None,
+                 retries: int = 2, backoff_s: float = 0.05,
+                 task_timeout_s: Optional[float] = None,
+                 progress: Optional[bool] = None,
+                 max_cache_bytes: int = 512 * 1024 * 1024,
+                 max_cache_entries: int = 4096, audit: bool = False,
+                 profile: bool = False, metrics: bool = False,
+                 trace: bool = False):
+        #: Worker processes.  0 or 1 runs tasks serially in-process.
+        self.parallel = parallel
+        #: True/False force the result cache on/off; None = on unless a
+        #: plane that observes the simulations themselves is on (see
+        #: ``use_cache``).
+        self.cache_enabled = cache_enabled
+        self.cache_dir = cache_dir  # None -> default_cache_dir()
+        #: Additional attempts after the first failure (so 2 -> up to 3).
+        self.retries = retries
+        #: Sleep between attempts, doubled each retry (kept tiny: tasks are
+        #: deterministic, so backoff only matters for resource exhaustion).
+        self.backoff_s = backoff_s
+        #: Per-task limit (seconds) from its start on a worker; None =
+        #: unlimited.
+        self.task_timeout_s = task_timeout_s
+        #: True/False force the stderr ticker; None = only when stderr is a
+        #: tty.
+        self.progress = progress
+        self.max_cache_bytes = max_cache_bytes
+        self.max_cache_entries = max_cache_entries
+        #: Run every task under :mod:`repro.audit` (observation-only
+        #: invariant checking); audit summaries ride on the TaskResults.
+        self.audit = audit
+        #: Profile every task's simulations (:mod:`repro.perf.profile`);
+        #: profile summaries ride on the TaskResults.
+        self.profile = profile
+        #: Meter every task's simulations (:mod:`repro.obs` counters,
+        #: series, flow spans); metrics summaries ride on the TaskResults.
+        self.metrics = metrics
+        #: Capture cross-layer spans (:mod:`repro.obs.trace`) for every
+        #: task.  Observation-only execution policy: the tracer touches no
+        #: RNG, event heap, or fingerprint, so results are bit-identical
+        #: either way.
+        self.trace = trace
+
+    def replace(self, **changes) -> "RuntimeConfig":
+        """A copy with the given fields changed (an unknown one is a
+        ``TypeError``, as in the constructor)."""
+        return RuntimeConfig(**{**vars(self), **changes})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not RuntimeConfig:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @classmethod
     def from_env(cls, environ=None) -> "RuntimeConfig":
@@ -275,7 +298,7 @@ def configure(**overrides) -> RuntimeConfig:
     """
     global _ACTIVE
     base = get_config()
-    _ACTIVE = replace(base, **overrides)
+    _ACTIVE = base.replace(**overrides)
     return _ACTIVE
 
 

@@ -34,7 +34,6 @@ import os
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.resilience import selfchaos
@@ -50,26 +49,33 @@ from repro.runtime.telemetry import Telemetry
 _IN_POOL_WORKER = False
 
 
-@dataclass
 class TaskResult:
     """Outcome of one task: a value or an error, never an exception flow."""
 
-    index: int
-    label: str
-    value: Any = None
-    error: Optional[str] = None
-    attempts: int = 0
-    cached: bool = False
-    wall_s: float = 0.0
-    #: True when the task was cut short by a drain (SIGINT/SIGTERM) rather
-    #: than failing on its own; ``error`` names the signal.  Interrupted
-    #: tasks re-execute on resume.
-    interrupted: bool = False
-    #: ``{probe name: payload}`` for every observation plane the task
-    #: executed under (:mod:`repro.runtime.probes` — the ``RuntimeConfig``
-    #: ``audit``/``profile``/``metrics``/``trace`` switches); empty for an
-    #: unobserved or cache-served task.
-    probes: Dict[str, dict] = field(default_factory=dict)
+    def __init__(self, index: int, label: str, value: Any = None,
+                 error: Optional[str] = None, attempts: int = 0,
+                 cached: bool = False, wall_s: float = 0.0,
+                 interrupted: bool = False,
+                 probes: Optional[Dict[str, dict]] = None):
+        self.index = index
+        self.label = label
+        self.value = value
+        self.error = error
+        self.attempts = attempts
+        self.cached = cached
+        self.wall_s = wall_s
+        #: True when the task was cut short by a drain (SIGINT/SIGTERM)
+        #: rather than failing on its own; ``error`` names the signal.
+        #: Interrupted tasks re-execute on resume.
+        self.interrupted = interrupted
+        #: ``{probe name: payload}`` for every observation plane the task
+        #: executed under (:mod:`repro.runtime.probes` — the
+        #: ``RuntimeConfig`` ``audit``/``profile``/``metrics``/``trace``
+        #: switches); empty for an unobserved or cache-served task.
+        self.probes = {} if probes is None else probes
+
+    def replace(self, **changes) -> "TaskResult":
+        return TaskResult(**{**vars(self), **changes})
 
     @property
     def ok(self) -> bool:

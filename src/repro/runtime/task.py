@@ -14,8 +14,6 @@ reduce to a deterministic string that survives across processes and runs
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 
@@ -32,7 +30,9 @@ def stable_repr(value: Any) -> str:
         return open_ + ", ".join(stable_repr(v) for v in value) + close
     if isinstance(value, (set, frozenset)):
         return "{" + ", ".join(sorted(stable_repr(v) for v in value)) + "}"
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    if hasattr(value, "__dataclass_fields__") and not isinstance(value, type):
+        import dataclasses  # only a dataclass value pays for the module
+
         fields = {f.name: getattr(value, f.name)
                   for f in dataclasses.fields(value)}
         return f"{type(value).__qualname__}({stable_repr(fields)})"
@@ -52,7 +52,6 @@ def task_id(fn: Callable, kwargs: Mapping[str, Any]) -> str:
     return f"{mod}.{qual}({stable_repr(dict(kwargs))})"
 
 
-@dataclass(frozen=True)
 class TaskSpec:
     """One picklable unit of work: ``fn(**kwargs)``.
 
@@ -62,14 +61,14 @@ class TaskSpec:
     and telemetry display — defaults to the function name.
     """
 
-    fn: Callable[..., Any]
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-    label: str = ""
+    def __init__(self, fn: Callable[..., Any],
+                 kwargs: Optional[Dict[str, Any]] = None, label: str = ""):
+        self.fn = fn
+        self.kwargs = {} if kwargs is None else kwargs
+        self.label = label or getattr(fn, "__name__", "task")
 
-    def __post_init__(self):
-        if not self.label:
-            object.__setattr__(
-                self, "label", getattr(self.fn, "__name__", "task"))
+    def replace(self, **changes) -> "TaskSpec":
+        return TaskSpec(**{**vars(self), **changes})
 
     @property
     def identity(self) -> str:
@@ -79,12 +78,12 @@ class TaskSpec:
         return self.fn(**self.kwargs)
 
 
-@dataclass(frozen=True)
 class SweepPlan:
     """An ordered set of tasks forming one experiment sweep."""
 
-    name: str
-    tasks: Sequence[TaskSpec] = ()
+    def __init__(self, name: str, tasks: Sequence[TaskSpec] = ()):
+        self.name = name
+        self.tasks = tasks
 
     @classmethod
     def from_grid(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import pathlib
-from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime import SweepPlan, TaskSpec
@@ -30,7 +29,6 @@ from repro.scenarios.schema import (
     Scenario, SpecError, _Check, get_by_path, validate_seeds)
 
 
-@dataclass(frozen=True)
 class Cell:
     """One point of the expanded matrix: a report row's coordinates plus
     the task that computes it (cells may share one: DESIGN §12).
@@ -40,11 +38,14 @@ class Cell:
     the human-readable form used by ``--filter`` and the report.
     """
 
-    index: int
-    label: str
-    axes: Tuple[Tuple[str, Any], ...]
-    seed: int
-    task: TaskSpec
+    def __init__(self, index: int, label: str,
+                 axes: Tuple[Tuple[str, Any], ...], seed: int,
+                 task: TaskSpec):
+        self.index = index
+        self.label = label
+        self.axes = axes
+        self.seed = seed
+        self.task = task
 
     @property
     def fingerprint(self) -> str:
@@ -52,12 +53,12 @@ class Cell:
         return self.task.identity
 
 
-@dataclass(frozen=True)
 class CompiledMatrix:
     """A scenario lowered to an ordered list of cells."""
 
-    scenario: Scenario
-    cells: Tuple[Cell, ...]
+    def __init__(self, scenario: Scenario, cells: Tuple[Cell, ...]):
+        self.scenario = scenario
+        self.cells = cells
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -84,7 +85,7 @@ class CompiledMatrix:
             value = results[slot].value
             if isinstance(value, dict) and "seed" in value:
                 value = {**value, "seed": cell.seed}
-            out.append(replace(results[slot], label=cell.label, value=value))
+            out.append(results[slot].replace(label=cell.label, value=value))
         return out
 
     def filtered(self, expr: str) -> "CompiledMatrix":
@@ -277,8 +278,9 @@ def compile_scenario(scenario: Scenario,
             # and held by every seed replica of the cell.
             if task is None or "seed" in task.kwargs:
                 task = _lower_cell(variant, seed)
-                task = replace(task, label=label if "seed" in task.kwargs
-                               else f"{scenario.name}[{' '.join(parts)}]")
+                task = task.replace(
+                    label=label if "seed" in task.kwargs
+                    else f"{scenario.name}[{' '.join(parts)}]")
             out.append(Cell(index=len(out), label=label,
                             axes=coords + (("seed", seed),), seed=seed,
                             task=task))

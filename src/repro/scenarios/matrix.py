@@ -10,7 +10,6 @@ behaves exactly like ``repro run`` because both funnel through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.runtime import SweepError, run_tasks
@@ -23,13 +22,14 @@ from repro.scenarios.report import MatrixReport, build_report
 from repro.scenarios.schema import Scenario, SpecError
 
 
-@dataclass
 class MatrixOutcome:
     """A finished matrix run: the cells, their results, and the report."""
 
-    matrix: CompiledMatrix
-    results: List  # one repro.runtime.TaskResult per cell, in cell order
-    report: MatrixReport
+    def __init__(self, matrix: CompiledMatrix, results: List,
+                 report: MatrixReport):
+        self.matrix = matrix
+        self.results = results  # one repro.runtime.TaskResult per cell
+        self.report = report
 
     @property
     def ok(self) -> bool:

@@ -22,7 +22,6 @@ caller guarantee the CLI relies on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 #: Schema tag written to (and checked in) every report JSONL export.
@@ -59,18 +58,23 @@ def _stable_dict(record: dict) -> dict:
     return {k: v for k, v in record.items() if k not in _VOLATILE_KEYS}
 
 
-@dataclass
 class MatrixReport:
     """Everything a matrix run learned, ready to print or export."""
 
-    scenario: str
-    compare: str
-    objectives: Dict[str, str]
-    rows: List[dict]
-    groups: List[dict] = field(default_factory=list)
-    #: ``(group_key, total_rank_score)`` pairs, best (lowest score) first.
-    ranking: List[Tuple[str, float]] = field(default_factory=list)
-    meta: Dict[str, Any] = field(default_factory=dict)
+    def __init__(self, scenario: str, compare: str,
+                 objectives: Dict[str, str], rows: List[dict],
+                 groups: Optional[List[dict]] = None,
+                 ranking: Optional[List[Tuple[str, float]]] = None,
+                 meta: Optional[Dict[str, Any]] = None):
+        self.scenario = scenario
+        self.compare = compare
+        self.objectives = objectives
+        self.rows = rows
+        self.groups = [] if groups is None else groups
+        #: ``(group_key, total_rank_score)`` pairs, best (lowest score)
+        #: first.
+        self.ranking = [] if ranking is None else ranking
+        self.meta = {} if meta is None else meta
 
 
 def _short(axis: str) -> str:

@@ -23,7 +23,6 @@ becomes sweepable with no schema change.
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sim.units import GBPS, MS, SEC, US
@@ -124,26 +123,43 @@ class SpecError(ValueError):
         return "\n".join(f"{where}: {fld}: {msg}" for fld, msg in self.errors)
 
 
-@dataclass
 class Scenario:
     """A validated, normalized scenario.  Sections are plain dicts."""
 
-    name: str
-    description: str = ""
-    tags: Tuple[str, ...] = ()
-    backend: str = "packet"
-    topology: Dict[str, Any] = field(default_factory=dict)
-    workload: Dict[str, Any] = field(default_factory=dict)
-    transport: Dict[str, Any] = field(default_factory=dict)
-    timing: Dict[str, Any] = field(default_factory=dict)
-    chaos: Optional[Dict[str, Any]] = None
-    seeds: Tuple[int, ...] = (1,)
-    #: Ordered ``(axis, values)`` pairs — declaration order is cell order.
-    sweep: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
-    report: Dict[str, Any] = field(default_factory=dict)
-    #: Directory relative chaos plan paths resolve against (set by the
-    #: loader; not part of the spec's identity).
-    base_dir: Optional[pathlib.Path] = field(default=None, compare=False)
+    def __init__(self, name: str, description: str = "",
+                 tags: Tuple[str, ...] = (), backend: str = "packet",
+                 topology: Optional[Dict[str, Any]] = None,
+                 workload: Optional[Dict[str, Any]] = None,
+                 transport: Optional[Dict[str, Any]] = None,
+                 timing: Optional[Dict[str, Any]] = None,
+                 chaos: Optional[Dict[str, Any]] = None,
+                 seeds: Tuple[int, ...] = (1,),
+                 sweep: Tuple[Tuple[str, Tuple[Any, ...]], ...] = (),
+                 report: Optional[Dict[str, Any]] = None,
+                 base_dir: Optional[pathlib.Path] = None):
+        self.name = name
+        self.description = description
+        self.tags = tags
+        self.backend = backend
+        self.topology = {} if topology is None else topology
+        self.workload = {} if workload is None else workload
+        self.transport = {} if transport is None else transport
+        self.timing = {} if timing is None else timing
+        self.chaos = chaos
+        self.seeds = seeds
+        #: Ordered ``(axis, values)`` pairs — declaration order is cell
+        #: order.
+        self.sweep = sweep
+        self.report = {} if report is None else report
+        #: Directory relative chaos plan paths resolve against (set by the
+        #: loader; not part of the spec's identity, so not compared).
+        self.base_dir = base_dir
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Scenario:
+            return NotImplemented
+        return ({**vars(self), "base_dir": None}
+                == {**vars(other), "base_dir": None})
 
     def to_dict(self) -> dict:
         """The canonical, fully-normalized spec (round-trips via from_dict)."""

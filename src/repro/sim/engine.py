@@ -41,7 +41,6 @@ silently share a generator, so collisions raise at stream creation instead.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import random
 import zlib
@@ -49,6 +48,7 @@ from itertools import count
 from typing import Any, Callable, Dict, List, Optional
 
 from repro import perf
+from repro._lazy import blake2b
 
 #: ``object.__new__`` alias: builds a bare Event without running its
 #: ``__init__`` (the schedule fast paths assign every slot themselves).
@@ -280,8 +280,7 @@ class Simulator:
         BLAKE2b digest of ``"family:index"``, making accidental collisions
         ~n²/2⁶⁵ and each call a fresh generator the caller owns.
         """
-        tag = hashlib.blake2b(f"{family}:{index}".encode(),
-                              digest_size=8).digest()
+        tag = blake2b(f"{family}:{index}".encode(), digest_size=8).digest()
         return random.Random((self.seed << 64)
                              ^ int.from_bytes(tag, "big"))
 

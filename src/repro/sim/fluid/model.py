@@ -27,14 +27,12 @@ on for packet cells).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: One MTU in bytes — the granularity floor for standing-queue estimates.
 _MTU = 1_500
 
 
-@dataclass(frozen=True)
 class Dynamics:
     """Per-protocol constants driving the fluid evolution.
 
@@ -48,11 +46,14 @@ class Dynamics:
     scheduling), so dynamic backlog cannot build.
     """
 
-    utilization: float
-    gain_per_rtt: float
-    queue_bytes: int
-    start_fraction: float = 0.05
-    credit_throttled: bool = False
+    def __init__(self, utilization: float, gain_per_rtt: float,
+                 queue_bytes: int, start_fraction: float = 0.05,
+                 credit_throttled: bool = False):
+        self.utilization = utilization
+        self.gain_per_rtt = gain_per_rtt
+        self.queue_bytes = queue_bytes
+        self.start_fraction = start_fraction
+        self.credit_throttled = credit_throttled
 
 
 #: Fluid dynamics for every packet-backend transport.  ``utilization`` and
@@ -88,23 +89,25 @@ PROTOCOL_DYNAMICS: Dict[str, Dynamics] = {
 }
 
 
-@dataclass
 class FluidLink:
     """A capacity with a byte backlog (no per-packet queue)."""
 
-    capacity_bps: float
-    queue_bytes: float = 0.0
-    max_queue_bytes: float = 0.0
+    def __init__(self, capacity_bps: float, queue_bytes: float = 0.0,
+                 max_queue_bytes: float = 0.0):
+        self.capacity_bps = capacity_bps
+        self.queue_bytes = queue_bytes
+        self.max_queue_bytes = max_queue_bytes
 
 
-@dataclass
 class FluidFlow:
     """A rate on a route (tuple of link indices; empty = unconstrained)."""
 
-    route: Tuple[int, ...]
-    rate_bps: float = 0.0
-    delivered_bytes: float = 0.0
-    start_ps: int = 0
+    def __init__(self, route: Tuple[int, ...], rate_bps: float = 0.0,
+                 delivered_bytes: float = 0.0, start_ps: int = 0):
+        self.route = route
+        self.rate_bps = rate_bps
+        self.delivered_bytes = delivered_bytes
+        self.start_ps = start_ps
 
 
 class FluidNetwork:

@@ -1,11 +1,15 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
-from repro.cli import _parse_value, main
+from repro.cli import _EXPERIMENTS, _experiment, _parse_value, _summary, main
 
 
 class TestParseValue:
@@ -34,6 +38,29 @@ class TestCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig10" in out and "table1" in out
+        # ``list`` reads each summary from the module's source: it must be
+        # the first line of the docstring the imported module carries.
+        for name in _EXPERIMENTS:
+            doc = sys.modules[_experiment(name).__module__].__doc__
+            assert _summary(name) == doc.strip().splitlines()[0], name
+            assert f"{name:8s} {_summary(name)}" in out.splitlines()
+
+    def test_a_reader_that_hangs_up_gets_no_traceback(self):
+        """``python -m repro list | head -1``: the reader closes the pipe
+        before the listing is flushed.  The run ends with exit 1 and an
+        empty stderr, not a ``BrokenPipeError`` traceback."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "list"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(env, PYTHONPATH=str(src)))
+        proc.stdout.close()  # long before the child has imported the CLI
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == ""
 
     def test_run_table1(self, capsys):
         assert main(["run", "table1"]) == 0

@@ -25,7 +25,7 @@ Tolerance notes (all measured against the packet engine at seed 1):
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import json
 import os
 import pathlib
@@ -176,8 +176,8 @@ class _EveryStepReference:
     separate passes (relax, per-link inflow, deliver)."""
 
     def __init__(self, links, flows, dynamics, rtt_ps):
-        self.links = [dataclasses.replace(link) for link in links]
-        self.flows = [dataclasses.replace(flow) for flow in flows]
+        self.links = [copy.copy(link) for link in links]
+        self.flows = [copy.copy(flow) for flow in flows]
         self.dynamics = dynamics
         self.rtt_ps = rtt_ps
         self.now_ps = 0
@@ -255,8 +255,8 @@ def _fabrics(draw):
 def test_step_equals_water_filling_every_step(fabric):
     links, flows, dynamics = fabric
     ref = _EveryStepReference(links, flows, dynamics, _RTT_PS)
-    net = FluidNetwork([dataclasses.replace(link) for link in links],
-                       [dataclasses.replace(flow) for flow in flows],
+    net = FluidNetwork([copy.copy(link) for link in links],
+                       [copy.copy(flow) for flow in flows],
                        dynamics, _RTT_PS)
     for step in range(14):   # last possible boundary is at step 8
         net.step()
@@ -324,8 +324,8 @@ def test_structure_is_frozen_at_construction():
     links = [FluidLink(10 * GBPS), FluidLink(10 * GBPS)]
     flows = [FluidFlow(route=(0,)), FluidFlow(route=(0,))]
     net = FluidNetwork(links, flows, PROTOCOL_DYNAMICS["ideal"], _RTT_PS)
-    twin = FluidNetwork([dataclasses.replace(l) for l in links],
-                        [dataclasses.replace(f) for f in flows],
+    twin = FluidNetwork([copy.copy(l) for l in links],
+                        [copy.copy(f) for f in flows],
                         PROTOCOL_DYNAMICS["ideal"], _RTT_PS)
     net.step()
     twin.step()

@@ -70,6 +70,11 @@ out = {"rc": rc, "stdout": buf.getvalue()}
 SIMULATOR = ("repro.sim.engine", "repro.net", "repro.experiments.runner",
              "multiprocessing")
 
+#: Stdlib modules no front-end path may load (DESIGN §16): ``dataclasses``
+#: imports ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``), and
+#: ``_hashlib`` is OpenSSL, which ``import hashlib`` loads even for BLAKE2.
+HEAVY_STDLIB = ("dataclasses", "inspect", "_hashlib")
+
 #: What ``import repro.cli`` may not load: everything behind the front end.
 FRONT_END_ONLY = ("repro.sim.engine", "repro.net", "repro.transport",
                   "repro.topology", "repro.core", "repro.experiments",
@@ -152,7 +157,9 @@ _FIG19 = ("run", "fig19", "--set", "protocols=expresspass,dctcp",
 def test_fully_cached_matrix_never_loads_the_simulator(tmp_path, case):
     """A warm ``repro matrix`` on either backend, and a warm ``repro run``
     of a spec-compiled figure (which imports that figure's module and no
-    other experiment), are cache reads: no engine, no pool."""
+    other experiment), are cache reads: no engine, no pool — and for
+    ``matrix``, none of the heavy stdlib either (``run --set`` reads the
+    figure's signature with ``inspect``)."""
     argv = _FIG19 if case == "run-fig19" else ("matrix", _spec(tmp_path, case))
     prime = subprocess.run(
         [sys.executable, "-m", "repro", *argv],
@@ -170,27 +177,52 @@ def test_fully_cached_matrix_never_loads_the_simulator(tmp_path, case):
         assert doc["out"]["rc"] == 0
         meta = json.loads(doc["out"]["stdout"])["meta"]
         assert meta["cached"] == meta["cells"] == 2, meta
+        _assert_not_loaded(doc, HEAVY_STDLIB, f"cached {case}")
     _assert_not_loaded(doc, SIMULATOR, f"cached {case}")
 
 
 def test_fluid_cells_execute_without_the_packet_engine(tmp_path):
     """Cold cache, so the miss path — compute, then write the entry —
     runs: it needs neither the packet engine nor ``tempfile`` (and the
-    ``random``/``bz2``/``lzma`` it drags in) to create one file."""
+    ``random``/``bz2``/``lzma`` it drags in) to create one file, nor any
+    of the heavy stdlib."""
     doc = _spy(tmp_path, _MAIN, "matrix", _spec(tmp_path, "fluid"), "--json")
     assert doc["out"]["rc"] == 0
     meta = json.loads(doc["out"]["stdout"])["meta"]
     assert meta["cached"] == 0 and meta["failed"] == 0, meta
     assert len(list((tmp_path / "cache").glob("*.pkl"))) == 2
-    _assert_not_loaded(doc, SIMULATOR + ("tempfile",), "serial fluid matrix")
+    _assert_not_loaded(doc, SIMULATOR + ("tempfile",) + HEAVY_STDLIB,
+                       "serial fluid matrix")
+
+
+def test_packet_cells_execute_without_openssl(tmp_path):
+    """The packet miss path builds topology and core records (those stay
+    dataclasses), but neither its cache keys nor the engine's per-flow
+    random streams load OpenSSL: both hash with the builtin BLAKE2."""
+    doc = _spy(tmp_path, _MAIN, "matrix", _spec(tmp_path, "packet"), "--json")
+    assert doc["out"]["rc"] == 0
+    meta = json.loads(doc["out"]["stdout"])["meta"]
+    assert meta["cached"] == 0 and meta["failed"] == 0, meta
+    assert "repro.sim.engine" in doc["loaded"]
+    _assert_not_loaded(doc, ("_hashlib",), "serial packet matrix")
 
 
 def test_scenarios_validate_never_loads_the_simulator(tmp_path):
     doc = _spy(tmp_path, _MAIN, "scenarios", "validate",
                _spec(tmp_path, "packet"))
     assert doc["out"]["rc"] == 0, doc["out"]
-    _assert_not_loaded(doc, SIMULATOR + ("repro.chaos",),
+    _assert_not_loaded(doc, SIMULATOR + ("repro.chaos",) + HEAVY_STDLIB,
                        "scenarios validate")
+
+
+def test_listing_the_experiments_imports_none_of_them(tmp_path):
+    """``repro list`` reads each experiment's summary line from its
+    source: no experiment module, no simulator, no heavy stdlib."""
+    doc = _spy(tmp_path, _MAIN, "list")
+    assert doc["out"]["rc"] == 0
+    assert "fig10" in doc["out"]["stdout"]
+    _assert_not_loaded(doc, SIMULATOR + ("repro.experiments",)
+                       + HEAVY_STDLIB, "list")
 
 
 @pytest.mark.parametrize("argv", [

@@ -31,7 +31,7 @@ TOP_MODULES = sorted(p.stem for p in PACKAGE.glob("*.py")
                      if p.stem not in ("__init__", "__main__"))
 
 FACADES = ("repro", "repro.sim", "repro.experiments", "repro.obs",
-           "repro.chaos")
+           "repro.chaos", "repro.metrics")
 
 _WALK = """
 import importlib, pkgutil, sys

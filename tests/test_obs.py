@@ -253,6 +253,23 @@ class TestFlowSpans:
             span.mark("no-such-event", 0)
 
 
+class TestWatchdogUnderMetrics:
+    def test_a_metered_cell_survives_a_path_recovery(self):
+        """The dead-path watchdog fires once in this fault-free cell (the
+        e2e ``packet_sweep`` cell ``expresspass n_flows=16``, seed 1).
+        Metered, the cell completes and its event log records the
+        recovery."""
+        from repro.scenarios.cells import run_persistent
+
+        with capture() as cap:
+            row = run_persistent("expresspass", 16, warmup_ps=2 * MS,
+                                 measure_ps=3 * MS, seed=1)
+        assert row["utilization"] > 0
+        summary = cap.summary
+        assert summary["counters"]["transport.path_recoveries"] == 1
+        assert [e[1] for e in summary["events"]].count("path_recovery") == 1
+
+
 class TestObservationOnly:
     def test_metered_run_same_flow_outcomes(self):
         plain, _ = _run_dumbbell(metered=False)

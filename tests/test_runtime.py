@@ -164,7 +164,7 @@ class TestResultCache:
         from repro.runtime import cache as cache_mod
 
         def reference(root: pathlib.Path) -> str:
-            digest = hashlib.sha256()
+            digest = hashlib.blake2b(digest_size=32)
             for path in sorted(root.rglob("*.py")):
                 digest.update(str(path.relative_to(root)).encode())
                 digest.update(path.read_bytes())
@@ -486,22 +486,21 @@ class TestConfig:
             "unknown point 'shard:kill'; expected one of task:kill, ")
 
     def test_single_simulation_sharding_is_gone_not_hidden(self):
-        import dataclasses
         import importlib
 
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.sim.parallel")
-        assert "shards" not in {f.name
-                                for f in dataclasses.fields(RuntimeConfig)}
+        assert "shards" not in vars(RuntimeConfig())
+        with pytest.raises(TypeError):
+            RuntimeConfig(shards=2)
         # Its env knobs are simply no longer read — even a hostile value.
         assert RuntimeConfig.from_env({"REPRO_SHARDS": "2.5"}) == \
             RuntimeConfig.from_env({})
 
     def test_second_lifecycle_log_is_gone_not_hidden(self):
-        import dataclasses
-
-        assert "telemetry_path" not in {
-            f.name for f in dataclasses.fields(RuntimeConfig)}
+        assert "telemetry_path" not in vars(RuntimeConfig())
+        with pytest.raises(TypeError):
+            RuntimeConfig(telemetry_path="events.jsonl")
         assert RuntimeConfig.from_env({"REPRO_TELEMETRY": "events.jsonl"}) \
             == RuntimeConfig.from_env({})
         assert not hasattr(runtime, "read_events")

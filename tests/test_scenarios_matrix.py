@@ -271,9 +271,9 @@ class TestCellsVsTasks:
                 task.identity.encode()).hexdigest() == digest
             # The key is that identity plus the source tree's hash (which
             # every edit moves, so only the identity can be pinned).
-            assert cache.key_for(task) == hashlib.sha256(
-                (task.identity + "\n" + code_fingerprint(task.fn)).encode()
-            ).hexdigest()
+            assert cache.key_for(task) == hashlib.blake2b(
+                (task.identity + "\n" + code_fingerprint(task.fn)).encode(),
+                digest_size=32).hexdigest()
 
     def test_a_backend_axis_shares_only_its_fluid_half(self):
         spec = replica_spec("packet", seeds=[1, 2], sweep={
