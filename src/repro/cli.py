@@ -794,15 +794,14 @@ def _cli(argv=None) -> int:
     import inspect  # the ``--set`` check is its only use
 
     params = inspect.signature(fn).parameters
-    open_ended = any(p.kind == p.VAR_KEYWORD for p in params.values())
     overrides = {}
     for key, value in _parse_sets(parser, args.set):
         param = params.get(key)
-        if param is None and not open_ended:
+        if param is None:
             raise ConfigError(
                 f"--set {key}: {args.experiment} has no parameter {key!r}; "
                 f"try: {', '.join(params)}")
-        if (param is not None and isinstance(param.default, tuple)
+        if (isinstance(param.default, tuple)
                 and not isinstance(value, tuple)):
             value = (value,)  # one value of a tuple-valued parameter
         overrides[key] = value
@@ -813,7 +812,7 @@ def _cli(argv=None) -> int:
                          f"--backend applies to fig15, fig16, and fig18")
         overrides["backend"] = args.backend
     if args.seed is not None:
-        if "seed" in params or open_ended:
+        if "seed" in params:
             overrides["seed"] = args.seed
         else:
             print(f"note: {args.experiment} is analytic and takes no seed; "

@@ -70,10 +70,12 @@ def run_point(
 def run(
     protocols: Sequence[str] = ("ideal", "dctcp", "expresspass"),
     fan_ins: Sequence[int] = (8, 16, 32, 64, 128),
-    **kwargs,
+    n_hosts: int = 16, rate_bps: int = 10 * GBPS, duration_ps: int = 20 * MS,
+    seed: int = 1, ep_params: Optional[ExpressPassParams] = None,
 ) -> ExperimentResult:
     rows = [
-        run_point(protocol, n, **kwargs)
+        run_point(protocol, n, n_hosts, rate_bps, duration_ps, seed,
+                  ep_params)
         for protocol in protocols
         for n in fan_ins
     ]

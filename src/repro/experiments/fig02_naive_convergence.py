@@ -60,9 +60,11 @@ def run_point(
 
 def run(
     protocols: Sequence[str] = ("expresspass-naive", "cubic", "dctcp"),
-    **kwargs,
+    rate_bps: int = 10 * GBPS, base_rtt_ps: int = 100 * US,
+    max_wait_ps: int = 500 * MS, seed: int = 1,
 ) -> ExperimentResult:
-    rows = [run_point(p, **kwargs) for p in protocols]
+    rows = [run_point(p, rate_bps, base_rtt_ps, max_wait_ps, seed)
+            for p in protocols]
     return ExperimentResult(
         name="Fig 2 convergence: naive credit vs TCP CUBIC vs DCTCP",
         columns=["protocol", "convergence_us", "convergence_rtts", "converged"],

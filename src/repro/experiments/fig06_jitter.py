@@ -60,10 +60,13 @@ def run_point(
 def run(
     jitters: Sequence[float] = (0.0, 0.01, 0.02, 0.04, 0.08),
     flow_counts: Sequence[int] = (16, 64, 256),
-    **kwargs,
+    rate_bps: int = 10 * GBPS, randomize_credit_size: bool = True,
+    warmup_ps: int = 2 * MS, windows: int = 5, window_ps: int = 1 * MS,
+    seed: int = 1,
 ) -> ExperimentResult:
     rows = [
-        run_point(j, n, **kwargs)
+        run_point(j, n, rate_bps, randomize_credit_size, warmup_ps,
+                  windows, window_ps, seed)
         for j in jitters
         for n in flow_counts
     ]

@@ -70,11 +70,12 @@ def waste_point(
 
 
 def run(alphas: Sequence[float] = (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32),
-        max_rtts: int = 500, **kwargs) -> ExperimentResult:
+        max_rtts: int = 500, rate_bps: int = 10 * GBPS,
+        base_rtt_ps: int = 100 * US, seed: int = 1) -> ExperimentResult:
     rows = []
     for alpha in alphas:
-        row = convergence_point(alpha, max_rtts=max_rtts, **kwargs)
-        row.update(waste_point(alpha, **kwargs))
+        row = convergence_point(alpha, rate_bps, base_rtt_ps, seed, max_rtts)
+        row.update(waste_point(alpha, rate_bps, base_rtt_ps, seed))
         rows.append(row)
     return ExperimentResult(
         name="Fig 8 initial-rate trade-off: convergence vs credit waste",

@@ -54,10 +54,11 @@ def run_point(
 def run(
     flow_counts: Sequence[int] = (2, 4, 8, 16, 32),
     queue_sizes: Sequence[int] = (1, 2, 4, 8, 16, 32),
-    **kwargs,
+    rate_bps: int = 10 * GBPS, warmup_ps: int = 20 * MS,
+    measure_ps: int = 30 * MS, seed: int = 1,
 ) -> ExperimentResult:
     rows = [
-        run_point(n, q, **kwargs)
+        run_point(n, q, rate_bps, warmup_ps, measure_ps, seed)
         for n in flow_counts
         for q in queue_sizes
     ]

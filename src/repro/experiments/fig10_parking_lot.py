@@ -7,63 +7,60 @@ worst link drops to 83.3 % with two bottlenecks and ~60 % with six.  The
 feedback loop keeps every link ≳97 %.
 
 Utilization is normalized to the maximum *data* rate (excluding the credit
-reservation), as in the paper.
+reservation), as in the paper.  Each row is one cell of the §3.4 spec
+(:func:`run_cells`, shared with Fig 11): the persistent cell on 2 µs links
+with a 40 µs base RTT, swept over N + 1 flows × naive/feedback.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
-from repro.core import ExpressPassParams
-from repro.experiments.runner import ExperimentResult, get_harness
-from repro.sim.engine import Simulator
+from repro.experiments.table import ExperimentResult
 from repro.sim.units import GBPS, MS, US
-from repro.topology import LinkSpec, parking_lot
+
+#: The §3.4 comparison: each protocol the spec sweeps, by its row label.
+MODES = {"expresspass-naive": "naive", "expresspass": "feedback"}
+
+COLUMNS = ["bottlenecks", "mode", "min_link_utilization"]
 
 
-def run_point(
-    n_bottlenecks: int,
-    naive: bool,
+def run_cells(name: str, topology: str, counts: Sequence[int],
+              rate_bps: int, warmup_ps: int, measure_ps: int,
+              seed: int) -> List[dict]:
+    """The successful cells' ``run_persistent`` rows of the §3.4 spec on
+    ``topology`` (pooled, cached, journaled and audited per cell): one long
+    flow plus ``n`` others for each ``n`` in ``counts``, naive first."""
+    from repro.scenarios import Scenario, run_matrix
+    from repro.scenarios.schema import SCHEMA
+
+    spec = {
+        "schema": SCHEMA,
+        "name": name,
+        "topology": {"kind": topology, "rate_bps": rate_bps,
+                     "prop_delay_ps": 2 * US,
+                     "params": {"base_rtt_ps": 40 * US}},
+        "workload": {"kind": "persistent"},
+        "timing": {"warmup_ps": warmup_ps, "measure_ps": measure_ps},
+        "seeds": [seed],
+        "sweep": {"workload.n_flows": [n + 1 for n in counts],
+                  "transport.protocol": list(MODES)},
+    }
+    return run_matrix(Scenario.from_dict(spec, source=name)).values()
+
+
+def run(
+    counts: Sequence[int] = (1, 2, 3, 4, 5, 6),
     rate_bps: int = 10 * GBPS,
     warmup_ps: int = 30 * MS,
     measure_ps: int = 50 * MS,
     seed: int = 1,
-) -> dict:
-    sim = Simulator(seed=seed)
-    base_rtt = 40 * US
-    protocol = "expresspass-naive" if naive else "expresspass"
-    harness = get_harness(protocol, rate_bps, base_rtt,
-                          ExpressPassParams(rtt_hint_ps=base_rtt))
-    spec = LinkSpec(rate_bps=rate_bps, prop_delay_ps=2 * US)
-    topo = parking_lot(sim, n_bottlenecks, link=spec)
-
-    harness.flow(topo.long_src, topo.long_dst, None)
-    for src, dst in zip(topo.cross_srcs, topo.cross_dsts):
-        harness.flow(src, dst, None)
-
-    sim.run(until=warmup_ps)
-    base = [p.stats.data_bytes_sent for p in topo.bottleneck_ports]
-    sim.run(until=warmup_ps + measure_ps)
-    seconds = measure_ps / 1e12
-    max_data = rate_bps * 1538 / 1626  # credit reservation excluded
-    utils = [
-        (p.stats.data_bytes_sent - b) * 8 / seconds / max_data
-        for p, b in zip(topo.bottleneck_ports, base)
-    ]
-    return {
-        "bottlenecks": n_bottlenecks,
-        "mode": "naive" if naive else "feedback",
-        "min_link_utilization": min(utils),
-    }
-
-
-def run(counts: Sequence[int] = (1, 2, 3, 4, 5, 6), **kwargs) -> ExperimentResult:
-    rows = []
-    for n in counts:
-        for naive in (True, False):
-            rows.append(run_point(n, naive, **kwargs))
+) -> ExperimentResult:
+    rows = [{"bottlenecks": value["flows"] - 1,
+             "mode": MODES[value["protocol"]],
+             "min_link_utilization": value["min_link_utilization"]}
+            for value in run_cells("fig10", "parking_lot", counts, rate_bps,
+                                   warmup_ps, measure_ps, seed)]
     return ExperimentResult(
         name="Fig 10 parking-lot utilization (worst link, normalized to max data rate)",
-        columns=["bottlenecks", "mode", "min_link_utilization"],
-        rows=rows,
-    )
+        columns=COLUMNS, rows=rows)

@@ -5,59 +5,39 @@ max-min gives every flow 1/(N+1) of Link 2.  The naive credit scheme gives
 Flow 0 a disproportionate share (its credits never face the Link-1 limiter);
 the feedback loop tracks the max-min share until the sub-credit-per-RTT
 regime erodes fairness at large N (§3.4).
+
+Each row is one cell of Fig 10's §3.4 spec on the multi-bottleneck
+topology (:func:`repro.experiments.fig10_parking_lot.run_cells`).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core import ExpressPassParams
-from repro.experiments.runner import ExperimentResult, get_harness
-from repro.sim.engine import Simulator
-from repro.sim.units import GBPS, MS, US
-from repro.topology import LinkSpec, multi_bottleneck
+from repro.experiments.fig10_parking_lot import MODES, run_cells
+from repro.experiments.table import ExperimentResult
+from repro.sim.units import GBPS, MS
 
 
-def run_point(
-    n_cross: int,
-    naive: bool,
+def run(
+    counts: Sequence[int] = (1, 4, 16, 64),
     rate_bps: int = 10 * GBPS,
     warmup_ps: int = 40 * MS,
     measure_ps: int = 60 * MS,
     seed: int = 1,
-) -> dict:
-    sim = Simulator(seed=seed)
-    base_rtt = 40 * US
-    protocol = "expresspass-naive" if naive else "expresspass"
-    harness = get_harness(protocol, rate_bps, base_rtt,
-                          ExpressPassParams(rtt_hint_ps=base_rtt))
-    spec = LinkSpec(rate_bps=rate_bps, prop_delay_ps=2 * US)
-    topo = multi_bottleneck(sim, n_cross, link=spec)
-
-    flow0 = harness.flow(topo.flow0_src, topo.flow0_dst_hosts[0], None)
-    for src, dst in zip(topo.cross_srcs, topo.flow0_dst_hosts[1:]):
-        harness.flow(src, dst, None)
-
-    sim.run(until=warmup_ps)
-    base = flow0.bytes_delivered
-    sim.run(until=warmup_ps + measure_ps)
-    goodput = (flow0.bytes_delivered - base) * 8 / (measure_ps / 1e12)
+) -> ExperimentResult:
     max_data_goodput = rate_bps * (1538 / 1626) * (1500 / 1538)
-    return {
-        "cross_flows": n_cross,
-        "mode": "naive" if naive else "feedback",
-        "flow0_gbps": goodput / 1e9,
-        "maxmin_ideal_gbps": max_data_goodput / (n_cross + 1) / 1e9,
-    }
-
-
-def run(counts: Sequence[int] = (1, 4, 16, 64), **kwargs) -> ExperimentResult:
     rows = []
-    for n in counts:
-        for naive in (True, False):
-            rows.append(run_point(n, naive, **kwargs))
+    for value in run_cells("fig11", "multi_bottleneck", counts, rate_bps,
+                           warmup_ps, measure_ps, seed):
+        n_cross = value["flows"] - 1
+        rows.append({
+            "cross_flows": n_cross,
+            "mode": MODES[value["protocol"]],
+            "flow0_gbps": value["flow0_gbps"],
+            "maxmin_ideal_gbps": max_data_goodput / (n_cross + 1) / 1e9,
+        })
     return ExperimentResult(
         name="Fig 11 multi-bottleneck fairness (Flow 0 throughput)",
         columns=["cross_flows", "mode", "flow0_gbps", "maxmin_ideal_gbps"],
-        rows=rows,
-    )
+        rows=rows)

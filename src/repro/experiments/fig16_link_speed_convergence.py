@@ -100,7 +100,8 @@ def run(
     rates_gbps: Sequence[int] = (10, 100),
     alpha_variants: Sequence[float] = (0.5, 1 / 16),
     backend: str = "packet",
-    **kwargs,
+    base_rtt_ps: int = 100 * US, max_rtts: int = 4000,
+    tolerance: float = 0.25, seed: int = 1,
 ) -> ExperimentResult:
     """``backend="fluid"`` replays the join in the rate-evolution model:
     the convergence-class trend (ExpressPass/RCP a few RTTs, DCTCP far
@@ -126,7 +127,8 @@ def run(
     rows = run_sweep(
         run_point_labeled_fluid if fluid else run_point_labeled,
         points,
-        common=kwargs,
+        common={"base_rtt_ps": base_rtt_ps, "max_rtts": max_rtts,
+                "tolerance": tolerance, "seed": seed},
         name="fig16",
         label=lambda pt: f"{pt['label']}@{pt['rate_bps'] // 10**9}G",
     )

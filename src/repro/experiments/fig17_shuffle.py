@@ -61,8 +61,13 @@ def run_point(
     }
 
 
-def run(protocols: Sequence[str] = ("expresspass", "dctcp"), **kwargs) -> ExperimentResult:
-    rows = [run_point(p, **kwargs) for p in protocols]
+def run(protocols: Sequence[str] = ("expresspass", "dctcp"), n_hosts: int = 8,
+        tasks_per_host: int = 2, flow_bytes: int = 100 * KB,
+        rate_bps: int = 10 * GBPS, seed: int = 1, horizon_ps: int = 2 * SEC,
+        ep_params: Optional[ExpressPassParams] = None) -> ExperimentResult:
+    rows = [run_point(p, n_hosts, tasks_per_host, flow_bytes, rate_bps, seed,
+                      horizon_ps, ep_params)
+            for p in protocols]
     return ExperimentResult(
         name="Fig 17 shuffle workload FCT (median / p99 / max)",
         columns=["protocol", "flows", "completed", "fct_ms_p50",

@@ -8,11 +8,12 @@ sweet spot for realistic workloads.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core import ExpressPassParams
 from repro.experiments.realistic import run_realistic
 from repro.experiments.runner import ExperimentResult, run_sweep
+from repro.sim.units import GBPS, SEC
 
 #: (α, w_init) pairs along the paper's x-axis.
 DEFAULT_SWEEP: Tuple[Tuple[float, float], ...] = (
@@ -43,33 +44,32 @@ def run_point(alpha: float, w_init: float, workload: str, load: float,
     return row
 
 
-def run_point_fluid(alpha: float, w_init: float, workload: str, load: float,
-                    n_flows: int, **kwargs) -> dict:
-    """Fluid trend-mode cell: flow-level processor sharing, same row shape."""
-    from repro.sim.fluid import fluid_fct_point
-
-    allowed = ("rate_bps", "seed", "size_cap_bytes", "base_rtt_ps")
-    kwargs = {k: v for k, v in kwargs.items() if k in allowed}
-    return fluid_fct_point(alpha, w_init, workload, load, n_flows, **kwargs)
-
-
 def run(
     sweep: Sequence[Tuple[float, float]] = DEFAULT_SWEEP,
     workload: str = "cache_follower",
     load: float = 0.6,
     n_flows: int = 1000,
     backend: str = "packet",
-    **kwargs,
+    rate_bps: int = 10 * GBPS, core_rate_bps: Optional[int] = None,
+    size_cap_bytes: Optional[int] = 20_000_000, drain_ps: int = SEC,
+    seed: int = 1,
 ) -> ExperimentResult:
     """``backend="fluid"`` scans the (α, w_init) grid with the flow-level
     fluid model — the short-flow-vs-elephant trade-off trend without a
     packet-level Clos run per cell."""
     fluid = backend == "fluid"
+    common = {"workload": workload, "load": load, "n_flows": n_flows,
+              "rate_bps": rate_bps, "size_cap_bytes": size_cap_bytes,
+              "seed": seed}
+    if fluid:
+        from repro.sim.fluid import fluid_fct_point as cell
+    else:  # the fluid model has one link speed and no drain
+        cell = run_point
+        common.update(core_rate_bps=core_rate_bps, drain_ps=drain_ps)
     rows = run_sweep(
-        run_point_fluid if fluid else run_point,
+        cell,
         [{"alpha": alpha, "w_init": w_init} for alpha, w_init in sweep],
-        common={"workload": workload, "load": load, "n_flows": n_flows,
-                **kwargs},
+        common=common,
         name="fig18",
         label=lambda pt: f"a=1/{round(1 / pt['alpha'])}"
                          f",w=1/{round(1 / pt['w_init'])}",

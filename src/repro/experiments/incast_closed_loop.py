@@ -68,9 +68,13 @@ def run_point(
 def run(
     protocols: Sequence[str] = ("expresspass", "dctcp"),
     fan_ins: Sequence[int] = (8, 32, 64),
-    **kwargs,
+    n_hosts: int = 16, rounds: int = 50, request_bytes: int = 200,
+    response_bytes: int = 1000, rate_bps: int = 10 * GBPS, seed: int = 1,
+    ep_params: Optional[ExpressPassParams] = None,
 ) -> ExperimentResult:
-    rows = [run_point(p, n, **kwargs) for p in protocols for n in fan_ins]
+    rows = [run_point(p, n, n_hosts, rounds, request_bytes, response_bytes,
+                      rate_bps, seed, ep_params)
+            for p in protocols for n in fan_ins]
     return ExperimentResult(
         name="Closed-loop partition/aggregate incast (§2 workload)",
         columns=["protocol", "fan_in", "rounds_done", "wave_ms_p50",

@@ -61,8 +61,10 @@ def run_point(
 
 
 def run(protocols: Sequence[str] = ("expresspass", "dcqcn", "timely"),
-        **kwargs) -> ExperimentResult:
-    rows = [run_point(p, **kwargs) for p in protocols]
+        fan_in: int = 8, response_kb: int = 64, rate_bps: int = 10 * GBPS,
+        seed: int = 1) -> ExperimentResult:
+    rows = [run_point(p, fan_in, response_kb, rate_bps, seed)
+            for p in protocols]
     return ExperimentResult(
         name="ExpressPass vs RDMA congestion controls under incast",
         columns=["protocol", "completed", "fct_ms_p50", "fct_ms_max",

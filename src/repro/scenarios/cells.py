@@ -9,9 +9,10 @@ reloads.
 
 ``run_persistent`` generalizes Fig 15's measurement (long-running pairs,
 steady-window utilization/fairness/queue) across all five concrete topology
-families; its dumbbell branch is Fig 15's exact construction, which is what
-keeps the spec-compiled fig15 rows bit-identical to the deleted
-hand-written sweep's.  ``run_poisson`` wraps
+families; its dumbbell branch is Fig 15's exact construction, and its
+parking-lot and multi-bottleneck branches are Figs 10 and 11's, which is
+what keeps those spec-compiled rows bit-identical to the deleted
+hand-written sweeps'.  ``run_poisson`` wraps
 :func:`repro.experiments.realistic.run_realistic` (the Fig 19–21 / Table 3
 cell; Fig 18 calls it directly) and flattens the result to a plain dict.
 
@@ -23,9 +24,13 @@ a fully cached ``repro matrix`` never loads the packet engine.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.units import GBPS, MS, SEC, US
+
+#: A persistent cell's control RTT unless ``topology.params.base_rtt_ps``
+#: sets one (the fluid backend's step reads the same value).
+BASE_RTT_PS = 30 * US
 
 if TYPE_CHECKING:
     from repro.core import ExpressPassParams
@@ -53,16 +58,28 @@ def _attach_chaos(sim: Simulator, net, chaos_plan: Optional[dict]):
     return ChaosController(sim, net, FaultPlan.from_dict(chaos_plan))
 
 
+#: A family's own measurement: called when the warmup ends, it returns
+#: the fold that turns the per-flow rates and the measure window (seconds)
+#: into the family's extra row columns.
+Measure = Callable[[], Callable[[List[float], float], dict]]
+
+
 def _persistent_fabric(sim: Simulator, topology: str, n_flows: int,
                        spec: LinkSpec, topo_params: dict,
-                       ) -> Tuple[object, List[Tuple[object, object]], int]:
+                       ) -> Tuple[object, List[Tuple[object, object]], int,
+                                  Optional[Measure]]:
     """Build the named topology and its flow pairing.
 
-    Returns ``(topo, pairs, capacity_bps)`` where ``capacity_bps`` is the
-    utilization denominator: the capacity of what the family actually
-    shares (dumbbell/multi-bottleneck: the one contended link; parking lot:
-    the sum of chain links; star and fat tree: the sum of per-pair edge
-    capacity, since no single link is shared).
+    Returns ``(topo, pairs, capacity_bps, measure)`` where ``capacity_bps``
+    is the utilization denominator: the capacity of what the family
+    actually shares (dumbbell/multi-bottleneck: the one contended link;
+    parking lot: the sum of chain links; star and fat tree: the sum of
+    per-pair edge capacity, since no single link is shared).  ``measure``
+    (a :data:`Measure`, or ``None``) adds the column the family's figure
+    reads: the parking lot's ``min_link_utilization`` (Fig 10: the worst
+    bottleneck port's data bytes over the window, normalized to the
+    maximum data rate ``rate · 1538/1626``) and the multi-bottleneck's
+    ``flow0_gbps`` (Fig 11: the long flow's goodput).
     """
     from repro.topology import (
         dumbbell, fat_tree, multi_bottleneck, parking_lot, single_switch)
@@ -70,23 +87,39 @@ def _persistent_fabric(sim: Simulator, topology: str, n_flows: int,
     rate = spec.rate_bps
     if topology == "dumbbell":
         topo = dumbbell(sim, n_pairs=n_flows, bottleneck=spec)
-        return topo, list(zip(topo.senders, topo.receivers)), rate
+        return topo, list(zip(topo.senders, topo.receivers)), rate, None
     if topology == "single_switch":
         topo = single_switch(sim, 2 * n_flows, link=spec)
         pairs = [(topo.hosts[i], topo.hosts[n_flows + i])
                  for i in range(n_flows)]
-        return topo, pairs, n_flows * rate
+        return topo, pairs, n_flows * rate, None
     if topology == "parking_lot":
         topo = parking_lot(sim, n_bottlenecks=n_flows - 1, link=spec)
         pairs = [(topo.long_src, topo.long_dst)]
         pairs += list(zip(topo.cross_srcs, topo.cross_dsts))
-        return topo, pairs, (n_flows - 1) * rate
+        ports = topo.bottleneck_ports
+
+        def worst_link() -> Callable[[List[float], float], dict]:
+            base = [p.stats.data_bytes_sent for p in ports]
+
+            def fold(_rates: List[float], seconds: float) -> dict:
+                max_data = rate * 1538 / 1626  # credit reservation excluded
+                utils = [(p.stats.data_bytes_sent - b) * 8 / seconds
+                         / max_data for p, b in zip(ports, base)]
+                return {"min_link_utilization": min(utils)}
+            return fold
+
+        return topo, pairs, (n_flows - 1) * rate, worst_link
     if topology == "multi_bottleneck":
         topo = multi_bottleneck(sim, n_cross_flows=n_flows - 1, link=spec)
         pairs = [(topo.flow0_src, topo.flow0_dst_hosts[0])]
         pairs += [(src, topo.flow0_dst_hosts[i + 1])
                   for i, src in enumerate(topo.cross_srcs)]
-        return topo, pairs, rate
+
+        def flow0() -> Callable[[List[float], float], dict]:
+            return lambda rates, _seconds: {"flow0_gbps": rates[0] / 1e9}
+
+        return topo, pairs, rate, flow0
     if topology == "fat_tree":
         k = int(topo_params.get("k", 4))
         topo = fat_tree(sim, k, edge=spec)
@@ -99,7 +132,7 @@ def _persistent_fabric(sim: Simulator, topology: str, n_flows: int,
             raise ValueError(f"k={k} fat tree supports at most {len(names)} "
                              f"inter-pod pairs, got {n_flows}")
         pairs = [(by_name[a], by_name[b]) for a, b in names[:n_flows]]
-        return topo, pairs, n_flows * rate
+        return topo, pairs, n_flows * rate, None
     raise ValueError(f"unknown topology kind {topology!r}")
 
 
@@ -196,6 +229,12 @@ def run_persistent(
 ) -> dict:
     """One persistent-flow cell: long-running pairs, steady-window metrics.
 
+    ``topo_params`` carries the family's ``topology.params``: the fat
+    tree's ``k``, and ``base_rtt_ps``, the control RTT the transport is
+    tuned for (:data:`BASE_RTT_PS` unless set; Figs 10 and 11 set 40 us).
+    The parking lot and the multi-bottleneck add their figure's column
+    (see :func:`_persistent_fabric`).
+
     With a ``chaos_plan`` the row also carries the fault recovery
     columns — this is the one harness behind ``repro chaos`` and ``repro
     matrix fabric_chaos_recovery``: pre-fault mean, fault-window minimum
@@ -211,14 +250,15 @@ def run_persistent(
     tracer = obs_trace.emit_target()
 
     build_t0 = tracer.now_us() if tracer is not None else 0.0
+    topo_params = topo_params or {}
     params = resolve_ep_profile(ep_profile)
     sim = Simulator(seed=seed)
-    base_rtt = 30 * US
-    harness = get_harness(protocol, rate_bps, base_rtt, params)
+    harness = get_harness(protocol, rate_bps,
+                          topo_params.get("base_rtt_ps", BASE_RTT_PS), params)
     spec = harness.adapt_link(
         LinkSpec(rate_bps=rate_bps, prop_delay_ps=prop_delay_ps))
-    topo, pairs, capacity_bps = _persistent_fabric(
-        sim, topology, n_flows, spec, topo_params or {})
+    topo, pairs, capacity_bps, measure = _persistent_fabric(
+        sim, topology, n_flows, spec, topo_params)
     chaos = _attach_chaos(sim, topo.net, chaos_plan)
     harness.install(sim, topo.net)
     flows = [harness.flow(src, dst, None) for src, dst in pairs]
@@ -255,6 +295,7 @@ def run_persistent(
                     t0=0, t1=warmup_ps,
                     args={"wall_us": round(tracer.now_us() - warm_t0, 3)})
     base = {f: f.bytes_delivered for f in flows}
+    fold = measure() if measure is not None else None
     meas_t0 = tracer.now_us() if tracer is not None else 0.0
     sim.run(until=horizon_ps)
     if tracer is not None:
@@ -268,6 +309,8 @@ def run_persistent(
         protocol, n_flows, topology, seed, rates, capacity_bps,
         topo.net.max_data_queue_bytes(), topo.net.total_data_drops(),
         totals, bin_ps, warmup_ps, chaos)
+    if fold is not None:
+        row.update(fold(rates, seconds))
     if chaos is not None:
         row["stalled"] = sum(1 for f in flows
                              if f.bytes_delivered <= late[f])

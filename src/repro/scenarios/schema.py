@@ -32,12 +32,16 @@ from repro.vocab import DISTRIBUTIONS, PROTOCOLS
 SCHEMA = "repro.scenarios/v1"
 
 #: Topology families a spec may name, with the extra ``params`` each allows.
+#: ``base_rtt_ps`` is the persistent cells' control RTT (the ExpressPass
+#: update-period hint, RCP's control interval, the fluid model's step);
+#: unset, the cell's 30 us default applies.  The Poisson cell on ``clos``
+#: keeps its own 60 us.
 TOPOLOGY_KINDS: Dict[str, Tuple[str, ...]] = {
-    "dumbbell": (),
-    "single_switch": (),
-    "parking_lot": (),
-    "multi_bottleneck": (),
-    "fat_tree": ("k",),
+    "dumbbell": ("base_rtt_ps",),
+    "single_switch": ("base_rtt_ps",),
+    "parking_lot": ("base_rtt_ps",),
+    "multi_bottleneck": ("base_rtt_ps",),
+    "fat_tree": ("k", "base_rtt_ps"),
     "clos": ("core_rate_bps",),
 }
 
@@ -268,6 +272,9 @@ def _validate_topology(chk: _Check, data: dict) -> dict:
         norm_params["core_rate_bps"] = _pos_int(
             chk, params.get("core_rate_bps"),
             "topology.params.core_rate_bps", rate)
+    if "base_rtt_ps" in allowed and params.get("base_rtt_ps") is not None:
+        norm_params["base_rtt_ps"] = _pos_int(
+            chk, params.get("base_rtt_ps"), "topology.params.base_rtt_ps", 0)
     return {"kind": kind, "rate_bps": rate, "prop_delay_ps": prop,
             "params": norm_params}
 

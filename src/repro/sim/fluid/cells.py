@@ -3,7 +3,10 @@
 :func:`run_fluid` mirrors :func:`repro.scenarios.cells.run_persistent` —
 same signature, same row keys, same topology capacity semantics — so the
 matrix report, ranking, and figure plumbing read fluid and packet rows off
-one shape.  The extra ``backend: "fluid"`` row key is the only tell.
+one shape.  The extra ``backend: "fluid"`` row key is the fluid tell; the
+packet rows' family columns (the parking lot's ``min_link_utilization``,
+the multi-bottleneck's ``flow0_gbps``) read per-port and per-flow state
+the fluid model does not keep, so fluid rows carry neither.
 
 :func:`fluid_join_convergence` is Fig 16's trend mode (a second flow joins
 a saturated link; how many RTTs to fair share) and :func:`fluid_fct_point`
@@ -23,10 +26,6 @@ from repro.sim.fluid.model import (
     PROTOCOL_DYNAMICS,
 )
 from repro.sim.units import GBPS, MS, US
-
-#: Persistent cells use the same control RTT as the packet path
-#: (repro.scenarios.cells hard-codes base_rtt = 30 us).
-_BASE_RTT_PS = 30 * US
 
 
 def _dynamics(protocol: str, ep_profile: str = "default") -> Dynamics:
@@ -107,21 +106,26 @@ def run_fluid(
     """One persistent-flow cell on the fluid backend.
 
     Row shape matches :func:`repro.scenarios.cells.run_persistent` (plus
-    ``backend: "fluid"``); ``seed`` is recorded but the evolution is
-    deterministic — a fluid cell has no event ordering to randomize.
+    ``backend: "fluid"``, minus the packet-only family columns); its
+    step is the packet cell's control RTT (``topo_params["base_rtt_ps"]``,
+    default :data:`repro.scenarios.cells.BASE_RTT_PS`); ``seed`` is
+    recorded but the evolution is deterministic — a fluid cell has no
+    event ordering to randomize.
     Chaos plans are rejected at the schema layer (:func:`fluid_blockers`),
     so this cell takes none.
     """
-    # The packet cells' row fold.  Imported here so ``repro.sim.fluid``
-    # stays importable without the scenario layer above it; the compiler
-    # that emitted this cell has already loaded it.
-    from repro.scenarios.cells import _persistent_row
+    # The packet cells' row fold and RTT default.  Imported here so
+    # ``repro.sim.fluid`` stays importable without the scenario layer
+    # above it; the compiler that emitted this cell has already loaded it.
+    from repro.scenarios.cells import BASE_RTT_PS, _persistent_row
 
+    topo_params = topo_params or {}
     dyn = _dynamics(protocol, ep_profile)
     links, routes, capacity_bps = _fluid_fabric(
-        topology, n_flows, rate_bps, topo_params or {})
+        topology, n_flows, rate_bps, topo_params)
     flows = [FluidFlow(route=route) for route in routes]
-    net = FluidNetwork(links, flows, dyn, rtt_ps=_BASE_RTT_PS)
+    net = FluidNetwork(links, flows, dyn,
+                       rtt_ps=topo_params.get("base_rtt_ps", BASE_RTT_PS))
 
     horizon_ps = warmup_ps + measure_ps
     totals: List[float] = []

@@ -102,9 +102,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert line in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("fig", ["table3", "fig15", "fig12"])
+    @pytest.mark.parametrize("fig", sorted(_EXPERIMENTS))
     def test_a_key_the_run_function_lacks_is_a_usage_error(self, fig,
                                                            capsys):
+        """Every name ``repro list`` prints has an explicit signature, so
+        an unknown key is refused before anything runs."""
         assert main(["run", fig, "--set", "bogus=1"]) == 2
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1

@@ -169,20 +169,22 @@ class TestClosedLoopIncast:
 
 class TestParkingLotAndMultiBottleneck:
     def test_parking_lot_point_smoke(self):
-        from repro.experiments.fig10_parking_lot import run_point
-        row = run_point(2, naive=False, warmup_ps=5 * MS, measure_ps=5 * MS)
+        from repro.experiments.fig10_parking_lot import run
+        naive, row = run(counts=(2,), warmup_ps=5 * MS,
+                         measure_ps=5 * MS).rows
         assert 0.5 < row["min_link_utilization"] <= 1.05
-        assert row["mode"] == "feedback"
+        assert (naive["mode"], row["mode"]) == ("naive", "feedback")
 
     def test_parking_lot_naive_underutilizes(self):
-        from repro.experiments.fig10_parking_lot import run_point
-        naive = run_point(3, naive=True, warmup_ps=5 * MS, measure_ps=8 * MS)
-        fb = run_point(3, naive=False, warmup_ps=5 * MS, measure_ps=8 * MS)
+        from repro.experiments.fig10_parking_lot import run
+        naive, fb = run(counts=(3,), warmup_ps=5 * MS, measure_ps=8 * MS).rows
         assert naive["min_link_utilization"] < fb["min_link_utilization"]
 
     def test_multibottleneck_point_smoke(self):
-        from repro.experiments.fig11_multibottleneck import run_point
-        row = run_point(2, naive=False, warmup_ps=5 * MS, measure_ps=8 * MS)
+        from repro.experiments.fig11_multibottleneck import run
+        _naive, row = run(counts=(2,), warmup_ps=5 * MS,
+                          measure_ps=8 * MS).rows
+        assert row["mode"] == "feedback"
         assert row["flow0_gbps"] > 0
         assert row["maxmin_ideal_gbps"] == pytest.approx(
             10 * (1538 / 1626) * (1500 / 1538) / 3, rel=0.01)

@@ -103,6 +103,23 @@ def test_fluid_row_shape_matches_packet():
     assert fluid["data_drops"] == 0
 
 
+@pytest.mark.parametrize("topology, column", [
+    ("parking_lot", "min_link_utilization"),
+    ("multi_bottleneck", "flow0_gbps")])
+def test_family_columns_are_packet_only(topology, column):
+    """The parking lot's and the multi-bottleneck's figure column reads
+    per-port / per-flow packet state; both backends take the same
+    ``base_rtt_ps``, whose 30 us default is the unset value."""
+    common = dict(protocol="expresspass", n_flows=3, topology=topology,
+                  warmup_ps=MS, measure_ps=MS)
+    packet = run_persistent(**common)
+    fluid = run_fluid(**common)
+    assert set(packet) - set(fluid) == {column}
+    thirty = {"topo_params": {"base_rtt_ps": 30 * US}}
+    assert run_persistent(**common, **thirty) == packet
+    assert run_fluid(**common, **thirty) == fluid
+
+
 def test_fluid_is_deterministic():
     kwargs = dict(protocol="expresspass", n_flows=4,
                   topology="parking_lot", warmup_ps=WARMUP_PS,

@@ -83,6 +83,15 @@ class TestValidation:
          lambda d: {**d, "topology": {"kind": "dumbbell",
                                       "params": {"k": 4}}},
          "topology.params"),
+        ("clos-base-rtt",
+         lambda d: {**d, "topology": {"kind": "clos",
+                                      "params": {"base_rtt_ps": 40_000_000}},
+                    "workload": {"kind": "poisson"}, "timing": None},
+         "topology.params"),
+        ("base-rtt-negative",
+         lambda d: {**d, "topology": {"kind": "parking_lot",
+                                      "params": {"base_rtt_ps": -1}}},
+         "topology.params.base_rtt_ps"),
         ("fat-tree-odd-k",
          lambda d: {**d, "topology": {"kind": "fat_tree",
                                       "params": {"k": 3}}},
@@ -219,6 +228,20 @@ class TestRoundTrip:
             seeds=[3, 5], sweep={"transport.protocol": ["expresspass",
                                                         "dctcp"]}))
         assert Scenario.from_dict(s.to_dict()) == s
+
+    def test_base_rtt_is_normalized_only_when_set(self):
+        """Unset, ``base_rtt_ps`` is absent from the normalized form (so
+        every existing task identity stays); set, it round-trips."""
+        unset = Scenario.from_dict(base_spec())
+        assert unset.to_dict()["topology"]["params"] == {}
+        s = Scenario.from_dict(base_spec(
+            topology={"kind": "fat_tree",
+                      "params": {"k": 4, "base_rtt_ps": 40_000_000}}))
+        assert s.to_dict()["topology"]["params"] == \
+            {"k": 4, "base_rtt_ps": 40_000_000}
+        assert Scenario.from_dict(s.to_dict()) == s
+        assert compile_scenario(s).cells[0].task.kwargs["topo_params"] == \
+            {"k": 4, "base_rtt_ps": 40_000_000}
 
     def test_json_dump_load_identity(self):
         s = Scenario.from_dict(poisson_spec())

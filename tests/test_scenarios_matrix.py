@@ -93,7 +93,7 @@ class TestRunMatrix:
 
 def _legacy_rows(fig: str, case: str) -> dict:
     """Rows the hand-written runners produced at the commit that deleted
-    them (``tests/golden/{fig15,fig19,table3,fig20,fig21}_legacy_rows.json``).
+    them (``tests/golden/{fig10,fig11,fig15,fig19,table3,fig20,fig21}_legacy_rows.json``).
     Frozen data: a mismatch means the spec path drifted — never regenerate
     these."""
     path = pathlib.Path(__file__).parent / "golden" / f"{fig}_legacy_rows.json"
@@ -114,6 +114,20 @@ class TestBitIdentity:
         legacy = _legacy_rows("fig15", "default")
         res = f15.run(protocols=("expresspass", "dctcp"), flow_counts=(2, 3),
                       warmup_ps=_WARM, measure_ps=_MEAS)
+        assert res.columns == legacy["columns"]
+        assert res.rows == legacy["rows"]
+
+    @pytest.mark.parametrize("fig, module", [
+        ("fig10", "fig10_parking_lot"), ("fig11", "fig11_multibottleneck")])
+    def test_parking_lot_family_spec_matches_legacy(self, fig, module):
+        """Figs 10 and 11 are the persistent cell on the parking lot and the
+        multi-bottleneck, with a 40 us base RTT and each family's own
+        column; the golden file records the legacy call's kwargs."""
+        from importlib import import_module
+
+        kwargs = _legacy_rows(fig, "kwargs")
+        legacy = _legacy_rows(fig, "default")
+        res = import_module(f"repro.experiments.{module}").run(**kwargs)
         assert res.columns == legacy["columns"]
         assert res.rows == legacy["rows"]
 
