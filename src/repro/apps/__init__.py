@@ -3,15 +3,13 @@
 The paper's motivating workloads are not open-loop flows but
 partition/aggregate services (§2): a master keeps a request outstanding to
 each worker and issues the next request as soon as the response returns.
-This package implements that pattern on top of *any* transport harness:
-
-* :class:`~repro.apps.rpc.RpcClient` — drives repeated request/response
-  exchanges against one server and records per-RPC latency.
-* :class:`~repro.apps.rpc.PartitionAggregate` — a master fanning requests
-  to N workers, with per-round completion (the barrier the paper's incast
-  comes from).
+:class:`~repro.apps.rpc.PartitionAggregate` implements that pattern on top
+of *any* transport harness: a master fanning requests to N workers, with
+per-round completion (the barrier the paper's incast comes from).  The
+incast cell's ``workload.rounds`` mode runs it
+(:func:`repro.scenarios.cells.run_incast`).
 """
 
-from repro.apps.rpc import PartitionAggregate, RpcClient
+from repro.apps.rpc import PartitionAggregate
 
-__all__ = ["RpcClient", "PartitionAggregate"]
+__all__ = ["PartitionAggregate"]

@@ -1,11 +1,11 @@
-"""Closed-loop RPC traffic over any transport.
+"""Closed-loop partition/aggregate traffic over any transport.
 
 An "RPC" here is a pair of flows: a small request flow (client → server)
 followed, on completion, by a response flow (server → client).  The next
-request is issued only after the response lands — the closed loop that
-makes partition/aggregate traffic bursty at the aggregator (§2).
+request wave is issued only after every response lands — the closed loop
+that makes partition/aggregate traffic bursty at the aggregator (§2).
 
-Both classes are transport-agnostic: they build flows through a
+The application is transport-agnostic: it builds flows through a
 :class:`~repro.experiments.runner.ProtocolHarness`, so the same workload
 runs unchanged over ExpressPass, DCTCP, or any other registered protocol.
 """
@@ -17,73 +17,6 @@ from typing import List, Optional
 from repro.experiments.runner import ProtocolHarness
 from repro.net.host import Host
 from repro.sim.engine import Simulator
-
-
-class RpcClient:
-    """Repeated request/response exchanges against one server.
-
-    Each round: send ``request_bytes`` to the server; when it completes,
-    the server sends ``response_bytes`` back; when *that* completes, the
-    round's latency is recorded and the next round starts (after
-    ``think_time_ps``).  Runs ``rounds`` times, or forever if ``rounds``
-    is None.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        harness: ProtocolHarness,
-        client: Host,
-        server: Host,
-        request_bytes: int = 200,
-        response_bytes: int = 1000,
-        rounds: Optional[int] = None,
-        think_time_ps: int = 0,
-        start_ps: int = 0,
-    ):
-        if request_bytes <= 0 or response_bytes <= 0:
-            raise ValueError("request and response sizes must be positive")
-        self.sim = sim
-        self.harness = harness
-        self.client = client
-        self.server = server
-        self.request_bytes = request_bytes
-        self.response_bytes = response_bytes
-        self.rounds = rounds
-        self.think_time_ps = think_time_ps
-        self.latencies_ps: List[int] = []
-        self.completed_rounds = 0
-        self._round_start_ps = 0
-        self._stopped = False
-        sim.schedule_at(max(start_ps, sim.now), self._start_round)
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    # -- round machinery ------------------------------------------------------
-    def _start_round(self) -> None:
-        if self._stopped or (self.rounds is not None
-                             and self.completed_rounds >= self.rounds):
-            return
-        self._round_start_ps = self.sim.now
-        request = self.harness.flow(self.client, self.server,
-                                    self.request_bytes, start_ps=self.sim.now)
-        request.on_complete.append(self._on_request_done)
-
-    def _on_request_done(self, flow) -> None:
-        if self._stopped:
-            return
-        response = self.harness.flow(self.server, self.client,
-                                     self.response_bytes, start_ps=self.sim.now)
-        response.on_complete.append(self._on_response_done)
-
-    def _on_response_done(self, flow) -> None:
-        if self._stopped:
-            return
-        self.latencies_ps.append(self.sim.now - self._round_start_ps)
-        self.completed_rounds += 1
-        if self.rounds is None or self.completed_rounds < self.rounds:
-            self.sim.schedule(max(self.think_time_ps, 1), self._start_round)
 
 
 class PartitionAggregate:
@@ -119,15 +52,10 @@ class PartitionAggregate:
         self.completed_rounds = 0
         self._outstanding = 0
         self._round_start_ps = 0
-        self._stopped = False
         sim.schedule_at(max(start_ps, sim.now), self._start_round)
 
-    def stop(self) -> None:
-        self._stopped = True
-
     def _start_round(self) -> None:
-        if self._stopped or (self.rounds is not None
-                             and self.completed_rounds >= self.rounds):
+        if self.rounds is not None and self.completed_rounds >= self.rounds:
             return
         self._round_start_ps = self.sim.now
         self._outstanding = len(self.workers)
@@ -137,16 +65,12 @@ class PartitionAggregate:
             request.on_complete.append(self._request_done)
 
     def _request_done(self, flow) -> None:
-        if self._stopped:
-            return
         worker = flow.dst
         response = self.harness.flow(worker, self.master,
                                      self.response_bytes, start_ps=self.sim.now)
         response.on_complete.append(self._response_done)
 
     def _response_done(self, flow) -> None:
-        if self._stopped:
-            return
         self._outstanding -= 1
         if self._outstanding == 0:
             self.round_latencies_ps.append(self.sim.now - self._round_start_ps)

@@ -10,78 +10,72 @@ credit arrival order *schedules* data arrivals.
 The paper runs fan-outs 32..2048 on an 8-ary fat tree; the default here is a
 single ToR with fan-in 8..128 (workers wrap onto hosts exactly as in the
 paper when N exceeds the host count).  Queue statistics are taken on the
-master's downlink — the incast bottleneck.
+master's downlink — the incast bottleneck.  Each row is one cell of the
+fan-in spec (:func:`run_cells`, shared with the closed-loop incast and the
+RDMA comparison): persistent senders whose starts spread over one RTT.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Sequence
 
-from repro.core import ExpressPassParams
-from repro.experiments.runner import ExperimentResult, get_harness
-from repro.metrics.fct import percentile
-from repro.metrics.timeseries import QueueSampler
-from repro.sim.engine import Simulator
+from repro.experiments.table import ExperimentResult
 from repro.sim.units import GBPS, MS, US
-from repro.topology import LinkSpec, single_switch
+
+#: The fan-in figures' control RTT (their links are 2 us).
+BASE_RTT_PS = 20 * US
+
+COLUMNS = ["protocol", "fan_in", "queue_pkts_p50", "queue_pkts_p99",
+           "queue_pkts_max", "data_drops"]
+
+#: The incast cell's key for each figure column named differently.
+CELL_KEYS = {"fan_in": "flows", "queue_pkts_max": "downlink_queue_max_pkts"}
 
 
-def run_point(
-    protocol: str,
-    fan_in: int,
-    n_hosts: int = 16,
-    rate_bps: int = 10 * GBPS,
-    duration_ps: int = 20 * MS,
-    seed: int = 1,
-    ep_params: Optional[ExpressPassParams] = None,
-) -> dict:
-    sim = Simulator(seed=seed)
-    base_rtt = 20 * US
-    harness = get_harness(protocol, rate_bps, base_rtt, ep_params)
-    spec = harness.adapt_link(LinkSpec(rate_bps=rate_bps, prop_delay_ps=2 * US))
-    topo = single_switch(sim, n_hosts, link=spec)
-    harness.install(sim, topo.net)
+def run_cells(name: str, protocols: Sequence[str], fan_ins: Sequence[int],
+              workload: dict, hosts: int, rate_bps: int, measure_ps: int,
+              seed: int) -> List[dict]:
+    """The successful cells' ``run_incast`` rows of the fan-in spec
+    (pooled, cached, journaled and audited per cell): ``workload``'s
+    traffic on a ``hosts``-port switch with 2 us links and a 20 us base
+    RTT, protocol outer × fan-in inner."""
+    from repro.scenarios import Scenario, run_matrix
+    from repro.scenarios.schema import SCHEMA
 
-    master = topo.hosts[0]
-    rng = sim.rng("fig1-start")
-    flows = []
-    for i in range(fan_in):
-        worker = topo.hosts[1 + i % (n_hosts - 1)]
-        # Stagger starts within one RTT: the paper's workers respond to a
-        # request wave, which arrives spread over the fan-out.
-        start = rng.randint(0, base_rtt)
-        flows.append(harness.flow(worker, master, None, start_ps=start))
-
-    bottleneck = topo.net.port_between(topo.switch, master)
-    sampler = QueueSampler(sim, bottleneck, interval_ps=50 * US)
-    sim.run(until=duration_ps)
-
-    pkts = [b / 1538 for _, b in sampler.samples]
-    return {
-        "protocol": protocol,
-        "fan_in": fan_in,
-        "queue_pkts_p50": percentile(pkts, 50),
-        "queue_pkts_p99": percentile(pkts, 99),
-        "queue_pkts_max": bottleneck.data_queue.stats.max_bytes / 1538,
-        "data_drops": topo.net.total_data_drops(),
+    spec = {
+        "schema": SCHEMA,
+        "name": name,
+        "topology": {"kind": "single_switch", "rate_bps": rate_bps,
+                     "prop_delay_ps": 2 * US,
+                     "params": {"base_rtt_ps": BASE_RTT_PS, "hosts": hosts}},
+        "workload": {"kind": "incast", **workload},
+        "timing": {"measure_ps": measure_ps},
+        "seeds": [seed],
+        "sweep": {"transport.protocol": list(protocols),
+                  "workload.n_flows": list(fan_ins)},
     }
+    return run_matrix(Scenario.from_dict(spec, source=name)).values()
+
+
+def pivot(title: str, columns: List[str],
+          values: List[dict]) -> ExperimentResult:
+    """The figure's table: each of ``columns`` read off each cell value
+    (under its :data:`CELL_KEYS` name)."""
+    rows = [{col: value[CELL_KEYS.get(col, col)] for col in columns}
+            for value in values]
+    return ExperimentResult(name=title, columns=columns, rows=rows)
 
 
 def run(
     protocols: Sequence[str] = ("ideal", "dctcp", "expresspass"),
     fan_ins: Sequence[int] = (8, 16, 32, 64, 128),
     n_hosts: int = 16, rate_bps: int = 10 * GBPS, duration_ps: int = 20 * MS,
-    seed: int = 1, ep_params: Optional[ExpressPassParams] = None,
+    seed: int = 1,
 ) -> ExperimentResult:
-    rows = [
-        run_point(protocol, n, n_hosts, rate_bps, duration_ps, seed,
-                  ep_params)
-        for protocol in protocols
-        for n in fan_ins
-    ]
-    return ExperimentResult(
-        name="Fig 1 data-queue length vs concurrent flows",
-        columns=["protocol", "fan_in", "queue_pkts_p50", "queue_pkts_p99",
-                 "queue_pkts_max", "data_drops"],
-        rows=rows,
-    )
+    # Stagger starts within one RTT: the paper's workers respond to a
+    # request wave, which arrives spread over the fan-out.
+    values = run_cells("fig1", protocols, fan_ins,
+                       {"start_jitter_ps": BASE_RTT_PS}, n_hosts, rate_bps,
+                       duration_ps, seed)
+    return pivot("Fig 1 data-queue length vs concurrent flows", COLUMNS,
+                 values)

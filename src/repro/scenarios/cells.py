@@ -15,6 +15,10 @@ what keeps those spec-compiled rows bit-identical to the deleted
 hand-written sweeps'.  ``run_poisson`` wraps
 :func:`repro.experiments.realistic.run_realistic` (the Fig 19–21 / Table 3
 cell; Fig 18 calls it directly) and flattens the result to a plain dict.
+``run_incast`` is the fan-in cell on one switch — persistent senders
+(Fig 1), one response per worker (the RDMA comparison) or closed-loop
+waves (the §2 incast) — built in the order the three deleted loops built
+theirs, so their rows are bit-identical too.
 
 Compiling a matrix *names* these functions; only a cache miss *calls* one.
 So the module's top level imports the units and nothing else, and each
@@ -380,4 +384,104 @@ def run_poisson(
         "data_drops": result.data_drops,
         "credit_waste_ratio": result.credit_waste_ratio,
         "buckets": result.bucket_stats(),
+    }
+
+
+#: How often the incast cell samples the master's downlink queue.
+QUEUE_SAMPLE_PS = 50 * US
+
+
+def run_incast(
+    protocol: str,
+    n_flows: int,
+    topo_params: Optional[dict] = None,
+    flow_bytes: Optional[int] = None,
+    rounds: Optional[int] = None,
+    start_jitter_ps: int = 0,
+    rate_bps: int = 10 * GBPS,
+    prop_delay_ps: int = 4 * US,
+    measure_ps: int = 50 * MS,
+    seed: int = 1,
+    ep_profile: str = "default",
+) -> dict:
+    """One fan-in cell: ``n_flows`` workers send to host 0 of a switch of
+    ``topo_params["hosts"]`` (default ``n_flows + 1``), wrapped onto hosts
+    1…H−1 by :func:`repro.workloads.incast_specs`' rule.
+
+    Traffic is persistent senders (``flow_bytes`` ``None``), one
+    ``flow_bytes`` response per worker, or ``rounds`` closed-loop waves of
+    200 B requests and ``flow_bytes`` responses; starts are drawn from
+    [0, ``start_jitter_ps``].  The downlink is sampled every
+    :data:`QUEUE_SAMPLE_PS` until a tick finds no worker traffic live.  A
+    column the traffic mode does not produce is ``None``.
+    """
+    from repro.experiments.runner import get_harness
+    from repro.metrics.fct import percentile
+    from repro.sim.engine import Simulator
+    from repro.topology import LinkSpec, single_switch
+    from repro.workloads import incast_specs
+
+    topo_params = topo_params or {}
+    hosts = topo_params.get("hosts", n_flows + 1)
+    sim = Simulator(seed=seed)
+    harness = get_harness(protocol, rate_bps,
+                          topo_params.get("base_rtt_ps", BASE_RTT_PS),
+                          resolve_ep_profile(ep_profile))
+    spec = harness.adapt_link(
+        LinkSpec(rate_bps=rate_bps, prop_delay_ps=prop_delay_ps))
+    topo = single_switch(sim, hosts, link=spec)
+    harness.install(sim, topo.net)
+
+    master = topo.hosts[0]
+    workers = incast_specs(
+        n_flows, receiver=0, bytes_per_sender=flow_bytes,
+        jitter_ps=start_jitter_ps, n_hosts=hosts,
+        rng=sim.rng("fig1-start") if start_jitter_ps else None)
+    flows: list = []
+    app = None
+    if rounds is None:
+        flows = [harness.flow(topo.hosts[w.src], master, w.size_bytes,
+                              start_ps=w.start_ps) for w in workers]
+    else:
+        from repro.apps import PartitionAggregate
+        app = PartitionAggregate(sim, harness, master,
+                                 [topo.hosts[w.src] for w in workers],
+                                 request_bytes=200, response_bytes=flow_bytes,
+                                 rounds=rounds)
+    downlink = topo.net.port_between(topo.switch, master)
+    samples: List[int] = []
+
+    def _sample() -> None:
+        live = (app.completed_rounds < rounds if app is not None else
+                flow_bytes is None or not all(f.completed for f in flows))
+        if live:
+            samples.append(downlink.data_queue.bytes)
+            sim.schedule_unref(QUEUE_SAMPLE_PS, _sample)
+
+    sim.schedule_unref(0, _sample)
+    sim.run(until=measure_ps)
+
+    pkts = [b / 1538 for b in samples]
+    fcts = ([f.fct_ps / 1e9 for f in flows if f.completed]
+            if flow_bytes is not None and app is None else None)
+    waves = None if app is None else [t / 1e9 for t in app.round_latencies_ps]
+    pfc = next((p.pfc for p in topo.net.ports if p.pfc is not None), None)
+    return {
+        "protocol": protocol,
+        "flows": n_flows,
+        "hosts": hosts,
+        "seed": seed,
+        "completed": None if fcts is None else len(fcts),
+        "fct_ms_p50": percentile(fcts, 50) if fcts else None,
+        "fct_ms_p99": percentile(fcts, 99) if fcts else None,
+        "fct_ms_max": max(fcts) if fcts else None,
+        "rounds_done": None if app is None else app.completed_rounds,
+        "wave_ms_p50": percentile(waves, 50) if waves else None,
+        "wave_ms_p99": percentile(waves, 99) if waves else None,
+        "queue_pkts_p50": percentile(pkts, 50),  # the t = 0 tick samples
+        "queue_pkts_p99": percentile(pkts, 99),
+        "downlink_queue_max_pkts": downlink.data_queue.stats.max_bytes / 1538,
+        "max_queue_kb": topo.net.max_data_queue_bytes() / 1e3,
+        "data_drops": topo.net.total_data_drops(),
+        "pfc_pauses": 0 if pfc is None else pfc.pauses_sent,
     }

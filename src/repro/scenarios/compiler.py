@@ -5,8 +5,9 @@ axis outermost) with ``seeds`` as the implicit innermost axis, re-validates
 every full combination (two individually-valid axis values can still
 conflict — e.g. a swept ``workload.n_flows`` exceeding a swept fat-tree
 arity), and lowers each cell to a :class:`~repro.runtime.TaskSpec` over
-:func:`repro.scenarios.cells.run_persistent` or
-:func:`~repro.scenarios.cells.run_poisson`.
+:func:`repro.scenarios.cells.run_persistent`,
+:func:`~repro.scenarios.cells.run_poisson` or
+:func:`~repro.scenarios.cells.run_incast`.
 
 Everything in a compiled kwargs dict is plain data — chaos sections resolve
 to ``FaultPlan.to_dict()`` dicts *at compile time* (named scenarios seeded
@@ -183,6 +184,22 @@ def _lower_cell(scenario: Scenario, seed: int) -> TaskSpec:
         if chaos_plan is not None:
             kwargs["chaos_plan"] = chaos_plan
         return TaskSpec(cells.run_persistent, kwargs)
+    if wl["kind"] == "incast":
+        kwargs = {
+            "protocol": tr["protocol"],
+            "n_flows": wl["n_flows"],
+            "flow_bytes": wl["flow_bytes"],
+            "rounds": wl["rounds"],
+            "start_jitter_ps": wl["start_jitter_ps"],
+            "rate_bps": topo["rate_bps"],
+            "prop_delay_ps": topo["prop_delay_ps"],
+            "measure_ps": timing["measure_ps"],
+            "seed": seed,
+            "ep_profile": tr["ep_profile"],
+        }
+        if topo["params"]:
+            kwargs["topo_params"] = dict(topo["params"])
+        return TaskSpec(cells.run_incast, kwargs)
     kwargs = {
         "protocol": tr["protocol"],
         "n_flows": wl["n_flows"],

@@ -43,7 +43,8 @@ _DEFAULT_OBJECTIVES = (
 
 #: Row keys that are coordinates/bookkeeping, never aggregated metrics.
 _NON_METRIC_KEYS = ("cell", "cached", "wall_s", "error", "buckets",
-                    "protocol", "workload", "topology", "flows", "seed")
+                    "protocol", "workload", "topology", "flows", "hosts",
+                    "seed")
 
 #: Execution-volatile keys stripped by the writers' ``stable`` mode: they
 #: describe *how* a run executed (cache luck, wall time), not what it

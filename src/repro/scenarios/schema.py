@@ -32,13 +32,13 @@ from repro.vocab import DISTRIBUTIONS, PROTOCOLS
 SCHEMA = "repro.scenarios/v1"
 
 #: Topology families a spec may name, with the extra ``params`` each allows.
-#: ``base_rtt_ps`` is the persistent cells' control RTT (the ExpressPass
-#: update-period hint, RCP's control interval, the fluid model's step);
-#: unset, the cell's 30 us default applies.  The Poisson cell on ``clos``
-#: keeps its own 60 us.
+#: ``base_rtt_ps`` is the persistent and incast cells' control RTT (the
+#: ExpressPass update-period hint, RCP's control interval, the fluid model's
+#: step); unset, the cell's 30 us default applies.  The Poisson cell on
+#: ``clos`` keeps its own 60 us.  ``hosts`` is an incast switch's size.
 TOPOLOGY_KINDS: Dict[str, Tuple[str, ...]] = {
     "dumbbell": ("base_rtt_ps",),
-    "single_switch": ("base_rtt_ps",),
+    "single_switch": ("base_rtt_ps", "hosts"),
     "parking_lot": ("base_rtt_ps",),
     "multi_bottleneck": ("base_rtt_ps",),
     "fat_tree": ("k", "base_rtt_ps"),
@@ -47,8 +47,9 @@ TOPOLOGY_KINDS: Dict[str, Tuple[str, ...]] = {
 
 #: Workload kinds.  ``persistent`` = long-running pairs on a fixed topology
 #: (Fig 13/15/16 style); ``poisson`` = Table-2 arrivals on the scaled Clos
-#: (Fig 18-21 / Table 3 style).
-WORKLOAD_KINDS = ("persistent", "poisson")
+#: (Fig 18-21 / Table 3 style); ``incast`` = workers fanning in to host 0 of
+#: a ``single_switch`` (Fig 1, the closed-loop incast, the RDMA comparison).
+WORKLOAD_KINDS = ("persistent", "poisson", "incast")
 
 #: Engine backends a spec may select.  ``packet`` is the event-driven
 #: simulator (ground truth); ``fluid`` is the discrete-time rate-evolution
@@ -90,6 +91,7 @@ _TOP_KEYS = ("schema", "name", "description", "tags", "backend", "topology",
 _TIMING_KEYS = {
     "persistent": ("warmup_ps", "measure_ps", "bin_ps"),
     "poisson": ("drain_ps",),
+    "incast": ("measure_ps",),
 }
 
 _TIMING_DEFAULTS = {
@@ -275,6 +277,12 @@ def _validate_topology(chk: _Check, data: dict) -> dict:
     if "base_rtt_ps" in allowed and params.get("base_rtt_ps") is not None:
         norm_params["base_rtt_ps"] = _pos_int(
             chk, params.get("base_rtt_ps"), "topology.params.base_rtt_ps", 0)
+    if "hosts" in allowed and params.get("hosts") is not None:
+        norm_params["hosts"] = hosts = _pos_int(
+            chk, params["hosts"], "topology.params.hosts", 2)
+        if hosts < 2:
+            chk.fail("topology.params.hosts", "an incast switch needs a "
+                     f"master and >= 1 worker host, got {hosts}")
     return {"kind": kind, "rate_bps": rate, "prop_delay_ps": prop,
             "params": norm_params}
 
@@ -287,10 +295,16 @@ def _validate_workload(chk: _Check, data: dict, topology: dict) -> dict:
                  f"unknown kind {kind!r}; choose from {sorted(WORKLOAD_KINDS)}")
         kind = "persistent"
     n_flows = _pos_int(chk, wl.get("n_flows"), "workload.n_flows",
-                       4 if kind == "persistent" else 1200)
+                       {"persistent": 4, "incast": 8}.get(kind, 1200))
+    if kind == "incast":
+        return _validate_incast(chk, wl, topology, n_flows)
     if kind == "persistent":
         _unknown_keys(chk, wl, ("kind", "n_flows"), "workload")
         topo_kind = topology["kind"]
+        if "hosts" in topology["params"]:
+            chk.fail("topology.params.hosts",
+                     "only incast workloads size the switch; a persistent "
+                     "single_switch has 2 × n_flows hosts")
         if topo_kind == "clos":
             chk.fail("workload.kind",
                      "persistent workloads need a concrete topology "
@@ -328,6 +342,38 @@ def _validate_workload(chk: _Check, data: dict, topology: dict) -> dict:
         cap = _pos_int(chk, cap, "workload.size_cap_bytes", 20_000_000)
     return {"kind": kind, "n_flows": n_flows, "distribution": dist,
             "load": float(load), "size_cap_bytes": cap}
+
+
+def _validate_incast(chk: _Check, wl: dict, topology: dict,
+                     n_flows: int) -> dict:
+    """Fan-in to host 0 of a ``single_switch``; ``rounds`` need bytes."""
+    _unknown_keys(chk, wl, ("kind", "n_flows", "flow_bytes", "rounds",
+                            "start_jitter_ps"), "workload")
+    if topology["kind"] != "single_switch":
+        chk.fail("workload.kind",
+                 "incast workloads fan in to one switch; set "
+                 "topology.kind: single_switch")
+    flow_bytes = wl.get("flow_bytes")
+    if flow_bytes is not None:
+        flow_bytes = _pos_int(chk, flow_bytes, "workload.flow_bytes", 1)
+    rounds = wl.get("rounds")
+    if rounds is not None:
+        rounds = _pos_int(chk, rounds, "workload.rounds", 1)
+        if flow_bytes is None:
+            chk.fail("workload.rounds",
+                     "closed-loop rounds need a response size; set "
+                     "workload.flow_bytes")
+    jitter = wl.get("start_jitter_ps", 0)
+    if isinstance(jitter, bool) or not isinstance(jitter, int) or jitter < 0:
+        chk.fail("workload.start_jitter_ps",
+                 f"expected a non-negative integer, got {jitter!r}")
+        jitter = 0
+    elif jitter and rounds is not None:
+        chk.fail("workload.start_jitter_ps",
+                 "closed-loop waves start together; jitter applies to "
+                 "persistent or one-shot workers only")
+    return {"kind": "incast", "n_flows": n_flows, "flow_bytes": flow_bytes,
+            "rounds": rounds, "start_jitter_ps": jitter}
 
 
 def _validate_transport(chk: _Check, data: dict) -> dict:
@@ -449,9 +495,11 @@ def fluid_blockers(workload: Dict[str, Any],
     same list to skip fluid compilation with a reason.
     """
     reasons = []
-    if workload.get("kind") != "persistent":
-        reasons.append("workload.kind: fluid models persistent rate "
-                       "evolution only; poisson FCT needs per-packet events")
+    kind = workload.get("kind")
+    if kind != "persistent":
+        reasons.append(f"workload.kind: fluid models persistent rate "
+                       f"evolution only; {kind} traffic needs per-packet "
+                       f"events")
     if chaos is not None:
         reasons.append("chaos: fault injection acts on packets in flight; "
                        "use the packet backend")
@@ -618,6 +666,9 @@ def _validate(data: Any, source: str,
     transport = _validate_transport(chk, data)
     timing = _validate_timing(chk, data, workload["kind"])
     chaos = _validate_chaos(chk, data, topology, base_dir)
+    if chaos is not None and workload["kind"] == "incast":
+        chk.fail("chaos", "the incast cell runs no fault plan; chaos "
+                          "targets persistent and poisson workloads")
     backend = _validate_backend(chk, data, workload, chaos)
     seeds = validate_seeds(chk, data.get("seeds", [1]))
     sweep = _validate_sweep(chk, data, source, base_dir)

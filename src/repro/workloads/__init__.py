@@ -1,4 +1,5 @@
-"""Workload generation: Table 2 flow-size distributions and traffic patterns."""
+"""Workload generation: Table 2 flow-size distributions and traffic patterns
+(Poisson arrivals at a target load, incast fan-in, MapReduce shuffle)."""
 
 from repro.workloads.distributions import (
     CACHE_FOLLOWER,
@@ -11,7 +12,6 @@ from repro.workloads.distributions import (
 from repro.workloads.generators import (
     FlowSpec,
     incast_specs,
-    permutation_specs,
     poisson_specs,
     shuffle_specs,
 )
@@ -28,7 +28,6 @@ __all__ = [
     "poisson_specs",
     "incast_specs",
     "shuffle_specs",
-    "permutation_specs",
     "dump_trace",
     "load_trace",
 ]

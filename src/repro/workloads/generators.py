@@ -113,11 +113,3 @@ def shuffle_specs(
                 specs.append(FlowSpec(src, dst, bytes_per_flow, start_ps + offset))
     return specs
 
-
-def permutation_specs(n_hosts: int, size_bytes: Optional[int],
-                      start_ps: int = 0) -> List[FlowSpec]:
-    """Host i sends to host (i+1) mod n — a classic full-bisection pattern."""
-    return [
-        FlowSpec(i, (i + 1) % n_hosts, size_bytes, start_ps)
-        for i in range(n_hosts)
-    ]

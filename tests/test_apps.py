@@ -1,11 +1,11 @@
-"""Tests for the closed-loop RPC application layer."""
+"""Tests for the closed-loop partition/aggregate application."""
 
 import pytest
 
-from repro.apps import PartitionAggregate, RpcClient
+from repro.apps import PartitionAggregate
 from repro.experiments.runner import get_harness
 from repro.sim.engine import Simulator
-from repro.sim.units import GBPS, MS, SEC, US
+from repro.sim.units import GBPS, SEC, US
 
 from tests.conftest import small_star
 
@@ -14,63 +14,6 @@ EP_KW = dict(base_rtt_ps=20 * US)
 
 def harness(name="expresspass"):
     return get_harness(name, 10 * GBPS, **EP_KW)
-
-
-class TestRpcClient:
-    def test_completes_requested_rounds(self):
-        sim = Simulator(seed=1)
-        topo = small_star(sim, 2)
-        client = RpcClient(sim, harness(), topo.hosts[0], topo.hosts[1],
-                           rounds=5)
-        sim.run(until=SEC)
-        assert client.completed_rounds == 5
-        assert len(client.latencies_ps) == 5
-
-    def test_latency_includes_both_directions(self):
-        sim = Simulator(seed=1)
-        topo = small_star(sim, 2)
-        client = RpcClient(sim, harness(), topo.hosts[0], topo.hosts[1],
-                           rounds=1)
-        sim.run(until=SEC)
-        # Two transfers, each needing a credit-request RTT: >= 2 base RTTs.
-        assert client.latencies_ps[0] > 20 * US
-
-    def test_closed_loop_is_sequential(self):
-        sim = Simulator(seed=1)
-        topo = small_star(sim, 2)
-        client = RpcClient(sim, harness(), topo.hosts[0], topo.hosts[1],
-                           rounds=3, think_time_ps=1 * MS)
-        sim.run(until=SEC)
-        # Rounds separated by at least the think time.
-        assert client.completed_rounds == 3
-
-    def test_stop_halts_rounds(self):
-        sim = Simulator(seed=1)
-        topo = small_star(sim, 2)
-        client = RpcClient(sim, harness(), topo.hosts[0], topo.hosts[1])
-        sim.run(until=5 * MS)
-        done = client.completed_rounds
-        assert done > 0
-        client.stop()
-        sim.run(until=10 * MS)
-        assert client.completed_rounds <= done + 1
-
-    def test_validation(self):
-        sim = Simulator(seed=1)
-        topo = small_star(sim, 2)
-        with pytest.raises(ValueError):
-            RpcClient(sim, harness(), topo.hosts[0], topo.hosts[1],
-                      request_bytes=0)
-
-    def test_works_over_dctcp(self):
-        sim = Simulator(seed=1)
-        h = get_harness("dctcp", 10 * GBPS, **EP_KW)
-        from repro.topology import single_switch
-        topo = single_switch(sim, 2, link=h.adapt_link(
-            __import__("repro.topology", fromlist=["LinkSpec"]).LinkSpec()))
-        client = RpcClient(sim, h, topo.hosts[0], topo.hosts[1], rounds=3)
-        sim.run(until=SEC)
-        assert client.completed_rounds == 3
 
 
 class TestPartitionAggregate:

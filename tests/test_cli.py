@@ -241,6 +241,16 @@ class TestScenarioCli:
                      "transport.protocol=quic"]) == 1
         assert "transport.protocol" in capsys.readouterr().err
 
+    def test_matrix_refuses_fluid_on_an_incast_spec(self, capsys,
+                                                    tmp_path):
+        spec = self._tiny_spec(
+            tmp_path, topology={"kind": "single_switch"},
+            workload={"kind": "incast", "n_flows": 2}, timing={})
+        assert main(["matrix", str(spec), "--backend", "fluid"]) == 1
+        err = capsys.readouterr().err
+        assert "workload.kind: backend 'fluid' unavailable" in err
+        assert "incast traffic" in err and "Traceback" not in err
+
     def test_matrix_unknown_spec_exits_1(self, capsys):
         assert main(["matrix", "fig99_imaginary"]) == 1
         assert "fig99_imaginary" in capsys.readouterr().err

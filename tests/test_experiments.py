@@ -90,9 +90,9 @@ class TestSimulationExperimentsSmoke:
     """Tiny configurations: check plumbing, not statistics."""
 
     def test_fig01_point(self):
-        from repro.experiments.fig01_queue_buildup import run_point
-        row = run_point("expresspass", fan_in=8, n_hosts=5,
-                        duration_ps=3 * MS)
+        from repro.experiments.fig01_queue_buildup import run
+        row, = run(protocols=("expresspass",), fan_ins=(8,), n_hosts=5,
+                   duration_ps=3 * MS).rows
         assert row["queue_pkts_max"] >= 0
         assert row["data_drops"] == 0
 
@@ -137,17 +137,18 @@ class TestSimulationExperimentsSmoke:
 
 class TestRdmaComparison:
     def test_smoke(self):
-        from repro.experiments.rdma_comparison import run_point
-        row = run_point("expresspass", fan_in=4, response_kb=16)
+        from repro.experiments.rdma_comparison import run
+        row, = run(protocols=("expresspass",), fan_in=4, response_kb=16).rows
         assert row["completed"] == 4
         assert row["data_drops"] == 0
         assert row["pfc_pauses"] == 0
 
     def test_dcqcn_point_uses_pfc(self):
-        from repro.experiments.rdma_comparison import run_point
-        row = run_point("dcqcn", fan_in=4, response_kb=64)
+        from repro.experiments.rdma_comparison import run
+        row, = run(protocols=("dcqcn",), fan_in=4, response_kb=64).rows
         assert row["completed"] == 4
         assert row["data_drops"] == 0
+        assert row["pfc_pauses"] > 0
 
 
 class TestAblations:
@@ -160,8 +161,9 @@ class TestAblations:
 
 class TestClosedLoopIncast:
     def test_smoke(self):
-        from repro.experiments.incast_closed_loop import run_point
-        row = run_point("expresspass", fan_in=6, n_hosts=7, rounds=5)
+        from repro.experiments.incast_closed_loop import run
+        row, = run(protocols=("expresspass",), fan_ins=(6,), n_hosts=7,
+                   rounds=5).rows
         assert row["rounds_done"] == 5
         assert row["data_drops"] == 0
         assert row["downlink_queue_max_pkts"] < 4

@@ -148,25 +148,31 @@ def test_importing_the_cli_stays_inside_the_front_end(tmp_path):
     _assert_not_loaded(doc, FRONT_END_ONLY, "import repro.cli")
 
 
-#: ``repro run fig19`` at a few milliseconds of simulated time per cell.
-_FIG19 = ("run", "fig19", "--set", "protocols=expresspass,dctcp",
-          "--set", "n_flows=5", "--set", "drain_ps=5000000000")
+#: ``repro run fig19`` at a few milliseconds of simulated time per cell,
+#: and ``repro run rdma`` (the incast cell) at a few kilobytes per worker.
+_RUNS = {
+    "run-fig19": ("run", "fig19", "--set", "protocols=expresspass,dctcp",
+                  "--set", "n_flows=5", "--set", "drain_ps=5000000000"),
+    "run-rdma": ("run", "rdma", "--set", "protocols=expresspass,dcqcn",
+                 "--set", "fan_in=3", "--set", "response_kb=8"),
+}
 
 
-@pytest.mark.parametrize("case", ["fluid", "packet", "run-fig19"])
+@pytest.mark.parametrize("case", ["fluid", "packet", "run-fig19",
+                                  "run-rdma"])
 def test_fully_cached_matrix_never_loads_the_simulator(tmp_path, case):
     """A warm ``repro matrix`` on either backend, and a warm ``repro run``
     of a spec-compiled figure (which imports that figure's module and no
     other experiment), are cache reads: no engine, no pool — and for
     ``matrix``, none of the heavy stdlib either (``run --set`` reads the
     figure's signature with ``inspect``)."""
-    argv = _FIG19 if case == "run-fig19" else ("matrix", _spec(tmp_path, case))
+    argv = _RUNS.get(case) or ("matrix", _spec(tmp_path, case))
     prime = subprocess.run(
         [sys.executable, "-m", "repro", *argv],
         capture_output=True, text=True, env=_env(tmp_path), cwd=str(REPO),
         timeout=300)
     assert prime.returncode == 0, prime.stderr
-    if case == "run-fig19":
+    if case in _RUNS:
         doc = _spy(tmp_path, _MAIN, *argv, "--json")
         assert doc["out"]["rc"] == 0
         assert json.loads(doc["out"]["stdout"])["rows"]

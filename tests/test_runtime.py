@@ -76,6 +76,12 @@ def fails_after(delay_s):
 #: Each spec-compiled figure at a scale of a few cells of a second or less.
 _CLOS = dict(n_flows=20, drain_ps=50 * MS)
 TINY_FIGURES = {
+    "fig1": dict(protocols=("ideal", "expresspass"), fan_ins=(4, 12),
+                 n_hosts=8, duration_ps=2 * MS),
+    "rdma": dict(protocols=("expresspass", "dcqcn"), fan_in=4,
+                 response_kb=16),
+    "incast": dict(protocols=("expresspass", "dctcp"), fan_ins=(4,),
+                   n_hosts=5, rounds=3),
     "fig15": dict(protocols=("expresspass",), flow_counts=(2, 3),
                   warmup_ps=2 * MS, measure_ps=2 * MS),
     "table3": dict(protocols=("expresspass", "dctcp"),

@@ -32,6 +32,21 @@ def base_spec(**over) -> dict:
     return spec
 
 
+def incast_spec(**over) -> dict:
+    spec = {
+        "schema": "repro.scenarios/v1",
+        "name": "unit-incast",
+        "topology": {"kind": "single_switch",
+                     "params": {"hosts": 5, "base_rtt_ps": 20_000_000}},
+        "workload": {"kind": "incast", "n_flows": 6, "flow_bytes": 1000,
+                     "rounds": 3},
+        "transport": {"protocol": "expresspass"},
+        "timing": {"measure_ps": 1_000_000_000},
+    }
+    spec.update(over)
+    return spec
+
+
 def poisson_spec(**over) -> dict:
     spec = {
         "schema": "repro.scenarios/v1",
@@ -162,6 +177,30 @@ class TestValidation:
         ("chaos-scenario-needs-fat-tree",
          lambda d: {**d, "chaos": {"scenario": "link-flap"}},
          "chaos.scenario"),
+        ("incast-on-dumbbell",
+         lambda d: {**d, "workload": {"kind": "incast"}, "timing": None},
+         "workload.kind"),
+        ("incast-rounds-without-flow-bytes",
+         lambda d: incast_spec(workload={"kind": "incast", "rounds": 3}),
+         "workload.rounds"),
+        ("incast-one-host",
+         lambda d: incast_spec(topology={"kind": "single_switch",
+                                         "params": {"hosts": 1}}),
+         "topology.params.hosts"),
+        ("incast-warmup",
+         lambda d: incast_spec(timing={"warmup_ps": 1_000_000}), "timing"),
+        ("incast-jitter-negative",
+         lambda d: incast_spec(workload={"kind": "incast",
+                                         "start_jitter_ps": -1}),
+         "workload.start_jitter_ps"),
+        ("incast-chaos",
+         lambda d: incast_spec(chaos={"events": [
+             {"kind": "link_down", "t_ps": 1, "a": "s0", "b": "h0"}]}),
+         "chaos"),
+        ("persistent-hosts",
+         lambda d: {**d, "topology": {"kind": "single_switch",
+                                      "params": {"hosts": 8}}},
+         "topology.params.hosts"),
     ]
 
     @pytest.mark.parametrize("mutate",
@@ -215,6 +254,13 @@ class TestValidation:
         assert {"schema", "name", "transport.protocol"} <= fields
         assert len(exc.value.render().splitlines()) == len(exc.value.errors)
 
+    def test_fluid_refuses_an_incast_spec_by_name(self):
+        with pytest.raises(SpecError) as exc:
+            Scenario.from_dict(incast_spec(backend="fluid"))
+        (fld, msg), = exc.value.errors
+        assert fld == "workload.kind"
+        assert "fluid' unavailable" in msg and "incast" in msg
+
     def test_load_poisson_workload_vocab(self):
         with pytest.raises(SpecError) as exc:
             Scenario.from_dict(poisson_spec(
@@ -242,6 +288,16 @@ class TestRoundTrip:
         assert Scenario.from_dict(s.to_dict()) == s
         assert compile_scenario(s).cells[0].task.kwargs["topo_params"] == \
             {"k": 4, "base_rtt_ps": 40_000_000}
+
+    def test_incast_round_trips_with_its_switch_size(self):
+        s = Scenario.from_dict(incast_spec())
+        assert s.to_dict()["workload"] == {
+            "kind": "incast", "n_flows": 6, "flow_bytes": 1000, "rounds": 3,
+            "start_jitter_ps": 0}
+        assert s.to_dict()["topology"]["params"] == \
+            {"base_rtt_ps": 20_000_000, "hosts": 5}
+        assert set(s.timing) == {"measure_ps"}
+        assert Scenario.from_dict(s.to_dict()) == s
 
     def test_json_dump_load_identity(self):
         s = Scenario.from_dict(poisson_spec())
@@ -363,6 +419,16 @@ class TestCompiler:
         assert kw["protocol"] == "expresspass"
         assert kw["n_flows"] == 2
         assert "chaos_plan" not in kw and "topo_params" not in kw
+
+    def test_incast_kwargs_shape(self):
+        (cell,) = compile_scenario(Scenario.from_dict(incast_spec())).cells
+        assert cell.task.fn.__name__ == "run_incast"
+        assert cell.task.kwargs == {
+            "protocol": "expresspass", "n_flows": 6, "flow_bytes": 1000,
+            "rounds": 3, "start_jitter_ps": 0, "rate_bps": 10**10,
+            "prop_delay_ps": 4_000_000, "measure_ps": 1_000_000_000,
+            "seed": 1, "ep_profile": "default",
+            "topo_params": {"base_rtt_ps": 20_000_000, "hosts": 5}}
 
     def test_poisson_kwargs_shape(self):
         s = Scenario.from_dict(poisson_spec())

@@ -93,7 +93,8 @@ class TestRunMatrix:
 
 def _legacy_rows(fig: str, case: str) -> dict:
     """Rows the hand-written runners produced at the commit that deleted
-    them (``tests/golden/{fig10,fig11,fig15,fig19,table3,fig20,fig21}_legacy_rows.json``).
+    them (``tests/golden/<fig>_legacy_rows.json`` for fig01, fig10, fig11,
+    fig15, fig19, fig20, fig21, incast, rdma and table3).
     Frozen data: a mismatch means the spec path drifted — never regenerate
     these."""
     path = pathlib.Path(__file__).parent / "golden" / f"{fig}_legacy_rows.json"
@@ -114,6 +115,22 @@ class TestBitIdentity:
         legacy = _legacy_rows("fig15", "default")
         res = f15.run(protocols=("expresspass", "dctcp"), flow_counts=(2, 3),
                       warmup_ps=_WARM, measure_ps=_MEAS)
+        assert res.columns == legacy["columns"]
+        assert res.rows == legacy["rows"]
+
+    @pytest.mark.parametrize("fig, module", [
+        ("fig01", "fig01_queue_buildup"), ("incast", "incast_closed_loop"),
+        ("rdma", "rdma_comparison")])
+    def test_fan_in_spec_matches_legacy(self, fig, module):
+        """Fig 1, the closed-loop incast and the RDMA comparison are the
+        incast cell's persistent, closed-loop and one-shot traffic; the
+        Fig 1 and closed-loop cases fan in above ``hosts - 1``, so the
+        workers wrap.  The golden file records the legacy call's kwargs."""
+        from importlib import import_module
+
+        kwargs = _legacy_rows(fig, "kwargs")
+        legacy = _legacy_rows(fig, "default")
+        res = import_module(f"repro.experiments.{module}").run(**kwargs)
         assert res.columns == legacy["columns"]
         assert res.rows == legacy["rows"]
 

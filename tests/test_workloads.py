@@ -16,7 +16,6 @@ from repro.workloads import (
     WORKLOADS,
     FlowSpec,
     incast_specs,
-    permutation_specs,
     poisson_specs,
     shuffle_specs,
 )
@@ -129,13 +128,6 @@ class TestShuffleSpecs:
         specs = shuffle_specs(3, 1, 1000)
         pairs = {(s.src, s.dst) for s in specs}
         assert pairs == {(a, b) for a in range(3) for b in range(3) if a != b}
-
-
-class TestPermutationSpecs:
-    def test_ring(self):
-        specs = permutation_specs(5, 1000)
-        assert [(s.src, s.dst) for s in specs] == [
-            (0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
 
 
 @settings(deadline=None, max_examples=25)
