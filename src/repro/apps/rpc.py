@@ -76,4 +76,4 @@ class PartitionAggregate:
             self.round_latencies_ps.append(self.sim.now - self._round_start_ps)
             self.completed_rounds += 1
             if self.rounds is None or self.completed_rounds < self.rounds:
-                self.sim.schedule(1, self._start_round)
+                self.sim.schedule_unref(1, self._start_round)

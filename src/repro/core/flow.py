@@ -181,7 +181,7 @@ class ExpressPassFlow(Flow):
                     self._request_timer = None
             # Host credit-processing delay (∆d_host) before data goes out.
             delay = self.src.sample_delay()
-            self.sim.schedule(delay, self._handle_credit, pkt.credit_seq)
+            self.sim.schedule_unref(delay, self._handle_credit, pkt.credit_seq)
         elif pkt.kind == PacketKind.CONTROL:
             # Receiver-driven resynchronization after (rare) data loss.
             if pkt.ack >= 0 and pkt.ack < self._next_seq:

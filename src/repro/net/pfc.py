@@ -72,8 +72,8 @@ class PfcController:
             upstream = peer_node.ports.get(node.id)
             if upstream is None:
                 continue
-            self.sim.schedule(upstream.prop_delay_ps,
-                              upstream.set_pfc_paused, paused)
+            self.sim.schedule_unref(upstream.prop_delay_ps,
+                                    upstream.set_pfc_paused, paused)
 
     def node_is_paused(self, node_id: int) -> bool:
         return self._node_paused.get(node_id, False)

@@ -11,6 +11,15 @@ transmitter state machine.  Scheduling policy (ExpressPass §3.1):
   otherwise the head data packet; if only credits wait but tokens are short,
   the transmitter sleeps exactly until the bucket refills.
 
+The transmitter (``_try_send``) runs only when it can send.  ``send`` does
+not call it for a packet that queues behind a transmission whose
+completion will call back, and it materialises a deferred completion
+itself.  ``send`` and ``_tx_done`` compute the meter's wait themselves when
+only credits wait on a free line: a throttled port that meets another
+credit re-arms its wake, a :class:`~repro.sim.engine.Timer`, almost always
+for the same deadline, and that re-arm costs one reserved key.  The
+timer's entry then fires the transmitter in place at that key.
+
 Optional per-port attachments (``phantom``, ``rcp_controller``, ``pfc``,
 hooks, fault filters) let HULL, RCP, PFC, tracing, and fault injection reuse
 the same port without burdening the common path: attachments are exposed as
@@ -22,11 +31,11 @@ golden traces do not move when a no-op hook forces the checked path.
 "The line goes idle" is usually not an event.  A transmission that starts
 with every queue empty does not schedule its completion: the port reserves
 the completion's tie-break key, notes when the line frees (``_free_at``),
-and ``_line_free`` — the only reader of ``_busy`` — decides on the next
-arrival whether that position has already passed (the line is free) or is
-still ahead of the entry being dispatched (``_try_send`` then pushes the
-completion under the reserved key, popping exactly where an eagerly
-scheduled one would).
+and ``_line_free`` — which settles a ``_busy`` that is only on paper —
+decides on the next arrival whether that position has already passed (the
+line is free) or is still ahead of the entry being dispatched (the
+completion is then pushed under the reserved key, popping exactly where an
+eagerly scheduled one would).
 
 Nor is a packet that finds the line free and nothing waiting queued:
 ``_try_send`` would dequeue that very packet before ``send`` returns, so
@@ -36,13 +45,15 @@ controller, or classified credit queues) ``send`` *cuts through* — one
 enqueue-then-dequeue would, and the packet goes on the wire.
 Credit-scheduled data arrives paced at an idle port, so most hops cut
 through and most completions are never pushed; transmit sequences,
-statistics and RNG draws are bit-identical to queueing every packet and
-scheduling every completion (``tests/test_lazy_completion.py`` keeps that
+statistics and RNG draws are bit-identical to queueing every packet,
+scheduling every completion and sleeping on the meter with a
+``cancel(); schedule()`` pair (``tests/test_lazy_completion.py`` keeps that
 eager port as the oracle).
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Optional
 
 from repro.net.packet import (
@@ -52,7 +63,7 @@ from repro.net.packet import (
     Packet,
 )
 from repro.net.queues import CreditQueue, DataQueue, PhantomQueue, TokenBucket
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, Timer
 from repro.sim.units import tx_time_ps
 
 # Flags-word bits: any nonzero bit routes send/_try_send to the fully
@@ -94,7 +105,7 @@ class Port:
         "_lowprio_queue",
         "_phantom", "_rcp_controller", "_on_transmit", "_on_enqueue",
         "_pfc", "_pfc_paused", "_up", "_drop_filter", "_drop_filters", "_obs",
-        "stats", "_busy", "_free_at", "_tx_key", "_wake_event", "_flags",
+        "stats", "_busy", "_free_at", "_tx_key", "_waker", "_flags",
         "_tx_cache",
     )
 
@@ -145,7 +156,10 @@ class Port:
         self._busy = False
         self._free_at = 0
         self._tx_key = None
-        self._wake_event = None
+        #: Wakes the transmitter when the credit meter can pay for the head
+        #: credit.  A :class:`Timer`: a credit that queues behind a dry meter
+        #: re-arms it for the same deadline, which costs one reserved key.
+        self._waker = Timer(sim, self._try_send)
         #: Per-size serialization-delay memo (the port's rate is fixed).
         self._tx_cache = {}
         self._flags = 0
@@ -355,7 +369,8 @@ class Port:
             if flags:
                 self._rcp_controller.on_arrival(pkt, now)
         if (not data_queue.bytes and not credit_queue.bytes
-                and type(credit_queue) is CreditQueue and self._line_free()
+                and type(credit_queue) is CreditQueue
+                and (not self._busy or self._line_free())
                 and (not credit
                      or self.credit_bucket.try_consume(pkt.wire_bytes, now))):
             # Cut-through: _try_send would dequeue this very packet in this
@@ -379,10 +394,32 @@ class Port:
                 stats.busy_ps += tx
                 self._tx_key = sim.reserve_key()
                 self._free_at = now + tx
-                sim.schedule_unref(tx + self.prop_delay_ps, self.peer.receive,
-                                   pkt, self)
+                heappush(sim._heap, (now + tx + self.prop_delay_ps,
+                                     sim.reserve_key(), None,
+                                     self.peer.receive, (pkt, self)))
                 return True
         elif queue.enqueue(pkt, now):
+            if self._busy:
+                key = self._tx_key
+                if key is None:
+                    return True  # the completion is in the heap
+                if not self._line_free():
+                    # Still ahead: materialise it, as _try_send would.
+                    self._tx_key = None
+                    sim.push_reserved(self._free_at, key, self._tx_done)
+                    return True
+            elif (credit and not data_queue.bytes
+                  and type(credit_queue) is CreditQueue):
+                # A free line and only credits waiting: _try_send would send
+                # the head credit, or sleep until the meter can pay for it.
+                wait = self.credit_bucket.time_until(
+                    credit_queue.head().wire_bytes, now)
+                if wait:
+                    obs = self._obs
+                    if obs is not None:
+                        obs.credit_throttled += 1
+                    self._waker.arm(wait)
+                    return True
             self._try_send()
             return True
         flow = pkt.flow
@@ -425,29 +462,29 @@ class Port:
                 self._pfc.on_queue_change(self)
         if self._on_enqueue is not None:
             self._on_enqueue(pkt, ok)
-        if ok:
-            self._try_send()
+        if ok and (not self._busy or self._tx_key is not None):
+            self._try_send()  # (else the completion is in the heap)
         return ok
 
     # -- transmitter ---------------------------------------------------------
     def _line_free(self) -> bool:
-        """Is the line free at the entry being dispatched?  The one reader
-        of ``_busy``: a deferred completion (``_tx_key`` set) is settled
-        here — had it been scheduled, would it already have fired?"""
-        if self._busy:
-            key = self._tx_key
-            if key is None:
-                return False  # the completion is in the heap
-            sim = self.sim
-            free_at = self._free_at
-            now = sim.now
-            if now < free_at or (now == free_at and sim.dispatch_key < key):
-                return False
-            self._busy = False
+        """While ``_busy``: is the line free at the entry being dispatched?
+        The one place ``_busy`` is cleared outside ``_tx_done``: a deferred
+        completion (``_tx_key`` set) is settled here — had it been
+        scheduled, would it already have fired?"""
+        key = self._tx_key
+        if key is None:
+            return False  # the completion is in the heap
+        sim = self.sim
+        free_at = self._free_at
+        now = sim.now
+        if now < free_at or (now == free_at and sim.dispatch_key < key):
+            return False
+        self._busy = False
         return True
 
     def _try_send(self) -> None:
-        if not self._line_free():
+        if self._busy and not self._line_free():
             key = self._tx_key
             if key is not None:
                 # Still ahead: materialise it under the reserved key, so it
@@ -477,9 +514,7 @@ class Port:
             if obs is not None:
                 obs.credit_throttled += 1
             wait = self.credit_bucket.time_until(head.wire_bytes, now)
-            if self._wake_event is not None:
-                self._wake_event.cancel()
-            self._wake_event = self.sim.schedule(max(wait, 1), self._wake)
+            self._waker.arm(max(wait, 1))
 
     def _try_send_checked(self) -> None:
         """The fully-checked transmit scheduler: PFC and low-priority."""
@@ -505,21 +540,15 @@ class Port:
             if obs is not None:
                 obs.credit_throttled += 1
             wait = self.credit_bucket.time_until(head.wire_bytes, now)
-            if self._wake_event is not None:
-                self._wake_event.cancel()
-            self._wake_event = self.sim.schedule(max(wait, 1), self._wake)
-
-    def _wake(self) -> None:
-        self._wake_event = None
-        self._try_send()
+            self._waker.arm(max(wait, 1))
 
     def _transmit(self, pkt: Packet) -> None:
         if self._on_transmit is not None:
             self._on_transmit(pkt)
         self._busy = True
-        if self._wake_event is not None:
-            self._wake_event.cancel()
-            self._wake_event = None
+        waker = self._waker
+        if waker._event is not None:
+            waker.disarm()
         wire = pkt.wire_bytes
         tx = self._tx_cache.get(wire)
         if tx is None:
@@ -536,22 +565,40 @@ class Port:
         # A completion only matters if something waits for the line.  With
         # all queues empty it is not scheduled: its tie-break key is reserved
         # (consuming the sequence number the event would have) and
-        # _line_free, the only reader of _busy, settles it on the next
-        # arrival.  Queues may be replaced (net/classes.py), so ask through
-        # the protocol (``bytes``), never a queue's internals.
+        # _line_free settles it on the next arrival.  Queues may be replaced
+        # (net/classes.py), so ask through the protocol (``bytes``), never a
+        # queue's internals.
+        # Both pushes are ``schedule_unref`` without its frame (the engine's
+        # heap contract).
         sim = self.sim
+        now = sim.now
         lowprio = self._lowprio_queue
         if (self.data_queue.bytes or self.credit_queue.bytes
                 or (lowprio is not None and lowprio.bytes)):
             self._tx_key = None
-            sim.schedule_unref(tx, self._tx_done)
+            heappush(sim._heap,
+                     (now + tx, sim.reserve_key(), None, self._tx_done, ()))
         else:
             self._tx_key = sim.reserve_key()
-            self._free_at = sim.now + tx
-        sim.schedule_unref(tx + self.prop_delay_ps, self.peer.receive, pkt, self)
+            self._free_at = now + tx
+        heappush(sim._heap, (now + tx + self.prop_delay_ps, sim.reserve_key(),
+                             None, self.peer.receive, (pkt, self)))
 
     def _tx_done(self) -> None:
         self._busy = False
+        credit_queue = self.credit_queue
+        if (not self._flags and not self.data_queue.bytes
+                and credit_queue.bytes and type(credit_queue) is CreditQueue):
+            # Only credits wait: _try_send would send the head one, or
+            # sleep until the meter can pay for it.
+            wait = self.credit_bucket.time_until(credit_queue.head().wire_bytes,
+                                                 self.sim.now)
+            if wait:
+                obs = self._obs
+                if obs is not None:
+                    obs.credit_throttled += 1
+                self._waker.arm(wait)
+                return
         self._try_send()
 
     def set_pfc_paused(self, paused: bool) -> None:

@@ -32,7 +32,11 @@ class TokenBucket:
 
     ``rate_bps`` is the fill rate; ``burst_bytes`` caps accumulation.  Tokens
     are tracked lazily: :meth:`refill` advances the bucket to the current
-    simulation time.  Internally tokens are integers in units of
+    simulation time.  :meth:`try_consume` and :meth:`time_until` run once
+    per credit per hop, so each carries its own copy of the refill (the
+    same integer operations, no extra frame); :meth:`refill` itself serves
+    :meth:`set_rate` and the auditor's mirror.  Internally tokens are
+    integers in units of
     ``1 / (8 * SEC)`` bytes, which makes refill, consume, and
     :meth:`time_until` exact: ``try_consume(n, now + time_until(n, now))``
     always succeeds, so a port sleeping on the bucket wakes exactly once.
@@ -75,11 +79,18 @@ class TokenBucket:
 
     def try_consume(self, nbytes: int, now_ps: int) -> bool:
         """Consume ``nbytes`` of tokens if available; return success."""
-        self.refill(now_ps)
+        tokens = self._tokens_scaled
+        if now_ps > self._last_ps:  # refill(now_ps), inlined
+            tokens += (now_ps - self._last_ps) * self.rate_bps
+            burst = self._burst_scaled
+            if tokens > burst:
+                tokens = burst
+            self._last_ps = now_ps
         need = nbytes * _TOKEN_SCALE
-        if self._tokens_scaled >= need:
-            self._tokens_scaled -= need
+        if tokens >= need:
+            self._tokens_scaled = tokens - need
             return True
+        self._tokens_scaled = tokens
         return False
 
     def time_until(self, nbytes: int, now_ps: int) -> int:
@@ -87,8 +98,15 @@ class TokenBucket:
 
         Exact: consuming ``nbytes`` at ``now_ps + time_until(...)`` succeeds.
         """
-        self.refill(now_ps)
-        deficit = nbytes * _TOKEN_SCALE - self._tokens_scaled
+        tokens = self._tokens_scaled
+        if now_ps > self._last_ps:  # refill(now_ps), inlined
+            tokens += (now_ps - self._last_ps) * self.rate_bps
+            burst = self._burst_scaled
+            if tokens > burst:
+                tokens = burst
+            self._tokens_scaled = tokens
+            self._last_ps = now_ps
+        deficit = nbytes * _TOKEN_SCALE - tokens
         if deficit <= 0:
             return 0
         return -(-deficit // self.rate_bps)

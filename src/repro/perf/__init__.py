@@ -32,8 +32,12 @@ waited for.  A packet that finds the line free and nothing waiting is not
 queued either: ``Port.send`` accounts for the visit with one
 ``pass_through`` call and transmits in place, unless an attachment
 observes the queue in between.  And a timer that is re-armed far more often
-than it fires (:class:`repro.sim.engine.Timer`, the transports' RTO) keeps
-one heap entry instead of pushing and cancelling one per arm.
+than it fires (:class:`repro.sim.engine.Timer`: the transports' RTO, the
+port's credit-meter wake) keeps one heap entry instead of pushing and
+cancelling one per arm, and fires in place when a re-arm kept its deadline.
+The port's transmitter itself runs only when it can send: ``send`` and
+``_tx_done`` skip the call when it would return at once or only arm the
+wake.
 
 Ports precompute a flags word over their optional attachments
 (``phantom``/``rcp_controller``/``pfc``/hooks/...) and take a branch-free

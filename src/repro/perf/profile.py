@@ -5,7 +5,9 @@ fired callback is **counted** by ``(module, qualname)``, and every Nth one is
 additionally **wall-clock timed** (``sample_every``, default 32).  Counting
 is exact; timing is sampled so the overhead stays low and — crucially — the
 simulation is bit-identical with the profiler on or off, because the
-profiler only observes.
+profiler only observes.  A callback is named by what its heap entry held
+when it popped: a :class:`~repro.sim.engine.Timer` re-arm that fires in
+place counts as ``Timer._move``, not as the owner's callback.
 
 Three ways in:
 

@@ -32,6 +32,12 @@ the run loop publishes the key of the entry it is dispatching as
 :attr:`Simulator.dispatch_key` (:class:`repro.net.port.Port` defers its
 transmit completions this way).
 
+The heap list itself is part of that contract: :attr:`Simulator._heap` is
+never rebound (:meth:`Simulator._compact` slices it in place), so a hot
+caller may push a handle-less entry ``(time, reserve_key(), None, fn,
+args)`` onto it with ``heapq.heappush`` directly, skipping the
+``schedule_unref`` frame — the port does for its per-transmission pushes.
+
 Random numbers come from *named streams* (:meth:`Simulator.rng`): each stream
 is an independent ``random.Random`` seeded from ``(simulator seed, name)``, so
 adding a consumer of randomness in one subsystem never perturbs another.
@@ -111,12 +117,20 @@ class Timer:
 
     :meth:`arm` takes the key ``schedule`` would, so every other event keeps
     its sequence number, notes ``(deadline, key)`` and pushes an entry only
-    if none of its own waits at or before the deadline.  An entry whose
-    deadline has moved on pops early (one extra event, no other trace) and
-    re-pushes itself under the noted key; the entry at the deadline calls
-    ``fn`` itself, so profilers see the owner's callback.  One live entry
-    while armed, none otherwise: :meth:`Simulator.pending` and the clock
-    after a drain do not change.
+    if none of its own waits at or before the deadline.  When that entry
+    pops ahead of the noted position, :meth:`_move` either re-pushes it
+    under the noted key (one extra event, no other trace) or, if the
+    deadline did not move and nothing in the heap sorts before ``(deadline,
+    key)``, fires ``fn`` right there as the entry at ``(deadline, key)``
+    (``dispatch_key`` says so).  An entry that pops at its own position calls
+    ``fn`` itself, so profilers see the owner's callback; a fire in place is
+    counted as ``Timer._move``.  One live entry while armed, none otherwise:
+    :meth:`Simulator.pending` and the clock after a drain do not change.
+
+    Users: the transports' RTO (re-armed on every ACK, deadline mostly
+    later) and :class:`repro.net.port.Port`'s credit-meter wake (re-armed
+    on every credit that queues behind a dry meter, deadline mostly the
+    same).
     """
 
     __slots__ = ("sim", "fn", "_event", "_deadline", "_key")
@@ -125,7 +139,10 @@ class Timer:
         self.sim = sim
         self.fn = fn
         #: Our heap entry.  The run loop clears its ``.sim`` as it pops it,
-        #: which is how the timer learns it has fired.
+        #: which is how the timer learns it has fired; ``None`` before the
+        #: first arm, after :meth:`disarm` and after a fire in place, so an
+        #: owner may read "``_event is None``: certainly not armed" off the
+        #: slot.
         self._event: Optional[Event] = None
         self._deadline = self._key = 0
 
@@ -159,14 +176,29 @@ class Timer:
             event.cancel()
 
     def _move(self) -> None:
-        """Our entry popped ahead of a deadline set after it was pushed: put
-        it back at ``(deadline, key)``, which is still ahead of the entry
-        being dispatched (a later time, or the same with a newer key)."""
+        """Our entry popped ahead of a position set after it was pushed.
+
+        ``(deadline, key)`` is still ahead of the entry being dispatched (a
+        later time, or the same with a newer key).  If the deadline is this
+        very instant and the heap holds nothing before ``(deadline, key)``,
+        nothing can fire in between: fire here, as that entry.  Otherwise
+        put the entry back there.
+        """
         event = self._event
-        event.time = self._deadline
+        sim = self.sim
+        deadline = self._deadline
+        key = self._key
         event.fn = self.fn
-        event.sim = self.sim
-        _heappush(self.sim._heap, (event.time, self._key, event))
+        if event.time == deadline:
+            heap = sim._heap
+            if not heap or (deadline, key) < heap[0]:
+                self._event = None
+                sim.dispatch_key = key
+                self.fn()
+                return
+        event.time = deadline
+        event.sim = sim
+        _heappush(sim._heap, (deadline, key, event))
 
 
 class Simulator:

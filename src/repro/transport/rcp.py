@@ -40,7 +40,7 @@ class RcpLinkController:
         self.min_rate_bps = min_rate_bps
         self.rate_bps = self.capacity_bps  # new flows start at the current rate
         self._arrived_bytes = 0
-        sim.schedule(avg_rtt_ps, self._update)
+        sim.schedule_unref(avg_rtt_ps, self._update)
 
     def on_arrival(self, pkt: Packet, now_ps: int) -> None:
         """Called by the port for every non-credit packet it accepts.
@@ -70,7 +70,7 @@ class RcpLinkController:
         ) / self.capacity_bps
         self.rate_bps *= 1 + delta
         self.rate_bps = min(max(self.rate_bps, self.min_rate_bps), self.capacity_bps)
-        self.sim.schedule(self.avg_rtt_ps, self._update)
+        self.sim.schedule_unref(self.avg_rtt_ps, self._update)
 
 
 def install_rcp(sim: Simulator, ports: Iterable[Port], avg_rtt_ps: int,

@@ -1,4 +1,4 @@
-"""Terminal visualization helpers: sparklines, bars, and CDF tables.
+"""Terminal visualization helpers: sparklines and timelines.
 
 The library is terminal-first (no plotting dependencies), so examples and
 reports render time series as unicode/ASCII sparklines::
@@ -11,7 +11,7 @@ All functions are pure and deterministic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 #: Eight-level unicode blocks, plus a leading space for "empty".
 _BLOCKS = " ▁▂▃▄▅▆▇█"
@@ -39,43 +39,6 @@ def sparkline(values: Sequence[float], lo: Optional[float] = None,
         frac = (min(max(v, lo), hi) - lo) / span
         chars.append(ramp[round(frac * (len(ramp) - 1))])
     return "".join(chars)
-
-
-def hbar(value: float, full: float, width: int = 40,
-         fill: str = "#", empty: str = " ") -> str:
-    """A horizontal bar of ``width`` cells filled to ``value / full``."""
-    if full <= 0:
-        raise ValueError("full must be positive")
-    cells = round(min(max(value / full, 0.0), 1.0) * width)
-    return fill * cells + empty * (width - cells)
-
-
-def bar_chart(labels: Sequence[str], values: Sequence[float],
-              width: int = 40, unit: str = "") -> str:
-    """Aligned labelled horizontal bars, scaled to the largest value."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must align")
-    if not labels:
-        return ""
-    peak = max(values) or 1.0
-    label_w = max(len(l) for l in labels)
-    lines = []
-    for label, value in zip(labels, values):
-        lines.append(f"{label.ljust(label_w)} |{hbar(value, peak, width)}| "
-                     f"{value:.4g}{unit}")
-    return "\n".join(lines)
-
-
-def cdf_table(samples: Sequence[float],
-              percentiles: Sequence[float] = (10, 25, 50, 75, 90, 99, 99.9),
-              unit: str = "") -> str:
-    """A compact textual CDF (uses :func:`repro.metrics.percentile`)."""
-    from repro.metrics import percentile
-
-    lines = ["  pct   value"]
-    for pct in percentiles:
-        lines.append(f"{pct:6.1f}  {percentile(samples, pct):.5g}{unit}")
-    return "\n".join(lines)
 
 
 def timeline(series: dict, width: Optional[int] = None, lo: float = 0.0,

@@ -379,10 +379,13 @@ class _EagerTimer:
 
 #: Few values, so deadlines and foreign events collide to the picosecond and
 #: a new deadline lands before, on and after the entry already waiting.
+#: ``rearm`` re-arms for the deadline last armed (the credit-meter wake's
+#: common case), when that is not yet past.
 _TICKS = st.sampled_from([0, 1, 5, 10, 20])
 
 _timer_ops = st.lists(
-    st.tuples(st.sampled_from(["arm"] * 4 + ["disarm", "foreign", "foreign"]),
+    st.tuples(st.sampled_from(["arm"] * 4 + ["rearm"] * 3
+                              + ["disarm", "foreign", "foreign"]),
               st.tuples(_TICKS, _TICKS),    # when: the sum of two ticks
               st.integers(0, 1),            # which timer
               _TICKS,                       # delay
@@ -397,6 +400,7 @@ def _drive_timers(timer_cls, ops, refires, mode):
     log = []
     refire = iter(refires)
     timers = []
+    deadlines = [None, None]
 
     def fired(which):
         log.append((sim.now, sim.dispatch_key, f"t{which}"))
@@ -408,7 +412,11 @@ def _drive_timers(timer_cls, ops, refires, mode):
                   for which in range(2))
 
     def apply(kind, which, delay):
-        if kind == "arm":
+        deadline = deadlines[which]
+        if kind == "rearm" and deadline is not None and deadline >= sim.now:
+            timers[which].arm(deadline - sim.now)
+        elif kind in ("arm", "rearm"):
+            deadlines[which] = sim.now + delay
             timers[which].arm(delay)
         elif kind == "disarm":
             timers[which].disarm()
@@ -465,3 +473,36 @@ def test_rearming_a_timer_pushes_nothing_while_an_earlier_entry_waits(sim):
     assert sim.pending() == 0 and sim.run() == 0 and fired == [130]
     with pytest.raises(ValueError):
         timer.arm(-1)
+
+
+def test_a_same_deadline_rearm_fires_in_place_as_its_own_key(sim):
+    fired = []
+    timer = Timer(sim, lambda: fired.append((sim.now, sim.dispatch_key)))
+    timer.arm(100)                           # entry (100, key 1)
+
+    def at_40():                             # key 2
+        timer.arm(60)                        # the same deadline: key 3
+        sim.schedule(60, lambda: fired.append("later"))   # key 4
+
+    sim.schedule_at(40, at_40)
+    assert sim.run(until=40) == 1 and len(sim._heap) == 2
+    # Nothing sorts between (100, 1) and (100, 3): the first pop fires the
+    # callback as the entry at key 3 would — one event, no re-push.
+    assert sim.run(max_events=1) == 1
+    assert fired == [(100, 3)] and not timer.armed and sim.pending() == 1
+    sim.run()
+    assert fired == [(100, 3), "later"] and sim.events_processed == 3
+    assert sim._cancelled == 0
+
+
+def test_an_entry_between_the_keys_fires_before_a_same_deadline_rearm(sim):
+    fired = []
+    timer = Timer(sim, lambda: fired.append((sim.now, sim.dispatch_key)))
+    timer.arm(100)                           # entry (100, key 1)
+    sim.schedule_at(100, lambda: fired.append("between"))  # key 2
+    sim.schedule_at(40, timer.arm, 60)       # key 3; re-arms at 40: key 4
+    sim.run()
+    # The entry at key 2 is in the heap when key 1 pops: re-push, so the
+    # timer fires after it, at key 4 — one extra event for the move.
+    assert fired == ["between", (100, 4)]
+    assert sim.events_processed == 4 and sim.pending() == 0

@@ -5,16 +5,23 @@ transmitting does not schedule its ``_tx_done``: it reserves the event's
 tie-break key and pushes it only if a packet arrives before that position
 passes.  And a packet that finds the line free and nothing waiting is not
 queued at all: ``send`` accounts for the visit and puts it on the wire.
-The claim is *exactness* — every surviving event pops where it always did,
-every statistic and RNG draw is the queued path's — so the reference
-implementation lives here, not in ``src/``: :class:`EagerPort` queues every
-packet and schedules every completion, as the port did before either
-elision (it overrides the whole send → transmit path, so nothing the real
-port learns to skip can leak into it), and the tests drive identical
-traffic through both and require identical transmit sequences, statistics
-and RNG state, with strictly fewer events on the lazy side.
+And the transmitter runs only when it can send: ``send`` and ``_tx_done``
+arm the credit-meter wake themselves, and the wake is a
+:class:`~repro.sim.engine.Timer` that a same-deadline re-arm moves in
+place.  The claim is *exactness* — every surviving event pops where it
+always did, every statistic and RNG draw is the queued path's — so the
+reference implementation lives here, not in ``src/``: :class:`EagerPort`
+queues every packet, schedules every completion and sleeps on the meter
+with a ``cancel(); schedule()`` pair, as the port did before any of it (it
+overrides the whole send → transmit → wake path, so nothing the real port
+learns to skip can leak into it), and the tests drive identical traffic
+through both and require identical transmit sequences, statistics and RNG
+state, with every difference in event counts accounted for.
 """
 
+import functools
+from collections import Counter
+from contextlib import contextmanager
 from itertools import count
 
 import pytest
@@ -23,27 +30,41 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro.net.link
 from repro.net.classes import install_credit_classes
 from repro.net.node import Node
+from repro import perf
 from repro.net.packet import credit_packet, data_packet
 from repro.net.pfc import install_pfc
 from repro.net.port import Port, PortStats
-from repro.net.queues import _QueueStats
+from repro.net.queues import TokenBucket, _QueueStats
 from repro.perf import profile
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, Timer
 from repro.sim.units import GBPS, US, tx_time_ps
 from tests.test_golden_traces import SCENARIOS, build_payload
 
 RATE = 10 * GBPS
 DATA_TX = tx_time_ps(1538, RATE)
 CREDIT_TX = tx_time_ps(84, RATE)
+#: A port's credit meter and its refill times from empty: a ``tokens=0``
+#: port that meets an 84 B / 92 B credit at 0 wakes at exactly one of these.
+_METER = Port(Simulator(), None, None, RATE, 0, 1).credit_bucket
+CREDIT_RATE = _METER.rate_bps
+REFILL_84, REFILL_92 = (
+    TokenBucket(CREDIT_RATE, _METER.burst_bytes, start_full=False)
+    .time_until(wire, 0) for wire in (84, 92))
 
 
 class EagerPort(Port):
     """The oracle: every packet is queued, then dequeued by ``_try_send``;
-    every transmission schedules its completion event.  ``_send_checked``
-    and ``_try_send_checked`` (the attachment paths, which the real port
-    does not shortcut) are inherited."""
+    every transmission schedules its completion event, every completion
+    calls ``_try_send``, and the credit-meter wake is a plain
+    ``cancel(); schedule()`` pair on its own slot.  Only ``_send_checked``
+    (the attachment path, which ends in the oracle's ``_try_send``) is
+    inherited."""
 
-    __slots__ = ()
+    __slots__ = ("_wake_event",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._wake_event = None
 
     def send(self, pkt):
         if self._flags:
@@ -79,10 +100,46 @@ class EagerPort(Port):
             self._transmit(pkt)
             return
         if head is not None:
-            wait = self.credit_bucket.time_until(head.wire_bytes, now)
-            if self._wake_event is not None:
-                self._wake_event.cancel()
-            self._wake_event = self.sim.schedule(max(wait, 1), self._wake)
+            self._sleep(head, now)
+
+    def _try_send_checked(self):
+        now = self.sim.now
+        head = self.credit_queue.head()
+        if head is not None and self.credit_bucket.try_consume(
+                head.wire_bytes, now):
+            self._transmit(self.credit_queue.dequeue(now))
+            return
+        if not self._pfc_paused:
+            pkt = self.data_queue.dequeue(now)
+            if pkt is not None:
+                if self._pfc is not None:
+                    self._pfc.on_queue_change(self)
+                self._transmit(pkt)
+                return
+        if self._lowprio_queue is not None and not self._pfc_paused:
+            pkt = self._lowprio_queue.dequeue(now)
+            if pkt is not None:
+                self._transmit(pkt)
+                return
+        if head is not None:
+            self._sleep(head, now)
+
+    def _sleep(self, head, now):
+        obs = self._obs
+        if obs is not None:
+            obs.credit_throttled += 1
+        wait = self.credit_bucket.time_until(head.wire_bytes, now)
+        if self._wake_event is not None:
+            self._wake_event.cancel()
+        self._wake_event = self.sim.schedule(max(wait, 1), self._wake)
+
+    def _wake(self):
+        self._wake_event = None
+        self._try_send()
+
+    def _tx_done(self):
+        self._busy = False
+        self._try_send()
 
     def _transmit(self, pkt):
         if self._on_transmit is not None:
@@ -225,6 +282,8 @@ class Fabric:
                     pkt = self.data(src, dst)
                     pkt.low_priority = kind == "lowprio"
                 self.nodes[src].forward(pkt)
+        elif kind == "rate":  # a chaos meter misconfiguration: ×½ … ×3
+            port.credit_bucket.set_rate(CREDIT_RATE * extra // 2, self.sim.now)
         elif kind == "down":
             port.up = False
         elif kind == "up":
@@ -235,24 +294,37 @@ class Fabric:
     def drive(self, actions, mode):
         """Run the script to quiescence, sliced by ``mode``.
 
+        Each action is scheduled up front (``script``), applied from
+        outside the loop (``between``), or scheduled from the last event at
+        time 0 (``late``): keyed above every wake the time-0 actions armed,
+        so an arrival can meet a wake's deadline from either side.
+
         ``single``: one ``run()``.  ``windows``: ``run(until=…)`` at every
         instant a transmission started by the script could end — landing
-        exactly on ``free_at`` values — with the actions marked external
-        applied *between* runs.  ``steps``: ``run(max_events=1)``, with each
-        external action applied from outside the loop right after the step
-        that delivered the fabric's k-th packet (deliveries are never
-        elided, so that is the same point of both runs).
+        exactly on ``free_at`` values — with the ``between`` actions applied
+        *between* runs.  ``steps``: ``run(max_events=1)``, with each
+        ``between`` action applied from outside the loop right after the
+        step that delivered the fabric's k-th packet (deliveries are never
+        elided, so that is the same point of both runs).  In ``single``
+        mode ``between`` actions are scheduled up front.
         """
         sim = self.sim
         between = {}
+        late = []
         for action in actions:
-            at, external = action[1]
-            if external and mode == "windows":
+            at, how = action[1]
+            if how == "between" and mode == "windows":
                 between.setdefault(at, []).append(action)
-            elif external and mode == "steps":
+            elif how == "between" and mode == "steps":
                 between.setdefault(action[2] + action[3], []).append(action)
+            elif how == "late":
+                late.append(action)
             else:
                 sim.schedule_at(at, self.apply, action)
+        if late:
+            sim.schedule_at(0, lambda: [
+                sim.schedule_at(action[1][0], self.apply, action)
+                for action in late])
         if mode == "windows":
             starts = {action[1][0] for action in actions}
             for at in sorted(starts | {t + DATA_TX for t in starts}
@@ -306,17 +378,56 @@ def _completions_fired(report):
                if qual.endswith("._tx_done"))
 
 
-#: Few instants, all built from the two serialization delays, so arrivals,
-#: completions and window edges coincide to the picosecond.
-instants = st.builds(lambda a, b: a * DATA_TX + b * CREDIT_TX,
-                     st.integers(0, 2), st.integers(0, 1))
+@contextmanager
+def counting():
+    """Count what the event accounting needs while active: transmit
+    completions the real port fired, ``Timer`` entries re-pushed (the one
+    event a re-arm may add) and entries cancelled while heaped — with
+    compaction off, exactly what the run loop reaps."""
+    counts = Counter()
+    tx_done, move, note = Port._tx_done, Timer._move, Simulator._note_cancelled
+
+    @functools.wraps(tx_done)   # the profiler keys callbacks by qualname
+    def counted_tx_done(self):
+        counts["completions"] += 1
+        tx_done(self)
+
+    @functools.wraps(move)
+    def counted_move(self):
+        popped = self._event
+        move(self)
+        # A fire in place leaves the popped entry off the heap.
+        counts["repushed"] += popped.sim is not None
+
+    def counted_note(self):
+        counts["reaped"] += 1
+        note(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Port, "_tx_done", counted_tx_done)
+        patch.setattr(Timer, "_move", counted_move)
+        patch.setattr(Simulator, "_note_cancelled", counted_note)
+        patch.setattr(perf, "COMPACT_MIN", 0)
+        yield counts
+
+
+#: Few instants, built from the two serialization delays and the meter's
+#: two refill times, so arrivals, completions, wakes and window edges
+#: coincide to the picosecond.
+instants = st.builds(lambda a, b, c: a * DATA_TX + b * CREDIT_TX + c,
+                     st.integers(0, 2), st.integers(0, 1),
+                     st.sampled_from([0, 0, REFILL_84, REFILL_92]))
 
 actions = st.lists(
     st.tuples(
-        st.sampled_from(["data"] * 4 + ["credits"] * 4
-                        + ["lowprio", "down", "up", "pause", "resume"]),
-        st.tuples(instants, st.booleans()),
-        st.integers(0, 5), st.integers(0, 5), st.integers(1, 4)),
+        st.sampled_from(["data"] * 4 + ["credits"] * 5
+                        + ["lowprio", "down", "up", "pause", "resume",
+                           "rate"]),
+        st.tuples(instants, st.sampled_from(["script", "script", "between",
+                                             "late"])),
+        # ``extra``: packets per action, up to a burst that overflows the
+        # meter's two credits and the credit queue's four.
+        st.integers(0, 5), st.integers(0, 5), st.integers(1, 6)),
     min_size=2, max_size=16)
 
 fabrics = st.fixed_dictionaries({
@@ -340,25 +451,32 @@ fabrics = st.fixed_dictionaries({
        st.booleans())
 def test_lazy_ports_are_indistinguishable_from_eager_ones(
         fabric_kw, script, mode, profiled):
-    eager = Fabric(EagerPort, **fabric_kw)
-    eager.drive(script, mode)
-    if profiled:  # also exercises the profiled run loop
-        with profile.profiled() as session:
+    with counting() as eager_counts:
+        eager = Fabric(EagerPort, **fabric_kw)
+        eager.drive(script, mode)
+    with counting() as counts:
+        if profiled:  # also exercises the profiled run loop
+            with profile.profiled() as session:
+                lazy = Fabric(Port, **fabric_kw)
+                lazy.drive(script, mode)
+        else:
             lazy = Fabric(Port, **fabric_kw)
             lazy.drive(script, mode)
-    else:
-        lazy = Fabric(Port, **fabric_kw)
-        lazy.drive(script, mode)
 
     assert lazy.snapshot() == eager.snapshot()
-    saved = eager.sim.events_processed - lazy.sim.events_processed
-    assert saved >= 0
     assert eager.sim.pending() == lazy.sim.pending() == 0
+    # Drained, so the eager side fired one completion per transmission.
+    # The lazy side fired fewer (the elided ones) and one more event per
+    # Timer re-push; a same-deadline re-arm that fires in place costs what
+    # the eager cancelled-and-rescheduled wake did.  Nothing else differs.
+    elided = lazy.transmissions() - counts["completions"]
+    assert (eager.sim.events_processed - lazy.sim.events_processed
+            == elided - counts["repushed"])
+    # A re-arm that keeps its entry leaves no cancelled one behind.
+    assert counts["reaped"] <= eager_counts["reaped"]
+    assert eager_counts["completions"] == eager_counts["repushed"] == 0
     if profiled:
-        # Drained, so the eager side fired one completion per transmission;
-        # what the lazy side did not fire is exactly what it saved.
-        elided = lazy.transmissions() - _completions_fired(session.report)
-        assert saved == elided
+        assert _completions_fired(session.report) == counts["completions"]
         if lazy.transmissions():  # and the report derives the same number
             assert (f"elided: {elided:,} of {lazy.transmissions():,} "
                     in session.report.format())
@@ -492,3 +610,85 @@ def test_classified_credit_queue_on_a_port_that_defers_completions():
     assert sink.arrivals[1][0] - sink.arrivals[0][0] == CREDIT_TX
     port.send(_data(3))          # long after: the last completion was elided
     assert port.stats.data_pkts_sent == 1 and len(port.data_queue) == 0
+
+
+# --- the throttled transmitter, case by case -------------------------------------
+
+def _credit(seq, wire=84):
+    pkt = credit_packet(0, 1, None, seq, wire_bytes=wire)
+    pkt.seq = seq
+    return pkt
+
+
+#: Scripts against a port whose meter is empty at 0, where credit 0 arrives
+#: first and sleeps until ``REFILL_84``.  Each op is ``(time, what)``, applied
+#: in order: ``None`` now, else scheduled then, so list order is key order.
+THROTTLED = {
+    # Credits queue behind the dry meter: the same deadline each time.
+    "burst": ([(None, 0), (10, 1), (20, 2), (20, 3)], 0),
+    # Arrivals at exactly the wake deadline, keyed below and above the wake.
+    "lower-key": ([(REFILL_84, 1), (None, 0)], 0),
+    "higher-key": ([(None, 0), (REFILL_84, 1), (REFILL_84, "data")], 0),
+    # Keyed between the wake's entry and a same-deadline re-arm: re-push.
+    "between-keys": ([(None, 0), (REFILL_84, "data"), (10, 1)], 1),
+    "data-mid-throttle": ([(None, 0), (10, 1), (20, "data")], 0),
+    # A misconfigured meter mid-throttle, then a credit re-arms the wake
+    # later (the entry moves) or earlier (it is replaced).
+    "slower-meter": ([(None, 0), (10, "slow"), (20, 1)], 1),
+    "faster-meter": ([(None, 0), (10, "fast"), (20, 1)], 0),
+}
+
+
+def _run_throttled(port_cls, ops):
+    with counting() as counts:
+        sim, port, sink = _wire(port_cls)
+        port.credit_bucket.tokens = 0
+
+        def apply(what):
+            if what == "data":
+                port.send(_data(100))
+            elif what in ("slow", "fast"):
+                port.credit_bucket.set_rate(
+                    CREDIT_RATE // 2 if what == "slow" else 2 * CREDIT_RATE,
+                    sim.now)
+            else:
+                port.send(_credit(what))
+
+        for at, what in ops:
+            if at is None:
+                apply(what)
+            else:
+                sim.schedule_at(at, apply, what)
+        sim.run()
+    seen = (sink.arrivals, sim.now,
+            {f: getattr(port.stats, f) for f in PortStats.__slots__})
+    return seen, sim.events_processed, counts, port.stats
+
+
+@pytest.mark.parametrize("name", sorted(THROTTLED))
+def test_throttled_port_matches_the_eager_oracle(name):
+    ops, repushed = THROTTLED[name]
+    seen, events, counts, stats = _run_throttled(Port, ops)
+    eager_seen, eager_events, eager_counts, _ = _run_throttled(EagerPort, ops)
+    assert seen == eager_seen
+    assert len(seen[0]) == sum(what not in ("slow", "fast") for _, what in ops)
+    assert counts["repushed"] == repushed
+    elided = stats.data_pkts_sent + stats.credit_pkts_sent \
+        - counts["completions"]
+    assert eager_events - events == elided - repushed
+    assert counts["reaped"] <= eager_counts["reaped"]
+
+
+def test_credits_queueing_behind_a_dry_meter_keep_one_wake_entry():
+    sim, port, sink = _wire(Port)
+    port.credit_bucket.tokens = 0
+    port.send(_credit(0))        # the meter is dry: sleep until REFILL_84
+    for seq, at in ((1, 10), (2, 20)):
+        sim.schedule_at(at, port.send, _credit(seq))
+    sim.run(until=20)
+    # Each credit re-armed the wake for the same deadline: one entry, no
+    # cancelled ones, and the transmitter never ran.
+    assert port.credit_queue.head().seq == 0 and len(port.credit_queue) == 3
+    assert len(sim._heap) == sim.pending() == 1 and sim._cancelled == 0
+    assert sim.run(max_events=1) == 1 and sim.now == REFILL_84
+    assert port.stats.credit_pkts_sent == 1    # fired in place

@@ -1,9 +1,8 @@
 """Tests for the terminal visualization helpers."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.viz import bar_chart, cdf_table, hbar, sparkline, timeline
+from repro.viz import sparkline, timeline
 
 
 class TestSparkline:
@@ -30,50 +29,6 @@ class TestSparkline:
                     max_size=50))
     def test_length_matches_input(self, xs):
         assert len(sparkline(xs)) == len(xs)
-
-
-class TestBars:
-    def test_hbar_full_and_empty(self):
-        assert hbar(10, 10, width=4) == "####"
-        assert hbar(0, 10, width=4) == "    "
-
-    def test_hbar_clamps(self):
-        assert hbar(20, 10, width=4) == "####"
-
-    def test_hbar_rejects_bad_full(self):
-        with pytest.raises(ValueError):
-            hbar(1, 0)
-
-    def test_bar_chart_alignment(self):
-        chart = bar_chart(["a", "bb"], [1.0, 2.0], width=10)
-        lines = chart.splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("a  |")
-        assert lines[1].startswith("bb |")
-
-    def test_bar_chart_validation(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1, 2])
-
-    def test_bar_chart_empty(self):
-        assert bar_chart([], []) == ""
-
-
-class TestCdfTable:
-    def test_contains_percentiles(self):
-        text = cdf_table([1, 2, 3, 4, 5], percentiles=(50, 99))
-        assert "50.0" in text and "99.0" in text
-        assert "3" in text
-
-    def test_unit_suffix(self):
-        text = cdf_table([10, 20], percentiles=(50,), unit="us")
-        assert text.splitlines()[1].endswith("us")
-
-    def test_percentiles_monotone(self):
-        text = cdf_table(list(range(1, 101)), percentiles=(10, 50, 90))
-        values = [float(line.split()[1])
-                  for line in text.splitlines()[1:]]
-        assert values == sorted(values)
 
 
 class TestTimeline:
